@@ -91,8 +91,13 @@ def _load_graph(args) -> graphs.GraphLike:
     if getattr(args, "family", None):
         return parse_family(args.family)
     if getattr(args, "edges", None):
-        with open(args.edges, "r", encoding="utf-8") as fh:
-            return graphs.parse_edgelist(fh.read())
+        try:
+            with open(args.edges, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            reason = getattr(exc, "strerror", None) or exc
+            raise DomainError(f"cannot read edge list {args.edges!r}: {reason}") from None
+        return graphs.parse_edgelist(text)
     raise DomainError("a graph source is required (--family or --edges)")
 
 

@@ -471,7 +471,7 @@ def capacity_report(g: GraphLike, options: ReportOptions = ReportOptions()) -> C
             )
             if sol is not None:
                 report.theta = sol.value
-                report.theta_tolerance = sol.tol_requested
+                report.theta_tolerance = sol.tolerance_achieved
         if options.include_fractional:
             chi_f = attempt("chi_f", lambda: fractional_chromatic(g))
             if chi_f is not None:

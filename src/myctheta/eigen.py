@@ -1,199 +1,16 @@
-"""Self-contained dense symmetric eigendecomposition.
-
-Two paths, selected by size:
-
-* n <= 64: cyclic Jacobi with a round-robin rotation schedule.  All rotations
-  of one round act on disjoint index pairs, so they are applied in one
-  vectorized batch; a sweep visits every off-diagonal pair exactly once.
-* n > 64: Householder tridiagonalization followed by implicit-shift QL.
+"""Dense symmetric eigendecomposition through LAPACK (`numpy.linalg.eigh`).
 
 `eigh(a)` returns eigenvalues in ascending order and an orthonormal matrix of
-column eigenvectors, like the usual LAPACK convention.
+column eigenvectors.  Only the lower triangle of `a` is read, so callers pass
+exactly symmetric matrices.  Non-square input raises `numpy.linalg.LinAlgError`,
+a subclass of `ValueError`.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
-
-from .errors import ConvergenceError
-
-JACOBI_MAX_N = 64
-_EPS = np.finfo(float).eps
-
-
-def _round_robin_rounds(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Tournament schedule: n-1 rounds of disjoint index pairs covering all pairs."""
-    m = n if n % 2 == 0 else n + 1
-    players = list(range(m))
-    rounds = []
-    for _ in range(m - 1):
-        ps, qs = [], []
-        for i in range(m // 2):
-            p, q = players[i], players[m - 1 - i]
-            if p < n and q < n:
-                ps.append(min(p, q))
-                qs.append(max(p, q))
-        if ps:
-            rounds.append((np.array(ps), np.array(qs)))
-        players = [players[0], players[-1]] + players[1:-1]
-    return rounds
-
-
-def _off_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off))
-
-
-def jacobi_eigh(a: np.ndarray, max_sweeps: int = 60) -> tuple[np.ndarray, np.ndarray]:
-    a = np.array(a, dtype=float)
-    n = a.shape[0]
-    v = np.eye(n)
-    if n < 2:
-        return np.diag(a).copy(), v
-    fro = float(np.linalg.norm(a))
-    if fro == 0.0:
-        return np.zeros(n), v
-    rounds = _round_robin_rounds(n)
-    tiny = _EPS * fro * 1e-2
-    target = n * _EPS * fro
-    for _ in range(max_sweeps):
-        if _off_norm(a) <= target:
-            break
-        for p_all, q_all in rounds:
-            apq = a[p_all, q_all]
-            mask = np.abs(apq) > tiny
-            if not mask.any():
-                continue
-            p, q, apq = p_all[mask], q_all[mask], apq[mask]
-            with np.errstate(over="ignore"):
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(tau) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
-            t = np.where(tau == 0.0, 1.0, t)
-            t = np.where(np.isfinite(t), t, 0.0)
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = t * c
-            cc, ss = c[:, None], s[:, None]
-            ap, aq = a[p, :], a[q, :]
-            a[p, :] = cc * ap - ss * aq
-            a[q, :] = ss * ap + cc * aq
-            ap, aq = a[:, p].copy(), a[:, q].copy()
-            a[:, p] = cc.T * ap - ss.T * aq
-            a[:, q] = ss.T * ap + cc.T * aq
-            vp, vq = v[:, p].copy(), v[:, q].copy()
-            v[:, p] = cc.T * vp - ss.T * vq
-            v[:, q] = ss.T * vp + cc.T * vq
-    else:
-        if _off_norm(a) > 1e3 * target:
-            raise ConvergenceError(
-                f"Jacobi did not converge in {max_sweeps} sweeps",
-                residual=_off_norm(a),
-            )
-    w = np.diag(a).copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], v[:, order]
-
-
-def _householder_tridiagonal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Reduce symmetric a to tridiagonal (d, e) with accumulated orthogonal q."""
-    a = np.array(a, dtype=float)
-    n = a.shape[0]
-    q = np.eye(n)
-    for k in range(n - 2):
-        x = a[k + 1:, k].copy()
-        norm_x = math.sqrt(float(x @ x))
-        if norm_x == 0.0:
-            continue
-        if x[0] < 0:
-            norm_x = -norm_x
-        x[0] += norm_x
-        h = float(x @ x) / 2.0
-        if h == 0.0:
-            continue
-        # similarity update of the trailing block: A <- A - u w^T - w u^T
-        sub = a[k + 1:, k + 1:]
-        p = sub @ x / h
-        kk = float(x @ p) / (2.0 * h)
-        w = p - kk * x
-        a[k + 1:, k + 1:] = sub - np.outer(w, x) - np.outer(x, w)
-        a[k + 1:, k] = 0.0
-        a[k, k + 1:] = 0.0
-        a[k + 1, k] = a[k, k + 1] = -norm_x
-        q[:, k + 1:] -= np.outer(q[:, k + 1:] @ x, x) / h
-    d = np.diag(a).copy()
-    e = np.zeros(n)
-    if n > 1:
-        e[1:] = np.diag(a, 1)
-    return d, e, q
-
-
-def _tql2(d: np.ndarray, e: np.ndarray, z: np.ndarray,
-          max_iter: int = 50) -> tuple[np.ndarray, np.ndarray]:
-    """Implicit-shift QL on a tridiagonal matrix, rotations applied to z."""
-    n = d.size
-    e = np.roll(e, -1)  # e[l] couples d[l] and d[l+1]; e[n-1] unused
-    for l in range(n):
-        for iteration in range(max_iter + 1):
-            m = l
-            while m < n - 1:
-                dd = abs(d[m]) + abs(d[m + 1])
-                if abs(e[m]) <= _EPS * dd:
-                    break
-                m += 1
-            if m == l:
-                break
-            if iteration == max_iter:
-                raise ConvergenceError("QL iteration did not converge")
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = math.hypot(g, 1.0)
-            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
-            s, c = 1.0, 1.0
-            p = 0.0
-            for i in range(m - 1, l - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                r = math.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    d[i + 1] -= p
-                    e[m] = 0.0
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-                zi, zi1 = z[:, i].copy(), z[:, i + 1].copy()
-                z[:, i + 1] = s * zi + c * zi1
-                z[:, i] = c * zi - s * zi1
-            else:
-                d[l] -= p
-                e[l] = g
-                e[m] = 0.0
-    order = np.argsort(d, kind="stable")
-    return d[order], z[:, order]
-
-
-def ql_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    d, e, q = _householder_tridiagonal(a)
-    return _tql2(d, e, q)
 
 
 def eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigen-decomposition of a real symmetric matrix.
-
-    Returns (w, v) with w ascending and a = v @ diag(w) @ v.T.
-    """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("eigh expects a square matrix")
-    if a.shape[0] <= JACOBI_MAX_N:
-        return jacobi_eigh(a)
-    return ql_eigh(a)
-
-
-def eigvalsh(a: np.ndarray) -> np.ndarray:
-    return eigh(a)[0]
+    """Eigen-decomposition of a real symmetric matrix: a = v @ diag(w) @ v.T."""
+    return np.linalg.eigh(np.asarray(a, dtype=float))

@@ -114,8 +114,8 @@ def mycielski_theta_formula(t: float) -> FormulaResult:
     """
     if 2.0 - 1e-6 <= t < 2.0:
         t = 2.0
-    if not t >= 2.0:
-        raise DomainError(f"formula needs t >= 2, got {t}")
+    if not (math.isfinite(t) and t >= 2.0):
+        raise DomainError(f"formula needs a finite t >= 2, got {t}")
     m = star_branch(t, 0)
     residual = cubic_residual(t, m)
     return FormulaResult(t, m, residual, (star_branch(t, 1), star_branch(t, 2)))

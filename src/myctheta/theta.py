@@ -8,9 +8,8 @@ complement:
 
 whose optimum equals theta_bar(G).  The solver is a splitting scheme with
 fixed penalty 1.0 that alternates the affine-constraint projection with a
-projection onto the PSD cone (dense symmetric eigendecomposition, warm
-started in the eigenbasis of the previous iterate) and stops on primal/dual
-residuals driven to tol/50.
+projection onto the PSD cone (a dense symmetric eigendecomposition) and
+stops on primal/dual residuals driven to tol/50.
 
 The reported value is certified, not merely converged: shifting the affine
 iterate X by its negative eigenvalue mass gives a strictly feasible primal
@@ -34,7 +33,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -160,7 +158,6 @@ def theta_bar(g: Graph, tol: float = DEFAULT_TOL,
     jmat = np.ones((n, n))
     z = np.eye(n) / n
     u = np.zeros((n, n))
-    basis: Optional[np.ndarray] = None
     target = tol / _RESIDUAL_SAFETY
     best = None  # (width, midpoint, x_hat, x, u)
     x = z
@@ -175,15 +172,10 @@ def theta_bar(g: Graph, tol: float = DEFAULT_TOL,
         )
         w = relaxed + u
         w = 0.5 * (w + w.T)
-        if basis is not None:
-            vals, vecs = eigen.eigh(basis.T @ w @ basis)
-            vecs = basis @ vecs
-        else:
-            vals, vecs = eigen.eigh(w)
+        vals, vecs = eigen.eigh(w)
         pos = vals > 0
         z_new = (vecs[:, pos] * vals[pos]) @ vecs[:, pos].T
         z_new = 0.5 * (z_new + z_new.T)
-        basis = vecs
         primal_res = float(np.linalg.norm(x - z_new))
         dual_res = float(np.linalg.norm(z_new - z))
         z = z_new

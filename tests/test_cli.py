@@ -152,6 +152,22 @@ def test_myc_theta_domain_error(capsys):
     assert code == 2 and "t >= 2" in err
 
 
+@pytest.mark.parametrize("t", ["inf", "nan"])
+def test_myc_theta_rejects_non_finite(t, capsys):
+    code, out, err = run_cli(["myc-theta", "--t", t, "--format", "json"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "finite" in err
+
+
+def test_unreadable_edge_file_exit_code(tmp_path, capsys):
+    binary = tmp_path / "binary.edges"
+    binary.write_bytes(b"\xff\xfe\x00")
+    for path in (tmp_path / "missing.edges", tmp_path, binary):
+        code, out, err = run_cli(["theta", "--edges", str(path)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot read edge list") and err.count("\n") == 1
+
+
 def test_theta_json_schema(capsys):
     code, payload, _ = run_cli(
         ["theta", "--family", "cycle:5", "--tol", "1e-6"], capsys

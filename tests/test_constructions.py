@@ -19,6 +19,7 @@ from myctheta import (
     mycielskian_digraph,
     no_lifted_clique_check,
     or_power,
+    theta_bar,
     transitive_clique_number,
     transitive_tournament,
 )
@@ -166,6 +167,13 @@ def test_capacity_report_c5():
     assert not report.errors
     doc = report.to_dict()
     assert doc["chi_f"] == "5/2"
+
+
+def test_capacity_report_records_achieved_tolerance():
+    report = capacity_report(cycle_graph(5), ReportOptions(max_power=1))
+    achieved = theta_bar(cycle_graph(5), tol=1e-6).tolerance_achieved
+    assert report.theta_tolerance == achieved
+    assert report.theta_tolerance != 1e-6
 
 
 def test_capacity_report_k1():

@@ -240,6 +240,16 @@ def test_mycielskian_theta_matches_formula():
     assert lifted == pytest.approx(mycielski_theta_formula(base).m, abs=1e-5)
 
 
+def test_mycielskian_of_c5_squared_matches_formula():
+    # n = 51: theta_bar(C5^2) = 5 exactly, so theta_bar(M(C5^2)) = m(5)
+    from myctheta import mycielski_theta_formula, or_power
+
+    sol = theta_bar(mycielskian(or_power(cycle_graph(5), 2), 2), tol=1e-6)
+    assert sol.n == 51
+    expect = mycielski_theta_formula(5.0).m
+    assert abs(sol.value - expect) <= sol.tolerance_achieved + 1e-7
+
+
 def test_theta_petersen():
     # vertex-transitive and self-complementary-free oracle: theta times its
     # complement value equals n, and the independence side is 4, so 10/4

@@ -1,3 +1,12 @@
+"""Contract of `myctheta.eigen.eigh`, which `theta_bar` and the certificates rely on.
+
+Eigenvalues come back in ascending order, the eigenvectors are orthonormal
+and reconstruct the input, also for integer, rank-deficient, repeated and
+badly scaled input.  The size cases 1-64 and 65-100 are those at which the
+package once switched between a Jacobi and a Householder/QL solver; every
+size now goes through LAPACK, and the cases keep their names.
+"""
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -50,6 +59,12 @@ def test_scaling_invariance():
     a = a + a.T
     for s in (1e-8, 1e8):
         _check_against_numpy(a * s)
+
+
+def test_integer_input_and_non_square_rejection():
+    _check_against_numpy(np.array([[2, 1], [1, 2]]))
+    with pytest.raises(ValueError):
+        eigen.eigh(np.ones((2, 3)))
 
 
 @settings(max_examples=40)

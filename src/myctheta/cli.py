@@ -104,8 +104,11 @@ def _load_graph(args) -> graphs.GraphLike:
 def _emit(args, text: str) -> None:
     out = getattr(args, "out", None)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise DomainError(f"cannot write {out!r}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -128,7 +131,7 @@ def _cmd_invariant(args) -> int:
         raise DomainError(f"--which {which} needs a digraph")
     doc: dict = {"n": g.n, "m": g.m, "directed": directed}
     if which in ("omega", "all") and not directed:
-        r = invariants.clique_number(g, args.budget, args.threads)
+        r = invariants.clique_number(g, args.budget)
         doc["omega"] = {"size": r.size, "witness": list(r.witness), "exhausted": r.exhausted}
     if which in ("omega-s", "all") and directed:
         r = invariants.symmetric_clique_number(g, args.budget)
@@ -143,7 +146,7 @@ def _cmd_invariant(args) -> int:
         r = fractional.fractional_chromatic(g)
         doc["chi_f"] = f"{r.value.numerator}/{r.value.denominator}"
     if which in ("power-bound",):
-        b = invariants.capacity_lower_bound(g, args.power, args.budget, args.threads)
+        b = invariants.capacity_lower_bound(g, args.power, args.budget)
         doc["lower_bound"] = {"k": b.k, "value": b.value, "exhausted": b.exhausted}
     if args.format == "json":
         _emit(args, json.dumps(doc, indent=2, sort_keys=True) + "\n")
@@ -272,7 +275,6 @@ def _cmd_report(args) -> int:
         max_power=args.max_power,
         theta_tol=args.tol,
         clique_budget=args.budget,
-        threads=args.threads,
         **_detect_construction(getattr(args, "family", None)),
     )
     report = cons.capacity_report(g, options)
@@ -329,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "power-bound", "all"])
     p.add_argument("--power", type=int, default=2, help="k for power-bound")
     p.add_argument("--budget", type=int, default=None, help="search node budget")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--format", default="json", choices=["json", "text"])
     p.set_defaults(fn=_cmd_invariant)
 
@@ -366,7 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-power", type=int, default=2)
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--format", default="json", choices=["json", "csv", "text"])
     p.set_defaults(fn=_cmd_report)
 

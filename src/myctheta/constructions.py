@@ -340,7 +340,6 @@ class ReportOptions:
     include_chromatic: bool = True
     mycielski_complete: Optional[int] = None    # attach extended_clique(n)
     mycielski_tournament: Optional[int] = None  # attach lifted_transitive_clique(n)
-    threads: int = 1
 
 
 @dataclass
@@ -430,7 +429,12 @@ class CapacityReport:
 
 
 def capacity_report(g: GraphLike, options: ReportOptions = ReportOptions()) -> CapacityReport:
-    """Bundle of invariants and bounds; per-field failures land in `errors`."""
+    """Bundle of invariants and bounds; per-field failures land in `errors`.
+
+    A bad `theta_tol` is bad input, not a per-field failure: it raises
+    DomainError before any field is computed.
+    """
+    theta_mod.check_tol(options.theta_tol)
     directed = isinstance(g, Digraph)
     report = CapacityReport(n=g.n, m=g.m, directed=directed)
 
@@ -451,15 +455,13 @@ def capacity_report(g: GraphLike, options: ReportOptions = ReportOptions()) -> C
     else:
         report.omega = attempt(
             "omega",
-            lambda: clique_number(g, options.clique_budget, options.threads),
+            lambda: clique_number(g, options.clique_budget),
         )
     bounds = []
     for k in range(1, options.max_power + 1):
         bound = attempt(
             f"lower_bound_k{k}",
-            lambda k=k: capacity_lower_bound(
-                g, k, options.clique_budget, options.threads
-            ),
+            lambda k=k: capacity_lower_bound(g, k, options.clique_budget),
         )
         if bound is not None:
             bounds.append(bound)

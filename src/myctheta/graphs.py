@@ -1,9 +1,14 @@
 """Graph and digraph types plus the product / Mycielski constructors.
 
 Vertices are always labeled 0..n-1.  Both `Graph` and `Digraph` are immutable
-after construction: adjacency is stored as sorted neighbor tuples together
-with one integer bitset per vertex, so membership tests are O(1) and values
-can be shared freely across threads.
+after construction.  The one stored form of the adjacency is a Python int
+bitset per vertex (`bits`; `out_bits` and `in_bits` for digraphs), the
+representation of the bit-parallel clique search (San Segundo et al. 2011).
+Everything else is derived from it on demand: `edges()` / `arcs()` in
+row-major order, `m`, `adjacency_matrix()` and, cached on first use,
+`Graph.neighbors`.  The constructors validate the pairs as one int64 array,
+scatter them into an n x n boolean matrix and pack its rows into the bitsets,
+so no Python object is made per edge.
 
 Product graphs use row-major vertex pairing, (f, g) -> f * |V(G)| + g, and
 power graphs extend this to mixed-radix coordinates (leftmost coordinate most
@@ -13,6 +18,7 @@ the flat and the structured view.
 
 from __future__ import annotations
 
+import io
 import os
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
@@ -44,81 +50,104 @@ def _check_size(n: int, what: str = "graph") -> None:
         raise SizeLimitError(f"{what} needs {n} vertices, exceeding the bound {bound}")
 
 
+def _pair_matrix(n: int, pairs, what: str) -> np.ndarray:
+    """n x n boolean matrix with True at every (u, v) of `pairs`, after checks."""
+    if n < 0:
+        raise DomainError("vertex count must be non-negative")
+    _check_size(n)
+    p = np.asarray(pairs if isinstance(pairs, np.ndarray) else list(pairs), dtype=np.int64)
+    if p.size == 0:
+        p = p.reshape(0, 2)
+    if p.ndim != 2 or p.shape[1] != 2:
+        raise DomainError(f"each {what} must be a pair of vertices")
+    bad = ((p < 0) | (p >= n)).any(axis=1)
+    loop = p[:, 0] == p[:, 1]
+    first = np.flatnonzero(bad | loop)
+    if first.size:
+        u, v = p[first[0]].tolist()
+        if bad[first[0]]:
+            raise DomainError(f"{what} ({u},{v}) out of range for n={n}")
+        raise DomainError(f"self-loop at vertex {u} not allowed")
+    a = np.zeros((n, n), dtype=bool)
+    a[p[:, 0], p[:, 1]] = True
+    return a
+
+
+def _row_bits(a: np.ndarray) -> tuple[int, ...]:
+    """Row i of a boolean matrix as the int whose bit j is a[i, j]."""
+    packed = np.packbits(a, axis=1, bitorder="little")
+    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
+
+
+def _bits_matrix(bits: tuple[int, ...]) -> np.ndarray:
+    """Inverse of `_row_bits` for an n x n matrix."""
+    n = len(bits)
+    width = (n + 7) // 8
+    raw = np.frombuffer(b"".join(b.to_bytes(width, "little") for b in bits), dtype=np.uint8)
+    return np.unpackbits(raw.reshape(n, width), axis=1, count=n, bitorder="little").view(bool)
+
+
+def _pairs_tuple(a: np.ndarray) -> tuple[tuple[int, int], ...]:
+    rows, cols = np.nonzero(a)
+    return tuple(zip(rows.tolist(), cols.tolist()))
+
+
 class Graph:
     """Simple undirected graph: no loops, symmetric adjacency."""
 
-    __slots__ = ("n", "neighbors", "bits", "_edges")
+    __slots__ = ("n", "bits", "_neighbors")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
-        if n < 0:
-            raise DomainError("vertex count must be non-negative")
-        _check_size(n)
-        adj: list[set[int]] = [set() for _ in range(n)]
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise DomainError(f"edge ({u},{v}) out of range for n={n}")
-            if u == v:
-                raise DomainError(f"self-loop at vertex {u} not allowed")
-            adj[u].add(v)
-            adj[v].add(u)
+        a = _pair_matrix(n, edges, "edge")
+        a |= a.T
         self.n = n
-        self.neighbors = tuple(tuple(sorted(s)) for s in adj)
-        self.bits = tuple(sum(1 << v for v in s) for s in adj)
-        self._edges = tuple(
-            (u, v) for u in range(n) for v in self.neighbors[u] if u < v
-        )
+        self.bits = _row_bits(a)
+        self._neighbors = None
+
+    @property
+    def neighbors(self) -> tuple[tuple[int, ...], ...]:
+        """Sorted neighbor tuple of every vertex, built on first use."""
+        if self._neighbors is None:
+            self._neighbors = tuple(
+                tuple(np.flatnonzero(row).tolist()) for row in _bits_matrix(self.bits)
+            )
+        return self._neighbors
 
     @property
     def m(self) -> int:
-        return len(self._edges)
+        return sum(b.bit_count() for b in self.bits) // 2
 
     def edges(self) -> tuple[tuple[int, int], ...]:
-        return self._edges
+        """Edges (u, v) with u < v, in row-major order."""
+        return _pairs_tuple(np.triu(_bits_matrix(self.bits), 1))
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.bits[u] >> v & 1)
 
     def degree(self, v: int) -> int:
-        return len(self.neighbors[v])
+        return self.bits[v].bit_count()
 
     def complement(self) -> "Graph":
-        return Graph(
-            self.n,
-            (
-                (u, v)
-                for u in range(self.n)
-                for v in range(u + 1, self.n)
-                if not self.has_edge(u, v)
-            ),
-        )
+        return Graph(self.n, np.argwhere(np.triu(~_bits_matrix(self.bits), 1)))
 
     def subgraph(self, vertices: Sequence[int]) -> "Graph":
         """Induced subgraph; vertex i of the result is vertices[i]."""
-        index = {v: i for i, v in enumerate(vertices)}
-        if len(index) != len(vertices):
+        index = np.asarray(vertices, dtype=np.int64)
+        if len(np.unique(index)) != len(index):
             raise DomainError("duplicate vertices in subgraph selection")
-        edges = [
-            (index[u], index[v])
-            for u, v in self._edges
-            if u in index and v in index
-        ]
-        return Graph(len(vertices), edges)
+        if ((index < 0) | (index >= self.n)).any():
+            raise DomainError(f"subgraph vertex out of range for n={self.n}")
+        a = _bits_matrix(self.bits)[np.ix_(index, index)]
+        return Graph(len(index), np.argwhere(np.triu(a, 1)))
 
     def adjacency_matrix(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n))
-        for u, v in self._edges:
-            a[u, v] = a[v, u] = 1.0
-        return a
+        return _bits_matrix(self.bits).astype(float)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Graph)
-            and self.n == other.n
-            and self._edges == other._edges
-        )
+        return isinstance(other, Graph) and self.n == other.n and self.bits == other.bits
 
     def __hash__(self):
-        return hash((self.n, self._edges))
+        return hash((self.n, self.bits))
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
@@ -127,68 +156,51 @@ class Graph:
 class Digraph:
     """Directed graph without loops; antiparallel arc pairs are allowed."""
 
-    __slots__ = ("n", "out_neighbors", "in_neighbors", "out_bits", "in_bits", "_arcs")
+    __slots__ = ("n", "out_bits", "in_bits")
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]] = ()):
-        if n < 0:
-            raise DomainError("vertex count must be non-negative")
-        _check_size(n)
-        out: list[set[int]] = [set() for _ in range(n)]
-        inn: list[set[int]] = [set() for _ in range(n)]
-        for u, v in arcs:
-            if not (0 <= u < n and 0 <= v < n):
-                raise DomainError(f"arc ({u},{v}) out of range for n={n}")
-            if u == v:
-                raise DomainError(f"self-loop at vertex {u} not allowed")
-            out[u].add(v)
-            inn[v].add(u)
+        a = _pair_matrix(n, arcs, "arc")
         self.n = n
-        self.out_neighbors = tuple(tuple(sorted(s)) for s in out)
-        self.in_neighbors = tuple(tuple(sorted(s)) for s in inn)
-        self.out_bits = tuple(sum(1 << v for v in s) for s in out)
-        self.in_bits = tuple(sum(1 << v for v in s) for s in inn)
-        self._arcs = tuple(
-            (u, v) for u in range(n) for v in self.out_neighbors[u]
-        )
+        self.out_bits = _row_bits(a)
+        self.in_bits = _row_bits(a.T)
 
     @property
     def m(self) -> int:
-        return len(self._arcs)
+        return sum(b.bit_count() for b in self.out_bits)
 
     def arcs(self) -> tuple[tuple[int, int], ...]:
-        return self._arcs
+        """Arcs (u, v) in row-major order."""
+        return _pairs_tuple(_bits_matrix(self.out_bits))
 
     def has_arc(self, u: int, v: int) -> bool:
         return bool(self.out_bits[u] >> v & 1)
 
     def out_degree(self, v: int) -> int:
-        return len(self.out_neighbors[v])
+        return self.out_bits[v].bit_count()
 
     def in_degree(self, v: int) -> int:
-        return len(self.in_neighbors[v])
+        return self.in_bits[v].bit_count()
 
     def reverse(self) -> "Digraph":
-        return Digraph(self.n, ((v, u) for u, v in self._arcs))
+        return Digraph(self.n, np.argwhere(_bits_matrix(self.in_bits)))
 
     def underlying(self) -> Graph:
-        return Graph(self.n, self._arcs)
+        return Graph(self.n, np.argwhere(_bits_matrix(self.out_bits)))
 
     def bidirected_graph(self) -> Graph:
         """Graph on the same vertices whose edges are the 2-cycles of D."""
-        return Graph(
-            self.n,
-            ((u, v) for u, v in self._arcs if u < v and self.has_arc(v, u)),
-        )
+        a = _bits_matrix(self.out_bits)
+        return Graph(self.n, np.argwhere(np.triu(a & a.T, 1)))
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Digraph)
             and self.n == other.n
-            and self._arcs == other._arcs
+            and self.out_bits == other.out_bits
         )
 
     def __hash__(self):
-        return hash((self.n, self._arcs))
+        return hash((self.n, self.out_bits))
 
     def __repr__(self):
         return f"Digraph(n={self.n}, m={self.m})"
@@ -387,28 +399,16 @@ def mycielskian_digraph(d: Digraph, r: int = 2) -> Digraph:
 # ---------------------------------------------------------------------------
 
 def _graph_from_bool(a_bool: np.ndarray) -> Graph:
-    n = a_bool.shape[0]
-    iu, ju = np.nonzero(np.triu(a_bool, 1))
-    return Graph(n, zip(iu.tolist(), ju.tolist()))
+    return Graph(a_bool.shape[0], np.argwhere(np.triu(a_bool, 1)))
 
 
 def _digraph_from_bool(a_bool: np.ndarray) -> Digraph:
-    n = a_bool.shape[0]
-    iu, ju = np.nonzero(a_bool)
-    return Digraph(n, zip(iu.tolist(), ju.tolist()))
+    return Digraph(a_bool.shape[0], np.argwhere(a_bool))
 
 
 def _nonadjacency(g: GraphLike) -> np.ndarray:
     """Boolean matrix of 'not adjacent or equal' pairs (arcs for digraphs)."""
-    n = g.n
-    b = np.ones((n, n), dtype=bool)
-    if isinstance(g, Graph):
-        for u, v in g.edges():
-            b[u, v] = b[v, u] = False
-    else:
-        for u, v in g.arcs():
-            b[u, v] = False
-    return b
+    return ~_bits_matrix(g.bits if isinstance(g, Graph) else g.out_bits)
 
 
 def or_product(f: GraphLike, g: GraphLike) -> GraphLike:
@@ -416,8 +416,8 @@ def or_product(f: GraphLike, g: GraphLike) -> GraphLike:
     if isinstance(f, Graph) != isinstance(g, Graph):
         raise DomainError("cannot mix graphs and digraphs in a product")
     _check_size(f.n * g.n, "OR-product")
+    # both factors have a True diagonal, so the product has no loops
     adj = ~np.kron(_nonadjacency(f), _nonadjacency(g))
-    np.fill_diagonal(adj, False)
     if isinstance(f, Graph):
         return _graph_from_bool(adj)
     return _digraph_from_bool(adj)
@@ -519,16 +519,22 @@ def embed_mycielski_power(g: GraphLike, t: int) -> PowerEmbedding:
 
 def format_edgelist(g: GraphLike) -> str:
     directed = isinstance(g, Digraph)
-    pairs = g.arcs() if directed else g.edges()
-    head = f"{g.n} {len(pairs)}" + (" directed" if directed else "")
-    return "\n".join([head] + [f"{u} {v}" for u, v in pairs]) + "\n"
+    a = _bits_matrix(g.out_bits) if directed else np.triu(_bits_matrix(g.bits), 1)
+    labels = [str(v) for v in range(g.n)]
+    lines = [f"{g.n} {g.m}" + (" directed" if directed else "")]
+    for u, row in enumerate(a):
+        cols = np.flatnonzero(row).tolist()
+        if cols:
+            prefix = labels[u] + " "
+            lines.append(prefix + ("\n" + prefix).join([labels[v] for v in cols]))
+    return "\n".join(lines) + "\n"
 
 
 def parse_edgelist(text: str) -> GraphLike:
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
-    if not lines:
+    header, _, body = text.strip().partition("\n")
+    if not header:
         raise DomainError("empty edge-list input")
-    head = lines[0].split()
+    head = header.split()
     directed = False
     if len(head) == 3 and head[2] == "directed":
         directed = True
@@ -537,19 +543,34 @@ def parse_edgelist(text: str) -> GraphLike:
     try:
         n, m = int(head[0]), int(head[1])
     except ValueError as exc:
-        raise DomainError(f"bad header {lines[0]!r}") from exc
-    if len(lines) - 1 != m:
-        raise DomainError(f"expected {m} edge lines, found {len(lines) - 1}")
-    pairs = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise DomainError(f"bad edge line {ln!r}")
+        raise DomainError(f"bad header {header.strip()!r}") from exc
+    if body.strip():
         try:
-            pairs.append((int(parts[0]), int(parts[1])))
+            pairs = np.loadtxt(io.StringIO(body), dtype=np.int64, ndmin=2, comments=None)
+            if pairs.shape[1] != 2:
+                raise ValueError(f"{pairs.shape[1]} columns")
         except ValueError as exc:
-            raise DomainError(f"bad edge line {ln!r}") from exc
+            raise DomainError(_bad_edge_line(body, exc)) from None
+    else:
+        pairs = np.empty((0, 2), dtype=np.int64)
+    if len(pairs) != m:
+        raise DomainError(f"expected {m} edge lines, found {len(pairs)}")
     return Digraph(n, pairs) if directed else Graph(n, pairs)
+
+
+def _bad_edge_line(body: str, exc: ValueError) -> str:
+    """Message naming the first body line that is not two int64 vertex labels."""
+    for line in body.splitlines():
+        parts = line.split()
+        if not parts:
+            continue
+        try:
+            if len(parts) == 2 and all(-(1 << 63) <= int(p) < 1 << 63 for p in parts):
+                continue
+        except ValueError:
+            pass
+        return f"bad edge line {line.strip()!r}"
+    return f"bad edge list: {exc}"
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ wrong optimum.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -93,8 +92,7 @@ def _greedy_color_order(bits: tuple[int, ...], cand: int) -> tuple[list[int], li
 
 
 def _max_clique_bits(bits: tuple[int, ...], start_mask: int, budget: _Budget,
-                     initial_best: tuple[int, tuple[int, ...]],
-                     prefix: Optional[list[int]] = None) -> tuple[int, tuple[int, ...]]:
+                     initial_best: tuple[int, tuple[int, ...]]) -> tuple[int, tuple[int, ...]]:
     best_size, best_witness = initial_best
 
     def expand(mask: int, current: list[int]) -> None:
@@ -118,11 +116,7 @@ def _max_clique_bits(bits: tuple[int, ...], start_mask: int, budget: _Budget,
             current.pop()
             mask &= ~(1 << v)
 
-    start = list(prefix) if prefix else []
-    if start and len(start) > best_size:
-        best_size = len(start)
-        best_witness = tuple(sorted(start))
-    expand(start_mask, start)
+    expand(start_mask, [])
     return best_size, best_witness
 
 
@@ -140,8 +134,7 @@ def verify_clique(g: Graph, witness: tuple[int, ...]) -> bool:
     )
 
 
-def clique_number(g: Graph, node_budget: Optional[int] = None,
-                  threads: int = 1) -> CliqueResult:
+def clique_number(g: Graph, node_budget: Optional[int] = None) -> CliqueResult:
     """Branch-and-bound maximum clique with greedy-coloring upper bounds."""
     if g.n == 0:
         raise DomainError("clique number needs a nonempty vertex set")
@@ -153,53 +146,22 @@ def clique_number(g: Graph, node_budget: Optional[int] = None,
     )
     seed = tuple(sorted(pos[v] for v in _greedy_clique(g, order)))
     budget = _Budget(node_budget)
-    full = (1 << g.n) - 1
-    if threads > 1:
-        # root split: branch i fixes vertex i and explores later vertices only;
-        # workers do not share state, so the merge is order-independent
-        roots = [(v, bits[v] & (full & ~((1 << (v + 1)) - 1))) for v in range(g.n)]
-        share = node_budget // len(roots) if node_budget else None
-        budgets = [_Budget(share) for _ in roots]
-
-        def run_root(arg):
-            (v, sub), b = arg
-            best = (len(seed), seed)
-            if 1 > best[0]:
-                best = (1, (v,))
-            if sub:
-                best = _max_clique_bits(bits, sub, b, best, prefix=[v])
-            return best
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_root, zip(roots, budgets)))
-        size, witness = _merge_best(results + [(len(seed), seed)])
-        budget.nodes = sum(b.nodes for b in budgets)
-        exhausted = all(b.within_limit for b in budgets)
-    else:
-        size, witness = _max_clique_bits(bits, full, budget, (len(seed), seed))
-        exhausted = budget.within_limit
+    size, witness = _max_clique_bits(bits, (1 << g.n) - 1, budget, (len(seed), seed))
     original = tuple(sorted(order[i] for i in witness))
     if not verify_clique(g, original):
         raise MycthetaInternal("clique witness failed re-verification")
-    return CliqueResult(size, original, exhausted, budget.nodes)
-
-
-def _merge_best(results: list[tuple[int, tuple[int, ...]]]) -> tuple[int, tuple[int, ...]]:
-    """Max by size; ties resolved toward the lexicographically smallest witness."""
-    best_size = max(s for s, _ in results)
-    return best_size, min(w for s, w in results if s == best_size)
+    return CliqueResult(size, original, budget.within_limit, budget.nodes)
 
 
 class MycthetaInternal(AssertionError):
     pass
 
 
-def symmetric_clique_number(d: Digraph, node_budget: Optional[int] = None,
-                            threads: int = 1) -> CliqueResult:
+def symmetric_clique_number(d: Digraph, node_budget: Optional[int] = None) -> CliqueResult:
     """Largest set of pairwise bidirected vertices."""
     if d.n == 0:
         raise DomainError("clique number needs a nonempty vertex set")
-    return clique_number(d.bidirected_graph(), node_budget, threads)
+    return clique_number(d.bidirected_graph(), node_budget)
 
 
 def transitive_clique_number(d: Digraph, node_budget: Optional[int] = None) -> CliqueResult:
@@ -378,8 +340,7 @@ class CapacityBound:
 
 
 def capacity_lower_bound(g: GraphLike, k: int,
-                         node_budget: Optional[int] = None,
-                         threads: int = 1) -> CapacityBound:
+                         node_budget: Optional[int] = None) -> CapacityBound:
     """k-th root of the clique number of the k-th OR-power.
 
     Uses the transitive clique number for digraphs; flags whether the inner
@@ -392,5 +353,5 @@ def capacity_lower_bound(g: GraphLike, k: int,
     if isinstance(g, Digraph):
         res = transitive_clique_number(power, node_budget)
     else:
-        res = clique_number(power, node_budget, threads)
+        res = clique_number(power, node_budget)
     return CapacityBound(res.size ** (1.0 / k), k, res, isinstance(g, Digraph))

@@ -99,10 +99,7 @@ class VectorColoring:
 
 
 def _edge_masks(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    n = g.n
-    edge = np.zeros((n, n), dtype=bool)
-    for u, v in g.edges():
-        edge[u, v] = edge[v, u] = True
+    edge = g.adjacency_matrix() > 0
     nonedge = ~edge
     np.fill_diagonal(nonedge, False)
     return edge, nonedge
@@ -129,6 +126,12 @@ def _certified_bracket(x, u, nonedge, jmat):
     return lower, upper, x_hat
 
 
+def check_tol(tol: float) -> None:
+    """Reject a requested tolerance outside [1e-10, 1e-3], NaN included."""
+    if not (1e-10 <= tol <= 1e-3):
+        raise DomainError(f"tol must lie in [1e-10, 1e-3], got {tol}")
+
+
 def theta_bar(g: Graph, tol: float = DEFAULT_TOL,
               max_iterations: int = MAX_ITERATIONS) -> ThetaSolution:
     """Complementary Lovasz theta number of g, certified within tol.
@@ -139,8 +142,7 @@ def theta_bar(g: Graph, tol: float = DEFAULT_TOL,
     """
     if g.n < 1:
         raise DomainError("theta needs at least one vertex")
-    if not (1e-10 <= tol <= 1e-3):
-        raise DomainError(f"tol must lie in [1e-10, 1e-3], got {tol}")
+    check_tol(tol)
     n = g.n
     if g.m == 0:
         eye = np.eye(n)

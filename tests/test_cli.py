@@ -168,6 +168,22 @@ def test_unreadable_edge_file_exit_code(tmp_path, capsys):
         assert err.startswith("error: cannot read edge list") and err.count("\n") == 1
 
 
+def test_out_write_failure_exit_code(tmp_path, capsys):
+    for path in (tmp_path / "missing" / "c5.edges", tmp_path):
+        code, out, err = run_cli(["gen", "--family", "cycle:5", "--out", str(path)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot write") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "0"])
+def test_report_rejects_bad_tol(tol, capsys):
+    code, out, err = run_cli(
+        ["report", "--family", "cycle:5", "--max-power", "1", "--tol", tol], capsys
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: tol must lie") and err.count("\n") == 1
+
+
 def test_theta_json_schema(capsys):
     code, payload, _ = run_cli(
         ["theta", "--family", "cycle:5", "--tol", "1e-6"], capsys
@@ -275,16 +291,6 @@ def test_report_deterministic(capsys):
     _, first, _ = run_cli(["report", "--family", "cycle:5", "--format", "json"], capsys)
     _, second, _ = run_cli(["report", "--family", "cycle:5", "--format", "json"], capsys)
     assert first == second
-
-
-def test_report_threads_flag_matches_sequential(capsys):
-    base = ["report", "--family", "power:cycle:5:t=2", "--format", "json",
-            "--max-power", "1", "--tol", "1e-5"]
-    _, seq, _ = run_cli(base + ["--threads", "1"], capsys)
-    _, par, _ = run_cli(base + ["--threads", "3"], capsys)
-    a, b = json.loads(seq), json.loads(par)
-    assert a["omega"]["size"] == b["omega"]["size"]
-    assert a["lower_bounds"] == b["lower_bounds"]
 
 
 def test_console_script_runs():

@@ -1,7 +1,10 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from myctheta import (
     Digraph,
@@ -294,6 +297,129 @@ def test_edgelist_roundtrip():
         parse_edgelist("")
     with pytest.raises(DomainError):
         parse_edgelist("2 1\n0 1\n0 1")
+
+
+@st.composite
+def vertex_pairs(draw, max_n=9):
+    """(n, pairs): loop-free pairs on n vertices, with duplicates and reversed copies."""
+    n = draw(st.integers(1, max_n))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    pairs = draw(st.lists(pair, max_size=3 * n))
+    repeats = draw(st.lists(st.sampled_from(pairs), max_size=4)) if pairs else []
+    pairs += repeats + [(v, u) for u, v in repeats]
+    return n, draw(st.permutations(pairs))
+
+
+@given(vertex_pairs(), st.data())
+def test_graph_representation_contract(case, data):
+    n, pairs = case
+    g = Graph(n, pairs)
+    expected = sorted({(min(u, v), max(u, v)) for u, v in pairs})
+    assert list(g.edges()) == expected  # row-major, deduplicated
+    assert g.m == len(expected)
+    for v in range(n):
+        row = [u for u in range(n) if (min(u, v), max(u, v)) in expected]
+        assert list(g.neighbors[v]) == row
+        assert g.degree(v) == len(row) == g.bits[v].bit_count()
+        assert all(bool(g.bits[v] >> u & 1) == g.has_edge(v, u) == (u in row) for u in range(n))
+    a = g.adjacency_matrix()
+    assert (a == a.T).all() and a.sum() == 2 * g.m
+    same = Graph(n, [(v, u) for u, v in reversed(pairs)])
+    assert same == g and hash(same) == hash(g)
+    assert g != Graph(n + 1, pairs)
+    if expected:
+        assert g != Graph(n, expected[1:])
+    comp = g.complement()
+    assert all(comp.has_edge(u, v) != g.has_edge(u, v)
+               for u in range(n) for v in range(u + 1, n))
+    assert comp.complement() == g
+    chosen = data.draw(st.permutations(range(n)))[:data.draw(st.integers(0, n))]
+    sub = g.subgraph(chosen)
+    assert sub.n == len(chosen)
+    assert all(sub.has_edge(i, j) == g.has_edge(chosen[i], chosen[j])
+               for i in range(len(chosen)) for j in range(len(chosen)) if i != j)
+
+
+@given(vertex_pairs())
+def test_digraph_representation_contract(case):
+    n, pairs = case
+    d = Digraph(n, pairs)
+    expected = sorted(set(pairs))
+    assert list(d.arcs()) == expected
+    assert d.m == len(expected)
+    for v in range(n):
+        assert all(bool(d.out_bits[v] >> u & 1) == d.has_arc(v, u) == ((v, u) in expected)
+                   and bool(d.in_bits[v] >> u & 1) == d.has_arc(u, v) for u in range(n))
+        assert d.out_degree(v) == sum(1 for a, _ in expected if a == v) == d.out_bits[v].bit_count()
+        assert d.in_degree(v) == sum(1 for _, b in expected if b == v) == d.in_bits[v].bit_count()
+    same = Digraph(n, list(reversed(pairs)))
+    assert same == d and hash(same) == hash(d)
+    assert list(d.reverse().arcs()) == sorted((v, u) for u, v in expected)
+    assert d.underlying() == Graph(n, pairs)
+    assert list(d.bidirected_graph().edges()) == [
+        (u, v) for u, v in expected if u < v and (v, u) in expected
+    ]
+
+
+def _arc_matrix(g):
+    a = np.zeros((g.n, g.n), dtype=bool)
+    for u, v in (g.arcs() if isinstance(g, Digraph) else g.edges()):
+        a[u, v] = True
+        if isinstance(g, Graph):
+            a[v, u] = True
+    return a
+
+
+def test_or_power_matches_kron_reference():
+    for base, t in ((cycle_graph(5), 3), (mycielskian_digraph(transitive_tournament(3)), 2)):
+        non = ~_arc_matrix(base)  # True diagonal: a vertex is never adjacent to itself
+        reference = non
+        for _ in range(t - 1):
+            reference = np.kron(reference, non)
+        power = or_power(base, t)
+        assert type(power) is type(base)
+        assert (_arc_matrix(power) == ~reference).all()
+
+
+def test_edgelist_byte_identical_round_trip():
+    for g in (or_power(cycle_graph(7), 2),
+              or_power(mycielskian_digraph(transitive_tournament(3)), 2)):
+        text = format_edgelist(g)
+        directed = isinstance(g, Digraph)
+        pairs = g.arcs() if directed else g.edges()
+        reference = "\n".join([f"{g.n} {len(pairs)}" + (" directed" if directed else "")]
+                              + [f"{u} {v}" for u, v in pairs]) + "\n"
+        assert text == reference
+        back = parse_edgelist(text)
+        assert back == g and format_edgelist(back) == text
+
+
+@pytest.mark.parametrize("text", [
+    "3 1\n0\n",
+    "3 1\n0 1 2\n",
+    "3 2\n0 1\n0 1 2\n",
+    "3 1\nx 3\n",
+    "3 1\n1.5 2\n",
+    "3 1\n99999999999999999999 1\n",
+    "3 2\n0 1\n",
+    "3 1\n0 3\n",
+    "3 1\n-1 2\n",
+    "3 1\n1 1\n",
+    "3 1 directed\n2 2\n",
+])
+def test_parse_edgelist_rejects_malformed_body(text):
+    with pytest.raises(DomainError) as info:
+        parse_edgelist(text)
+    assert "\n" not in str(info.value)
+
+
+def test_parse_edgelist_accepts_blank_lines_and_no_edges():
+    g = parse_edgelist("\n3 2\n\n  0 1 \n\n2 1\n\n")
+    assert g == Graph(3, [(0, 1), (1, 2)])
+    assert parse_edgelist("4 0\n") == Graph(4)
+    assert parse_edgelist("4 0 directed") == Digraph(4)
+    with pytest.raises(DomainError, match="bad edge line '0 1 2'"):
+        parse_edgelist("3 2\n0 1\n0 1 2\n")
 
 
 def test_size_guard(monkeypatch):

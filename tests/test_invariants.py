@@ -82,15 +82,6 @@ def test_clique_budget_truncation():
     assert full.size >= res.size
 
 
-def test_clique_threads_deterministic():
-    rng = random.Random(17)
-    for _ in range(10):
-        g = random_graph(rng, 9, 0.6)
-        a = clique_number(g)
-        b = clique_number(g, threads=3)
-        assert a.size == b.size
-
-
 def test_symmetric_clique():
     assert symmetric_clique_number(transitive_tournament(5)).size == 1
     bidir = Digraph(4, [(u, v) for u in range(4) for v in range(4) if u != v])

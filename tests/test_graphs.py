@@ -418,8 +418,9 @@ def test_parse_edgelist_accepts_blank_lines_and_no_edges():
     assert g == Graph(3, [(0, 1), (1, 2)])
     assert parse_edgelist("4 0\n") == Graph(4)
     assert parse_edgelist("4 0 directed") == Digraph(4)
-    with pytest.raises(DomainError, match="bad edge line '0 1 2'"):
-        parse_edgelist("3 2\n0 1\n0 1 2\n")
+    for text in ("3 2\n0 1\n0 1 2\n", "3 1\n0 1 2\n"):
+        with pytest.raises(DomainError, match="bad edge line '0 1 2'"):
+            parse_edgelist(text)
 
 
 def test_size_guard(monkeypatch):

@@ -25,7 +25,6 @@ from .graphs import (
     empty_graph,
     format_edgelist,
     generate,
-    is_isomorphic,
     mycielskian,
     mycielskian_digraph,
     or_power,

@@ -21,7 +21,7 @@ import json
 import sys
 from typing import Optional
 
-from .errors import DomainError, MycthetaError
+from .errors import DomainError, MycthetaError, MycthetaInternal
 from . import certificates as certs
 from . import constructions as cons
 from . import formula as formula_mod
@@ -384,7 +384,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except MycthetaError as exc:
+    except (MycthetaError, MycthetaInternal) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
 

@@ -10,8 +10,9 @@ untouched by the lift, so the set is a clique.  Every member has a level-1
 coordinate, hence the all-apex sequence extends it to size n^n + 1.  The
 directed variant over M(T_n) orders the same vertex set by digit sum, then
 lexicographically on the base coordinates away from the lifted position, and
-every forward pair is an arc.  Constructions verify themselves pairwise
-before returning: they are proofs, not hopes.
+every forward pair is an arc.  Constructions verify all their pairs at once
+on the host's boolean adjacency matrix before returning: they are proofs, not
+hopes.
 """
 
 from __future__ import annotations
@@ -20,9 +21,11 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
-from .errors import DomainError, InconclusiveError, SizeLimitError
+import numpy as np
+
+from .errors import DomainError, InconclusiveError, MycthetaError, SizeLimitError
 from .fractional import fractional_chromatic
 from .graphs import (
     Digraph,
@@ -111,8 +114,22 @@ def _or_adjacent(host: Graph, a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     return any(host.has_edge(u, v) for u, v in zip(a, b))
 
 
-def _or_arc(host: Digraph, a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    return any(host.has_arc(u, v) for u, v in zip(a, b))
+def _verify_clique(host: GraphLike, members: Sequence[tuple[int, ...]], what: str) -> None:
+    """Raise unless every pair of power vertices i < j is OR-adjacent over host.
+
+    Pair (i, j) is adjacent when some coordinate c has host[members[i][c],
+    members[j][c]]; for a digraph host that is an arc from i to j, so the
+    member order must be a transitive order.
+    """
+    coords = np.asarray(members, dtype=np.int64)
+    a = host.bool_matrix()
+    joined = np.zeros((len(coords), len(coords)), dtype=bool)
+    for c in coords.T:
+        joined |= a[np.ix_(c, c)]
+    missing = np.flatnonzero(np.triu(~joined, 1))
+    if missing.size:
+        i, j = divmod(int(missing[0]), len(coords))
+        raise DomainError(f"{what} broke: {members[i]} !~ {members[j]}")
 
 
 def _check_construction_size(n: int) -> None:
@@ -128,12 +145,8 @@ def lifted_clique(n: int) -> LiftedCliqueSet:
     if n < 2:
         raise DomainError("lifted clique needs n >= 2")
     _check_construction_size(n)
-    host = mycielskian(complete_graph(n), 2)
     vertices, classes = _base_clique_vertices(n)
-    for i, a in enumerate(vertices):
-        for b in vertices[i + 1:]:
-            if not _or_adjacent(host, a, b):
-                raise DomainError(f"construction broke: {a} !~ {b}")
+    _verify_clique(mycielskian(complete_graph(n), 2), vertices, "construction")
     return LiftedCliqueSet(
         n=n,
         directed=False,
@@ -151,16 +164,13 @@ def extended_clique(n: int) -> LiftedCliqueSet:
     Reports the capacity bound (n^n + 1)^(1/n), which exceeds n.
     """
     base = lifted_clique(n)
-    host = mycielskian(complete_graph(n), 2)
-    apex_seq = (2 * n,) * n
-    for a in base.vertices:
-        if not _or_adjacent(host, apex_seq, a):
-            raise DomainError("apex sequence not adjacent to the clique")
+    vertices = base.vertices + ((2 * n,) * n,)
+    _verify_clique(mycielskian(complete_graph(n), 2), vertices, "extended construction")
     size = n ** n + 1
     return LiftedCliqueSet(
         n=n,
         directed=False,
-        vertices=base.vertices + (apex_seq,),
+        vertices=vertices,
         residue_classes=base.residue_classes + (None,),
         includes_apex=True,
         bound=size ** (1.0 / n),
@@ -193,10 +203,7 @@ def lifted_transitive_clique(n: int) -> LiftedCliqueSet:
     apex_seq = (2 * n,) * n
     all_vertices = [apex_seq] + [c for c, _ in ordered]
     all_classes: list[Optional[int]] = [None] + [j for _, j in ordered]
-    for i, a in enumerate(all_vertices):
-        for b in all_vertices[i + 1:]:
-            if not _or_arc(host, a, b):
-                raise DomainError(f"transitive construction broke: {a} -> {b}")
+    _verify_clique(host, all_vertices, "transitive construction")
     size = n ** n + 1
     return LiftedCliqueSet(
         n=n,
@@ -314,10 +321,7 @@ def chained_power_clique(g: Graph, k: int = 1,
     vertices = tuple(
         tuple(c for lbl in seq for c in expand(lbl)) for seq in ext.vertices
     )
-    for i, a in enumerate(vertices):
-        for b in vertices[i + 1:]:
-            if not _or_adjacent(host, a, b):
-                raise DomainError("chained construction broke")
+    _verify_clique(host, vertices, "chained construction")
     return ChainedClique(
         k=k, N=cap, vertices=vertices,
         bound=(cap ** cap + 1) ** (1.0 / (k * cap)),
@@ -329,15 +333,14 @@ def chained_power_clique(g: Graph, k: int = 1,
 # capacity report
 # ---------------------------------------------------------------------------
 
+CHROMATIC_BUDGET = 2_000_000  # node budget of the report's chromatic search
+
+
 @dataclass(frozen=True)
 class ReportOptions:
     max_power: int = 1
     theta_tol: float = 1e-6
     clique_budget: Optional[int] = None
-    chromatic_budget: Optional[int] = 2_000_000
-    include_theta: bool = True
-    include_fractional: bool = True
-    include_chromatic: bool = True
     mycielski_complete: Optional[int] = None    # attach extended_clique(n)
     mycielski_tournament: Optional[int] = None  # attach lifted_transitive_clique(n)
 
@@ -431,8 +434,10 @@ class CapacityReport:
 def capacity_report(g: GraphLike, options: ReportOptions = ReportOptions()) -> CapacityReport:
     """Bundle of invariants and bounds; per-field failures land in `errors`.
 
-    A bad `theta_tol` is bad input, not a per-field failure: it raises
-    DomainError before any field is computed.
+    Only expected failures (`MycthetaError`) are recorded there.  A bad
+    `theta_tol` is bad input, not a per-field failure: it raises DomainError
+    before any field is computed.  A failed re-verification (MycthetaInternal)
+    or any other exception propagates.
     """
     theta_mod.check_tol(options.theta_tol)
     directed = isinstance(g, Digraph)
@@ -441,7 +446,7 @@ def capacity_report(g: GraphLike, options: ReportOptions = ReportOptions()) -> C
     def attempt(name, fn):
         try:
             return fn()
-        except Exception as exc:  # recorded, not fatal
+        except MycthetaError as exc:  # recorded, not fatal
             report.errors[name] = f"{type(exc).__name__}: {exc}"
             return None
 
@@ -449,16 +454,21 @@ def capacity_report(g: GraphLike, options: ReportOptions = ReportOptions()) -> C
         report.omega_s = attempt(
             "omega_s", lambda: symmetric_clique_number(g, options.clique_budget)
         )
-        report.omega_tr = attempt(
+        report.omega_tr = omega = attempt(
             "omega_tr", lambda: transitive_clique_number(g, options.clique_budget)
         )
     else:
-        report.omega = attempt(
-            "omega",
-            lambda: clique_number(g, options.clique_budget),
+        report.omega = omega = attempt(
+            "omega", lambda: clique_number(g, options.clique_budget)
         )
+    # the k = 1 bound is the clique number of G^1 = G, searched just above
     bounds = []
-    for k in range(1, options.max_power + 1):
+    if options.max_power >= 1:
+        if omega is None:
+            report.errors["lower_bound_k1"] = report.errors["omega_tr" if directed else "omega"]
+        else:
+            bounds.append(CapacityBound(float(omega.size), 1, omega, directed))
+    for k in range(2, options.max_power + 1):
         bound = attempt(
             f"lower_bound_k{k}",
             lambda k=k: capacity_lower_bound(g, k, options.clique_budget),
@@ -467,21 +477,14 @@ def capacity_report(g: GraphLike, options: ReportOptions = ReportOptions()) -> C
             bounds.append(bound)
     report.lower_bounds = tuple(bounds)
     if not directed:
-        if options.include_theta:
-            sol = attempt(
-                "theta", lambda: theta_mod.theta_bar(g, options.theta_tol)
-            )
-            if sol is not None:
-                report.theta = sol.value
-                report.theta_tolerance = sol.tolerance_achieved
-        if options.include_fractional:
-            chi_f = attempt("chi_f", lambda: fractional_chromatic(g))
-            if chi_f is not None:
-                report.chi_f = chi_f.value
-        if options.include_chromatic:
-            report.chi = attempt(
-                "chi", lambda: chromatic_number(g, options.chromatic_budget)
-            )
+        sol = attempt("theta", lambda: theta_mod.theta_bar(g, options.theta_tol))
+        if sol is not None:
+            report.theta = sol.value
+            report.theta_tolerance = sol.tolerance_achieved
+        chi_f = attempt("chi_f", lambda: fractional_chromatic(g))
+        if chi_f is not None:
+            report.chi_f = chi_f.value
+        report.chi = attempt("chi", lambda: chromatic_number(g, CHROMATIC_BUDGET))
         if options.mycielski_complete is not None:
             report.construction = attempt(
                 "construction",

@@ -32,3 +32,11 @@ class CertificateError(MycthetaError):
 
 class InconclusiveError(MycthetaError):
     """An exhaustive search ran out of budget before settling the question."""
+
+
+class MycthetaInternal(AssertionError):
+    """A result failed its own re-verification: a bug, never bad input.
+
+    Deliberately not a MycthetaError, so no handler of expected failures
+    records it; the CLI reports it as an internal error with exit code 1.
+    """

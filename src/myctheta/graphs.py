@@ -5,10 +5,13 @@ after construction.  The one stored form of the adjacency is a Python int
 bitset per vertex (`bits`; `out_bits` and `in_bits` for digraphs), the
 representation of the bit-parallel clique search (San Segundo et al. 2011).
 Everything else is derived from it on demand: `edges()` / `arcs()` in
-row-major order, `m`, `adjacency_matrix()` and, cached on first use,
-`Graph.neighbors`.  The constructors validate the pairs as one int64 array,
-scatter them into an n x n boolean matrix and pack its rows into the bitsets,
-so no Python object is made per edge.
+row-major order, `m`, `bool_matrix()`, `adjacency_matrix()` and, cached on
+first use, `Graph.neighbors`.  The constructors take either pairs, which are
+validated as one int64 array and scattered into an n x n boolean matrix, or
+that boolean matrix itself, and pack its rows into the bitsets, so no Python
+object is made per edge.  Every derived graph (complements, subgraphs,
+products, Mycielskians) is built as a boolean matrix and handed to the
+constructor whole.
 
 Product graphs use row-major vertex pairing, (f, g) -> f * |V(G)| + g, and
 power graphs extend this to mixed-radix coordinates (leftmost coordinate most
@@ -51,10 +54,20 @@ def _check_size(n: int, what: str = "graph") -> None:
 
 
 def _pair_matrix(n: int, pairs, what: str) -> np.ndarray:
-    """n x n boolean matrix with True at every (u, v) of `pairs`, after checks."""
+    """n x n boolean matrix with True at every (u, v) of `pairs`, after checks.
+
+    `pairs` may also be that boolean matrix already; it is checked, not copied.
+    """
     if n < 0:
         raise DomainError("vertex count must be non-negative")
     _check_size(n)
+    if isinstance(pairs, np.ndarray) and pairs.dtype == bool:
+        if pairs.shape != (n, n):
+            raise DomainError(f"adjacency matrix of shape {pairs.shape} is not {n} x {n}")
+        loops = np.flatnonzero(pairs.diagonal())
+        if loops.size:
+            raise DomainError(f"self-loop at vertex {loops[0]} not allowed")
+        return pairs
     p = np.asarray(pairs if isinstance(pairs, np.ndarray) else list(pairs), dtype=np.int64)
     if p.size == 0:
         p = p.reshape(0, 2)
@@ -97,9 +110,10 @@ class Graph:
 
     __slots__ = ("n", "bits", "_neighbors")
 
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
+    def __init__(self, n: int, edges: Union[Iterable[tuple[int, int]], np.ndarray] = ()):
+        """`edges` holds vertex pairs or an n x n boolean matrix (made symmetric)."""
         a = _pair_matrix(n, edges, "edge")
-        a |= a.T
+        a = a | a.T
         self.n = n
         self.bits = _row_bits(a)
         self._neighbors = None
@@ -109,7 +123,7 @@ class Graph:
         """Sorted neighbor tuple of every vertex, built on first use."""
         if self._neighbors is None:
             self._neighbors = tuple(
-                tuple(np.flatnonzero(row).tolist()) for row in _bits_matrix(self.bits)
+                tuple(np.flatnonzero(row).tolist()) for row in self.bool_matrix()
             )
         return self._neighbors
 
@@ -119,7 +133,7 @@ class Graph:
 
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Edges (u, v) with u < v, in row-major order."""
-        return _pairs_tuple(np.triu(_bits_matrix(self.bits), 1))
+        return _pairs_tuple(np.triu(self.bool_matrix(), 1))
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.bits[u] >> v & 1)
@@ -128,7 +142,9 @@ class Graph:
         return self.bits[v].bit_count()
 
     def complement(self) -> "Graph":
-        return Graph(self.n, np.argwhere(np.triu(~_bits_matrix(self.bits), 1)))
+        a = ~self.bool_matrix()
+        np.fill_diagonal(a, False)
+        return Graph(self.n, a)
 
     def subgraph(self, vertices: Sequence[int]) -> "Graph":
         """Induced subgraph; vertex i of the result is vertices[i]."""
@@ -137,11 +153,14 @@ class Graph:
             raise DomainError("duplicate vertices in subgraph selection")
         if ((index < 0) | (index >= self.n)).any():
             raise DomainError(f"subgraph vertex out of range for n={self.n}")
-        a = _bits_matrix(self.bits)[np.ix_(index, index)]
-        return Graph(len(index), np.argwhere(np.triu(a, 1)))
+        return Graph(len(index), self.bool_matrix()[np.ix_(index, index)])
+
+    def bool_matrix(self) -> np.ndarray:
+        """n x n boolean adjacency matrix, unpacked from the bitsets."""
+        return _bits_matrix(self.bits)
 
     def adjacency_matrix(self) -> np.ndarray:
-        return _bits_matrix(self.bits).astype(float)
+        return self.bool_matrix().astype(float)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self.bits == other.bits
@@ -158,7 +177,8 @@ class Digraph:
 
     __slots__ = ("n", "out_bits", "in_bits")
 
-    def __init__(self, n: int, arcs: Iterable[tuple[int, int]] = ()):
+    def __init__(self, n: int, arcs: Union[Iterable[tuple[int, int]], np.ndarray] = ()):
+        """`arcs` holds (tail, head) pairs or an n x n boolean matrix."""
         a = _pair_matrix(n, arcs, "arc")
         self.n = n
         self.out_bits = _row_bits(a)
@@ -170,7 +190,7 @@ class Digraph:
 
     def arcs(self) -> tuple[tuple[int, int], ...]:
         """Arcs (u, v) in row-major order."""
-        return _pairs_tuple(_bits_matrix(self.out_bits))
+        return _pairs_tuple(self.bool_matrix())
 
     def has_arc(self, u: int, v: int) -> bool:
         return bool(self.out_bits[u] >> v & 1)
@@ -181,16 +201,20 @@ class Digraph:
     def in_degree(self, v: int) -> int:
         return self.in_bits[v].bit_count()
 
+    def bool_matrix(self) -> np.ndarray:
+        """n x n boolean arc matrix (row = tail), unpacked from the bitsets."""
+        return _bits_matrix(self.out_bits)
+
     def reverse(self) -> "Digraph":
-        return Digraph(self.n, np.argwhere(_bits_matrix(self.in_bits)))
+        return Digraph(self.n, _bits_matrix(self.in_bits))
 
     def underlying(self) -> Graph:
-        return Graph(self.n, np.argwhere(_bits_matrix(self.out_bits)))
+        return Graph(self.n, self.bool_matrix())
 
     def bidirected_graph(self) -> Graph:
         """Graph on the same vertices whose edges are the 2-cycles of D."""
-        a = _bits_matrix(self.out_bits)
-        return Graph(self.n, np.argwhere(np.triu(a & a.T, 1)))
+        a = self.bool_matrix()
+        return Graph(self.n, a & a.T)
 
     def __eq__(self, other) -> bool:
         return (
@@ -296,7 +320,7 @@ def power_coords(index: int, base_size: int, t: int) -> tuple[int, ...]:
 
 def complete_graph(n: int) -> Graph:
     _require_positive(n)
-    return Graph(n, ((u, v) for u in range(n) for v in range(u + 1, n)))
+    return Graph(n, ~np.eye(n, dtype=bool))
 
 
 def empty_graph(n: int) -> Graph:
@@ -308,18 +332,18 @@ def cycle_graph(n: int) -> Graph:
     _require_positive(n)
     if n < 3:
         raise DomainError("cycle needs at least 3 vertices")
-    return Graph(n, ((i, (i + 1) % n) for i in range(n)))
+    return Graph(n, np.eye(n, k=1, dtype=bool) | np.eye(n, k=1 - n, dtype=bool))
 
 
 def path_graph(n: int) -> Graph:
     _require_positive(n)
-    return Graph(n, ((i, i + 1) for i in range(n - 1)))
+    return Graph(n, np.eye(n, k=1, dtype=bool))
 
 
 def transitive_tournament(n: int) -> Digraph:
     """T_n: arc (i, j) present exactly when i < j."""
     _require_positive(n)
-    return Digraph(n, ((i, j) for i in range(n) for j in range(i + 1, n)))
+    return Digraph(n, ~np.tri(n, dtype=bool))
 
 
 _FAMILIES = {
@@ -345,11 +369,32 @@ def generate(family: str, n: int) -> GraphLike:
 def _require_positive(n: int) -> None:
     if n < 1:
         raise DomainError("family size must be at least 1")
+    _check_size(n)
 
 
 # ---------------------------------------------------------------------------
 # Mycielski constructions
 # ---------------------------------------------------------------------------
+
+def _mycielski_matrix(a: np.ndarray, r: int) -> np.ndarray:
+    """Adjacency of M_r over the n x n matrix a, vertex (v, level) at level * n + v.
+
+    Level 0 is a copy of a, consecutive levels are joined by a in both
+    directions, and the apex (last row) points at every vertex of level r-1.
+    """
+    if r < 1:
+        raise DomainError("Mycielskian needs r >= 1")
+    n = len(a)
+    _check_size(r * n + 1, "Mycielskian")
+    out = np.zeros((r * n + 1, r * n + 1), dtype=bool)
+    out[:n, :n] = a
+    for lvl in range(r - 1):
+        lo, mid, hi = lvl * n, (lvl + 1) * n, (lvl + 2) * n
+        out[lo:mid, mid:hi] = a
+        out[mid:hi, lo:mid] = a
+    out[r * n, (r - 1) * n:r * n] = True
+    return out
+
 
 def mycielskian(g: Graph, r: int = 2) -> Graph:
     """r-level generalized Mycielskian of an undirected graph.
@@ -357,19 +402,8 @@ def mycielskian(g: Graph, r: int = 2) -> Graph:
     Vertex layout: (v, level) -> level * n + v for level in 0..r-1, apex last.
     r = 2 is the classical construction; r = 1 adds a single dominating vertex.
     """
-    if r < 1:
-        raise DomainError("Mycielskian needs r >= 1")
-    n = g.n
-    _check_size(r * n + 1, "Mycielskian")
-    edges: list[tuple[int, int]] = []
-    for u, v in g.edges():
-        edges.append((u, v))
-        for lvl in range(r - 1):
-            edges.append((lvl * n + u, (lvl + 1) * n + v))
-            edges.append((lvl * n + v, (lvl + 1) * n + u))
-    apex = r * n
-    edges.extend((apex, (r - 1) * n + v) for v in range(n))
-    return Graph(r * n + 1, edges)
+    a = _mycielski_matrix(g.bool_matrix(), r)
+    return Graph(len(a), a)
 
 
 def mycielskian_digraph(d: Digraph, r: int = 2) -> Digraph:
@@ -379,48 +413,22 @@ def mycielskian_digraph(d: Digraph, r: int = 2) -> Digraph:
     point outward from the apex toward level r-1.  (Orienting them the other
     way is an equally valid convention and reverses no other structure.)
     """
-    if r < 1:
-        raise DomainError("Mycielskian needs r >= 1")
-    n = d.n
-    _check_size(r * n + 1, "Mycielskian")
-    arcs: list[tuple[int, int]] = []
-    for u, v in d.arcs():
-        arcs.append((u, v))
-        for lvl in range(r - 1):
-            arcs.append((lvl * n + u, (lvl + 1) * n + v))
-            arcs.append(((lvl + 1) * n + u, lvl * n + v))
-    apex = r * n
-    arcs.extend((apex, (r - 1) * n + v) for v in range(n))
-    return Digraph(r * n + 1, arcs)
+    a = _mycielski_matrix(d.bool_matrix(), r)
+    return Digraph(len(a), a)
 
 
 # ---------------------------------------------------------------------------
 # products
 # ---------------------------------------------------------------------------
 
-def _graph_from_bool(a_bool: np.ndarray) -> Graph:
-    return Graph(a_bool.shape[0], np.argwhere(np.triu(a_bool, 1)))
-
-
-def _digraph_from_bool(a_bool: np.ndarray) -> Digraph:
-    return Digraph(a_bool.shape[0], np.argwhere(a_bool))
-
-
-def _nonadjacency(g: GraphLike) -> np.ndarray:
-    """Boolean matrix of 'not adjacent or equal' pairs (arcs for digraphs)."""
-    return ~_bits_matrix(g.bits if isinstance(g, Graph) else g.out_bits)
-
-
 def or_product(f: GraphLike, g: GraphLike) -> GraphLike:
     """OR-product: a pair is adjacent iff it is adjacent in >= 1 coordinate."""
     if isinstance(f, Graph) != isinstance(g, Graph):
         raise DomainError("cannot mix graphs and digraphs in a product")
     _check_size(f.n * g.n, "OR-product")
-    # both factors have a True diagonal, so the product has no loops
-    adj = ~np.kron(_nonadjacency(f), _nonadjacency(g))
-    if isinstance(f, Graph):
-        return _graph_from_bool(adj)
-    return _digraph_from_bool(adj)
+    # both non-adjacency matrices have a True diagonal, so the product has no loops
+    adj = ~np.kron(~f.bool_matrix(), ~g.bool_matrix())
+    return type(f)(len(adj), adj)
 
 
 def or_power(g: GraphLike, t: int) -> GraphLike:
@@ -436,17 +444,18 @@ def or_power(g: GraphLike, t: int) -> GraphLike:
 def categorical_product(f: Graph, g: Graph) -> Graph:
     """Categorical (tensor) product: adjacent iff adjacent in both coordinates."""
     _check_size(f.n * g.n, "categorical product")
-    adj = np.kron(f.adjacency_matrix() > 0, g.adjacency_matrix() > 0)
-    return _graph_from_bool(adj)
+    adj = np.kron(f.bool_matrix(), g.bool_matrix())
+    return Graph(len(adj), adj)
 
 
 def complete_join(g: Graph, h: Graph) -> Graph:
     """Disjoint union of g and h plus all edges between the two parts."""
     _check_size(g.n + h.n, "complete join")
-    edges = list(g.edges())
-    edges.extend((g.n + u, g.n + v) for u, v in h.edges())
-    edges.extend((u, g.n + v) for u in range(g.n) for v in range(h.n))
-    return Graph(g.n + h.n, edges)
+    adj = np.block([
+        [g.bool_matrix(), np.ones((g.n, h.n), dtype=bool)],
+        [np.zeros((h.n, g.n), dtype=bool), h.bool_matrix()],
+    ])
+    return Graph(len(adj), adj)
 
 
 # ---------------------------------------------------------------------------
@@ -467,23 +476,11 @@ class PowerEmbedding:
 
     def is_induced_isomorphism(self) -> bool:
         """Check the map is injective and preserves both edges and non-edges."""
-        if len(set(self.mapping)) != len(self.mapping):
+        m = np.asarray(self.mapping, dtype=np.int64)
+        if len(np.unique(m)) != len(m):
             return False
-        dom, cod = self.domain, self.codomain
-        directed = isinstance(dom, Digraph)
-        for u in range(dom.n):
-            for v in range(dom.n):
-                if u == v:
-                    continue
-                if directed:
-                    if dom.has_arc(u, v) != cod.has_arc(self.mapping[u], self.mapping[v]):
-                        return False
-                else:
-                    if u < v and dom.has_edge(u, v) != cod.has_edge(
-                        self.mapping[u], self.mapping[v]
-                    ):
-                        return False
-        return True
+        cod = self.codomain.bool_matrix()[np.ix_(m, m)]
+        return bool((self.domain.bool_matrix() == cod).all())
 
 
 def embed_mycielski_power(g: GraphLike, t: int) -> PowerEmbedding:
@@ -519,7 +516,7 @@ def embed_mycielski_power(g: GraphLike, t: int) -> PowerEmbedding:
 
 def format_edgelist(g: GraphLike) -> str:
     directed = isinstance(g, Digraph)
-    a = _bits_matrix(g.out_bits) if directed else np.triu(_bits_matrix(g.bits), 1)
+    a = g.bool_matrix() if directed else np.triu(g.bool_matrix(), 1)
     labels = [str(v) for v in range(g.n)]
     lines = [f"{g.n} {g.m}" + (" directed" if directed else "")]
     for u, row in enumerate(a):
@@ -571,77 +568,3 @@ def _bad_edge_line(body: str, exc: ValueError) -> str:
             pass
         return f"bad edge line {line.strip()!r}"
     return f"bad edge list: {exc}"
-
-
-# ---------------------------------------------------------------------------
-# isomorphism testing (test support only)
-# ---------------------------------------------------------------------------
-
-def _refine_colors(g: Graph) -> tuple[int, ...]:
-    colors = tuple(g.degree(v) for v in range(g.n))
-    for _ in range(g.n):
-        signatures = tuple(
-            (colors[v], tuple(sorted(colors[u] for u in g.neighbors[v])))
-            for v in range(g.n)
-        )
-        palette = {sig: i for i, sig in enumerate(sorted(set(signatures)))}
-        new = tuple(palette[sig] for sig in signatures)
-        if new == colors:
-            break
-        colors = new
-    return colors
-
-
-def find_isomorphism(g: Graph, h: Graph) -> Optional[list[int]]:
-    """Vertex bijection g -> h preserving adjacency both ways, or None.
-
-    Backtracking over vertices guided by iterated neighbor-degree refinement;
-    exact at any size, intended for desk-scale use in tests.
-    """
-    if g.n != h.n or g.m != h.m:
-        return None
-    cg, ch = _refine_colors(g), _refine_colors(h)
-    if sorted(cg) != sorted(ch):
-        return None
-    by_color: dict[int, list[int]] = {}
-    for v in range(h.n):
-        by_color.setdefault(ch[v], []).append(v)
-    order = sorted(range(g.n), key=lambda v: (len(by_color[cg[v]]), v))
-    mapping: list[Optional[int]] = [None] * g.n
-    used = [False] * h.n
-
-    def backtrack(pos: int) -> bool:
-        if pos == g.n:
-            return True
-        v = order[pos]
-        for w in by_color.get(cg[v], ()):
-            if used[w]:
-                continue
-            ok = True
-            for u in g.neighbors[v]:
-                mu = mapping[u]
-                if mu is not None and not h.has_edge(w, mu):
-                    ok = False
-                    break
-            if ok:
-                # non-edges of mapped vertices must stay non-edges
-                for u in order[:pos]:
-                    if not g.has_edge(v, u) and h.has_edge(w, mapping[u]):
-                        ok = False
-                        break
-            if ok:
-                mapping[v] = w
-                used[w] = True
-                if backtrack(pos + 1):
-                    return True
-                mapping[v] = None
-                used[w] = False
-        return False
-
-    if backtrack(0):
-        return [mapping[v] for v in range(g.n)]
-    return None
-
-
-def is_isomorphic(g: Graph, h: Graph) -> bool:
-    return find_isomorphism(g, h) is not None

@@ -12,8 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .errors import DomainError
-from .graphs import Digraph, Graph, or_power
+import numpy as np
+
+from .errors import DomainError, MycthetaInternal
+from .graphs import Digraph, Graph, _row_bits, or_power
 
 GraphLike = Union[Graph, Digraph]
 
@@ -46,23 +48,20 @@ class _Budget:
         return self.limit is None or self.nodes <= self.limit
 
 
-def _degeneracy_order(g: Graph) -> list[int]:
-    """Smallest-last ordering; ties broken by vertex index."""
-    deg = [g.degree(v) for v in range(g.n)]
-    removed = [False] * g.n
+def _ordered_bits(g: Graph) -> tuple[list[int], tuple[int, ...]]:
+    """Smallest-last (degeneracy) order, ties broken by vertex index, and the
+    bitsets of g relabeled so that vertex i is order[i]."""
+    a = g.bool_matrix()
+    deg = a.sum(axis=1)
+    removed = 2 * g.n  # stays above every live degree through later decrements
     order = []
     for _ in range(g.n):
-        v = min(
-            (u for u in range(g.n) if not removed[u]),
-            key=lambda u: (deg[u], u),
-        )
+        v = int(np.argmin(deg))  # the first minimum: ties go to the lower index
         order.append(v)
-        removed[v] = True
-        for u in g.neighbors[v]:
-            if not removed[u]:
-                deg[u] -= 1
+        deg[a[v]] -= 1
+        deg[v] = removed
     order.reverse()  # largest core first
-    return order
+    return order, _row_bits(a[np.ix_(order, order)])
 
 
 def _greedy_color_order(bits: tuple[int, ...], cand: int) -> tuple[list[int], list[int]]:
@@ -138,12 +137,9 @@ def clique_number(g: Graph, node_budget: Optional[int] = None) -> CliqueResult:
     """Branch-and-bound maximum clique with greedy-coloring upper bounds."""
     if g.n == 0:
         raise DomainError("clique number needs a nonempty vertex set")
-    order = _degeneracy_order(g)
-    # remap vertices to the degeneracy order so bit tricks scan it cheaply
+    # search in the degeneracy order so bit tricks scan it cheaply
+    order, bits = _ordered_bits(g)
     pos = {v: i for i, v in enumerate(order)}
-    bits = tuple(
-        sum(1 << pos[u] for u in g.neighbors[order[i]]) for i in range(g.n)
-    )
     seed = tuple(sorted(pos[v] for v in _greedy_clique(g, order)))
     budget = _Budget(node_budget)
     size, witness = _max_clique_bits(bits, (1 << g.n) - 1, budget, (len(seed), seed))
@@ -151,10 +147,6 @@ def clique_number(g: Graph, node_budget: Optional[int] = None) -> CliqueResult:
     if not verify_clique(g, original):
         raise MycthetaInternal("clique witness failed re-verification")
     return CliqueResult(size, original, budget.within_limit, budget.nodes)
-
-
-class MycthetaInternal(AssertionError):
-    pass
 
 
 def symmetric_clique_number(d: Digraph, node_budget: Optional[int] = None) -> CliqueResult:

@@ -2,6 +2,7 @@ import random
 import sys
 from pathlib import Path
 
+import networkx
 import pytest
 from hypothesis import settings
 
@@ -13,6 +14,18 @@ settings.register_profile("myctheta", max_examples=80, deadline=None, derandomiz
 settings.load_profile("myctheta")
 
 from myctheta import Graph, Digraph  # noqa: E402
+
+
+def isomorphic(g: Graph, h: Graph) -> bool:
+    """Graph isomorphism decided by networkx, an oracle outside the package."""
+
+    def to_nx(x: Graph) -> networkx.Graph:
+        out = networkx.Graph()
+        out.add_nodes_from(range(x.n))
+        out.add_edges_from(x.edges())
+        return out
+
+    return networkx.is_isomorphic(to_nx(g), to_nx(h))
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:

@@ -8,7 +8,7 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from myctheta import cli, graphs
+from myctheta import cli, graphs, invariants
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "schemas"
 
@@ -256,6 +256,13 @@ def test_construct_requires_one_mode(capsys):
 def test_unknown_family_exit_code(capsys):
     code, _, err = run_cli(["report", "--family", "dodecahedron:1"], capsys)
     assert code == 2 and "unknown" in err
+
+
+def test_report_internal_error_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(invariants, "verify_clique", lambda g, witness: False)
+    code, out, err = run_cli(["report", "--family", "cycle:5"], capsys)
+    assert code == 1 and out == ""
+    assert err == "internal error: clique witness failed re-verification\n"
 
 
 def test_size_guard_env(tmp_path, capsys, monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 
 from myctheta import (
     DomainError,
+    Graph,
     InconclusiveError,
     ReportOptions,
     capacity_report,
@@ -23,7 +24,14 @@ from myctheta import (
     transitive_clique_number,
     transitive_tournament,
 )
-from myctheta.constructions import _or_adjacent, _or_arc
+from myctheta import invariants
+from myctheta.constructions import _or_adjacent, _verify_clique
+from myctheta.errors import MycthetaInternal
+
+
+def or_arc(host, a, b):
+    """Independent check: some coordinate of a has an arc to that of b."""
+    return any(host.has_arc(u, v) for u, v in zip(a, b))
 
 
 def base_digits(coords, n):
@@ -101,7 +109,7 @@ def test_transitive_clique_2():
     host = mycielskian_digraph(transitive_tournament(2), 2)
     for i, a in enumerate(tc.vertices):
         for b in tc.vertices[i + 1:]:
-            assert _or_arc(host, a, b)
+            assert or_arc(host, a, b)
 
 
 def test_transitive_clique_3_all_pairs():
@@ -111,7 +119,7 @@ def test_transitive_clique_3_all_pairs():
     pairs = 0
     for i, a in enumerate(tc.vertices):
         for b in tc.vertices[i + 1:]:
-            assert _or_arc(host, a, b)
+            assert or_arc(host, a, b)
             pairs += 1
     assert pairs == 28 * 27 // 2
 
@@ -205,6 +213,46 @@ def test_capacity_report_digraph():
     assert report.omega_tr.size == 2
     assert report.lower_bounds[1].value == pytest.approx(math.sqrt(5), abs=1e-12)
     assert report.construction.directed
+
+
+def test_verifier_rejects_a_non_adjacent_pair():
+    host = mycielskian(complete_graph(3), 2)
+    vertices = lifted_clique(3).vertices
+    _verify_clique(host, vertices, "construction")
+    # a repeated member is non-adjacent to itself in every coordinate
+    broken = vertices[:5] + (vertices[1],) + vertices[6:]
+    with pytest.raises(DomainError, match="construction broke"):
+        _verify_clique(host, broken, "construction")
+
+
+def test_verifier_rejects_reversed_transitive_order():
+    tc = lifted_transitive_clique(3)
+    host = mycielskian_digraph(transitive_tournament(3), 2)
+    _verify_clique(host, tc.vertices, "transitive construction")
+    with pytest.raises(DomainError, match="transitive construction broke"):
+        _verify_clique(host, tc.vertices[::-1], "transitive construction")
+
+
+@pytest.mark.parametrize("g", [cycle_graph(5), mycielskian_digraph(transitive_tournament(2), 2)])
+def test_capacity_report_reuses_omega_for_k1(g):
+    report = capacity_report(g, ReportOptions(max_power=2))
+    omega = report.omega_tr if report.directed else report.omega
+    assert report.lower_bounds[0].k == 1
+    assert report.lower_bounds[0].clique is omega
+    assert report.lower_bounds[0].value == float(omega.size)
+
+
+def test_capacity_report_failed_omega_fills_both_keys():
+    report = capacity_report(Graph(0), ReportOptions(max_power=1))
+    message = "DomainError: clique number needs a nonempty vertex set"
+    assert report.errors["omega"] == report.errors["lower_bound_k1"] == message
+    assert report.lower_bounds == ()
+
+
+def test_capacity_report_raises_internal_errors(monkeypatch):
+    monkeypatch.setattr(invariants, "verify_clique", lambda g, witness: False)
+    with pytest.raises(MycthetaInternal, match="re-verification"):
+        capacity_report(cycle_graph(5), ReportOptions(max_power=1))
 
 
 def test_capacity_report_records_errors():

@@ -21,7 +21,6 @@ from myctheta import (
     empty_graph,
     format_edgelist,
     generate,
-    is_isomorphic,
     mycielskian,
     mycielskian_digraph,
     or_power,
@@ -30,7 +29,6 @@ from myctheta import (
     transitive_tournament,
 )
 from myctheta.graphs import (
-    find_isomorphism,
     max_vertices,
     mycielski_index,
     mycielski_label,
@@ -38,7 +36,7 @@ from myctheta.graphs import (
     power_index,
 )
 
-from conftest import random_digraph, random_graph
+from conftest import isomorphic, random_digraph, random_graph
 
 
 def test_generate_families():
@@ -116,13 +114,13 @@ def test_mycielskian_counts_and_levels():
 
 
 def test_mycielskian_k2_is_odd_cycle():
-    assert is_isomorphic(mycielskian(complete_graph(2), 2), cycle_graph(5))
+    assert isomorphic(mycielskian(complete_graph(2), 2), cycle_graph(5))
     for r in (1, 2, 3, 4, 5):
         m = mycielskian(complete_graph(2), r)
         if r == 1:
-            assert is_isomorphic(m, cycle_graph(3))
+            assert isomorphic(m, cycle_graph(3))
         else:
-            assert is_isomorphic(m, cycle_graph(2 * r + 1))
+            assert isomorphic(m, cycle_graph(2 * r + 1))
 
 
 def test_mycielskian_r1_is_dominating_vertex():
@@ -130,14 +128,14 @@ def test_mycielskian_r1_is_dominating_vertex():
     m1 = mycielskian(g, 1)
     assert m1.n == g.n + 1
     assert m1.degree(g.n) == g.n
-    assert is_isomorphic(m1, complete_join(empty_graph(1), g))
+    assert isomorphic(m1, complete_join(empty_graph(1), g))
 
 
 def test_mycielskian_digraph_orientation():
     mt2 = mycielskian_digraph(transitive_tournament(2), 2)
     outs = sorted(mt2.out_degree(v) for v in range(mt2.n))
     assert outs.count(1) == 1 and set(outs) <= {0, 1, 2}
-    assert is_isomorphic(mt2.underlying(), cycle_graph(5))
+    assert isomorphic(mt2.underlying(), cycle_graph(5))
     rng = random.Random(9)
     for _ in range(20):
         d = random_digraph(rng, rng.randint(1, 5), 0.4)
@@ -151,7 +149,7 @@ def test_mycielskian_digraph_orientation():
 def test_or_product_complete_graphs():
     for m, n in itertools.product((1, 2, 3), repeat=2):
         p = or_product(complete_graph(m), complete_graph(n))
-        assert is_isomorphic(p, complete_graph(m * n))
+        assert isomorphic(p, complete_graph(m * n))
 
 
 def test_or_power_empty_and_c5():
@@ -256,7 +254,7 @@ def test_categorical_restriction_of_strong_dual(small_graph_zoo):
 
 def test_complete_join():
     for m, n in itertools.product((1, 2, 3), repeat=2):
-        assert is_isomorphic(
+        assert isomorphic(
             complete_join(complete_graph(m), complete_graph(n)),
             complete_graph(m + n),
         )
@@ -276,7 +274,7 @@ def test_embed_mycielski_power_k2_squared():
     assert emb.domain.n == 9 and emb.codomain.n == 25
     assert emb.is_induced_isomorphism()
     # the domain is M(K_4) up to isomorphism
-    assert is_isomorphic(emb.domain, mycielskian(complete_graph(4), 2))
+    assert isomorphic(emb.domain, mycielskian(complete_graph(4), 2))
     # apex goes to the all-apex sequence
     assert emb.mapping[8] == power_index((4, 4), 5)
 
@@ -361,6 +359,69 @@ def test_digraph_representation_contract(case):
     ]
 
 
+def _pairs_to_matrix(n, pairs):
+    a = np.zeros((n, n), dtype=bool)
+    for u, v in pairs:
+        a[u, v] = True
+    return a
+
+
+@given(vertex_pairs())
+def test_matrix_and_pairs_build_the_same_graph(case):
+    n, pairs = case
+    a = _pairs_to_matrix(n, pairs)  # one triangle or both: Graph makes it symmetric
+    before = a.copy()
+    assert Graph(n, a) == Graph(n, pairs)
+    assert Digraph(n, a) == Digraph(n, pairs)
+    assert (a == before).all()  # the caller's matrix is not modified
+    assert (Graph(n, pairs).bool_matrix() == (a | a.T)).all()
+    assert (Digraph(n, pairs).bool_matrix() == a).all()
+
+
+@pytest.mark.parametrize("cls", [Graph, Digraph])
+def test_matrix_input_validation(cls, monkeypatch):
+    with pytest.raises(DomainError, match="not 3 x 3"):
+        cls(3, np.zeros((3, 4), dtype=bool))
+    with pytest.raises(DomainError, match="not 3 x 3"):
+        cls(3, np.zeros((2, 2), dtype=bool))
+    a = np.zeros((4, 4), dtype=bool)
+    a[2, 2] = True
+    with pytest.raises(DomainError, match="self-loop at vertex 2 not allowed"):
+        cls(4, a)
+    monkeypatch.setenv("MYCTHETA_MAX_VERTICES", "3")
+    with pytest.raises(SizeLimitError):
+        cls(4, np.zeros((4, 4), dtype=bool))
+
+
+def _mycielskian_reference(g, r):
+    """M_r(G) from the edge list, one pair at a time (arcs for digraphs)."""
+    n, directed = g.n, isinstance(g, Digraph)
+    pairs = []
+    for u, v in (g.arcs() if directed else g.edges()):
+        pairs.append((u, v))
+        for lvl in range(r - 1):
+            pairs.append((lvl * n + u, (lvl + 1) * n + v))
+            if directed:
+                pairs.append(((lvl + 1) * n + u, lvl * n + v))
+            else:
+                pairs.append((lvl * n + v, (lvl + 1) * n + u))
+    pairs.extend((r * n, (r - 1) * n + v) for v in range(n))
+    return (Digraph if directed else Graph)(r * n + 1, pairs)
+
+
+def test_mycielskians_match_edge_list_reference():
+    rng = random.Random(11)
+    graphs = [cycle_graph(5), complete_graph(1), empty_graph(3)]
+    graphs += [random_graph(rng, rng.randint(1, 7), 0.5) for _ in range(10)]
+    digraphs = [transitive_tournament(3), Digraph(1)]
+    digraphs += [random_digraph(rng, rng.randint(1, 6), 0.4) for _ in range(10)]
+    for r in (1, 2, 3):
+        for g in graphs:
+            assert mycielskian(g, r) == _mycielskian_reference(g, r)
+        for d in digraphs:
+            assert mycielskian_digraph(d, r) == _mycielskian_reference(d, r)
+
+
 def _arc_matrix(g):
     a = np.zeros((g.n, g.n), dtype=bool)
     for u, v in (g.arcs() if isinstance(g, Digraph) else g.edges()):
@@ -436,8 +497,8 @@ def test_size_guard(monkeypatch):
 
 
 def test_isomorphism_negative():
-    assert not is_isomorphic(cycle_graph(6), complete_join(complete_graph(3), empty_graph(3)))
-    assert find_isomorphism(cycle_graph(5), cycle_graph(5)) is not None
+    assert not isomorphic(cycle_graph(6), complete_join(complete_graph(3), empty_graph(3)))
+    assert isomorphic(cycle_graph(5), cycle_graph(5))
     a = Graph(4, [(0, 1), (1, 2), (2, 3)])
     b = Graph(4, [(0, 1), (0, 2), (0, 3)])  # same degree sum, different shape
-    assert not is_isomorphic(a, b)
+    assert not isomorphic(a, b)

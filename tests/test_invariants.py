@@ -21,9 +21,34 @@ from myctheta import (
     transitive_clique_number,
     transitive_tournament,
 )
-from myctheta.invariants import greedy_coloring, verify_clique, verify_coloring
+from myctheta.invariants import _ordered_bits, greedy_coloring, verify_clique, verify_coloring
 
-from conftest import random_digraph, random_graph, random_graph_with_edge
+from conftest import petersen_graph, random_digraph, random_graph, random_graph_with_edge
+
+
+def degeneracy_reference(g: Graph) -> tuple[list[int], tuple[int, ...]]:
+    """Smallest-last order and relabeled bitsets, built from the neighbor lists."""
+    deg = [g.degree(v) for v in range(g.n)]
+    removed = [False] * g.n
+    order = []
+    for _ in range(g.n):
+        v = min((u for u in range(g.n) if not removed[u]), key=lambda u: (deg[u], u))
+        order.append(v)
+        removed[v] = True
+        for u in g.neighbors[v]:
+            if not removed[u]:
+                deg[u] -= 1
+    order.reverse()
+    pos = {v: i for i, v in enumerate(order)}
+    return order, tuple(sum(1 << pos[u] for u in g.neighbors[order[i]]) for i in range(g.n))
+
+
+def test_ordered_bits_match_neighbor_reference():
+    rng = random.Random(17)
+    graphs = [or_power(cycle_graph(5), 3), petersen_graph(), mycielskian(cycle_graph(7), 3)]
+    graphs += [random_graph(rng, rng.randint(1, 30), rng.random()) for _ in range(20)]
+    for g in graphs:
+        assert _ordered_bits(g) == degeneracy_reference(g)
 
 
 def brute_force_omega(g: Graph) -> int:

@@ -11,7 +11,9 @@ back.  Family specs compose constructors right to left, e.g.
     mycielski:power:complete:2:t=2:r=3
 
 Floats print with 12 significant digits, rationals as "p/q".  Exit codes:
-0 success, 2 domain/usage errors, 1 internal failures.
+0 success, 2 domain/usage errors, 1 internal failures.  A report whose
+`errors` is non-empty is still written in full, then exits 2 with one
+`error: report incomplete: <keys>` line on stderr.
 """
 
 from __future__ import annotations
@@ -305,6 +307,9 @@ def _cmd_report(args) -> int:
         if doc["errors"]:
             lines.append(f"errors: {doc['errors']}")
         _emit(args, "\n".join(lines) + "\n")
+    if report.errors:
+        print(f"error: report incomplete: {', '.join(sorted(report.errors))}", file=sys.stderr)
+        return 2
     return 0
 
 

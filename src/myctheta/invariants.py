@@ -5,6 +5,11 @@ All searches are deterministic: vertices are ordered by degeneracy with ties
 broken by index, and budgets are node counts, not wall time.  A truncated
 search reports exhausted=False and the best witness found; it never claims a
 wrong optimum.
+
+The clique search bounds each node by a bit-parallel coloring of its
+candidate bitset, one color class at a time (BBMC).  Its classes equal those
+of first-fit coloring in index order, and it drops only vertices whose color
+the bound would prune, so the search tree is the greedy-coloring one.
 """
 
 from __future__ import annotations
@@ -64,41 +69,42 @@ def _ordered_bits(g: Graph) -> tuple[list[int], tuple[int, ...]]:
     return order, _row_bits(a[np.ix_(order, order)])
 
 
-def _greedy_color_order(bits: tuple[int, ...], cand: int) -> tuple[list[int], list[int]]:
-    """Greedy coloring of the candidate set; returns vertices sorted so that
-    color bounds are non-decreasing, together with the bound per position."""
-    classes: list[int] = []  # bitmask per color class
-    order: list[list[int]] = []
-    m = cand
-    while m:
-        v = (m & -m).bit_length() - 1
-        m &= m - 1
-        for ci, cmask in enumerate(classes):
-            if not (bits[v] & cmask):
-                classes[ci] |= 1 << v
-                order[ci].append(v)
-                break
-        else:
-            classes.append(1 << v)
-            order.append([v])
-    flat: list[int] = []
-    bounds: list[int] = []
-    for ci, members in enumerate(order):
-        for v in members:
-            flat.append(v)
-            bounds.append(ci + 1)
-    return flat, bounds
-
-
 def _max_clique_bits(bits: tuple[int, ...], start_mask: int, budget: _Budget,
                      initial_best: tuple[int, tuple[int, ...]]) -> tuple[int, tuple[int, ...]]:
+    """Branch and bound over candidate bitsets with BBMC coloring bounds.
+
+    Each node colors its candidates one class at a time, as in BBMC (San
+    Segundo, Rodriguez-Losada & Jimenez 2011): class k repeatedly takes the
+    lowest uncolored vertex that has no neighbor in the class yet.  Built
+    lowest index first, the classes are exactly those of first-fit coloring
+    in index order, so the search tree, node counts and witnesses are those
+    of per-vertex greedy coloring.  Only vertices of color k > kmin =
+    best_size - len(current) are kept for branching: the loop would prune
+    every lower color, since best_size only grows while a node is expanded.
+    """
     best_size, best_witness = initial_best
+    outside = [~(b | 1 << v) for v, b in enumerate(bits)]  # neither v nor a neighbor
 
     def expand(mask: int, current: list[int]) -> None:
         nonlocal best_size, best_witness
         if not budget.tick():
             return
-        order, bounds = _greedy_color_order(bits, mask)
+        kmin = best_size - len(current)
+        order: list[int] = []
+        bounds: list[int] = []
+        u = mask
+        k = 0
+        while u:
+            k += 1
+            q = u
+            while q:
+                low = q & -q
+                v = low.bit_length() - 1
+                q &= outside[v]
+                u ^= low
+                if k > kmin:
+                    order.append(v)
+                    bounds.append(k)
         for i in range(len(order) - 1, -1, -1):
             if budget.limit is not None and budget.nodes > budget.limit:
                 return
@@ -134,7 +140,7 @@ def verify_clique(g: Graph, witness: tuple[int, ...]) -> bool:
 
 
 def clique_number(g: Graph, node_budget: Optional[int] = None) -> CliqueResult:
-    """Branch-and-bound maximum clique with greedy-coloring upper bounds."""
+    """Branch-and-bound maximum clique with bit-parallel coloring upper bounds."""
     if g.n == 0:
         raise DomainError("clique number needs a nonempty vertex set")
     # search in the degeneracy order so bit tricks scan it cheaply

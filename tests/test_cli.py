@@ -265,6 +265,17 @@ def test_report_internal_error_exit_code(capsys, monkeypatch):
     assert err == "internal error: clique witness failed re-verification\n"
 
 
+def test_report_with_errors_exits_2(tmp_path, capsys):
+    edges = tmp_path / "empty.edges"
+    edges.write_text("0 0\n")
+    code, out, err = run_cli(["report", "--edges", str(edges), "--format", "json"], capsys)
+    doc = json.loads(out)
+    make_validator("report.schema.json").validate(doc)
+    assert code == 2 and doc["errors"]
+    assert err == f"error: report incomplete: {', '.join(doc['errors'])}\n"
+    assert err.count("\n") == 1
+
+
 def test_size_guard_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("MYCTHETA_MAX_VERTICES", "10")
     code, _, err = run_cli(["gen", "--family", "power:cycle:5:t=2"], capsys)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -24,7 +25,7 @@ from myctheta import (
     transitive_clique_number,
     transitive_tournament,
 )
-from myctheta import invariants
+from myctheta import constructions, invariants
 from myctheta.constructions import _or_adjacent, _verify_clique
 from myctheta.errors import MycthetaInternal
 
@@ -89,6 +90,16 @@ def test_extended_clique_3():
     assert len(ec.vertices) == 28
     assert ec.bound == pytest.approx(28 ** (1 / 3), abs=1e-12)
     assert ec.bound > 3
+
+
+def test_extended_clique_rejects_a_member_off_the_apex(monkeypatch):
+    # an all-base sequence has no lifted coordinate, so the apex misses it
+    base = lifted_clique(3)
+    off = (0, 1, 2)
+    broken = dataclasses.replace(base, vertices=base.vertices[:4] + (off,) + base.vertices[5:])
+    monkeypatch.setattr(constructions, "lifted_clique", lambda n: broken)
+    with pytest.raises(DomainError, match=r"extended construction broke: \(0, 1, 2\) !~ \(6, 6, 6\)"):
+        extended_clique(3)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -1,7 +1,10 @@
 import itertools
 import random
 
+import networkx
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from myctheta import (
     Digraph,
@@ -21,7 +24,15 @@ from myctheta import (
     transitive_clique_number,
     transitive_tournament,
 )
-from myctheta.invariants import _ordered_bits, greedy_coloring, verify_clique, verify_coloring
+from myctheta.invariants import (
+    CliqueResult,
+    _Budget,
+    _greedy_clique,
+    _ordered_bits,
+    greedy_coloring,
+    verify_clique,
+    verify_coloring,
+)
 
 from conftest import petersen_graph, random_digraph, random_graph, random_graph_with_edge
 
@@ -49,6 +60,99 @@ def test_ordered_bits_match_neighbor_reference():
     graphs += [random_graph(rng, rng.randint(1, 30), rng.random()) for _ in range(20)]
     for g in graphs:
         assert _ordered_bits(g) == degeneracy_reference(g)
+
+
+def first_fit_color_order(bits: tuple[int, ...], cand: int) -> tuple[list[int], list[int]]:
+    """Per-vertex first-fit coloring in index order; vertices sorted by color
+    and the color of each position."""
+    classes: list[int] = []
+    order: list[list[int]] = []
+    m = cand
+    while m:
+        v = (m & -m).bit_length() - 1
+        m &= m - 1
+        for ci, cmask in enumerate(classes):
+            if not (bits[v] & cmask):
+                classes[ci] |= 1 << v
+                order[ci].append(v)
+                break
+        else:
+            classes.append(1 << v)
+            order.append([v])
+    flat = [v for members in order for v in members]
+    bounds = [ci + 1 for ci, members in enumerate(order) for _ in members]
+    return flat, bounds
+
+
+def first_fit_clique_number(g: Graph, node_budget=None) -> CliqueResult:
+    """clique_number with every node bounded by first_fit_color_order."""
+    order, bits = _ordered_bits(g)
+    pos = {v: i for i, v in enumerate(order)}
+    seed = tuple(sorted(pos[v] for v in _greedy_clique(g, order)))
+    budget = _Budget(node_budget)
+    best = [len(seed), seed]
+
+    def expand(mask: int, current: list[int]) -> None:
+        if not budget.tick():
+            return
+        flat, bounds = first_fit_color_order(bits, mask)
+        for i in range(len(flat) - 1, -1, -1):
+            if budget.limit is not None and budget.nodes > budget.limit:
+                return
+            v = flat[i]
+            if len(current) + bounds[i] <= best[0]:
+                return
+            current.append(v)
+            if len(current) > best[0]:
+                best[:] = [len(current), tuple(sorted(current))]
+            sub = mask & bits[v]
+            if sub:
+                expand(sub, current)
+            current.pop()
+            mask &= ~(1 << v)
+
+    expand((1 << g.n) - 1, [])
+    witness = tuple(sorted(order[i] for i in best[1]))
+    return CliqueResult(best[0], witness, budget.within_limit, budget.nodes)
+
+
+@pytest.mark.parametrize("k, budget, size, nodes, exhausted", [
+    (3, None, 10, 149_498, True),
+    (3, 1000, 10, 1001, False),
+    (4, 20_000, 19, 20_001, False),
+])
+def test_clique_search_tree_matches_first_fit_on_c5_powers(k, budget, size, nodes, exhausted):
+    g = or_power(cycle_graph(5), k)
+    res = clique_number(g, budget)
+    assert (res.size, res.nodes, res.exhausted) == (size, nodes, exhausted)
+    assert res == first_fit_clique_number(g, budget)
+
+
+def test_clique_search_tree_matches_first_fit():
+    rng = random.Random(31)
+    graphs = [petersen_graph(), mycielskian(cycle_graph(7), 3)]
+    graphs += [random_graph(rng, rng.randint(1, 40), rng.random()) for _ in range(40)]
+    for g in graphs:
+        for budget in (None, 5, 50):
+            assert clique_number(g, budget) == first_fit_clique_number(g, budget)
+
+
+@st.composite
+def simple_graphs(draw):
+    n = draw(st.integers(1, 14))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [p for p, k in zip(pairs, keep) if k])
+
+
+@given(simple_graphs())
+def test_clique_number_matches_networkx(g):
+    h = networkx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    res = clique_number(g)
+    assert res.exhausted and verify_clique(g, res.witness)
+    assert res.size == max(len(c) for c in networkx.find_cliques(h))
 
 
 def brute_force_omega(g: Graph) -> int:

@@ -9,7 +9,7 @@ wrong optimum.
 The clique search bounds each node by a bit-parallel coloring of its
 candidate bitset, one color class at a time (BBMC).  Its classes equal those
 of first-fit coloring in index order, and it drops only vertices whose color
-the bound would prune, so the search tree is the greedy-coloring one.
+the bound would prune, so the search tree is the first-fit one.
 """
 
 from __future__ import annotations

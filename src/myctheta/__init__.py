@@ -45,7 +45,6 @@ from .invariants import (
 )
 from .fractional import (
     FractionalChromaticResult,
-    Rational,
     fractional_chromatic,
     maximal_independent_sets,
 )

@@ -255,7 +255,11 @@ def _cmd_construct(args) -> int:
 
 
 def _detect_construction(spec: Optional[str]) -> dict:
-    """Attach the matching clique construction for mycielski:<base>:n specs."""
+    """Attach the matching clique construction for mycielski:<base>:n specs.
+
+    The construction lives in the n-th power and has n^n + 1 vertices; it is
+    attached only when that fits the vertex bound.
+    """
     if not spec:
         return {}
     tokens = [tok for tok in spec.split(":") if tok]
@@ -263,11 +267,10 @@ def _detect_construction(spec: Optional[str]) -> dict:
         tok.startswith("r=") for tok in tokens[3:]
     ):
         levels = [int(tok.split("=")[1]) for tok in tokens[3:]] or [2]
-        if levels == [2]:
-            if tokens[1] == "complete":
-                return {"mycielski_complete": int(tokens[2])}
-            if tokens[1] == "tournament":
-                return {"mycielski_tournament": int(tokens[2])}
+        if levels == [2] and tokens[1] in ("complete", "tournament"):
+            n = int(tokens[2])
+            if n ** n + 1 <= graphs.max_vertices():
+                return {f"mycielski_{tokens[1]}": n}
     return {}
 
 

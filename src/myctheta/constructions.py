@@ -72,9 +72,6 @@ class LiftedCliqueSet:
     bound: Optional[float]
     verified: bool
 
-    def power_vertices(self) -> tuple[PowerVertex, ...]:
-        return tuple(PowerVertex(v) for v in self.vertices)
-
     def to_json(self) -> str:
         labels = [
             [repr(lbl) for lbl in PowerVertex(v).labels(self.n)]

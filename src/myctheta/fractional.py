@@ -18,8 +18,6 @@ from fractions import Fraction
 from .errors import DomainError, SizeLimitError
 from .graphs import Graph
 
-Rational = Fraction
-
 MAX_VERTICES_CHI_F = 30
 MAX_INDEPENDENT_SETS = 10 ** 6
 _MAX_PIVOTS = 200_000
@@ -72,9 +70,6 @@ class FractionalChromaticResult:
     value: Fraction
     cover_weights: tuple[tuple[frozenset, Fraction], ...]
     clique_weights: tuple[Fraction, ...]
-
-    def independent_sets(self) -> tuple[frozenset, ...]:
-        return tuple(s for s, _ in self.cover_weights)
 
 
 def _mask_to_set(mask: int) -> frozenset:

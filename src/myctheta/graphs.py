@@ -2,16 +2,15 @@
 
 Vertices are always labeled 0..n-1.  Both `Graph` and `Digraph` are immutable
 after construction.  The one stored form of the adjacency is a Python int
-bitset per vertex (`bits`; `out_bits` and `in_bits` for digraphs), the
-representation of the bit-parallel clique search (San Segundo et al. 2011).
-Everything else is derived from it on demand: `edges()` / `arcs()` in
-row-major order, `m`, `bool_matrix()`, `adjacency_matrix()` and, cached on
-first use, `Graph.neighbors`.  The constructors take either pairs, which are
-validated as one int64 array and scattered into an n x n boolean matrix, or
-that boolean matrix itself, and pack its rows into the bitsets, so no Python
-object is made per edge.  Every derived graph (complements, subgraphs,
-products, Mycielskians) is built as a boolean matrix and handed to the
-constructor whole.
+bitset per vertex (`bits`; `out_bits` for digraphs), the representation of
+the bit-parallel clique search (San Segundo et al. 2011).  Everything else
+is derived from it on demand: `edges()` / `arcs()` in row-major order, `m`,
+degrees, `bool_matrix()` and `adjacency_matrix()`.  The constructors take
+either pairs, which are validated as one int64 array and scattered into an
+n x n boolean matrix, or that boolean matrix itself, and pack its rows into
+the bitsets, so no Python object is made per edge.  Every derived graph
+(complements, subgraphs, products, Mycielskians) is built as a boolean
+matrix and handed to the constructor whole.
 
 Product graphs use row-major vertex pairing, (f, g) -> f * |V(G)| + g, and
 power graphs extend this to mixed-radix coordinates (leftmost coordinate most
@@ -108,7 +107,7 @@ def _pairs_tuple(a: np.ndarray) -> tuple[tuple[int, int], ...]:
 class Graph:
     """Simple undirected graph: no loops, symmetric adjacency."""
 
-    __slots__ = ("n", "bits", "_neighbors")
+    __slots__ = ("n", "bits")
 
     def __init__(self, n: int, edges: Union[Iterable[tuple[int, int]], np.ndarray] = ()):
         """`edges` holds vertex pairs or an n x n boolean matrix (made symmetric)."""
@@ -116,16 +115,6 @@ class Graph:
         a = a | a.T
         self.n = n
         self.bits = _row_bits(a)
-        self._neighbors = None
-
-    @property
-    def neighbors(self) -> tuple[tuple[int, ...], ...]:
-        """Sorted neighbor tuple of every vertex, built on first use."""
-        if self._neighbors is None:
-            self._neighbors = tuple(
-                tuple(np.flatnonzero(row).tolist()) for row in self.bool_matrix()
-            )
-        return self._neighbors
 
     @property
     def m(self) -> int:
@@ -175,14 +164,13 @@ class Graph:
 class Digraph:
     """Directed graph without loops; antiparallel arc pairs are allowed."""
 
-    __slots__ = ("n", "out_bits", "in_bits")
+    __slots__ = ("n", "out_bits")
 
     def __init__(self, n: int, arcs: Union[Iterable[tuple[int, int]], np.ndarray] = ()):
         """`arcs` holds (tail, head) pairs or an n x n boolean matrix."""
         a = _pair_matrix(n, arcs, "arc")
         self.n = n
         self.out_bits = _row_bits(a)
-        self.in_bits = _row_bits(a.T)
 
     @property
     def m(self) -> int:
@@ -199,14 +187,14 @@ class Digraph:
         return self.out_bits[v].bit_count()
 
     def in_degree(self, v: int) -> int:
-        return self.in_bits[v].bit_count()
+        return sum(b >> v & 1 for b in self.out_bits)
 
     def bool_matrix(self) -> np.ndarray:
         """n x n boolean arc matrix (row = tail), unpacked from the bitsets."""
         return _bits_matrix(self.out_bits)
 
     def reverse(self) -> "Digraph":
-        return Digraph(self.n, _bits_matrix(self.in_bits))
+        return Digraph(self.n, self.bool_matrix().T)
 
     def underlying(self) -> Graph:
         return Graph(self.n, self.bool_matrix())
@@ -243,12 +231,6 @@ class VertexLabel:
 
     vertex: Optional[int] = None
     level: Optional[int] = None
-
-    @staticmethod
-    def base(vertex: int, level: int) -> "VertexLabel":
-        if level < 0:
-            raise DomainError("level must be non-negative")
-        return VertexLabel(vertex, level)
 
     @staticmethod
     def apex() -> "VertexLabel":

@@ -32,9 +32,6 @@ class CliqueResult:
     exhausted: bool
     nodes: int
 
-    def root(self, k: int) -> float:
-        return self.size ** (1.0 / k)
-
 
 class _Budget:
     __slots__ = ("limit", "nodes")
@@ -157,8 +154,6 @@ def clique_number(g: Graph, node_budget: Optional[int] = None) -> CliqueResult:
 
 def symmetric_clique_number(d: Digraph, node_budget: Optional[int] = None) -> CliqueResult:
     """Largest set of pairwise bidirected vertices."""
-    if d.n == 0:
-        raise DomainError("clique number needs a nonempty vertex set")
     return clique_number(d.bidirected_graph(), node_budget)
 
 
@@ -230,64 +225,59 @@ class ChromaticResult:
 
 
 def greedy_coloring(g: Graph) -> tuple[int, ...]:
-    """DSATUR greedy coloring; deterministic tie-break by vertex index."""
-    n = g.n
-    colors = [-1] * n
-    sat: list[set[int]] = [set() for _ in range(n)]
-    for _ in range(n):
-        v = max(
-            (u for u in range(n) if colors[u] < 0),
-            key=lambda u: (len(sat[u]), g.degree(u), -u),
-        )
-        c = 0
-        while c in sat[v]:
-            c += 1
-        colors[v] = c
-        for u in g.neighbors[v]:
-            sat[u].add(c)
-    return tuple(colors)
+    """DSATUR greedy coloring; deterministic tie-break by vertex index.
+
+    This is the first descent of `_k_colorable` with k = n: the least free
+    color never exceeds the number of colors used, so it never backtracks.
+    """
+    return _k_colorable(g, g.n, _Budget(None))
 
 
 def _k_colorable(g: Graph, k: int, budget: _Budget) -> Optional[tuple[int, ...]]:
-    """Exact k-coloring by DSATUR branching; None when budget runs out."""
+    """Exact k-coloring by DSATUR branching; None when there is none or the
+    budget runs out.
+
+    The depth-first search keeps one frame per colored vertex on an explicit
+    stack, so no recursion limit caps n.  A vertex tries its free colors in
+    ascending order, up to the first unused one, which is canonical.
+    """
     n = g.n
+    a = g.bool_matrix()
+    adjacent = [np.flatnonzero(row).tolist() for row in a]
+    degree = a.sum(axis=1).tolist()
     colors = [-1] * n
     sat: list[set[int]] = [set() for _ in range(n)]
-
-    out: Optional[tuple[int, ...]] = None
-
-    def assign(depth: int, used: int) -> bool:
-        nonlocal out
-        if not budget.tick():
-            return False
-        if depth == n:
-            out = tuple(colors)
-            return True
+    # (vertex, untried colors largest first, colors used before it, vertices it saturated)
+    frames: list[tuple[int, list[int], int, list[int]]] = []
+    used = 0
+    while budget.tick():
+        if len(frames) == n:
+            return tuple(colors)
         v = max(
             (u for u in range(n) if colors[u] < 0),
-            key=lambda u: (len(sat[u]), g.degree(u), -u),
+            key=lambda u: (len(sat[u]), degree[u], -u),
         )
-        if len(sat[v]) >= k:
-            return False
-        limit = min(k - 1, used)  # first unused color is canonical
-        for c in range(limit + 1):
-            if c in sat[v]:
-                continue
-            colors[v] = c
-            touched = [u for u in g.neighbors[v] if colors[u] < 0 and c not in sat[u]]
-            for u in touched:
-                sat[u].add(c)
-            if assign(depth + 1, max(used, c + 1)):
-                return True
-            for u in touched:
-                sat[u].discard(c)
-            colors[v] = -1
-            if budget.limit is not None and budget.nodes > budget.limit:
-                return False
-        return False
-
-    found = assign(0, 0)
-    return out if found else None
+        options = [c for c in range(min(k, used + 1) - 1, -1, -1) if c not in sat[v]]
+        frames.append((v, options, used, []))
+        while frames:
+            v, options, used, touched = frames[-1]
+            if colors[v] >= 0:
+                for u in touched:
+                    sat[u].discard(colors[v])
+                touched.clear()
+                colors[v] = -1
+            if options:
+                c = options.pop()
+                colors[v] = c
+                touched.extend(u for u in adjacent[v] if colors[u] < 0 and c not in sat[u])
+                for u in touched:
+                    sat[u].add(c)
+                used = max(used, c + 1)
+                break
+            frames.pop()
+        else:
+            return None
+    return None
 
 
 def chromatic_number(g: Graph, node_budget: Optional[int] = None) -> ChromaticResult:

@@ -98,11 +98,11 @@ class VectorColoring:
         return worst
 
 
-def _edge_masks(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    edge = g.adjacency_matrix() > 0
-    nonedge = ~edge
+def _nonedge_mask(g: Graph) -> np.ndarray:
+    """True at every non-adjacent pair i != j."""
+    nonedge = ~g.bool_matrix()
     np.fill_diagonal(nonedge, False)
-    return edge, nonedge
+    return nonedge
 
 
 def _certified_bracket(x, u, nonedge, jmat):
@@ -156,14 +156,13 @@ def theta_bar(g: Graph, tol: float = DEFAULT_TOL,
             iterations=0,
             n=n,
         )
-    _, nonedge = _edge_masks(g)
+    nonedge = _nonedge_mask(g)
     jmat = np.ones((n, n))
     z = np.eye(n) / n
     u = np.zeros((n, n))
     target = tol / _RESIDUAL_SAFETY
-    best = None  # (width, midpoint, x_hat, x, u)
+    best = None  # (width, midpoint) of the narrowest bracket so far
     x = z
-    converged = False
     for iteration in range(1, max_iterations + 1):
         x = z - u + jmat
         x[nonedge] = 0.0
@@ -186,15 +185,12 @@ def theta_bar(g: Graph, tol: float = DEFAULT_TOL,
         if (residual < target and iteration > 5) or iteration % _CERTIFY_EVERY == 0:
             lower, upper, x_hat = _certified_bracket(x, u, nonedge, jmat)
             width = upper - lower
-            if best is None or width < best[0]:
-                best = (width, 0.5 * (lower + upper), x_hat, x.copy(), u.copy())
             if width <= tol:
-                converged = True
-                break
-    if best is None:
-        best = (math.inf, float(jmat.ravel() @ x.ravel()), x, x, u)
-    width, midpoint, x_hat, x_best, u_best = best
-    if not converged:
+                break  # every earlier bracket was wider, so this one is the best
+            if best is None or width < best[0]:
+                best = (width, 0.5 * (lower + upper))
+    else:
+        width, midpoint = best or (math.inf, float(jmat.ravel() @ x.ravel()))
         raise ConvergenceError(
             f"theta solver did not certify tol {tol} in {max_iterations} "
             f"iterations (best bracket width {width:.3e})",
@@ -202,13 +198,13 @@ def theta_bar(g: Graph, tol: float = DEFAULT_TOL,
             residual=width,
             iterations=max_iterations,
         )
-    slack = -u_best
+    slack = -u
     slack = 0.5 * (slack + slack.T)
     edge_part = x_hat.copy()
     np.fill_diagonal(edge_part, 0.0)
     edge_part[nonedge] = 0.0
     return ThetaSolution(
-        value=midpoint,
+        value=0.5 * (lower + upper),
         primal=x_hat,
         dual_edge_matrix=edge_part,
         dual_slack=slack,
@@ -237,7 +233,7 @@ def spectral_ratio(t_matrix: np.ndarray, g: Graph) -> float:
         raise DomainError("spectral ratio needs a nonzero matrix")
     if float(np.max(np.abs(t - t.T))) > 1e-12 * scale:
         raise DomainError("matrix is not symmetric")
-    edge, nonedge = _edge_masks(g)
+    nonedge = _nonedge_mask(g)
     off_support = np.abs(t) > 1e-12 * scale
     if np.any(off_support & nonedge) or np.any(np.abs(np.diag(t)) > 1e-12 * scale):
         raise DomainError("matrix support must lie exactly on the edge set")

@@ -137,6 +137,20 @@ def test_report_attaches_construction(capsys):
     assert abs(doc["construction"]["bound"] - 28 ** (1 / 3)) < 1e-9
 
 
+def test_report_skips_construction_beyond_vertex_bound(capsys):
+    # the construction for M(K6) would have 6^6 + 1 vertices, above the bound
+    code, payload, err = run_cli(
+        ["report", "--family", "mycielski:complete:6", "--format", "json",
+         "--max-power", "1"],
+        capsys,
+    )
+    assert code == 0 and err == ""
+    doc = json.loads(payload)
+    make_validator("report.schema.json").validate(doc)
+    assert doc["construction"] is None
+    assert doc["errors"] == {}
+
+
 def test_myc_theta_text(capsys):
     code, payload, _ = run_cli(["myc-theta", "--t", "3"], capsys)
     assert code == 0

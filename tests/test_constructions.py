@@ -215,6 +215,16 @@ def test_capacity_report_mycielski_k3():
     assert report.best_lower_bound() >= report.construction.bound
 
 
+def test_capacity_report_records_oversized_construction():
+    report = capacity_report(
+        mycielskian(complete_graph(6), 2),
+        ReportOptions(max_power=1, mycielski_complete=6),
+    )
+    assert report.construction is None
+    assert list(report.errors) == ["construction"]
+    assert report.chi.value == 7
+
+
 def test_capacity_report_digraph():
     report = capacity_report(
         mycielskian_digraph(transitive_tournament(2), 2),

@@ -63,7 +63,7 @@ def test_graph_validation():
     g = Graph(3, [(0, 1), (1, 0), (1, 2)])  # duplicates collapse
     assert g.m == 2
     assert g.has_edge(0, 1) and not g.has_edge(0, 2)
-    assert g.neighbors[1] == (0, 2)
+    assert np.flatnonzero(g.bool_matrix()[1]).tolist() == [0, 2]
 
 
 def test_digraph_basics():
@@ -317,7 +317,7 @@ def test_graph_representation_contract(case, data):
     assert g.m == len(expected)
     for v in range(n):
         row = [u for u in range(n) if (min(u, v), max(u, v)) in expected]
-        assert list(g.neighbors[v]) == row
+        assert np.flatnonzero(g.bool_matrix()[v]).tolist() == row
         assert g.degree(v) == len(row) == g.bits[v].bit_count()
         assert all(bool(g.bits[v] >> u & 1) == g.has_edge(v, u) == (u in row) for u in range(n))
     a = g.adjacency_matrix()
@@ -345,11 +345,12 @@ def test_digraph_representation_contract(case):
     expected = sorted(set(pairs))
     assert list(d.arcs()) == expected
     assert d.m == len(expected)
+    mat = d.bool_matrix()
     for v in range(n):
         assert all(bool(d.out_bits[v] >> u & 1) == d.has_arc(v, u) == ((v, u) in expected)
-                   and bool(d.in_bits[v] >> u & 1) == d.has_arc(u, v) for u in range(n))
+                   and mat[u, v] == d.has_arc(u, v) == ((u, v) in expected) for u in range(n))
         assert d.out_degree(v) == sum(1 for a, _ in expected if a == v) == d.out_bits[v].bit_count()
-        assert d.in_degree(v) == sum(1 for _, b in expected if b == v) == d.in_bits[v].bit_count()
+        assert d.in_degree(v) == sum(1 for _, b in expected if b == v) == mat[:, v].sum()
     same = Digraph(n, list(reversed(pairs)))
     assert same == d and hash(same) == hash(d)
     assert list(d.reverse().arcs()) == sorted((v, u) for u, v in expected)

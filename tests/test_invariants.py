@@ -24,6 +24,7 @@ from myctheta import (
     transitive_clique_number,
     transitive_tournament,
 )
+from myctheta import invariants
 from myctheta.invariants import (
     CliqueResult,
     _Budget,
@@ -37,8 +38,14 @@ from myctheta.invariants import (
 from conftest import petersen_graph, random_digraph, random_graph, random_graph_with_edge
 
 
+def neighbor_lists(g: Graph) -> list[list[int]]:
+    """Sorted neighbors of every vertex, read off the boolean matrix."""
+    return [[u for u, adjacent in enumerate(row) if adjacent] for row in g.bool_matrix()]
+
+
 def degeneracy_reference(g: Graph) -> tuple[list[int], tuple[int, ...]]:
     """Smallest-last order and relabeled bitsets, built from the neighbor lists."""
+    neighbors = neighbor_lists(g)
     deg = [g.degree(v) for v in range(g.n)]
     removed = [False] * g.n
     order = []
@@ -46,12 +53,12 @@ def degeneracy_reference(g: Graph) -> tuple[list[int], tuple[int, ...]]:
         v = min((u for u in range(g.n) if not removed[u]), key=lambda u: (deg[u], u))
         order.append(v)
         removed[v] = True
-        for u in g.neighbors[v]:
+        for u in neighbors[v]:
             if not removed[u]:
                 deg[u] -= 1
     order.reverse()
     pos = {v: i for i, v in enumerate(order)}
-    return order, tuple(sum(1 << pos[u] for u in g.neighbors[order[i]]) for i in range(g.n))
+    return order, tuple(sum(1 << pos[u] for u in neighbors[order[i]]) for i in range(g.n))
 
 
 def test_ordered_bits_match_neighbor_reference():
@@ -311,6 +318,88 @@ def test_chromatic_budget_bracket():
     if not res.exhausted:
         assert res.lo < res.hi or res.lo == res.hi
     assert verify_coloring(g, res.coloring)
+
+
+def reference_greedy_coloring(g: Graph) -> tuple[int, ...]:
+    """DSATUR greedy coloring as its own loop: the least free color each step."""
+    neighbors = neighbor_lists(g)
+    n = g.n
+    colors = [-1] * n
+    sat: list[set[int]] = [set() for _ in range(n)]
+    for _ in range(n):
+        v = max(
+            (u for u in range(n) if colors[u] < 0),
+            key=lambda u: (len(sat[u]), g.degree(u), -u),
+        )
+        c = 0
+        while c in sat[v]:
+            c += 1
+        colors[v] = c
+        for u in neighbors[v]:
+            sat[u].add(c)
+    return tuple(colors)
+
+
+def reference_k_colorable(g: Graph, k: int, budget: _Budget):
+    """Recursive DSATUR k-coloring search with the same node accounting."""
+    neighbors = neighbor_lists(g)
+    n = g.n
+    colors = [-1] * n
+    sat: list[set[int]] = [set() for _ in range(n)]
+    out = []
+
+    def assign(depth: int, used: int) -> bool:
+        if not budget.tick():
+            return False
+        if depth == n:
+            out.append(tuple(colors))
+            return True
+        v = max(
+            (u for u in range(n) if colors[u] < 0),
+            key=lambda u: (len(sat[u]), g.degree(u), -u),
+        )
+        if len(sat[v]) >= k:
+            return False
+        for c in range(min(k - 1, used) + 1):
+            if c in sat[v]:
+                continue
+            colors[v] = c
+            touched = [u for u in neighbors[v] if colors[u] < 0 and c not in sat[u]]
+            for u in touched:
+                sat[u].add(c)
+            if assign(depth + 1, max(used, c + 1)):
+                return True
+            for u in touched:
+                sat[u].discard(c)
+            colors[v] = -1
+            if budget.limit is not None and budget.nodes > budget.limit:
+                return False
+        return False
+
+    return out[0] if assign(0, 0) else None
+
+
+def test_dsatur_matches_reference(monkeypatch):
+    rng = random.Random(37)
+    graphs = [petersen_graph(), mycielskian(cycle_graph(7), 3), or_power(cycle_graph(5), 2),
+              mycielskian(mycielskian(cycle_graph(5), 2), 2)]
+    graphs += [random_graph(rng, rng.randint(1, 30), rng.random()) for _ in range(40)]
+    budgets = (None, 5, 50, 2000)
+    found = [[greedy_coloring(g)] + [chromatic_number(g, b) for b in budgets] for g in graphs]
+    monkeypatch.setattr(invariants, "greedy_coloring", reference_greedy_coloring)
+    monkeypatch.setattr(invariants, "_k_colorable", reference_k_colorable)
+    for g, (greedy, *results) in zip(graphs, found):
+        assert greedy == reference_greedy_coloring(g)
+        # equal (lo, hi, exhausted, coloring, nodes)
+        assert results == [chromatic_number(g, b) for b in budgets]
+
+
+def test_k_colorable_needs_no_recursion():
+    # an odd cycle longer than the recursion limit: the 2-coloring search
+    # descends through every vertex before it fails
+    res = chromatic_number(cycle_graph(2001))
+    assert (res.value, res.exhausted) == (3, True)
+    assert verify_coloring(cycle_graph(2001), res.coloring)
 
 
 def test_chi_c5_square_at_most_8():

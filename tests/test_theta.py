@@ -65,10 +65,24 @@ def test_theta_tol_domain():
 
 
 def test_theta_nonconvergence_carries_state():
+    # no bracket is formed in 8 iterations: the value is <J, X> of the iterate
     with pytest.raises(ConvergenceError) as err:
         theta_bar(cycle_graph(7), tol=1e-7, max_iterations=8)
-    assert err.value.best_value is not None
+    assert math.isfinite(err.value.best_value)
     assert err.value.residual is not None
+
+
+def test_theta_nonconvergence_reports_best_bracket():
+    # theta = 4 on this graph, which needs about 148 000 iterations at tol 1e-6;
+    # the capped solve still reports the midpoint of a certified bracket
+    g = Graph(10, [(0, 1), (0, 8), (0, 9), (1, 2), (1, 3), (1, 5), (1, 6), (1, 7),
+                   (2, 3), (2, 6), (2, 8), (2, 9), (3, 4), (3, 5), (3, 6), (3, 8),
+                   (4, 5), (4, 6), (4, 7), (4, 9), (5, 7), (5, 8), (5, 9), (6, 8),
+                   (7, 9), (8, 9)])
+    with pytest.raises(ConvergenceError) as err:
+        theta_bar(g, tol=1e-6, max_iterations=1000)
+    assert math.isfinite(err.value.residual)
+    assert abs(err.value.best_value - 4.0) <= err.value.residual / 2
 
 
 def test_theta_certified_on_degenerate_instance():

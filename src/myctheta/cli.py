@@ -381,6 +381,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_counts(args) -> None:
+    """A node budget below 1 or a maximum power below 0 is a usage error."""
+    for name, least in (("budget", 1), ("max_power", 0)):
+        value = getattr(args, name, None)
+        if value is not None and value < least:
+            flag = "--" + name.replace("_", "-")
+            raise DomainError(f"{flag} must be at least {least}, got {value}")
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
@@ -388,6 +397,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
+        _check_counts(args)
         return args.fn(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,12 +13,23 @@ lexicographically on the base coordinates away from the lifted position, and
 every forward pair is an arc.  Constructions verify all their pairs at once
 on the host's boolean adjacency matrix before returning: they are proofs, not
 hopes.
+
+The capacity report caps every clique search over G^k by the sandwich
+theorem: omega(G^k) <= theta_bar(G^k) = theta_bar(G)^k, so with hi the upper
+end of the certified bracket of theta_bar(G), floor(hi^k (1 + 1e-9)) bounds
+the search.  For a digraph D the bracket is that of its underlying graph:
+underlying(D^k) = underlying(D)^k, and every transitive clique of D^k is a
+clique of it.  No SDP is solved on a power.  Each search is seeded with the
+lexicographic product of lower-power witnesses (which keeps a transitive
+order) and, at power n, with the attached construction when its host is the
+graph itself; a seed that reaches the cap proves the optimum without a search.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -37,6 +48,7 @@ from .graphs import (
     mycielskian_digraph,
     or_power,
     power_coords,
+    power_index,
     transitive_tournament,
 )
 from .invariants import (
@@ -93,6 +105,14 @@ class LiftedCliqueSet:
         )
 
 
+def construction_host(n: int, directed: bool) -> GraphLike:
+    """M(K_n), or M(T_n) for the directed variant: the graph whose n-th
+    OR-power holds the lifted clique."""
+    if directed:
+        return mycielskian_digraph(transitive_tournament(n), 2)
+    return mycielskian(complete_graph(n), 2)
+
+
 def _base_clique_vertices(n: int) -> tuple[list[tuple[int, ...]], list[int]]:
     """All lifted sequences: class j lifts coordinate j (0-based) to level 1."""
     vertices = []
@@ -143,7 +163,7 @@ def lifted_clique(n: int) -> LiftedCliqueSet:
         raise DomainError("lifted clique needs n >= 2")
     _check_construction_size(n)
     vertices, classes = _base_clique_vertices(n)
-    _verify_clique(mycielskian(complete_graph(n), 2), vertices, "construction")
+    _verify_clique(construction_host(n, False), vertices, "construction")
     return LiftedCliqueSet(
         n=n,
         directed=False,
@@ -163,7 +183,7 @@ def extended_clique(n: int) -> LiftedCliqueSet:
     """
     base = lifted_clique(n)
     apex = (2 * n,) * n
-    apex_row = mycielskian(complete_graph(n), 2).bool_matrix()[2 * n]
+    apex_row = construction_host(n, False).bool_matrix()[2 * n]
     missing = np.flatnonzero(~apex_row[np.asarray(base.vertices)].any(axis=1))
     if missing.size:
         raise DomainError(
@@ -192,7 +212,7 @@ def lifted_transitive_clique(n: int) -> LiftedCliqueSet:
     if n < 2:
         raise DomainError("lifted clique needs n >= 2")
     _check_construction_size(n)
-    host = mycielskian_digraph(transitive_tournament(n), 2)
+    host = construction_host(n, True)
     vertices, classes = _base_clique_vertices(n)
 
     def base_of(coords: tuple[int, ...]) -> tuple[int, ...]:
@@ -384,6 +404,7 @@ class CapacityReport:
                 "witness": list(c.witness),
                 "exhausted": c.exhausted,
                 "nodes": c.nodes,
+                "closed_by": c.closed_by,
             }
 
         doc = {
@@ -399,6 +420,7 @@ class CapacityReport:
                     "value": b.value,
                     "exhausted": b.exhausted,
                     "clique_size": b.clique.size,
+                    "closed_by": b.clique.closed_by,
                 }
                 for b in self.lower_bounds
             ],
@@ -435,15 +457,46 @@ class CapacityReport:
         return "\n".join(rows) + "\n"
 
 
+def _theta_cap(hi: float, k: int) -> Optional[int]:
+    """floor(hi^k), with a relative margin for rounding: a certified bound
+    on omega(G^k) when hi >= theta_bar(G).  None when hi^k overflows a float;
+    no power that fits the vertex bound is that large."""
+    try:
+        return math.floor(hi ** k * (1 + 1e-9))
+    except OverflowError:
+        return None
+
+
+def _product_seed(witnesses: dict[int, tuple[int, ...]], k: int, n: int) -> tuple[int, ...]:
+    """The largest lexicographic product of a G^i and a G^(k-i) witness, as
+    vertices of G^k; the product of two transitive orders is one."""
+    best: tuple[int, ...] = ()
+    for i, a in witnesses.items():
+        b = witnesses.get(k - i)
+        if b is not None and len(a) * len(b) > len(best):
+            best = tuple(x * n ** (k - i) + y for x in a for y in b)
+    return best
+
+
 def capacity_report(g: GraphLike, options: ReportOptions = ReportOptions()) -> CapacityReport:
     """Bundle of invariants and bounds; per-field failures land in `errors`.
 
     Only expected failures (`MycthetaError`) are recorded there.  A bad
-    `theta_tol` is bad input, not a per-field failure: it raises DomainError
-    before any field is computed.  A failed re-verification (MycthetaInternal)
-    or any other exception propagates.
+    `theta_tol`, `clique_budget` or `max_power` is bad input, not a per-field
+    failure: it raises DomainError before any field is computed.  A failed
+    re-verification or a clique above its theta cap (MycthetaInternal) or
+    any other exception propagates.
+
+    theta_bar is solved first, on g or on a digraph's underlying graph, and
+    caps the clique search over every power (see the module docstring).  If
+    that solve fails, the failure is recorded under "theta" and the searches
+    run uncapped.
     """
     theta_mod.check_tol(options.theta_tol)
+    if options.clique_budget is not None and options.clique_budget < 1:
+        raise DomainError(f"clique budget must be at least 1, got {options.clique_budget}")
+    if options.max_power < 0:
+        raise DomainError(f"max power must be at least 0, got {options.max_power}")
     directed = isinstance(g, Digraph)
     report = CapacityReport(n=g.n, m=g.m, directed=directed)
 
@@ -454,16 +507,34 @@ def capacity_report(g: GraphLike, options: ReportOptions = ReportOptions()) -> C
             report.errors[name] = f"{type(exc).__name__}: {exc}"
             return None
 
+    sol = attempt(
+        "theta", lambda: theta_mod.theta_bar(g.underlying() if directed else g, options.theta_tol)
+    )
+    if sol is not None and not directed:
+        report.theta = sol.value
+        report.theta_tolerance = sol.tolerance_achieved
+
+    def cap(k: int) -> Optional[int]:
+        return None if sol is None else _theta_cap(sol.value + sol.tolerance_achieved, k)
+
+    attached = options.mycielski_tournament if directed else options.mycielski_complete
+    if attached is not None:
+        build = lifted_transitive_clique if directed else extended_clique
+        report.construction = attempt("construction", lambda: build(attached))
+    construction = report.construction  # a seed at power n when it lives in g^n
+    if construction is not None and construction_host(construction.n, directed) != g:
+        construction = None
+
     if directed:
         report.omega_s = attempt(
-            "omega_s", lambda: symmetric_clique_number(g, options.clique_budget)
+            "omega_s", lambda: symmetric_clique_number(g, options.clique_budget, cap(1))
         )
         report.omega_tr = omega = attempt(
-            "omega_tr", lambda: transitive_clique_number(g, options.clique_budget)
+            "omega_tr", lambda: transitive_clique_number(g, options.clique_budget, cap(1))
         )
     else:
         report.omega = omega = attempt(
-            "omega", lambda: clique_number(g, options.clique_budget)
+            "omega", lambda: clique_number(g, options.clique_budget, cap(1))
         )
     # the k = 1 bound is the clique number of G^1 = G, searched just above
     bounds = []
@@ -473,30 +544,20 @@ def capacity_report(g: GraphLike, options: ReportOptions = ReportOptions()) -> C
         else:
             bounds.append(CapacityBound(float(omega.size), 1, omega, directed))
     for k in range(2, options.max_power + 1):
+        witnesses = {b.k: b.clique.witness for b in bounds}
+        seed = _product_seed(witnesses, k, g.n)
+        if construction is not None and construction.n == k and len(construction.vertices) > len(seed):
+            seed = tuple(power_index(v, g.n) for v in construction.vertices)
         bound = attempt(
             f"lower_bound_k{k}",
-            lambda k=k: capacity_lower_bound(g, k, options.clique_budget),
+            lambda k=k, seed=seed: capacity_lower_bound(g, k, options.clique_budget, cap(k), seed),
         )
         if bound is not None:
             bounds.append(bound)
     report.lower_bounds = tuple(bounds)
     if not directed:
-        sol = attempt("theta", lambda: theta_mod.theta_bar(g, options.theta_tol))
-        if sol is not None:
-            report.theta = sol.value
-            report.theta_tolerance = sol.tolerance_achieved
         chi_f = attempt("chi_f", lambda: fractional_chromatic(g))
         if chi_f is not None:
             report.chi_f = chi_f.value
         report.chi = attempt("chi", lambda: chromatic_number(g, CHROMATIC_BUDGET))
-        if options.mycielski_complete is not None:
-            report.construction = attempt(
-                "construction",
-                lambda: extended_clique(options.mycielski_complete),
-            )
-    if directed and options.mycielski_tournament is not None:
-        report.construction = attempt(
-            "construction",
-            lambda: lifted_transitive_clique(options.mycielski_tournament),
-        )
     return report

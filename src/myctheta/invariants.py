@@ -10,6 +10,17 @@ The clique search bounds each node by a bit-parallel coloring of its
 candidate bitset, one color class at a time (BBMC).  Its classes equal those
 of first-fit coloring in index order, and it drops only vertices whose color
 the bound would prune, so the search tree is the first-fit one.
+
+The clique searches also take an optional certified upper bound `cap` on
+the clique size and an optional `seed`, a known clique.  The capacity report
+passes floor(theta_bar(G)^k) for searches over G^k (the sandwich theorem
+omega <= theta_bar, and theta_bar is multiplicative over OR-powers).  A seed
+that reaches the cap closes the question with no search; the undirected
+search stops as soon as its best clique reaches the cap.  Either way the
+result is exhausted and `closed_by` is "theta".  A seed below the cap leaves
+the search tree as it is: it is only returned if a truncated search ends
+below it.  A verified clique above its cap contradicts the bound and raises
+MycthetaInternal; it is never clipped.
 """
 
 from __future__ import annotations
@@ -31,6 +42,18 @@ class CliqueResult:
     witness: tuple[int, ...]
     exhausted: bool
     nodes: int
+    capped: bool = False  # the size reached its certified cap
+
+    @property
+    def closed_by(self) -> Optional[str]:
+        """What proved the size optimal: "theta", "search", or None if truncated."""
+        if self.capped:
+            return "theta"
+        return "search" if self.exhausted else None
+
+
+class _Closed(Exception):
+    """The best clique reached the cap: nothing larger exists."""
 
 
 class _Budget:
@@ -67,7 +90,8 @@ def _ordered_bits(g: Graph) -> tuple[list[int], tuple[int, ...]]:
 
 
 def _max_clique_bits(bits: tuple[int, ...], start_mask: int, budget: _Budget,
-                     initial_best: tuple[int, tuple[int, ...]]) -> tuple[int, tuple[int, ...]]:
+                     initial_best: tuple[int, tuple[int, ...]],
+                     cap: Optional[int] = None) -> tuple[int, tuple[int, ...], bool]:
     """Branch and bound over candidate bitsets with BBMC coloring bounds.
 
     Each node colors its candidates one class at a time, as in BBMC (San
@@ -78,6 +102,9 @@ def _max_clique_bits(bits: tuple[int, ...], start_mask: int, budget: _Budget,
     of per-vertex greedy coloring.  Only vertices of color k > kmin =
     best_size - len(current) are kept for branching: the loop would prune
     every lower color, since best_size only grows while a node is expanded.
+
+    Returns (size, witness, capped): the search stops once best_size
+    reaches `cap`, tested only where best_size grows.
     """
     best_size, best_witness = initial_best
     outside = [~(b | 1 << v) for v, b in enumerate(bits)]  # neither v nor a neighbor
@@ -112,14 +139,19 @@ def _max_clique_bits(bits: tuple[int, ...], start_mask: int, budget: _Budget,
             if len(current) > best_size:
                 best_size = len(current)
                 best_witness = tuple(sorted(current))
+                if best_size == cap:
+                    raise _Closed
             sub = mask & bits[v]
             if sub:
                 expand(sub, current)
             current.pop()
             mask &= ~(1 << v)
 
-    expand(start_mask, [])
-    return best_size, best_witness
+    try:
+        expand(start_mask, [])
+    except _Closed:
+        return best_size, best_witness, True
+    return best_size, best_witness, False
 
 
 def _greedy_clique(g: Graph, order: list[int]) -> tuple[int, ...]:
@@ -136,42 +168,112 @@ def verify_clique(g: Graph, witness: tuple[int, ...]) -> bool:
     )
 
 
-def clique_number(g: Graph, node_budget: Optional[int] = None) -> CliqueResult:
-    """Branch-and-bound maximum clique with bit-parallel coloring upper bounds."""
+def _is_transitive(d: Digraph, order: tuple[int, ...]) -> bool:
+    """Every forward pair of `order` is an arc of d."""
+    idx = np.asarray(order, dtype=np.int64)
+    return bool(d.bool_matrix()[np.ix_(idx, idx)][np.triu_indices(len(idx), 1)].all())
+
+
+def _check_seed(g: GraphLike, seed: tuple[int, ...]) -> None:
+    if not seed:
+        return
+    if not all(0 <= v < g.n for v in seed):
+        raise DomainError(f"seed vertices must lie in 0..{g.n - 1}")
+    ok = _is_transitive(g, seed) if isinstance(g, Digraph) else verify_clique(g, seed)
+    if not ok:
+        raise DomainError("seed is not a clique of the graph")
+
+
+def _check_cap(size: int, cap: Optional[int]) -> None:
+    if cap is not None and size > cap:
+        raise MycthetaInternal(f"verified clique of size {size} exceeds its certified cap {cap}")
+
+
+def clique_number(g: Graph, node_budget: Optional[int] = None, cap: Optional[int] = None,
+                  seed: tuple[int, ...] = ()) -> CliqueResult:
+    """Branch-and-bound maximum clique with bit-parallel coloring upper bounds.
+
+    `cap` is a certified upper bound on the clique number and `seed` a known
+    clique (see the module docstring).
+    """
     if g.n == 0:
         raise DomainError("clique number needs a nonempty vertex set")
+    _check_seed(g, seed)
     # search in the degeneracy order so bit tricks scan it cheaply
     order, bits = _ordered_bits(g)
-    pos = {v: i for i, v in enumerate(order)}
-    seed = tuple(sorted(pos[v] for v in _greedy_clique(g, order)))
+    greedy = _greedy_clique(g, order)
+    start = max(greedy, tuple(sorted(seed)), key=len)
     budget = _Budget(node_budget)
-    size, witness = _max_clique_bits(bits, (1 << g.n) - 1, budget, (len(seed), seed))
-    original = tuple(sorted(order[i] for i in witness))
+    if cap is not None and len(start) >= cap:
+        size, original, capped = len(start), start, True
+    else:
+        pos = {v: i for i, v in enumerate(order)}
+        relabeled = tuple(sorted(pos[v] for v in greedy))
+        size, witness, capped = _max_clique_bits(
+            bits, (1 << g.n) - 1, budget, (len(relabeled), relabeled), cap
+        )
+        original = tuple(sorted(order[i] for i in witness))
+        if size < len(start):  # a truncated search that ended below the seed
+            size, original = len(start), start
     if not verify_clique(g, original):
         raise MycthetaInternal("clique witness failed re-verification")
-    return CliqueResult(size, original, budget.within_limit, budget.nodes)
+    _check_cap(size, cap)
+    return CliqueResult(size, original, capped or budget.within_limit, budget.nodes, capped)
 
 
-def symmetric_clique_number(d: Digraph, node_budget: Optional[int] = None) -> CliqueResult:
+def symmetric_clique_number(d: Digraph, node_budget: Optional[int] = None,
+                            cap: Optional[int] = None) -> CliqueResult:
     """Largest set of pairwise bidirected vertices."""
-    return clique_number(d.bidirected_graph(), node_budget)
+    return clique_number(d.bidirected_graph(), node_budget, cap)
 
 
-def transitive_clique_number(d: Digraph, node_budget: Optional[int] = None) -> CliqueResult:
+def transitive_clique_number(d: Digraph, node_budget: Optional[int] = None,
+                             cap: Optional[int] = None,
+                             seed: tuple[int, ...] = ()) -> CliqueResult:
     """Largest vertex set orderable so that every forward pair is an arc.
 
     The witness is returned in that order.  A transitive order is built left
     to right; the achievable depth from a candidate set depends only on that
     set, so results are memoized per candidate mask.  Values computed after
     the budget runs out are realizable lower bounds, never overestimates.
+    The search walks an explicit stack of frames, one per vertex of the
+    order being built, so no recursion limit caps the order's length.
+
+    `cap` bounds the answer from above and `seed` is a known transitive
+    order; a seed that reaches the cap is returned with no search at all.
     """
     if d.n == 0:
         raise DomainError("clique number needs a nonempty vertex set")
+    _check_seed(d, seed)
     budget = _Budget(node_budget)
-    out_bits = d.out_bits
-    memo: dict[int, tuple[int, tuple[int, ...]]] = {}
+    if cap is not None and len(seed) >= cap:
+        size, witness, capped = len(seed), tuple(seed), True
+    else:
+        size, witness = _longest_transitive_order(d.out_bits, (1 << d.n) - 1, budget)
+        capped = False
+        if size < len(seed):  # a truncated search that ended below the seed
+            size, witness = len(seed), tuple(seed)
+    if not _is_transitive(d, witness):
+        raise MycthetaInternal("transitive witness failed re-verification")
+    _check_cap(size, cap)
+    return CliqueResult(size, witness, capped or budget.within_limit, budget.nodes, capped)
 
-    def chain(cand: int) -> tuple[int, tuple[int, ...]]:
+
+def _longest_transitive_order(out_bits: tuple[int, ...], full: int,
+                              budget: _Budget) -> tuple[int, tuple[int, ...]]:
+    """Longest order v1, v2, ... within `full` with an arc from each vertex
+    to every later one, as (length, order).
+
+    The depth-first search over candidate masks keeps one frame per vertex
+    of the order being built: [mask, untried vertices, best length, best
+    order, vertex being tried].  A mask's value is memoized once all of its
+    vertices are tried, while the budget holds.
+    """
+    memo: dict[int, tuple[int, tuple[int, ...]]] = {}
+    frames: list[list] = []
+
+    def enter(cand: int) -> Optional[tuple[int, tuple[int, ...]]]:
+        """The value of cand if known at once; else push its frame, None."""
         if cand == 0:
             return 0, ()
         hit = memo.get(cand)
@@ -179,28 +281,32 @@ def transitive_clique_number(d: Digraph, node_budget: Optional[int] = None) -> C
             return hit
         if not budget.tick():
             return 0, ()
-        best, best_chain = 0, ()
-        m = cand
+        frames.append([cand, cand, 0, (), -1])
+        return None
+
+    value = enter(full)
+    while frames:
+        frame = frames[-1]
+        if value is not None:  # the value of the mask after frame[4]
+            r, tail = value
+            if 1 + r > frame[2]:
+                frame[2], frame[3] = 1 + r, (frame[4],) + tail
+            value = None
+        cand, m = frame[0], frame[1]
         while m:
             v = (m & -m).bit_length() - 1
             m &= m - 1
             sub = cand & out_bits[v]
-            if 1 + sub.bit_count() <= best:
-                continue
-            r, tail = chain(sub)
-            if 1 + r > best:
-                best, best_chain = 1 + r, (v,) + tail
-        result = (best, best_chain)
-        if budget.within_limit:
-            memo[cand] = result
-        return result
-
-    size, witness = chain((1 << d.n) - 1)
-    for i, u in enumerate(witness):
-        for v in witness[i + 1:]:
-            if not d.has_arc(u, v):
-                raise MycthetaInternal("transitive witness failed re-verification")
-    return CliqueResult(size, witness, budget.within_limit, budget.nodes)
+            if 1 + sub.bit_count() > frame[2]:
+                frame[1], frame[4] = m, v
+                value = enter(sub)
+                break
+        else:
+            frames.pop()
+            value = (frame[2], frame[3])
+            if budget.within_limit:
+                memo[cand] = value
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -327,19 +433,21 @@ class CapacityBound:
         return self.clique.exhausted
 
 
-def capacity_lower_bound(g: GraphLike, k: int,
-                         node_budget: Optional[int] = None) -> CapacityBound:
+def capacity_lower_bound(g: GraphLike, k: int, node_budget: Optional[int] = None,
+                         cap: Optional[int] = None,
+                         seed: tuple[int, ...] = ()) -> CapacityBound:
     """k-th root of the clique number of the k-th OR-power.
 
     Uses the transitive clique number for digraphs; flags whether the inner
     search was exhaustive.  The value is a valid capacity lower bound either
-    way because any witness clique suffices.
+    way because any witness clique suffices.  `cap` and `seed` go to the
+    search over G^k, in its vertex numbering.
     """
     if k < 1:
         raise DomainError("capacity lower bound needs k >= 1")
     power = or_power(g, k)  # SizeLimitError when n**k exceeds the bound
     if isinstance(g, Digraph):
-        res = transitive_clique_number(power, node_budget)
+        res = transitive_clique_number(power, node_budget, cap, seed)
     else:
-        res = clique_number(power, node_budget)
+        res = clique_number(power, node_budget, cap, seed)
     return CapacityBound(res.size ** (1.0 / k), k, res, isinstance(g, Digraph))

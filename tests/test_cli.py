@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 jsonschema = pytest.importorskip("jsonschema")
 
 from myctheta import cli, graphs, invariants
+from myctheta import theta as theta_mod
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "schemas"
 
@@ -277,6 +279,50 @@ def test_report_internal_error_exit_code(capsys, monkeypatch):
     code, out, err = run_cli(["report", "--family", "cycle:5"], capsys)
     assert code == 1 and out == ""
     assert err == "internal error: clique witness failed re-verification\n"
+
+
+def test_report_theta_too_low_exits_1(capsys, monkeypatch):
+    real = theta_mod.theta_bar
+    monkeypatch.setattr(theta_mod, "theta_bar",
+                        lambda g, tol: dataclasses.replace(real(g, tol), value=1.5))
+    code, out, err = run_cli(["report", "--family", "cycle:5"], capsys)
+    assert code == 1 and out == ""
+    assert err == "internal error: verified clique of size 2 exceeds its certified cap 1\n"
+
+
+def test_report_closed_by_in_json(capsys):
+    code, payload, _ = run_cli(
+        ["report", "--family", "power:cycle:5:t=2", "--max-power", "2"], capsys
+    )
+    assert code == 0
+    doc = json.loads(payload)
+    make_validator("report.schema.json").validate(doc)
+    assert doc["omega"]["closed_by"] == "theta"
+    assert [(b["clique_size"], b["closed_by"]) for b in doc["lower_bounds"]] == [
+        (5, "theta"), (25, "theta")]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["invariant", "--which", "omega", "--family", "cycle:5", "--budget", "-1"],
+     "--budget must be at least 1, got -1"),
+    (["report", "--family", "cycle:5", "--budget", "0"], "--budget must be at least 1, got 0"),
+    (["construct", "--no-lift-check", "3", "3", "1", "--budget", "0"],
+     "--budget must be at least 1, got 0"),
+    (["report", "--family", "cycle:5", "--max-power", "-1"],
+     "--max-power must be at least 0, got -1"),
+])
+def test_bad_counts_exit_2(argv, message, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_omega_tr_beyond_recursion_limit(capsys):
+    code, payload, _ = run_cli(
+        ["invariant", "--which", "omega-tr", "--family", "tournament:1100"], capsys
+    )
+    assert code == 0
+    assert json.loads(payload)["omega_tr"]["size"] == 1100
 
 
 def test_report_with_errors_exits_2(tmp_path, capsys):

@@ -1,8 +1,12 @@
 import dataclasses
 import itertools
 import math
+import random
 
+import networkx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from myctheta import (
     DomainError,
@@ -28,6 +32,8 @@ from myctheta import (
 from myctheta import constructions, invariants
 from myctheta.constructions import _or_adjacent, _verify_clique
 from myctheta.errors import MycthetaInternal
+
+from conftest import random_digraph
 
 
 def or_arc(host, a, b):
@@ -294,3 +300,95 @@ def test_report_csv_and_json_shapes():
 
     doc = json.loads(report.to_json())
     assert doc["n"] == 5
+
+
+def test_report_closes_c5_fourth_power_by_theta():
+    report = capacity_report(or_power(cycle_graph(5), 2), ReportOptions(max_power=2))
+    assert not report.errors
+    omega, square = report.omega, report.lower_bounds[1].clique
+    assert (omega.size, omega.closed_by) == (5, "theta")
+    assert (square.size, square.nodes, square.closed_by) == (25, 0, "theta")
+    assert square.exhausted
+    c5_4 = or_power(cycle_graph(5), 4)
+    assert invariants.verify_clique(c5_4, square.witness)
+
+
+def test_report_closes_mt3_cube_by_theta():
+    d = mycielskian_digraph(transitive_tournament(3), 2)
+    report = capacity_report(d, ReportOptions(max_power=3, mycielski_tournament=3))
+    assert not report.errors and report.theta is None
+    cube = report.lower_bounds[2].clique
+    assert (cube.size, cube.nodes, cube.closed_by) == (28, 0, "theta")
+    assert cube.exhausted
+    assert report.lower_bounds[2].value == pytest.approx(28 ** (1 / 3), abs=1e-12)
+    power = or_power(d, 3)
+    for i, u in enumerate(cube.witness):
+        assert all(power.has_arc(u, v) for v in cube.witness[i + 1:])
+
+
+def test_report_keeps_the_c5_cube_search():
+    # cap 11 exceeds omega(C5^3) = 10, so the search runs its full tree
+    report = capacity_report(cycle_graph(5), ReportOptions(max_power=3))
+    cube = report.lower_bounds[2].clique
+    assert (cube.size, cube.nodes, cube.closed_by) == (10, 149_498, "search")
+    assert cube == clique_number(or_power(cycle_graph(5), 3))
+    doc = report.to_dict()
+    assert [b["closed_by"] for b in doc["lower_bounds"]] == ["theta", "theta", "search"]
+    assert doc["omega"]["closed_by"] == "theta"
+
+
+def test_report_truncated_search_is_not_closed():
+    report = capacity_report(or_power(cycle_graph(5), 2), ReportOptions(max_power=1, clique_budget=1))
+    assert report.omega.closed_by is None and not report.omega.exhausted
+    assert report.to_dict()["lower_bounds"][0]["closed_by"] is None
+
+
+def test_report_with_theta_too_low_raises(monkeypatch):
+    real = theta_bar
+    monkeypatch.setattr(constructions.theta_mod, "theta_bar",
+                        lambda g, tol: dataclasses.replace(real(g, tol), value=1.5))
+    with pytest.raises(MycthetaInternal, match="exceeds its certified cap 1"):
+        capacity_report(cycle_graph(5), ReportOptions(max_power=1))
+
+
+@pytest.mark.parametrize("options, message", [
+    (ReportOptions(clique_budget=0), "clique budget must be at least 1"),
+    (ReportOptions(max_power=-1), "max power must be at least 0"),
+])
+def test_report_rejects_bad_counts(options, message):
+    with pytest.raises(DomainError, match=message):
+        capacity_report(cycle_graph(5), options)
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(1, 6))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [p for p, k in zip(pairs, keep) if k])
+
+
+def networkx_omega(g: Graph) -> int:
+    h = networkx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    return max(len(c) for c in networkx.find_cliques(h))
+
+
+@settings(max_examples=40)
+@given(small_graphs())
+def test_theta_cap_is_never_below_omega(g):
+    sol = theta_bar(g)
+    hi = sol.value + sol.tolerance_achieved
+    for k in (1, 2):
+        assert constructions._theta_cap(hi, k) >= networkx_omega(or_power(g, k))
+
+
+@settings(max_examples=40)
+@given(st.integers(1, 6), st.sampled_from([0.25, 0.5, 0.75]), st.integers(0, 10 ** 6))
+def test_theta_cap_is_never_below_transitive_omega(n, p, seed):
+    d = random_digraph(random.Random(seed), n, p)
+    sol = theta_bar(d.underlying())
+    hi = sol.value + sol.tolerance_achieved
+    for k in (1, 2):
+        assert constructions._theta_cap(hi, k) >= transitive_clique_number(or_power(d, k)).size

@@ -25,6 +25,7 @@ from myctheta import (
     transitive_tournament,
 )
 from myctheta import invariants
+from myctheta.errors import MycthetaInternal
 from myctheta.invariants import (
     CliqueResult,
     _Budget,
@@ -246,6 +247,63 @@ def test_transitive_or_square_of_mt2():
     assert res.size == 5 and res.exhausted
     for u, v in itertools.combinations(res.witness, 2):
         assert d.has_arc(u, v)
+
+
+def test_transitive_search_tree_on_mt3_square():
+    d = or_power(mycielskian_digraph(transitive_tournament(3), 2), 2)
+    res = transitive_clique_number(d)
+    assert (res.size, res.nodes, res.exhausted) == (9, 527, True)
+    assert res.witness == (0, 1, 2, 7, 8, 9, 14, 15, 16)
+    assert res.closed_by == "search"
+
+
+def test_seed_reaching_the_cap_closes_without_search():
+    g = or_power(cycle_graph(5), 2)
+    seed = (0, 7, 14, 16, 23)  # {(i, 2i mod 5)}
+    res = clique_number(g, cap=5, seed=seed)
+    assert (res.size, res.witness, res.nodes) == (5, seed, 0)
+    assert res.exhausted and res.closed_by == "theta"
+    d = or_power(mycielskian_digraph(transitive_tournament(2), 2), 2)
+    order = transitive_clique_number(d).witness
+    res = transitive_clique_number(d, cap=len(order), seed=order)
+    assert (res.witness, res.nodes, res.closed_by) == (order, 0, "theta")
+
+
+def test_search_stops_at_the_cap():
+    g = or_power(cycle_graph(5), 2)
+    full = clique_number(g)
+    capped = clique_number(g, cap=5)
+    assert full.size == capped.size == 5 and capped.exhausted
+    assert (full.closed_by, capped.closed_by) == ("search", "theta")
+    assert capped.nodes < full.nodes
+    assert verify_clique(g, capped.witness)
+
+
+def test_seed_below_the_cap_fills_a_truncated_search():
+    g = or_power(cycle_graph(5), 3)
+    seed = tuple(sorted(25 * a + 5 * b + c for a, b in ((0, 0), (1, 2), (2, 4), (3, 1), (4, 3))
+                        for c in (0, 1)))
+    assert verify_clique(g, seed) and len(seed) == 10
+    res = clique_number(g, 10, cap=11, seed=seed)
+    assert (res.size, res.witness, res.exhausted, res.closed_by) == (10, seed, False, None)
+
+
+def test_clique_above_its_cap_is_a_contradiction():
+    with pytest.raises(MycthetaInternal, match="exceeds its certified cap 1"):
+        clique_number(cycle_graph(5), cap=1)
+    with pytest.raises(MycthetaInternal, match="exceeds its certified cap 2"):
+        transitive_clique_number(transitive_tournament(4), cap=2, seed=(0, 1, 2))
+    with pytest.raises(MycthetaInternal, match="exceeds its certified cap 1"):
+        transitive_clique_number(transitive_tournament(4), cap=1)
+
+
+def test_bad_seed_is_rejected():
+    with pytest.raises(DomainError, match="not a clique"):
+        clique_number(cycle_graph(5), seed=(0, 2))
+    with pytest.raises(DomainError, match="not a clique"):
+        transitive_clique_number(transitive_tournament(3), seed=(2, 1))
+    with pytest.raises(DomainError, match="must lie in"):
+        clique_number(cycle_graph(5), seed=(4, 5))
 
 
 def brute_force_chromatic(g: Graph) -> int:

@@ -14,19 +14,21 @@ every forward pair is an arc.  Constructions verify all their pairs at once
 on the host's boolean adjacency matrix before returning: they are proofs, not
 hopes.
 
-The capacity report caps every clique search over G^k by the sandwich
-theorem: omega(G^k) <= theta_bar(G^k) = theta_bar(G)^k, so with hi the upper
-end of the certified bracket of theta_bar(G), floor(hi^k (1 + 1e-9)) bounds
-the search.  For a digraph D the bracket is that of its underlying graph:
-underlying(D^k) = underlying(D)^k, and every transitive clique of D^k is a
-clique of it.  No SDP is solved on a power.  Each search is seeded with the
-lexicographic product of lower-power witnesses (which keeps a transitive
-order) and, at power n, with the attached construction when its host is the
-graph itself; a seed that reaches the cap proves the optimum without a search.
+For a digraph D, the capacity report caps the transitive clique search over
+every power D^k by the sandwich theorem: a transitive clique of D^k is a
+clique of U^k, where U is the underlying graph of D (underlying(D^k) =
+underlying(D)^k), and omega(U^k) <= theta_bar(U^k) = theta_bar(U)^k.  With
+hi the upper end of the certified bracket of theta_bar(U), the cap is
+floor(hi^k (1 + 1e-9)); U has n vertices, so no SDP is solved on a power.
+Each search is seeded with the lexicographic product of lower-power
+witnesses, which keeps a transitive order, and at power n with the attached
+construction when its host is D itself; a seed that reaches the cap proves
+the optimum without a search.  Undirected reports search uncapped.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -105,14 +107,6 @@ class LiftedCliqueSet:
         )
 
 
-def construction_host(n: int, directed: bool) -> GraphLike:
-    """M(K_n), or M(T_n) for the directed variant: the graph whose n-th
-    OR-power holds the lifted clique."""
-    if directed:
-        return mycielskian_digraph(transitive_tournament(n), 2)
-    return mycielskian(complete_graph(n), 2)
-
-
 def _base_clique_vertices(n: int) -> tuple[list[tuple[int, ...]], list[int]]:
     """All lifted sequences: class j lifts coordinate j (0-based) to level 1."""
     vertices = []
@@ -163,7 +157,7 @@ def lifted_clique(n: int) -> LiftedCliqueSet:
         raise DomainError("lifted clique needs n >= 2")
     _check_construction_size(n)
     vertices, classes = _base_clique_vertices(n)
-    _verify_clique(construction_host(n, False), vertices, "construction")
+    _verify_clique(mycielskian(complete_graph(n), 2), vertices, "construction")
     return LiftedCliqueSet(
         n=n,
         directed=False,
@@ -183,7 +177,7 @@ def extended_clique(n: int) -> LiftedCliqueSet:
     """
     base = lifted_clique(n)
     apex = (2 * n,) * n
-    apex_row = construction_host(n, False).bool_matrix()[2 * n]
+    apex_row = mycielskian(complete_graph(n), 2).bool_matrix()[2 * n]
     missing = np.flatnonzero(~apex_row[np.asarray(base.vertices)].any(axis=1))
     if missing.size:
         raise DomainError(
@@ -212,7 +206,7 @@ def lifted_transitive_clique(n: int) -> LiftedCliqueSet:
     if n < 2:
         raise DomainError("lifted clique needs n >= 2")
     _check_construction_size(n)
-    host = construction_host(n, True)
+    host = mycielskian_digraph(transitive_tournament(n), 2)
     vertices, classes = _base_clique_vertices(n)
 
     def base_of(coords: tuple[int, ...]) -> tuple[int, ...]:
@@ -487,10 +481,11 @@ def capacity_report(g: GraphLike, options: ReportOptions = ReportOptions()) -> C
     re-verification or a clique above its theta cap (MycthetaInternal) or
     any other exception propagates.
 
-    theta_bar is solved first, on g or on a digraph's underlying graph, and
-    caps the clique search over every power (see the module docstring).  If
-    that solve fails, the failure is recorded under "theta" and the searches
-    run uncapped.
+    For a digraph, the transitive search over each power k >= 2 that fits
+    the vertex bound is capped and seeded (see the module docstring).  The
+    cap's theta_bar solve runs once, when first needed; if it fails, the
+    searches run uncapped and nothing is recorded, since the report outputs
+    no theta for a digraph.
     """
     theta_mod.check_tol(options.theta_tol)
     if options.clique_budget is not None and options.clique_budget < 1:
@@ -507,34 +502,21 @@ def capacity_report(g: GraphLike, options: ReportOptions = ReportOptions()) -> C
             report.errors[name] = f"{type(exc).__name__}: {exc}"
             return None
 
-    sol = attempt(
-        "theta", lambda: theta_mod.theta_bar(g.underlying() if directed else g, options.theta_tol)
-    )
-    if sol is not None and not directed:
-        report.theta = sol.value
-        report.theta_tolerance = sol.tolerance_achieved
-
-    def cap(k: int) -> Optional[int]:
-        return None if sol is None else _theta_cap(sol.value + sol.tolerance_achieved, k)
-
-    attached = options.mycielski_tournament if directed else options.mycielski_complete
-    if attached is not None:
-        build = lifted_transitive_clique if directed else extended_clique
-        report.construction = attempt("construction", lambda: build(attached))
-    construction = report.construction  # a seed at power n when it lives in g^n
-    if construction is not None and construction_host(construction.n, directed) != g:
-        construction = None
-
     if directed:
+        if options.mycielski_tournament is not None:
+            report.construction = attempt(
+                "construction",
+                lambda: lifted_transitive_clique(options.mycielski_tournament),
+            )
         report.omega_s = attempt(
-            "omega_s", lambda: symmetric_clique_number(g, options.clique_budget, cap(1))
+            "omega_s", lambda: symmetric_clique_number(g, options.clique_budget)
         )
         report.omega_tr = omega = attempt(
-            "omega_tr", lambda: transitive_clique_number(g, options.clique_budget, cap(1))
+            "omega_tr", lambda: transitive_clique_number(g, options.clique_budget)
         )
     else:
         report.omega = omega = attempt(
-            "omega", lambda: clique_number(g, options.clique_budget, cap(1))
+            "omega", lambda: clique_number(g, options.clique_budget)
         )
     # the k = 1 bound is the clique number of G^1 = G, searched just above
     bounds = []
@@ -543,21 +525,51 @@ def capacity_report(g: GraphLike, options: ReportOptions = ReportOptions()) -> C
             report.errors["lower_bound_k1"] = report.errors["omega_tr" if directed else "omega"]
         else:
             bounds.append(CapacityBound(float(omega.size), 1, omega, directed))
-    for k in range(2, options.max_power + 1):
-        witnesses = {b.k: b.clique.witness for b in bounds}
-        seed = _product_seed(witnesses, k, g.n)
+
+    @functools.cache
+    def theta_hi() -> Optional[float]:
+        """Upper end of the certified bracket of theta_bar(underlying(g))."""
+        try:
+            sol = theta_mod.theta_bar(g.underlying(), options.theta_tol)
+        except MycthetaError:  # an uncapped search is still exact
+            return None
+        return sol.value + sol.tolerance_achieved
+
+    construction = report.construction  # a seed at power n when it lives in g^n
+    if construction is not None and mycielskian_digraph(transitive_tournament(construction.n), 2) != g:
+        construction = None
+
+    def search_args(k: int) -> dict:
+        """Cap and seed of the transitive search over g^k; none for an
+        undirected g or a power beyond the vertex bound, which fails first."""
+        if not directed or g.n ** k > max_vertices():
+            return {}
+        seed = _product_seed({b.k: b.clique.witness for b in bounds}, k, g.n)
         if construction is not None and construction.n == k and len(construction.vertices) > len(seed):
             seed = tuple(power_index(v, g.n) for v in construction.vertices)
+        hi = theta_hi()
+        return {"cap": None if hi is None else _theta_cap(hi, k), "seed": seed}
+
+    for k in range(2, options.max_power + 1):
         bound = attempt(
             f"lower_bound_k{k}",
-            lambda k=k, seed=seed: capacity_lower_bound(g, k, options.clique_budget, cap(k), seed),
+            lambda k=k: capacity_lower_bound(g, k, options.clique_budget, **search_args(k)),
         )
         if bound is not None:
             bounds.append(bound)
     report.lower_bounds = tuple(bounds)
     if not directed:
+        sol = attempt("theta", lambda: theta_mod.theta_bar(g, options.theta_tol))
+        if sol is not None:
+            report.theta = sol.value
+            report.theta_tolerance = sol.tolerance_achieved
         chi_f = attempt("chi_f", lambda: fractional_chromatic(g))
         if chi_f is not None:
             report.chi_f = chi_f.value
         report.chi = attempt("chi", lambda: chromatic_number(g, CHROMATIC_BUDGET))
+        if options.mycielski_complete is not None:
+            report.construction = attempt(
+                "construction",
+                lambda: extended_clique(options.mycielski_complete),
+            )
     return report

@@ -11,16 +11,16 @@ candidate bitset, one color class at a time (BBMC).  Its classes equal those
 of first-fit coloring in index order, and it drops only vertices whose color
 the bound would prune, so the search tree is the first-fit one.
 
-The clique searches also take an optional certified upper bound `cap` on
-the clique size and an optional `seed`, a known clique.  The capacity report
-passes floor(theta_bar(G)^k) for searches over G^k (the sandwich theorem
-omega <= theta_bar, and theta_bar is multiplicative over OR-powers).  A seed
-that reaches the cap closes the question with no search; the undirected
-search stops as soon as its best clique reaches the cap.  Either way the
-result is exhausted and `closed_by` is "theta".  A seed below the cap leaves
-the search tree as it is: it is only returned if a truncated search ends
-below it.  A verified clique above its cap contradicts the bound and raises
-MycthetaInternal; it is never clipped.
+The transitive clique search also takes an optional certified upper bound
+`cap` on the order's length and an optional `seed`, a known transitive
+order.  The capacity report passes floor(theta_bar(U)^k) for the search over
+D^k, where U is the underlying graph of D: every transitive clique of D^k is
+a clique of U^k, omega <= theta_bar (the sandwich theorem) and theta_bar is
+multiplicative over OR-powers.  A seed that reaches the cap closes the
+question with no search, and `closed_by` is "theta".  A seed below the cap
+leaves the search tree as it is: it is only returned if a truncated search
+ends below it.  A verified order longer than its cap contradicts the bound
+and raises MycthetaInternal; it is never clipped.
 """
 
 from __future__ import annotations
@@ -50,10 +50,6 @@ class CliqueResult:
         if self.capped:
             return "theta"
         return "search" if self.exhausted else None
-
-
-class _Closed(Exception):
-    """The best clique reached the cap: nothing larger exists."""
 
 
 class _Budget:
@@ -90,8 +86,7 @@ def _ordered_bits(g: Graph) -> tuple[list[int], tuple[int, ...]]:
 
 
 def _max_clique_bits(bits: tuple[int, ...], start_mask: int, budget: _Budget,
-                     initial_best: tuple[int, tuple[int, ...]],
-                     cap: Optional[int] = None) -> tuple[int, tuple[int, ...], bool]:
+                     initial_best: tuple[int, tuple[int, ...]]) -> tuple[int, tuple[int, ...]]:
     """Branch and bound over candidate bitsets with BBMC coloring bounds.
 
     Each node colors its candidates one class at a time, as in BBMC (San
@@ -102,9 +97,6 @@ def _max_clique_bits(bits: tuple[int, ...], start_mask: int, budget: _Budget,
     of per-vertex greedy coloring.  Only vertices of color k > kmin =
     best_size - len(current) are kept for branching: the loop would prune
     every lower color, since best_size only grows while a node is expanded.
-
-    Returns (size, witness, capped): the search stops once best_size
-    reaches `cap`, tested only where best_size grows.
     """
     best_size, best_witness = initial_best
     outside = [~(b | 1 << v) for v, b in enumerate(bits)]  # neither v nor a neighbor
@@ -139,19 +131,14 @@ def _max_clique_bits(bits: tuple[int, ...], start_mask: int, budget: _Budget,
             if len(current) > best_size:
                 best_size = len(current)
                 best_witness = tuple(sorted(current))
-                if best_size == cap:
-                    raise _Closed
             sub = mask & bits[v]
             if sub:
                 expand(sub, current)
             current.pop()
             mask &= ~(1 << v)
 
-    try:
-        expand(start_mask, [])
-    except _Closed:
-        return best_size, best_witness, True
-    return best_size, best_witness, False
+    expand(start_mask, [])
+    return best_size, best_witness
 
 
 def _greedy_clique(g: Graph, order: list[int]) -> tuple[int, ...]:
@@ -174,57 +161,25 @@ def _is_transitive(d: Digraph, order: tuple[int, ...]) -> bool:
     return bool(d.bool_matrix()[np.ix_(idx, idx)][np.triu_indices(len(idx), 1)].all())
 
 
-def _check_seed(g: GraphLike, seed: tuple[int, ...]) -> None:
-    if not seed:
-        return
-    if not all(0 <= v < g.n for v in seed):
-        raise DomainError(f"seed vertices must lie in 0..{g.n - 1}")
-    ok = _is_transitive(g, seed) if isinstance(g, Digraph) else verify_clique(g, seed)
-    if not ok:
-        raise DomainError("seed is not a clique of the graph")
-
-
-def _check_cap(size: int, cap: Optional[int]) -> None:
-    if cap is not None and size > cap:
-        raise MycthetaInternal(f"verified clique of size {size} exceeds its certified cap {cap}")
-
-
-def clique_number(g: Graph, node_budget: Optional[int] = None, cap: Optional[int] = None,
-                  seed: tuple[int, ...] = ()) -> CliqueResult:
-    """Branch-and-bound maximum clique with bit-parallel coloring upper bounds.
-
-    `cap` is a certified upper bound on the clique number and `seed` a known
-    clique (see the module docstring).
-    """
+def clique_number(g: Graph, node_budget: Optional[int] = None) -> CliqueResult:
+    """Branch-and-bound maximum clique with bit-parallel coloring upper bounds."""
     if g.n == 0:
         raise DomainError("clique number needs a nonempty vertex set")
-    _check_seed(g, seed)
     # search in the degeneracy order so bit tricks scan it cheaply
     order, bits = _ordered_bits(g)
-    greedy = _greedy_clique(g, order)
-    start = max(greedy, tuple(sorted(seed)), key=len)
+    pos = {v: i for i, v in enumerate(order)}
+    seed = tuple(sorted(pos[v] for v in _greedy_clique(g, order)))
     budget = _Budget(node_budget)
-    if cap is not None and len(start) >= cap:
-        size, original, capped = len(start), start, True
-    else:
-        pos = {v: i for i, v in enumerate(order)}
-        relabeled = tuple(sorted(pos[v] for v in greedy))
-        size, witness, capped = _max_clique_bits(
-            bits, (1 << g.n) - 1, budget, (len(relabeled), relabeled), cap
-        )
-        original = tuple(sorted(order[i] for i in witness))
-        if size < len(start):  # a truncated search that ended below the seed
-            size, original = len(start), start
+    size, witness = _max_clique_bits(bits, (1 << g.n) - 1, budget, (len(seed), seed))
+    original = tuple(sorted(order[i] for i in witness))
     if not verify_clique(g, original):
         raise MycthetaInternal("clique witness failed re-verification")
-    _check_cap(size, cap)
-    return CliqueResult(size, original, capped or budget.within_limit, budget.nodes, capped)
+    return CliqueResult(size, original, budget.within_limit, budget.nodes)
 
 
-def symmetric_clique_number(d: Digraph, node_budget: Optional[int] = None,
-                            cap: Optional[int] = None) -> CliqueResult:
+def symmetric_clique_number(d: Digraph, node_budget: Optional[int] = None) -> CliqueResult:
     """Largest set of pairwise bidirected vertices."""
-    return clique_number(d.bidirected_graph(), node_budget, cap)
+    return clique_number(d.bidirected_graph(), node_budget)
 
 
 def transitive_clique_number(d: Digraph, node_budget: Optional[int] = None,
@@ -244,7 +199,8 @@ def transitive_clique_number(d: Digraph, node_budget: Optional[int] = None,
     """
     if d.n == 0:
         raise DomainError("clique number needs a nonempty vertex set")
-    _check_seed(d, seed)
+    if seed and not (all(0 <= v < d.n for v in seed) and _is_transitive(d, seed)):
+        raise DomainError("seed is not a transitive order of the digraph")
     budget = _Budget(node_budget)
     if cap is not None and len(seed) >= cap:
         size, witness, capped = len(seed), tuple(seed), True
@@ -255,7 +211,8 @@ def transitive_clique_number(d: Digraph, node_budget: Optional[int] = None,
             size, witness = len(seed), tuple(seed)
     if not _is_transitive(d, witness):
         raise MycthetaInternal("transitive witness failed re-verification")
-    _check_cap(size, cap)
+    if cap is not None and size > cap:
+        raise MycthetaInternal(f"verified clique of size {size} exceeds its certified cap {cap}")
     return CliqueResult(size, witness, capped or budget.within_limit, budget.nodes, capped)
 
 
@@ -441,13 +398,17 @@ def capacity_lower_bound(g: GraphLike, k: int, node_budget: Optional[int] = None
     Uses the transitive clique number for digraphs; flags whether the inner
     search was exhaustive.  The value is a valid capacity lower bound either
     way because any witness clique suffices.  `cap` and `seed` go to the
-    search over G^k, in its vertex numbering.
+    transitive search over a digraph's power, in its vertex numbering; the
+    undirected search takes neither.
     """
     if k < 1:
         raise DomainError("capacity lower bound needs k >= 1")
+    directed = isinstance(g, Digraph)
+    if not directed and (cap is not None or seed):
+        raise DomainError("a cap or seed applies only to the transitive search of a digraph")
     power = or_power(g, k)  # SizeLimitError when n**k exceeds the bound
-    if isinstance(g, Digraph):
+    if directed:
         res = transitive_clique_number(power, node_budget, cap, seed)
     else:
-        res = clique_number(power, node_budget, cap, seed)
-    return CapacityBound(res.size ** (1.0 / k), k, res, isinstance(g, Digraph))
+        res = clique_number(power, node_budget)
+    return CapacityBound(res.size ** (1.0 / k), k, res, directed)

@@ -285,21 +285,21 @@ def test_report_theta_too_low_exits_1(capsys, monkeypatch):
     real = theta_mod.theta_bar
     monkeypatch.setattr(theta_mod, "theta_bar",
                         lambda g, tol: dataclasses.replace(real(g, tol), value=1.5))
-    code, out, err = run_cli(["report", "--family", "cycle:5"], capsys)
+    code, out, err = run_cli(["report", "--family", "mycielski:tournament:3", "--max-power", "2"], capsys)
     assert code == 1 and out == ""
-    assert err == "internal error: verified clique of size 2 exceeds its certified cap 1\n"
+    assert err == "internal error: verified clique of size 9 exceeds its certified cap 2\n"
 
 
 def test_report_closed_by_in_json(capsys):
     code, payload, _ = run_cli(
-        ["report", "--family", "power:cycle:5:t=2", "--max-power", "2"], capsys
+        ["report", "--family", "mycielski:tournament:3", "--max-power", "3"], capsys
     )
     assert code == 0
     doc = json.loads(payload)
     make_validator("report.schema.json").validate(doc)
-    assert doc["omega"]["closed_by"] == "theta"
+    assert doc["omega_tr"]["closed_by"] == "search" and doc["omega"] is None
     assert [(b["clique_size"], b["closed_by"]) for b in doc["lower_bounds"]] == [
-        (5, "theta"), (25, "theta")]
+        (3, "search"), (9, "theta"), (28, "theta")]
 
 
 @pytest.mark.parametrize("argv, message", [

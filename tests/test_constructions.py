@@ -31,7 +31,7 @@ from myctheta import (
 )
 from myctheta import constructions, invariants
 from myctheta.constructions import _or_adjacent, _verify_clique
-from myctheta.errors import MycthetaInternal
+from myctheta.errors import ConvergenceError, MycthetaInternal
 
 from conftest import random_digraph
 
@@ -302,17 +302,6 @@ def test_report_csv_and_json_shapes():
     assert doc["n"] == 5
 
 
-def test_report_closes_c5_fourth_power_by_theta():
-    report = capacity_report(or_power(cycle_graph(5), 2), ReportOptions(max_power=2))
-    assert not report.errors
-    omega, square = report.omega, report.lower_bounds[1].clique
-    assert (omega.size, omega.closed_by) == (5, "theta")
-    assert (square.size, square.nodes, square.closed_by) == (25, 0, "theta")
-    assert square.exhausted
-    c5_4 = or_power(cycle_graph(5), 4)
-    assert invariants.verify_clique(c5_4, square.witness)
-
-
 def test_report_closes_mt3_cube_by_theta():
     d = mycielskian_digraph(transitive_tournament(3), 2)
     report = capacity_report(d, ReportOptions(max_power=3, mycielski_tournament=3))
@@ -326,15 +315,27 @@ def test_report_closes_mt3_cube_by_theta():
         assert all(power.has_arc(u, v) for v in cube.witness[i + 1:])
 
 
-def test_report_keeps_the_c5_cube_search():
-    # cap 11 exceeds omega(C5^3) = 10, so the search runs its full tree
+def test_report_closes_mt3_square_by_theta():
+    # cap floor(theta_bar(M(K3))^2) = 9 is met by the product of two T3 orders
+    d = mycielskian_digraph(transitive_tournament(3), 2)
+    report = capacity_report(d, ReportOptions(max_power=2))
+    square = report.lower_bounds[1].clique
+    assert (square.size, square.nodes, square.closed_by) == (9, 0, "theta")
+    assert square.witness == tuple(7 * a + b for a in (0, 1, 2) for b in (0, 1, 2))
+    doc = report.to_dict()
+    assert [b["closed_by"] for b in doc["lower_bounds"]] == ["search", "theta"]
+    assert doc["omega_s"]["closed_by"] == doc["omega_tr"]["closed_by"] == "search"
+
+
+def test_undirected_report_searches_uncapped():
+    # omega(C5^3) = 10 with 149 498 nodes, as an uncapped search finds it
     report = capacity_report(cycle_graph(5), ReportOptions(max_power=3))
     cube = report.lower_bounds[2].clique
     assert (cube.size, cube.nodes, cube.closed_by) == (10, 149_498, "search")
     assert cube == clique_number(or_power(cycle_graph(5), 3))
     doc = report.to_dict()
-    assert [b["closed_by"] for b in doc["lower_bounds"]] == ["theta", "theta", "search"]
-    assert doc["omega"]["closed_by"] == "theta"
+    assert [b["closed_by"] for b in doc["lower_bounds"]] == ["search"] * 3
+    assert doc["omega"]["closed_by"] == "search"
 
 
 def test_report_truncated_search_is_not_closed():
@@ -347,8 +348,32 @@ def test_report_with_theta_too_low_raises(monkeypatch):
     real = theta_bar
     monkeypatch.setattr(constructions.theta_mod, "theta_bar",
                         lambda g, tol: dataclasses.replace(real(g, tol), value=1.5))
-    with pytest.raises(MycthetaInternal, match="exceeds its certified cap 1"):
-        capacity_report(cycle_graph(5), ReportOptions(max_power=1))
+    d = mycielskian_digraph(transitive_tournament(3), 2)
+    with pytest.raises(MycthetaInternal, match="size 9 exceeds its certified cap 2"):
+        capacity_report(d, ReportOptions(max_power=2))
+
+
+def test_digraph_report_without_a_cap_searches(monkeypatch):
+    def fail(g, tol):
+        raise ConvergenceError("no convergence")
+
+    monkeypatch.setattr(constructions.theta_mod, "theta_bar", fail)
+    d = mycielskian_digraph(transitive_tournament(3), 2)
+    report = capacity_report(d, ReportOptions(max_power=2))
+    assert report.errors == {} and report.theta is None
+    square = report.lower_bounds[1].clique
+    assert (square.size, square.nodes, square.closed_by) == (9, 527, "search")
+
+
+def test_digraph_report_solves_no_cap_beyond_the_vertex_bound(monkeypatch):
+    def fail(g, tol):
+        raise AssertionError("theta_bar solved for a power that cannot be built")
+
+    monkeypatch.setattr(constructions.theta_mod, "theta_bar", fail)
+    report = capacity_report(transitive_tournament(70), ReportOptions(max_power=2))
+    assert list(report.errors) == ["lower_bound_k2"]
+    assert report.errors["lower_bound_k2"].startswith("SizeLimitError")
+    assert report.omega_tr.size == 70
 
 
 @pytest.mark.parametrize("options, message", [

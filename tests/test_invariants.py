@@ -258,39 +258,28 @@ def test_transitive_search_tree_on_mt3_square():
 
 
 def test_seed_reaching_the_cap_closes_without_search():
-    g = or_power(cycle_graph(5), 2)
-    seed = (0, 7, 14, 16, 23)  # {(i, 2i mod 5)}
-    res = clique_number(g, cap=5, seed=seed)
-    assert (res.size, res.witness, res.nodes) == (5, seed, 0)
-    assert res.exhausted and res.closed_by == "theta"
     d = or_power(mycielskian_digraph(transitive_tournament(2), 2), 2)
     order = transitive_clique_number(d).witness
     res = transitive_clique_number(d, cap=len(order), seed=order)
-    assert (res.witness, res.nodes, res.closed_by) == (order, 0, "theta")
+    assert (res.witness, res.nodes, res.exhausted, res.closed_by) == (order, 0, True, "theta")
 
 
-def test_search_stops_at_the_cap():
-    g = or_power(cycle_graph(5), 2)
-    full = clique_number(g)
-    capped = clique_number(g, cap=5)
-    assert full.size == capped.size == 5 and capped.exhausted
-    assert (full.closed_by, capped.closed_by) == ("search", "theta")
-    assert capped.nodes < full.nodes
-    assert verify_clique(g, capped.witness)
+def test_seed_below_the_cap_leaves_the_search_tree():
+    d = or_power(mycielskian_digraph(transitive_tournament(3), 2), 2)
+    seed = tuple(7 * a + b for a in (0, 1, 2) for b in (0, 1, 2))  # T3 x T3
+    res = transitive_clique_number(d, cap=10, seed=seed)
+    assert (res.size, res.nodes, res.closed_by) == (9, 527, "search")
+    assert res == transitive_clique_number(d)
 
 
 def test_seed_below_the_cap_fills_a_truncated_search():
-    g = or_power(cycle_graph(5), 3)
-    seed = tuple(sorted(25 * a + 5 * b + c for a, b in ((0, 0), (1, 2), (2, 4), (3, 1), (4, 3))
-                        for c in (0, 1)))
-    assert verify_clique(g, seed) and len(seed) == 10
-    res = clique_number(g, 10, cap=11, seed=seed)
-    assert (res.size, res.witness, res.exhausted, res.closed_by) == (10, seed, False, None)
+    d = or_power(mycielskian_digraph(transitive_tournament(3), 2), 2)
+    seed = tuple(7 * a + b for a in (0, 1, 2) for b in (0, 1, 2))
+    res = transitive_clique_number(d, 3, cap=10, seed=seed)
+    assert (res.size, res.witness, res.exhausted, res.closed_by) == (9, seed, False, None)
 
 
 def test_clique_above_its_cap_is_a_contradiction():
-    with pytest.raises(MycthetaInternal, match="exceeds its certified cap 1"):
-        clique_number(cycle_graph(5), cap=1)
     with pytest.raises(MycthetaInternal, match="exceeds its certified cap 2"):
         transitive_clique_number(transitive_tournament(4), cap=2, seed=(0, 1, 2))
     with pytest.raises(MycthetaInternal, match="exceeds its certified cap 1"):
@@ -298,12 +287,15 @@ def test_clique_above_its_cap_is_a_contradiction():
 
 
 def test_bad_seed_is_rejected():
-    with pytest.raises(DomainError, match="not a clique"):
-        clique_number(cycle_graph(5), seed=(0, 2))
-    with pytest.raises(DomainError, match="not a clique"):
+    with pytest.raises(DomainError, match="not a transitive order"):
         transitive_clique_number(transitive_tournament(3), seed=(2, 1))
-    with pytest.raises(DomainError, match="must lie in"):
-        clique_number(cycle_graph(5), seed=(4, 5))
+    with pytest.raises(DomainError, match="not a transitive order"):
+        transitive_clique_number(transitive_tournament(3), seed=(1, 3))
+
+
+def test_undirected_lower_bound_takes_no_cap():
+    with pytest.raises(DomainError, match="only to the transitive search"):
+        capacity_lower_bound(cycle_graph(5), 2, cap=5)
 
 
 def brute_force_chromatic(g: Graph) -> int:

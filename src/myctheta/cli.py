@@ -132,8 +132,9 @@ def _cmd_invariant(args) -> int:
     if not directed and which in directed_only:
         raise DomainError(f"--which {which} needs a digraph")
     doc: dict = {"n": g.n, "m": g.m, "directed": directed}
+    omega = None
     if which in ("omega", "all") and not directed:
-        r = invariants.clique_number(g, args.budget)
+        r = omega = invariants.clique_number(g, args.budget)
         doc["omega"] = {"size": r.size, "witness": list(r.witness), "exhausted": r.exhausted}
     if which in ("omega-s", "all") and directed:
         r = invariants.symmetric_clique_number(g, args.budget)
@@ -142,7 +143,7 @@ def _cmd_invariant(args) -> int:
         r = invariants.transitive_clique_number(g, args.budget)
         doc["omega_tr"] = {"size": r.size, "witness": list(r.witness), "exhausted": r.exhausted}
     if which in ("chi", "all") and not directed:
-        r = invariants.chromatic_number(g, args.budget)
+        r = invariants.chromatic_number(g, args.budget, omega)
         doc["chi"] = {"lo": r.lo, "hi": r.hi, "exhausted": r.exhausted}
     if which in ("chi-f", "all") and not directed:
         r = fractional.fractional_chromatic(g)

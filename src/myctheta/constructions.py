@@ -566,7 +566,7 @@ def capacity_report(g: GraphLike, options: ReportOptions = ReportOptions()) -> C
         chi_f = attempt("chi_f", lambda: fractional_chromatic(g))
         if chi_f is not None:
             report.chi_f = chi_f.value
-        report.chi = attempt("chi", lambda: chromatic_number(g, CHROMATIC_BUDGET))
+        report.chi = attempt("chi", lambda: chromatic_number(g, CHROMATIC_BUDGET, omega))
         if options.mycielski_complete is not None:
             report.construction = attempt(
                 "construction",

@@ -1,29 +1,55 @@
 """Exact fractional chromatic number over the rationals.
 
-chi_f(G) is the optimum of the covering LP over all maximal independent sets.
-We enumerate the maximal independent sets (Bron-Kerbosch with pivoting on the
-complement, hard cap on the count), then solve the covering/packing LP pair
-in exact Fraction arithmetic: a revised dual simplex starts from the surplus
-basis, which is dual feasible outright, and finishes with both the optimal
-fractional cover and its dual, a maximum fractional clique.  The two values
-agree exactly, which is what makes identities such as the Mycielski formula
-for chi_f testable without tolerances.
+chi_f(G) is the optimum of the covering LP min 1.x over {A x >= 1, x >= 0},
+where the columns of A are the maximal independent sets of G, and of its
+dual max 1.y over {A^T y <= 1, y >= 0}, a maximum fractional clique.  We
+enumerate the maximal independent sets (Bron-Kerbosch with pivoting on the
+complement, hard cap on the count) and solve the pair as QSopt_ex does
+(Applegate, Cook, Dash & Espinoza 2007, *Exact solutions to linear
+programming problems*):
+
+1. Float pivots.  A revised dual simplex runs in float64 from the surplus
+   basis, which is dual feasible outright.  Leaving rows and entering
+   columns break ties by smallest variable index.  Pricing is one product
+   with the constraint matrix; each pivot is one rank-1 update of the basis
+   inverse, which LAPACK recomputes every 50 pivots to shed rounding drift.
+2. Exact certificate.  The final basis B is solved exactly, B x_B = 1 and
+   B^T y = c_B, by fraction-free integer (Bareiss) elimination, so x and y
+   are integer vectors over one positive denominator d.  Integer sums over
+   the nonzeros then check x_B >= 0, a cover weight >= 1 at every vertex,
+   y >= 0, y(S) <= 1 on every maximal independent set S, and 1.y = 1.x.
+   Together these prove both optimal.
+3. Exact fallback.  If the certificate fails, the basis is singular, or
+   the float loop stalls or hits its pivot cap, the same loop runs on
+   Fraction arrays with tolerance 0: from the float basis when it is
+   exactly dual feasible, else from the surplus basis.  Its basis must pass
+   the same certificate; a failure there is a bug and raises
+   MycthetaInternal.
+
+So no answer depends on a float, and the cover and the clique agree
+exactly, which is what makes identities such as the Mycielski formula for
+chi_f testable without tolerances.  The basis is n x n and its exact solve
+costs O(n^3), so chi_f takes at most 128 vertices (M(C5)^2 has 121, C5^3
+125).  The enumeration stops past 3^10 maximal independent sets, the
+Moon-Moser maximum for 30 vertices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple, Optional
 
-from .errors import DomainError, SizeLimitError
+import numpy as np
+
+from .errors import DomainError, MycthetaInternal, SizeLimitError
 from .graphs import Graph
 
-MAX_VERTICES_CHI_F = 30
-MAX_INDEPENDENT_SETS = 10 ** 6
+MAX_VERTICES_CHI_F = 128
+MAX_INDEPENDENT_SETS = 3 ** 10
 _MAX_PIVOTS = 200_000
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+_TOL = 1e-9  # float pivots: feasibility, pivot size and ratio ties
+_REFACTOR_EVERY = 50  # float pivots between fresh LAPACK inverses of the basis
 
 
 def maximal_independent_sets(g: Graph, cap: int = MAX_INDEPENDENT_SETS) -> list[int]:
@@ -81,74 +107,139 @@ def _mask_to_set(mask: int) -> frozenset:
     return frozenset(out)
 
 
+def _dual_simplex(a: np.ndarray, c: np.ndarray, basis: list[int], binv: np.ndarray,
+                  tol: float) -> Optional[list[int]]:
+    """Optimal basis of min c.x over {a x = 1, x >= 0}, from a dual feasible one.
+
+    `binv` is the inverse of the basis matrix: float64 with tol > 0, or
+    Fraction objects with tol = 0.  The leaving row has the smallest basic
+    variable among negative values, the entering column the smallest index
+    among minimum ratios; in exact arithmetic that keeps pivoting finite.
+    Returns None when no column can enter or the pivot cap is reached.
+    """
+    basis = list(basis)
+    xb = binv.sum(axis=1)
+    for pivots in range(_MAX_PIVOTS):
+        if tol and pivots and pivots % _REFACTOR_EVERY == 0:  # drop the drift of rank-1 updates
+            binv = np.linalg.inv(a[:, basis])
+            xb = binv.sum(axis=1)
+        rows = np.flatnonzero(xb < -tol)
+        if not rows.size:
+            return basis
+        r = min(rows, key=basis.__getitem__)
+        alpha, priced = np.stack([binv[r], c[basis] @ binv]) @ a
+        alpha[basis] = 0  # basic columns never enter
+        cols = np.flatnonzero(alpha < -tol)
+        if not cols.size:
+            return None
+        ratio = (c[cols] - priced[cols]) / -alpha[cols]
+        e = int(cols[np.flatnonzero(ratio <= ratio.min() + tol)[0]])
+        d = binv @ a[:, e]
+        binv[r] /= d[r]
+        xb[r] /= d[r]
+        d[r] = 0
+        nz = np.flatnonzero(d)
+        binv[nz] -= np.outer(d[nz], binv[r])
+        xb[nz] -= d[nz] * xb[r]
+        basis[r] = e
+    return None
+
+
+def _inverse(b: np.ndarray) -> Optional[tuple[int, np.ndarray]]:
+    """(d, adj) with b^-1 = adj / d and integer d > 0, for an integer matrix b;
+    None when b is singular.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss) of [b | I] over Python
+    ints: every division by the previous pivot is exact, and the last pivot
+    is d = +-det(b), left as d I beside d b^-1.
+    """
+    m = len(b)
+    t = np.hstack([b, np.eye(m, dtype=np.int64)]).astype(object)
+    prev = 1
+    for k in range(m):
+        nz = np.flatnonzero(t[k:, k])
+        if not nz.size:
+            return None
+        p = k + int(nz[0])
+        if p != k:
+            t[[k, p]] = t[[p, k]]
+        piv = t[k, k]
+        rest = np.arange(m) != k
+        t[rest] = (piv * t[rest] - np.outer(t[rest, k], t[k])) // prev
+        prev = piv
+    adj = t[:, m:]
+    return (prev, adj) if prev > 0 else (-prev, -adj)
+
+
+class _BasisSolution(NamedTuple):
+    """x_B = x / d and y = y / d, in integer numerators over d > 0."""
+    d: int
+    adj: np.ndarray  # d times the basis inverse
+    x: list[int]
+    y: list[int]
+
+
+def _solve_basis(a: np.ndarray, c: np.ndarray, basis: list[int]) -> Optional[_BasisSolution]:
+    """Exact solutions of B x_B = 1 and B^T y = c_B; None when B is singular."""
+    inv = _inverse(a[:, basis])
+    if inv is None:
+        return None
+    d, adj = inv
+    return _BasisSolution(d, adj, adj.sum(axis=1).tolist(), (c[basis] @ adj).tolist())
+
+
+def _dual_feasible(sol: _BasisSolution, col_rows: list[tuple[int, ...]]) -> bool:
+    """y >= 0 and y(S) <= 1 on every maximal independent set S."""
+    y = sol.y
+    return min(y) >= 0 and all(sum(y[v] for v in rows) <= sol.d for rows in col_rows)
+
+
+def _certified(sol: _BasisSolution, basis: list[int], col_rows: list[tuple[int, ...]]) -> bool:
+    """Both solutions of the basis are feasible and of equal value, so optimal."""
+    cover = [0] * len(basis)
+    value = 0
+    for j, w in zip(basis, sol.x):
+        if j < len(col_rows):  # a structural column: the weight of set j
+            value += w
+            for v in col_rows[j]:
+                cover[v] += w
+    return (min(sol.x) >= 0 and min(cover) >= sol.d and _dual_feasible(sol, col_rows)
+            and sum(sol.y) == value)
+
+
 def _dual_simplex_cover(m: int, col_rows: list[tuple[int, ...]]
                         ) -> tuple[Fraction, dict[int, Fraction], list[Fraction]]:
     """min 1.x over {A x - s = 1, x, s >= 0} where column j hits rows col_rows[j].
 
-    Revised dual simplex.  The all-surplus basis (B = -I) is dual feasible, so
-    no artificials are needed; leaving rows and entering columns break ties by
-    smallest variable index, which keeps the pivoting finite.  Returns the
+    Float pivots, an exact certificate of their final basis, and exact
+    pivots only when that fails (see the module docstring).  Returns the
     objective, the nonzero cover weights, and the dual vector y >= 0 (the
     fractional clique).
     """
     total = len(col_rows)
-    # variable indexing: structural 0..total-1 (cost 1), surplus total..total+m-1
-    basis = list(range(total, total + m))
-    binv = [[-_ONE if i == j else _ZERO for j in range(m)] for i in range(m)]
-    xb = [-_ONE] * m
+    a = np.zeros((m, total + m), dtype=np.int8)  # structural 0..total-1, surplus after
+    for j, rows in enumerate(col_rows):
+        a[list(rows), j] = 1
+    a[:, total:] = -np.eye(m, dtype=np.int8)
+    c = np.zeros(total + m, dtype=np.int8)
+    c[:total] = 1
+    surplus = list(range(total, total + m))
 
-    for _ in range(_MAX_PIVOTS):
-        neg = [i for i in range(m) if xb[i] < 0]
-        if not neg:
-            break
-        r = min(neg, key=lambda i: basis[i])
-        cb = [(_ONE if basis[i] < total else _ZERO) for i in range(m)]
-        y = [sum(cb[i] * binv[i][c] for i in range(m) if cb[i]) for c in range(m)]
-        beta = binv[r]
-        entering, best_ratio = -1, None
-        basic = set(basis)
-        for j in range(total + m):
-            if j in basic:
-                continue
-            if j < total:
-                alpha = sum(beta[v] for v in col_rows[j])
-                reduced = _ONE - sum(y[v] for v in col_rows[j])
-            else:
-                v = j - total
-                alpha = -beta[v]
-                reduced = y[v]
-            if alpha < 0:
-                ratio = reduced / (-alpha)
-                if best_ratio is None or ratio < best_ratio:
-                    entering, best_ratio = j, ratio
-        if entering < 0:
-            raise DomainError("covering LP infeasible; not every vertex is covered")
-        if entering < total:
-            rows = col_rows[entering]
-            d = [sum(binv[i][v] for v in rows) for i in range(m)]
-        else:
-            v = entering - total
-            d = [-binv[i][v] for i in range(m)]
-        piv = d[r]
-        binv[r] = [val / piv for val in binv[r]]
-        xb[r] = xb[r] / piv
-        for i in range(m):
-            if i != r and d[i]:
-                f = d[i]
-                row_r = binv[r]
-                binv[i] = [binv[i][c] - f * row_r[c] for c in range(m)]
-                xb[i] -= f * xb[r]
-        basis[r] = entering
-    else:
-        raise DomainError("dual simplex exceeded its pivot cap")
+    basis = _dual_simplex(a.astype(float), c.astype(float), surplus, -np.eye(m), _TOL)
+    sol = None if basis is None else _solve_basis(a, c, basis)
+    if sol is None or not _certified(sol, basis, col_rows):
+        a, c = a.astype(object), c.astype(object)
+        if sol is None or not _dual_feasible(sol, col_rows):
+            basis, sol = surplus, _solve_basis(a, c, surplus)
+        basis = _dual_simplex(a, c, basis, sol.adj * Fraction(1, sol.d), 0)
+        if basis is None:
+            raise MycthetaInternal("exact dual simplex found no entering column or hit its pivot cap")
+        sol = _solve_basis(a, c, basis)
+        if sol is None or not _certified(sol, basis, col_rows):
+            raise MycthetaInternal("exact simplex basis failed its optimality certificate")
 
-    value = sum(xb[i] for i in range(m) if basis[i] < total)
-    weights = {
-        basis[i]: xb[i] for i in range(m) if basis[i] < total and xb[i] != 0
-    }
-    cb = [(_ONE if basis[i] < total else _ZERO) for i in range(m)]
-    duals = [sum(cb[i] * binv[i][c] for i in range(m) if cb[i]) for c in range(m)]
-    return value, weights, duals
+    weights = {j: Fraction(w, sol.d) for j, w in zip(basis, sol.x) if j < total and w}
+    return sum(weights.values(), Fraction(0)), weights, [Fraction(v, sol.d) for v in sol.y]
 
 
 def fractional_chromatic(g: Graph) -> FractionalChromaticResult:
@@ -162,8 +253,6 @@ def fractional_chromatic(g: Graph) -> FractionalChromaticResult:
     masks = maximal_independent_sets(g)
     col_rows = [tuple(sorted(_mask_to_set(mask))) for mask in masks]
     value, weights, duals = _dual_simplex_cover(g.n, col_rows)
-    if sum(duals) != value or any(y < 0 for y in duals):
-        raise DomainError("simplex returned an inconsistent primal/dual pair")
     cover = tuple(
         (_mask_to_set(masks[j]), w) for j, w in sorted(weights.items())
     )

@@ -223,8 +223,9 @@ def _longest_transitive_order(out_bits: tuple[int, ...], full: int,
 
     The depth-first search over candidate masks keeps one frame per vertex
     of the order being built: [mask, untried vertices, best length, best
-    order, vertex being tried].  A mask's value is memoized once all of its
-    vertices are tried, while the budget holds.
+    order, vertex being tried, size of mask].  A mask's value is memoized
+    once all of its vertices are tried or its best order uses all of them,
+    while the budget holds.
     """
     memo: dict[int, tuple[int, tuple[int, ...]]] = {}
     frames: list[list] = []
@@ -238,7 +239,7 @@ def _longest_transitive_order(out_bits: tuple[int, ...], full: int,
             return hit
         if not budget.tick():
             return 0, ()
-        frames.append([cand, cand, 0, (), -1])
+        frames.append([cand, cand, 0, (), -1, cand.bit_count()])
         return None
 
     value = enter(full)
@@ -249,7 +250,8 @@ def _longest_transitive_order(out_bits: tuple[int, ...], full: int,
             if 1 + r > frame[2]:
                 frame[2], frame[3] = 1 + r, (frame[4],) + tail
             value = None
-        cand, m = frame[0], frame[1]
+        cand = frame[0]
+        m = frame[1] if frame[2] < frame[5] else 0  # an order using every candidate is unbeatable
         while m:
             v = (m & -m).bit_length() - 1
             m &= m - 1
@@ -343,16 +345,24 @@ def _k_colorable(g: Graph, k: int, budget: _Budget) -> Optional[tuple[int, ...]]
     return None
 
 
-def chromatic_number(g: Graph, node_budget: Optional[int] = None) -> ChromaticResult:
+def chromatic_number(g: Graph, node_budget: Optional[int] = None,
+                     omega: Optional[CliqueResult] = None) -> ChromaticResult:
     """Exact chromatic number by iterative deepening between a clique lower
     bound and a DSATUR upper bound; reports a bracket when the budget runs out.
+
+    The clique search gets a quarter of the budget, and its nodes count
+    against the whole.  `omega` is a clique search of g already run: when it
+    is exhaustive within that quarter, the search would repeat it node for
+    node, so it stands in and the result is the same.
     """
     if g.n == 0:
         raise DomainError("chromatic number needs a nonempty vertex set")
     greedy = greedy_coloring(g)
     hi = max(greedy) + 1
     clique_share = node_budget // 4 if node_budget else None
-    omega = clique_number(g, clique_share)
+    within_share = omega is not None and (clique_share is None or omega.nodes <= clique_share)
+    if not (within_share and omega.exhausted):
+        omega = clique_number(g, clique_share)
     lo = omega.size if omega.exhausted else 1
     budget = _Budget(node_budget)
     budget.nodes = omega.nodes

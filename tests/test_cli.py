@@ -111,6 +111,15 @@ def test_gen_roundtrip(tmp_path, capsys):
     assert json.loads(payload)["omega"]["size"] == 2
 
 
+def test_invariant_chi_f_beyond_thirty_vertices(capsys):
+    # M(M(M(C5))) has 47 vertices; chi_f follows the x + 1/x chain from 5/2
+    code, payload, _ = run_cli(
+        ["invariant", "--which", "chi-f", "--family", "mycielski:mycielski:mycielski:cycle:5"], capsys
+    )
+    assert code == 0
+    assert json.loads(payload)["chi_f"] == "969581/272890"
+
+
 def test_report_cycle5_json(capsys):
     code, payload, _ = run_cli(
         ["report", "--family", "cycle:5", "--format", "json", "--max-power", "2"],

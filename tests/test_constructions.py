@@ -283,10 +283,10 @@ def test_capacity_report_raises_internal_errors(monkeypatch):
 
 
 def test_capacity_report_records_errors():
-    # chi_f is size-limited: a 31+ vertex graph lands in errors, not an exception
+    # chi_f is size-limited: a 129+ vertex graph lands in errors, not an exception
     from myctheta import empty_graph
 
-    big = or_power(empty_graph(6), 2)  # 36 vertices, edgeless
+    big = or_power(empty_graph(12), 2)  # 144 vertices, edgeless
     report = capacity_report(big, ReportOptions(max_power=1))
     assert "chi_f" in report.errors
     assert report.theta == 1.0

@@ -2,7 +2,10 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from myctheta import (
     DomainError,
@@ -15,7 +18,11 @@ from myctheta import (
     lpu_formula,
     maximal_independent_sets,
     mycielskian,
+    or_power,
+    or_product,
 )
+from myctheta import fractional
+from myctheta.errors import MycthetaInternal
 from myctheta.fractional import _mask_to_set
 
 from conftest import random_graph
@@ -73,22 +80,52 @@ def test_chi_f_petersen():
 
 def test_chi_f_size_guard():
     with pytest.raises(SizeLimitError):
-        fractional_chromatic(empty_graph(31))
+        fractional_chromatic(empty_graph(129))  # past the vertex cap
+    # 11 disjoint triangles: 33 vertices and 3^11 maximal independent sets
+    triangles = Graph(33, [(3 * i + a, 3 * i + b)
+                           for i in range(11) for a, b in ((0, 1), (0, 2), (1, 2))])
+    with pytest.raises(SizeLimitError):
+        fractional_chromatic(triangles)
     with pytest.raises(DomainError):
         fractional_chromatic(Graph(0))
+
+
+def assert_optimal_pair(g: Graph, res) -> None:
+    """The cover and the clique are feasible and of equal value: both optimal."""
+    assert all(w > 0 for _, w in res.cover_weights)
+    assert sum(w for _, w in res.cover_weights) == res.value
+    for v in range(g.n):
+        assert sum(w for s, w in res.cover_weights if v in s) >= 1
+    assert all(y >= 0 for y in res.clique_weights)
+    for mask in maximal_independent_sets(g):
+        members = _mask_to_set(mask)
+        assert sum(res.clique_weights[v] for v in members) <= 1
+    assert sum(res.clique_weights) == res.value
 
 
 def test_cover_and_clique_are_feasible():
     rng = random.Random(37)
     for _ in range(15):
         g = random_graph(rng, rng.randint(2, 8), 0.5)
-        res = fractional_chromatic(g)
-        for v in range(g.n):
-            assert sum(w for s, w in res.cover_weights if v in s) >= 1
-        for mask in maximal_independent_sets(g):
-            members = _mask_to_set(mask)
-            assert sum(res.clique_weights[v] for v in members) <= 1
-        assert sum(res.clique_weights) == res.value
+        assert_optimal_pair(g, fractional_chromatic(g))
+
+
+def test_chi_f_at_scale():
+    c5 = cycle_graph(5)
+    mc5 = mycielskian(c5, 2)
+    m3 = mycielskian(mycielskian(mc5, 2), 2)  # 47 vertices
+    res = fractional_chromatic(m3)
+    assert res.value == Fraction(969581, 272890) == lpu_formula(lpu_formula(lpu_formula(Fraction(5, 2))))
+    assert_optimal_pair(m3, res)
+    # chi_f is multiplicative over the disjunctive (OR) product
+    product = or_product(c5, mc5)  # 55 vertices
+    res = fractional_chromatic(product)
+    assert res.value == Fraction(29, 4) == Fraction(5, 2) * Fraction(29, 10)
+    assert_optimal_pair(product, res)
+    square = or_power(mc5, 2)  # 121 vertices
+    res = fractional_chromatic(square)
+    assert res.value == Fraction(841, 100) == Fraction(29, 10) ** 2
+    assert_optimal_pair(square, res)
 
 
 def test_lpu_identity_exact():
@@ -100,29 +137,104 @@ def test_lpu_identity_exact():
         assert myc == lpu_formula(base)
 
 
-def test_chi_f_against_scipy_linprog():
+@st.composite
+def covering_graphs(draw):
+    n = draw(st.integers(1, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [p for p, k in zip(pairs, keep) if k])
+
+
+@given(covering_graphs())
+def test_chi_f_against_scipy_linprog(g):
     # independent floating-point LP oracle for the same covering program
     scipy_optimize = pytest.importorskip("scipy.optimize")
-    import numpy as np
+    masks = maximal_independent_sets(g)
+    a_ub = np.zeros((g.n, len(masks)))
+    for j, mask in enumerate(masks):
+        a_ub[list(_mask_to_set(mask)), j] = -1.0
+    lp = scipy_optimize.linprog(c=np.ones(len(masks)), A_ub=a_ub, b_ub=-np.ones(g.n),
+                                bounds=(0, None), method="highs")
+    assert lp.status == 0
+    res = fractional_chromatic(g)
+    assert abs(float(res.value) - lp.fun) < 1e-7
+    assert_optimal_pair(g, res)
 
-    rng = random.Random(73)
-    for _ in range(25):
-        g = random_graph(rng, rng.randint(2, 9), rng.choice([0.3, 0.5, 0.7]))
-        masks = maximal_independent_sets(g)
-        a_ub = np.zeros((g.n, len(masks)))
-        for j, mask in enumerate(masks):
-            for v in _mask_to_set(mask):
-                a_ub[v, j] = -1.0
-        res = scipy_optimize.linprog(
-            c=np.ones(len(masks)),
-            A_ub=a_ub,
-            b_ub=-np.ones(g.n),
-            bounds=[(0, None)] * len(masks),
-            method="highs",
-        )
-        assert res.status == 0
-        exact = fractional_chromatic(g).value
-        assert abs(float(exact) - res.fun) < 1e-7
+
+def _float_phase_returns(monkeypatch, wrong) -> list:
+    """Make the float pivots end in `wrong(a)`; returns the start bases the
+    exact pivots are given."""
+    pivot = fractional._dual_simplex
+    exact_starts = []
+
+    def patched(a, c, basis, binv, tol):
+        if tol:
+            return wrong(a)
+        exact_starts.append(list(basis))
+        return pivot(a, c, basis, binv, tol)
+
+    monkeypatch.setattr(fractional, "_dual_simplex", patched)
+    return exact_starts
+
+
+def _surplus(a):
+    m = a.shape[0]
+    return list(range(a.shape[1] - m, a.shape[1]))
+
+
+@pytest.mark.parametrize("wrong", [
+    pytest.param(_surplus, id="surplus"),
+    pytest.param(lambda a: None, id="stalled"),
+    pytest.param(lambda a: [0] * a.shape[0], id="singular"),
+    pytest.param(lambda a: list(range(a.shape[0])), id="structural"),
+])
+def test_exact_fallback_after_a_wrong_float_basis(monkeypatch, wrong):
+    exact_starts = _float_phase_returns(monkeypatch, wrong)
+    g = mycielskian(cycle_graph(5), 2)
+    res = fractional_chromatic(g)
+    assert res.value == Fraction(29, 10)
+    assert_optimal_pair(g, res)
+    assert len(exact_starts) == 1
+
+
+def test_exact_fallback_resumes_from_a_dual_feasible_float_basis(monkeypatch):
+    # K2: the set {0} with the surplus of vertex 1 is dual feasible (y = (1, 0))
+    # but leaves vertex 1 uncovered
+    g = complete_graph(2)
+    j = next(j for j, mask in enumerate(maximal_independent_sets(g)) if mask == 1)
+    exact_starts = _float_phase_returns(monkeypatch, lambda a: [j, a.shape[1] - 1])
+    assert fractional_chromatic(g).value == 2
+    assert exact_starts == [[j, 3]]
+
+
+@pytest.mark.parametrize("corrupt", [
+    pytest.param(lambda y: [y[0] + 1] + y[1:], id="raised"),
+    pytest.param(lambda y: [y[0] - 1, y[1] + 1] + y[2:], id="shifted"),
+])
+def test_corrupted_dual_raises_internal(monkeypatch, corrupt):
+    solve = fractional._solve_basis
+
+    def corrupted(a, c, basis):
+        sol = solve(a, c, basis)
+        return sol._replace(y=corrupt(sol.y))
+
+    monkeypatch.setattr(fractional, "_solve_basis", corrupted)
+    with pytest.raises(MycthetaInternal, match="certificate"):
+        fractional_chromatic(cycle_graph(5))
+
+
+@given(st.integers(1, 9).flatmap(
+    lambda m: st.lists(st.lists(st.integers(-2, 2), min_size=m, max_size=m), min_size=m, max_size=m)))
+def test_exact_inverse(rows):
+    b = np.array(rows, dtype=np.int64)
+    inv = fractional._inverse(b)
+    exact = b.astype(object)
+    if inv is None:
+        assert abs(np.linalg.det(b.astype(float))) < 1e-6
+        return
+    d, adj = inv
+    assert d > 0
+    assert (exact @ adj == d * np.eye(len(b), dtype=np.int64)).all()
 
 
 def test_chi_f_sandwiched():

@@ -257,6 +257,47 @@ def test_transitive_search_tree_on_mt3_square():
     assert res.closed_by == "search"
 
 
+def reference_longest_transitive_order(out_bits, full, budget):
+    """The transitive search as it was before frames stopped at full length:
+    every frame tries each of its candidates."""
+    memo = {}
+
+    def best(cand):
+        if cand == 0:
+            return 0, ()
+        if cand in memo:
+            return memo[cand]
+        if not budget.tick():
+            return 0, ()
+        length, order = 0, ()
+        m = cand
+        while m:
+            v = (m & -m).bit_length() - 1
+            m &= m - 1
+            sub = cand & out_bits[v]
+            if 1 + sub.bit_count() > length:
+                r, tail = best(sub)
+                if 1 + r > length:
+                    length, order = 1 + r, (v,) + tail
+        if budget.within_limit:
+            memo[cand] = (length, order)
+        return length, order
+
+    return best(full)
+
+
+def test_transitive_search_tree_matches_reference(monkeypatch):
+    rng = random.Random(43)
+    digraphs = [or_power(mycielskian_digraph(transitive_tournament(3), 2), 2),
+                or_power(transitive_tournament(6), 2), transitive_tournament(12)]
+    digraphs += [random_digraph(rng, rng.randint(1, 12), rng.choice([0.3, 0.6, 0.9])) for _ in range(40)]
+    budgets = (None, 5, 50)
+    found = [[transitive_clique_number(d, b) for b in budgets] for d in digraphs]
+    monkeypatch.setattr(invariants, "_longest_transitive_order", reference_longest_transitive_order)
+    for d, results in zip(digraphs, found):
+        assert results == [transitive_clique_number(d, b) for b in budgets]
+
+
 def test_seed_reaching_the_cap_closes_without_search():
     d = or_power(mycielskian_digraph(transitive_tournament(2), 2), 2)
     order = transitive_clique_number(d).witness
@@ -442,6 +483,26 @@ def test_dsatur_matches_reference(monkeypatch):
         assert greedy == reference_greedy_coloring(g)
         # equal (lo, hi, exhausted, coloring, nodes)
         assert results == [chromatic_number(g, b) for b in budgets]
+
+
+def test_chromatic_reuses_an_exhaustive_omega(monkeypatch):
+    rng = random.Random(41)
+    graphs = [petersen_graph(), or_power(cycle_graph(5), 2),
+              mycielskian(mycielskian(cycle_graph(5), 2), 2)]
+    graphs += [random_graph(rng, rng.randint(1, 25), rng.random()) for _ in range(30)]
+    budgets = (None, 4, 40, 400, 4000)
+    cases = [(g, b, clique_number(g, omega_budget)) for g in graphs for b in budgets
+             for omega_budget in (None, 3, 100)]
+    expected = [chromatic_number(g, b) for g, b, _ in cases]
+    searches = []
+    search = invariants.clique_number
+    monkeypatch.setattr(invariants, "clique_number", lambda *args: searches.append(1) or search(*args))
+    for (g, b, omega), want in zip(cases, expected):
+        searches.clear()
+        assert chromatic_number(g, b, omega) == want
+        share = b // 4 if b else None
+        reused = omega.exhausted and (share is None or omega.nodes <= share)
+        assert len(searches) == (0 if reused else 1)
 
 
 def test_k_colorable_needs_no_recursion():

@@ -6,24 +6,27 @@ complement:
     maximize  <J, X>   s.t.  trace X = 1,  X_ij = 0 for every non-edge i != j,
                              X positive semidefinite,
 
-whose optimum equals theta_bar(G).  The solver is a splitting scheme with
-fixed penalty 1.0 that alternates the affine-constraint projection with a
-projection onto the PSD cone (a dense symmetric eigendecomposition) and
-stops on primal/dual residuals driven to tol/50.
+whose optimum equals theta_bar(G).  The solver is a splitting scheme that
+alternates the affine-constraint projection with a projection onto the PSD
+cone (a dense symmetric eigendecomposition) and stops on primal/dual
+residuals driven to tol/50.  Its penalty is rho = 2n: X has trace 1, so its
+entries are about 1/n, while J and the dual have entries of about 1, and
+at rho = 1 the affine step z - u + J would be n times the scale of the
+iterate.  The scaled dual variable u carries the dual as rho * u.
 
 The reported value is certified, not merely converged: shifting the affine
 iterate X by its negative eigenvalue mass gives a strictly feasible primal
-(a lower bound on theta), and completing the scaled dual variable to a
-matrix with ones on the diagonal and the edges gives a feasible point of the
+(a lower bound on theta), and completing the dual rho * u to a matrix with
+ones on the diagonal and the edges gives a feasible point of the
 min-lambda_max dual (an upper bound).  The solver stops once this bracket is
 narrower than tol - which also rescues degenerate instances whose residuals
 decay sublinearly - and returns the midpoint, with the half-width as the
 tolerance achieved.  Instances still running after 1000 iterations switch to
 over-relaxation, which speeds up exactly those slow tails.
 
-At convergence the negated scaled dual variable S is the dual slack matrix:
-S is PSD, its diagonal approaches theta - 1 and its edge entries -1, so
-S / (theta - 1) is the Gram matrix of an optimal strict vector coloring; and
+At convergence S = -rho * u is the dual slack matrix: S is PSD, its
+diagonal approaches theta - 1 and its edge entries -1, so S / (theta - 1)
+is the Gram matrix of an optimal strict vector coloring; and
 the diagonally normalized primal minus the identity is an edge-supported
 matrix attaining the spectral ratio formula 1 + lambda_max / |lambda_min|.
 """
@@ -162,9 +165,10 @@ def theta_bar(g: Graph, tol: float = DEFAULT_TOL,
     u = np.zeros((n, n))
     target = tol / _RESIDUAL_SAFETY
     best = None  # (width, midpoint) of the narrowest bracket so far
+    rho = 2.0 * n  # penalty scaled to the graph (see the module docstring)
     x = z
     for iteration in range(1, max_iterations + 1):
-        x = z - u + jmat
+        x = z - u + jmat / rho
         x[nonedge] = 0.0
         diag = np.diag(x).copy()
         np.fill_diagonal(x, diag + (1.0 - diag.sum()) / n)
@@ -178,12 +182,12 @@ def theta_bar(g: Graph, tol: float = DEFAULT_TOL,
         z_new = (vecs[:, pos] * vals[pos]) @ vecs[:, pos].T
         z_new = 0.5 * (z_new + z_new.T)
         primal_res = float(np.linalg.norm(x - z_new))
-        dual_res = float(np.linalg.norm(z_new - z))
+        dual_res = rho * float(np.linalg.norm(z_new - z))
         z = z_new
         u = u + relaxed - z
         residual = max(primal_res, dual_res)
         if (residual < target and iteration > 5) or iteration % _CERTIFY_EVERY == 0:
-            lower, upper, x_hat = _certified_bracket(x, u, nonedge, jmat)
+            lower, upper, x_hat = _certified_bracket(x, rho * u, nonedge, jmat)
             width = upper - lower
             if width <= tol:
                 break  # every earlier bracket was wider, so this one is the best
@@ -198,7 +202,7 @@ def theta_bar(g: Graph, tol: float = DEFAULT_TOL,
             residual=width,
             iterations=max_iterations,
         )
-    slack = -u
+    slack = -rho * u
     slack = 0.5 * (slack + slack.T)
     edge_part = x_hat.copy()
     np.fill_diagonal(edge_part, 0.0)

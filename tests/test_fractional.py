@@ -23,7 +23,7 @@ from myctheta import (
 )
 from myctheta import fractional
 from myctheta.errors import MycthetaInternal
-from myctheta.fractional import _mask_to_set
+from myctheta.fractional import _mask_members
 
 from conftest import random_graph
 
@@ -47,7 +47,7 @@ def test_mis_enumeration_matches_brute_force():
     rng = random.Random(31)
     for _ in range(40):
         g = random_graph(rng, rng.randint(1, 8), rng.choice([0.2, 0.5, 0.8]))
-        got = {_mask_to_set(m) for m in maximal_independent_sets(g)}
+        got = {frozenset(_mask_members(m)) for m in maximal_independent_sets(g)}
         assert got == brute_force_mis(g)
 
 
@@ -98,7 +98,7 @@ def assert_optimal_pair(g: Graph, res) -> None:
         assert sum(w for s, w in res.cover_weights if v in s) >= 1
     assert all(y >= 0 for y in res.clique_weights)
     for mask in maximal_independent_sets(g):
-        members = _mask_to_set(mask)
+        members = _mask_members(mask)
         assert sum(res.clique_weights[v] for v in members) <= 1
     assert sum(res.clique_weights) == res.value
 
@@ -152,7 +152,7 @@ def test_chi_f_against_scipy_linprog(g):
     masks = maximal_independent_sets(g)
     a_ub = np.zeros((g.n, len(masks)))
     for j, mask in enumerate(masks):
-        a_ub[list(_mask_to_set(mask)), j] = -1.0
+        a_ub[list(_mask_members(mask)), j] = -1.0
     lp = scipy_optimize.linprog(c=np.ones(len(masks)), A_ub=a_ub, b_ub=-np.ones(g.n),
                                 bounds=(0, None), method="highs")
     assert lp.status == 0

@@ -14,6 +14,7 @@ from myctheta import (
     extract_vector_coloring,
     mycielskian,
     optimal_edge_matrix,
+    or_power,
     or_product,
     path_graph,
     spectral_ratio,
@@ -72,17 +73,28 @@ def test_theta_nonconvergence_carries_state():
     assert err.value.residual is not None
 
 
+def slow_tail_graph() -> Graph:
+    """Ten vertices, theta = 4: a slow tail of the splitting scheme."""
+    return Graph(10, [(0, 1), (0, 8), (0, 9), (1, 2), (1, 3), (1, 5), (1, 6), (1, 7),
+                      (2, 3), (2, 6), (2, 8), (2, 9), (3, 4), (3, 5), (3, 6), (3, 8),
+                      (4, 5), (4, 6), (4, 7), (4, 9), (5, 7), (5, 8), (5, 9), (6, 8),
+                      (7, 9), (8, 9)])
+
+
 def test_theta_nonconvergence_reports_best_bracket():
-    # theta = 4 on this graph, which needs about 148 000 iterations at tol 1e-6;
+    # theta = 4 on this graph, which needs 9000 iterations at tol 1e-6;
     # the capped solve still reports the midpoint of a certified bracket
-    g = Graph(10, [(0, 1), (0, 8), (0, 9), (1, 2), (1, 3), (1, 5), (1, 6), (1, 7),
-                   (2, 3), (2, 6), (2, 8), (2, 9), (3, 4), (3, 5), (3, 6), (3, 8),
-                   (4, 5), (4, 6), (4, 7), (4, 9), (5, 7), (5, 8), (5, 9), (6, 8),
-                   (7, 9), (8, 9)])
     with pytest.raises(ConvergenceError) as err:
-        theta_bar(g, tol=1e-6, max_iterations=1000)
+        theta_bar(slow_tail_graph(), tol=1e-6, max_iterations=1000)
     assert math.isfinite(err.value.residual)
     assert abs(err.value.best_value - 4.0) <= err.value.residual / 2
+
+
+def test_theta_slow_tail_certifies():
+    # with the penalty scaled to n this tail certifies in 9000 iterations;
+    # at penalty 1 it needed about 148 000
+    sol = theta_bar(slow_tail_graph(), tol=1e-6, max_iterations=20_000)
+    assert abs(sol.value - 4.0) <= sol.tolerance_achieved + 1e-12
 
 
 def test_theta_certified_on_degenerate_instance():
@@ -262,6 +274,33 @@ def test_mycielskian_of_c5_squared_matches_formula():
     assert sol.n == 51
     expect = mycielski_theta_formula(5.0).m
     assert abs(sol.value - expect) <= sol.tolerance_achieved + 1e-7
+
+
+def test_theta_multiplicative_at_scale():
+    # M(C5)^2 has n = 121; theta_bar is multiplicative under OR products, so
+    # the bracket of theta_bar(M(C5))^2 must meet the bracket at n = 121
+    base = theta_bar(mycielskian(cycle_graph(5)), tol=1e-6)
+    sol = theta_bar(or_power(mycielskian(cycle_graph(5)), 2), tol=1e-6)
+    assert sol.n == 121 and sol.iterations <= 1500
+    h = base.tolerance_achieved
+    square_slack = 2.0 * base.value * h + h * h  # half-width of the squared bracket
+    assert abs(sol.value - base.value ** 2) <= sol.tolerance_achieved + square_slack
+
+
+def test_theta_c5_cubed():
+    sol = theta_bar(or_power(cycle_graph(5), 3), tol=1e-6)
+    assert sol.n == 125
+    assert abs(sol.value - 5.0 ** 1.5) <= sol.tolerance_achieved
+
+
+def test_extractions_at_scale():
+    # the dual slack -rho * u must stay a coloring Gram matrix and the primal
+    # an optimal edge matrix at n = 121
+    g = or_power(mycielskian(cycle_graph(5)), 2)
+    sol = theta_bar(g, tol=1e-7)
+    assert extract_vector_coloring(sol, g).max_violation(g) < 1e-8
+    ratio = spectral_ratio(optimal_edge_matrix(g, sol), g)
+    assert abs(ratio - sol.value) <= sol.tol_requested
 
 
 def test_theta_petersen():

@@ -9,7 +9,16 @@ wrong optimum.
 The clique search bounds each node by a bit-parallel coloring of its
 candidate bitset, one color class at a time (BBMC).  Its classes equal those
 of first-fit coloring in index order, and it drops only vertices whose color
-the bound would prune, so the search tree is the first-fit one.
+the bound would prune.  At the root it also drops the whole automorphism
+orbit of each vertex whose branch is done: every clique through a vertex of
+that orbit has an image of the same size through the vertex itself, inside
+the same union of unexplored orbits, so the pruned branches could never
+raise the best size.  Below the root the tree is the first-fit one, so the
+first root branch, and with it the witness of every search that finds its
+optimum there, is the unpruned one.  The orbits come from `_orbits`,
+which merges two vertices only through a permutation it has checked to be
+an automorphism, so its orbits may be too fine but never too coarse; it
+runs only when the root is about to take a second branch.
 
 The transitive clique search also takes an optional certified upper bound
 `cap` on the order's length and an optional `seed`, a known transitive
@@ -25,13 +34,14 @@ and raises MycthetaInternal; it is never clipped.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
 from .errors import DomainError, MycthetaInternal
-from .graphs import Digraph, Graph, _row_bits, or_power
+from .graphs import Digraph, Graph, _bits_matrix, _row_bits, or_power
 
 GraphLike = Union[Graph, Digraph]
 
@@ -85,24 +95,197 @@ def _ordered_bits(g: Graph) -> tuple[list[int], tuple[int, ...]]:
     return order, _row_bits(a[np.ix_(order, order)])
 
 
-def _max_clique_bits(bits: tuple[int, ...], start_mask: int, budget: _Budget,
-                     initial_best: tuple[int, tuple[int, ...]]) -> tuple[int, tuple[int, ...]]:
-    """Branch and bound over candidate bitsets with BBMC coloring bounds.
+# Refinement work one orbit search may spend, counted in row blocks of the
+# adjacency matrix of at most _BLOCK entries each (a round refines every
+# block once); the orbits found when it is spent are kept.  The count bounds
+# the time and, since every level of `_automorphism` refines twice, its depth.
+_ORBIT_BLOCKS = 2000
+_BLOCK = 1 << 16
+
+
+def _mix(x: np.ndarray) -> np.ndarray:
+    """The splitmix64 finalizer, elementwise; exact under uint64 wraparound."""
+    x = x + np.uint64(0x9E3779B97F4A7C15)
+    x = (x ^ x >> np.uint64(30)) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ x >> np.uint64(27)) * np.uint64(0x94D049BB133111EB)
+    return x ^ x >> np.uint64(31)
+
+
+class _Refiner:
+    """Color refinement of one graph, under one budget of row blocks.
+
+    Colors are uint64 hashes of a vertex's color history, so colorings of the
+    same graph compare by value.  A hash collision can only merge cells,
+    which makes a refinement coarser; `_automorphism` checks every
+    permutation against the graph, so no collision can make an orbit wrong.
+    The rows are refined in blocks, so no n x n integer copy of a is made.
+    """
+
+    def __init__(self, a: np.ndarray):
+        self.a = a
+        self.rows = max(1, _BLOCK // len(a))
+        self.blocks = _ORBIT_BLOCKS  # left to refine
+
+    def refine(self, col: np.ndarray) -> Optional[np.ndarray]:
+        """The coarsest equitable coloring finer than col; None once the
+        blocks are spent.  A new color hashes the old one with the sum of
+        the neighbors' hashed colors, a multiset hash."""
+        a, rows = self.a, self.rows
+        cells = len(set(col.tolist()))
+        while self.blocks > 0:
+            self.blocks -= -(-len(a) // rows)
+            h = _mix(col)
+            signature = np.concatenate([(a[lo:lo + rows] * h).sum(axis=1, dtype=np.uint64)
+                                        for lo in range(0, len(a), rows)])
+            col = _mix(col ^ _mix(signature))
+            refined = len(set(col.tolist()))
+            if refined == cells:
+                return col
+            cells = refined
+        return None
+
+    def is_automorphism(self, p: np.ndarray) -> bool:
+        """a[p[i], p[j]] == a[i, j] for all i, j, checked a row block at a time."""
+        a, rows = self.a, self.rows
+        return all(np.array_equal(a[p[lo:lo + rows]][:, p], a[lo:lo + rows])
+                   for lo in range(0, len(a), rows))
+
+
+def _individualized(col: np.ndarray, v: int) -> np.ndarray:
+    """col with v alone in a new cell, whose color hashes v's old one."""
+    out = col.copy()
+    out[v:v + 1] = _mix(~col[v:v + 1])
+    return out
+
+
+def _automorphism(r: _Refiner, ca: np.ndarray, cb: np.ndarray, x: int,
+                  ys: list[int]) -> Optional[np.ndarray]:
+    """A verified automorphism that carries coloring ca to cb and x to one of
+    ys, or None if none is found before the refinement blocks run out.
+
+    x and each candidate y are individualized and both sides refined; a y is
+    kept only if the two colorings have the same colors.  Once they are
+    discrete the colors pair every vertex, and that permutation is returned
+    only if it is an automorphism.  Otherwise the smallest nontrivial cell
+    is split the same way, backtracking over the partner of its first vertex.
+    """
+    ra = r.refine(_individualized(ca, x))
+    if ra is None:
+        return None
+    la = ra.tolist()
+    cells = Counter(la)
+    if len(cells) <= len(set(ca.tolist())):  # no new cell: only a hash collision does this
+        return None
+    colors = sorted(la)
+    for y in ys:
+        rb = r.refine(_individualized(cb, y))
+        if rb is None:
+            return None
+        lb = rb.tolist()
+        if sorted(lb) != colors:
+            continue
+        if len(cells) == len(la):
+            where = dict(zip(lb, range(len(lb))))
+            p = np.array([where[c] for c in la])
+            if r.is_automorphism(p):
+                return p
+            continue
+        cell = min((k, c) for c, k in cells.items() if k > 1)[1]
+        p = _automorphism(r, ra, rb, la.index(cell), [j for j, c in enumerate(lb) if c == cell])
+        if p is not None or r.blocks <= 0:
+            return p
+    return None
+
+
+def _orbits(a: np.ndarray) -> list[int]:
+    """The least vertex of each vertex's orbit under automorphisms of the
+    graph with adjacency matrix a, as far as `_automorphism` finds them
+    within `_ORBIT_BLOCKS` refined row blocks.
+
+    Two vertices share an orbit only through a verified automorphism, so the
+    partition may be finer than the true orbits, never coarser.  Within each
+    cell of the equitable coloring, the first vertex not yet placed is
+    mapped onto the cell's other orbits; each automorphism found merges
+    every cycle it has.
+    """
+    n = len(a)
+    parent = list(range(n))
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    r = _Refiner(a)
+    base = r.refine(np.zeros(n, dtype=np.uint64))
+    cells: dict[int, list[int]] = {}
+    for v, c in enumerate([] if base is None else base.tolist()):
+        cells.setdefault(c, []).append(v)
+    for members in cells.values():
+        while len(members) > 1 and r.blocks > 0:
+            v = members[0]
+            rest = [w for w in members[1:] if find(w) != find(v)]
+            p = _automorphism(r, base, base, v, rest) if rest else None
+            if p is None:
+                members = rest
+                continue
+            for i, j in enumerate(p.tolist()):
+                i, j = find(i), find(j)
+                if i != j:
+                    parent[max(i, j)] = min(i, j)
+            members = [v] + [w for w in rest if find(w) != find(v)]
+    return [find(v) for v in range(n)]
+
+
+def _orbit_masks(bits: tuple[int, ...]) -> list[int]:
+    """The bitmask of each vertex's orbit, as `_orbits` finds it."""
+    rep = _orbits(_bits_matrix(bits))
+    masks: dict[int, int] = {}
+    for v, root in enumerate(rep):
+        masks[root] = masks.get(root, 0) | 1 << v
+    return [masks[root] for root in rep]
+
+
+def _max_clique_bits(bits: tuple[int, ...], budget: _Budget,
+                     initial_best: tuple[int, tuple[int, ...]],
+                     root_orbits: Callable[[], list[int]]) -> tuple[int, tuple[int, ...]]:
+    """Branch and bound over candidate bitsets with BBMC coloring bounds,
+    from every vertex of the graph.
 
     Each node colors its candidates one class at a time, as in BBMC (San
     Segundo, Rodriguez-Losada & Jimenez 2011): class k repeatedly takes the
     lowest uncolored vertex that has no neighbor in the class yet.  Built
     lowest index first, the classes are exactly those of first-fit coloring
-    in index order, so the search tree, node counts and witnesses are those
-    of per-vertex greedy coloring.  Only vertices of color k > kmin =
-    best_size - len(current) are kept for branching: the loop would prune
-    every lower color, since best_size only grows while a node is expanded.
+    in index order, so below the root the search tree, node counts and
+    witnesses are those of per-vertex greedy coloring.  Only vertices of
+    color k > kmin = best_size - len(current) are kept for branching: the
+    loop would prune every lower color, since best_size only grows while a
+    node is expanded.
+
+    At the root, once a vertex's branch is done its whole orbit leaves the
+    candidates; `root_orbits()` gives each vertex's orbit bitmask and is
+    called only when a second root branch is about to start.  The root
+    starts from every vertex, so its candidates are a union of orbits when
+    each branch starts.  A clique K
+    through a vertex w of the orbit of an explored vertex v, within later
+    candidates, maps under an automorphism taking w to v onto a clique of
+    the same size through v within v's candidates, which v's branch has
+    already beaten or matched.  So skipping w never loses a larger clique,
+    and size and exhausted are those of the unpruned search.  The witness
+    is the first clique of the final size found: the unpruned one whenever
+    the optimum turns up in the first root branch, as in every
+    vertex-transitive graph, and on every graph the tests compare.  Later
+    branches see fewer candidates than unpruned, which could order their
+    ties differently.
     """
     best_size, best_witness = initial_best
     outside = [~(b | 1 << v) for v, b in enumerate(bits)]  # neither v nor a neighbor
+    orbit: list[int] = []  # orbit bitmask of each vertex, once a second root branch needs it
+    last_root = -1  # the root vertex branched on last, while its orbit is still a candidate
 
     def expand(mask: int, current: list[int]) -> None:
-        nonlocal best_size, best_witness
+        nonlocal best_size, best_witness, orbit, last_root
         if not budget.tick():
             return
         kmin = best_size - len(current)
@@ -127,6 +310,15 @@ def _max_clique_bits(bits: tuple[int, ...], start_mask: int, budget: _Budget,
             v = order[i]
             if len(current) + bounds[i] <= best_size:
                 return
+            if not current:
+                if last_root >= 0:
+                    if not orbit:
+                        orbit = root_orbits()
+                    mask &= ~orbit[last_root]
+                    last_root = -1
+                if not mask >> v & 1:
+                    continue
+                last_root = v
             current.append(v)
             if len(current) > best_size:
                 best_size = len(current)
@@ -137,7 +329,7 @@ def _max_clique_bits(bits: tuple[int, ...], start_mask: int, budget: _Budget,
             current.pop()
             mask &= ~(1 << v)
 
-    expand(start_mask, [])
+    expand((1 << len(bits)) - 1, [])
     return best_size, best_witness
 
 
@@ -170,7 +362,7 @@ def clique_number(g: Graph, node_budget: Optional[int] = None) -> CliqueResult:
     pos = {v: i for i, v in enumerate(order)}
     seed = tuple(sorted(pos[v] for v in _greedy_clique(g, order)))
     budget = _Budget(node_budget)
-    size, witness = _max_clique_bits(bits, (1 << g.n) - 1, budget, (len(seed), seed))
+    size, witness = _max_clique_bits(bits, budget, (len(seed), seed), lambda: _orbit_masks(bits))
     original = tuple(sorted(order[i] for i in witness))
     if not verify_clique(g, original):
         raise MycthetaInternal("clique witness failed re-verification")

@@ -30,6 +30,8 @@ from myctheta.invariants import (
     CliqueResult,
     _Budget,
     _greedy_clique,
+    _orbit_masks,
+    _orbits,
     _ordered_bits,
     greedy_coloring,
     verify_clique,
@@ -92,9 +94,14 @@ def first_fit_color_order(bits: tuple[int, ...], cand: int) -> tuple[list[int], 
     return flat, bounds
 
 
-def first_fit_clique_number(g: Graph, node_budget=None) -> CliqueResult:
-    """clique_number with every node bounded by first_fit_color_order."""
+def first_fit_clique_number(g: Graph, node_budget=None, prune=True) -> CliqueResult:
+    """clique_number with every node bounded by first_fit_color_order.
+
+    With prune, each finished root branch also drops its vertex's orbit as
+    the package's finder gives it, computed up front; without, every root
+    vertex is branched on, which is the unpruned first-fit tree."""
     order, bits = _ordered_bits(g)
+    orbit = _orbit_masks(bits) if prune else [1 << v for v in range(g.n)]
     pos = {v: i for i, v in enumerate(order)}
     seed = tuple(sorted(pos[v] for v in _greedy_clique(g, order)))
     budget = _Budget(node_budget)
@@ -110,6 +117,8 @@ def first_fit_clique_number(g: Graph, node_budget=None) -> CliqueResult:
             v = flat[i]
             if len(current) + bounds[i] <= best[0]:
                 return
+            if not mask >> v & 1:  # at the root: in the orbit of a finished branch
+                continue
             current.append(v)
             if len(current) > best[0]:
                 best[:] = [len(current), tuple(sorted(current))]
@@ -118,6 +127,8 @@ def first_fit_clique_number(g: Graph, node_budget=None) -> CliqueResult:
                 expand(sub, current)
             current.pop()
             mask &= ~(1 << v)
+            if not current:
+                mask &= ~orbit[v]
 
     expand((1 << g.n) - 1, [])
     witness = tuple(sorted(order[i] for i in best[1]))
@@ -125,7 +136,7 @@ def first_fit_clique_number(g: Graph, node_budget=None) -> CliqueResult:
 
 
 @pytest.mark.parametrize("k, budget, size, nodes, exhausted", [
-    (3, None, 10, 149_498, True),
+    (3, None, 10, 12_887, True),
     (3, 1000, 10, 1001, False),
     (4, 20_000, 19, 20_001, False),
 ])
@@ -143,6 +154,121 @@ def test_clique_search_tree_matches_first_fit():
     for g in graphs:
         for budget in (None, 5, 50):
             assert clique_number(g, budget) == first_fit_clique_number(g, budget)
+
+
+def circulant(n: int, jumps) -> Graph:
+    return Graph(n, [(i, (i + d) % n) for i in range(n) for d in jumps])
+
+
+def symmetric_and_random_graphs() -> list[Graph]:
+    rng = random.Random(2011)
+    c5, c7 = cycle_graph(5), cycle_graph(7)
+    graphs = [petersen_graph(), mycielskian(c7, 3), mycielskian(c5, 3), mycielskian(complete_graph(4)),
+              or_power(c5, 2), or_power(c7, 2), or_power(cycle_graph(6), 2),
+              or_power(mycielskian(c5), 2), or_power(mycielskian(complete_graph(4)), 2),
+              or_power(complete_graph(3), 2), or_power(path_graph(4), 2)]
+    for _ in range(20):
+        n = rng.randint(6, 30)
+        graphs.append(circulant(n, rng.sample(range(1, n // 2 + 1), rng.randint(1, n // 4 + 1))))
+    graphs += [random_graph(rng, rng.randint(2, 30), rng.random()) for _ in range(20)]
+    return graphs
+
+
+def test_root_orbit_pruning_keeps_the_unpruned_answers():
+    for g in symmetric_and_random_graphs():
+        res, ref = clique_number(g), first_fit_clique_number(g, prune=False)
+        assert (res.size, res.witness, res.exhausted) == (ref.size, ref.witness, ref.exhausted)
+        assert res.nodes <= ref.nodes
+        for budget in (3, 20, 100):
+            assert clique_number(g, budget).size >= first_fit_clique_number(g, budget, prune=False).size
+
+
+def test_root_orbit_pruning_changes_only_nodes_on_petersen_and_m3_c7():
+    for g in (petersen_graph(), mycielskian(cycle_graph(7), 3)):
+        res, ref = clique_number(g), first_fit_clique_number(g, prune=False)
+        assert res == CliqueResult(ref.size, ref.witness, ref.exhausted, res.nodes)
+        assert res.nodes < ref.nodes
+
+
+def orbit_partition(rep: list[int]) -> set[frozenset[int]]:
+    cells: dict[int, set[int]] = {}
+    for v, root in enumerate(rep):
+        cells.setdefault(root, set()).add(v)
+    return {frozenset(c) for c in cells.values()}
+
+
+def networkx_orbits(g: Graph) -> set[frozenset[int]]:
+    """Orbits of every automorphism networkx enumerates."""
+    h = networkx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    images: dict[int, set[int]] = {v: set() for v in range(g.n)}
+    for iso in networkx.algorithms.isomorphism.GraphMatcher(h, h).isomorphisms_iter():
+        for v, w in iso.items():
+            images[v].add(w)
+    return {frozenset(c) for c in images.values()}
+
+
+def refines(finer: set[frozenset[int]], coarser: set[frozenset[int]]) -> bool:
+    return all(any(c <= d for d in coarser) for c in finer)
+
+
+def test_orbits_split_what_color_refinement_cannot():
+    # C6 and two triangles: every vertex has degree 2, so refinement leaves one cell
+    g = Graph(12, [(i, (i + 1) % 6) for i in range(6)] + [(6, 7), (7, 8), (6, 8), (9, 10), (10, 11), (9, 11)])
+    assert orbit_partition(_orbits(g.bool_matrix())) == {frozenset(range(6)), frozenset(range(6, 12))}
+
+
+def test_orbits_of_a_rigid_graph_are_singletons():
+    h = networkx.frucht_graph()
+    g = Graph(h.number_of_nodes(), list(h.edges()))
+    assert _orbits(g.bool_matrix()) == list(range(g.n))
+
+
+@pytest.mark.parametrize("g, count", [
+    (or_power(cycle_graph(5), 3), 1),
+    (mycielskian(cycle_graph(5)), 3),
+    (or_power(mycielskian(complete_graph(4)), 2), 6),
+    (or_power(mycielskian(cycle_graph(5)), 2), 6),
+])
+def test_orbit_counts(g, count):
+    assert len(set(_orbits(g.bool_matrix()))) == count
+
+
+def test_orbits_refine_networkx_orbits():
+    rng = random.Random(5)
+    graphs = [random_graph(rng, rng.randint(1, 8), rng.random()) for _ in range(60)]
+    graphs += [petersen_graph(), or_power(path_graph(3), 2), circulant(8, (1, 4))]
+    for g in graphs:
+        assert refines(orbit_partition(_orbits(g.bool_matrix())), networkx_orbits(g))
+
+
+def test_spent_refinement_budget_keeps_a_finer_partition(monkeypatch):
+    cube = or_power(cycle_graph(5), 3)
+    petersen = petersen_graph()
+    full = {g: orbit_partition(_orbits(g.bool_matrix())) for g in (cube, petersen)}
+    assert [len(p) for p in full.values()] == [1, 1]
+    for blocks in (0, 1, 5, 20):
+        monkeypatch.setattr(invariants, "_ORBIT_BLOCKS", blocks)
+        cut = orbit_partition(_orbits(cube.bool_matrix()))
+        assert len(cut) > 1 and refines(cut, full[cube])
+        assert refines(orbit_partition(_orbits(petersen.bool_matrix())), networkx_orbits(petersen))
+        res = clique_number(cube)
+        assert (res.size, res.exhausted) == (10, True) and res.nodes > 12_887
+
+
+def test_orbits_merge_only_through_verified_automorphisms(monkeypatch):
+    monkeypatch.setattr(invariants._Refiner, "is_automorphism", lambda self, p: False)
+    assert _orbits(or_power(cycle_graph(5), 3).bool_matrix()) == list(range(125))
+
+
+@pytest.mark.parametrize("g", [complete_graph(7), empty_graph(6), cycle_graph(4), cycle_graph(9)])
+def test_single_root_branch_never_calls_the_orbit_finder(g, monkeypatch):
+    def fail(a):
+        raise AssertionError("orbit finder called")
+
+    monkeypatch.setattr(invariants, "_orbits", fail)
+    assert clique_number(g).exhausted
 
 
 @st.composite

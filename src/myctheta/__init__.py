@@ -23,14 +23,17 @@ from .graphs import (
     cycle_graph,
     embed_mycielski_power,
     empty_graph,
+    family_generators,
     format_edgelist,
     generate,
+    mycielski_generators,
     mycielskian,
     mycielskian_digraph,
     or_power,
     or_product,
     parse_edgelist,
     path_graph,
+    power_generators,
     transitive_tournament,
 )
 from .invariants import (

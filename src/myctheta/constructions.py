@@ -57,6 +57,7 @@ from .invariants import (
     CapacityBound,
     ChromaticResult,
     CliqueResult,
+    _power_search_generators,
     capacity_lower_bound,
     chromatic_number,
     clique_number,
@@ -308,18 +309,21 @@ class ChainedClique:
 
 
 def chained_power_clique(g: Graph, k: int = 1,
-                         node_budget: Optional[int] = None) -> ChainedClique:
+                         node_budget: Optional[int] = None,
+                         generators: Optional[Sequence[np.ndarray]] = None) -> ChainedClique:
     """Explicit (N^N + 1)-clique in [M(G)]^(k N), where N = omega(G^k).
 
     Chains a clique witness K_N inside G^k with the extended lifted clique in
     [M(K_N)]^N: each M(K_N) coordinate (q, level) expands to the k-tuple of
     M(G) labels (q_1, level) ... (q_k, level), apex to k apexes.  Pairwise
-    adjacency over M(G) is re-verified coordinate-wise.
+    adjacency over M(G) is re-verified coordinate-wise.  `generators` are
+    automorphisms of g, lifted to G^k for its search as in
+    `capacity_lower_bound`.
     """
     if k < 1:
         raise DomainError("chaining needs k >= 1")
     power = or_power(g, k)
-    witness = clique_number(power, node_budget)
+    witness = clique_number(power, node_budget, _power_search_generators(g, k, generators))
     if not witness.exhausted:
         raise InconclusiveError("clique search for omega(G^k) ran out of budget")
     cap = witness.size
@@ -414,6 +418,7 @@ class CapacityReport:
                     "value": b.value,
                     "exhausted": b.exhausted,
                     "clique_size": b.clique.size,
+                    "nodes": b.clique.nodes,
                     "closed_by": b.clique.closed_by,
                 }
                 for b in self.lower_bounds
@@ -472,7 +477,8 @@ def _product_seed(witnesses: dict[int, tuple[int, ...]], k: int, n: int) -> tupl
     return best
 
 
-def capacity_report(g: GraphLike, options: ReportOptions = ReportOptions()) -> CapacityReport:
+def capacity_report(g: GraphLike, options: ReportOptions = ReportOptions(),
+                    generators: Optional[Sequence[np.ndarray]] = None) -> CapacityReport:
     """Bundle of invariants and bounds; per-field failures land in `errors`.
 
     Only expected failures (`MycthetaError`) are recorded there.  A bad
@@ -486,6 +492,11 @@ def capacity_report(g: GraphLike, options: ReportOptions = ReportOptions()) -> C
     cap's theta_bar solve runs once, when first needed; if it fails, the
     searches run uncapped and nothing is recorded, since the report outputs
     no theta for a digraph.
+
+    `generators` are automorphisms of an undirected g.  They prune the
+    search for omega(g) and, lifted to g^k, each power's search; without
+    them each power takes the automorphisms the finder verifies on g (see
+    `capacity_lower_bound`).
     """
     theta_mod.check_tol(options.theta_tol)
     if options.clique_budget is not None and options.clique_budget < 1:
@@ -516,7 +527,7 @@ def capacity_report(g: GraphLike, options: ReportOptions = ReportOptions()) -> C
         )
     else:
         report.omega = omega = attempt(
-            "omega", lambda: clique_number(g, options.clique_budget)
+            "omega", lambda: clique_number(g, options.clique_budget, generators)
         )
     # the k = 1 bound is the clique number of G^1 = G, searched just above
     bounds = []
@@ -553,7 +564,8 @@ def capacity_report(g: GraphLike, options: ReportOptions = ReportOptions()) -> C
     for k in range(2, options.max_power + 1):
         bound = attempt(
             f"lower_bound_k{k}",
-            lambda k=k: capacity_lower_bound(g, k, options.clique_budget, **search_args(k)),
+            lambda k=k: capacity_lower_bound(g, k, options.clique_budget, generators=generators,
+                                             **search_args(k)),
         )
         if bound is not None:
             bounds.append(bound)

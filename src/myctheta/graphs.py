@@ -355,6 +355,55 @@ def _require_positive(n: int) -> None:
 
 
 # ---------------------------------------------------------------------------
+# automorphism generators of the families and constructions
+# ---------------------------------------------------------------------------
+#
+# A generator is an int array p with p[v] the image of vertex v.  The
+# generators built here come from the construction alone and are checked
+# against the graph only by the search that uses them (`clique_number`).
+
+Generators = tuple[np.ndarray, ...]
+
+
+def family_generators(family: str, n: int) -> Generators:
+    """Automorphism generators of generate(family, n): a cycle's rotation and
+    reflection, an n-cycle and a transposition of the complete and empty
+    graphs (all of S_n), a path's reflection, none for the rigid transitive
+    tournament.  Identities are left out."""
+    if family not in _FAMILIES:
+        raise DomainError(f"unknown family {family!r}; choose from {sorted(_FAMILIES)}")
+    _require_positive(n)
+    v = np.arange(n)
+    if family == "cycle":
+        gens = [np.roll(v, -1), -v % n]
+    elif family in ("complete", "empty"):
+        gens = [np.roll(v, -1)] + [np.concatenate([[1, 0], v[2:]])] * (n > 2)
+    elif family == "path":
+        gens = [v[::-1]]
+    else:
+        gens = []
+    return tuple(p for p in gens if (p != v).any())
+
+
+def mycielski_generators(gens: Sequence[np.ndarray], n: int, r: int = 2) -> Generators:
+    """Each generator of a graph on n vertices applied on every level of M_r,
+    with the apex fixed (the layout of `mycielskian`)."""
+    return tuple(np.concatenate([np.asarray(p) + lvl * n for lvl in range(r)] + [[r * n]])
+                 for p in gens)
+
+
+def power_generators(gens: Sequence[np.ndarray], n: int, t: int) -> Generators:
+    """Automorphism generators of the t-th OR-power of a graph on n vertices
+    with generators gens: each one applied on one coordinate, and the swaps
+    of adjacent coordinates (the layout of `or_power`)."""
+    grid = np.arange(n ** t).reshape((n,) * t)
+    out = [np.take(grid, p, axis=i).ravel() for i in range(t) for p in gens]
+    if n > 1:
+        out += [np.swapaxes(grid, i, i + 1).ravel() for i in range(t - 1)]
+    return tuple(out)
+
+
+# ---------------------------------------------------------------------------
 # Mycielski constructions
 # ---------------------------------------------------------------------------
 

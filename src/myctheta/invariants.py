@@ -13,12 +13,31 @@ the bound would prune.  At the root it also drops the whole automorphism
 orbit of each vertex whose branch is done: every clique through a vertex of
 that orbit has an image of the same size through the vertex itself, inside
 the same union of unexplored orbits, so the pruned branches could never
-raise the best size.  Below the root the tree is the first-fit one, so the
-first root branch, and with it the witness of every search that finds its
-optimum there, is the unpruned one.  The orbits come from `_orbits`,
-which merges two vertices only through a permutation it has checked to be
-an automorphism, so its orbits may be too fine but never too coarse; it
-runs only when the root is about to take a second branch.
+raise the best size.
+
+Given automorphism generators, as every `--family` graph has them from its
+construction, the root takes the orbits of the group H they generate, and
+the search also prunes at depth 1, as nauty-style searches do (McKay &
+Piperno 2014).  The root's candidates are a union of H-orbits whenever a
+root branch starts, so the candidates of its child [v], those candidates
+that are neighbors of v, are mapped onto themselves by every element of H
+that fixes v.  Once a child w of [v] is done, [v] drops w's orbit under a
+subgroup of that stabilizer, whose generators come from Schreier's lemma;
+the same image argument, with the image fixing v, shows nothing larger is
+lost.  Without generators, the root's orbits come from `_orbits`, which
+merges two vertices only through a permutation it has checked to be an
+automorphism, and depth 1 is not pruned.  Every orbit used may be too fine
+but never too coarse, and the generators are checked against the graph
+before any of them is used.
+
+Size and exhausted are those of the unpruned search.  The tree is the
+unpruned one until an orbit first takes a vertex other than the one just
+branched on, so the witness, the first clique of the final size found, is
+the unpruned one whenever the optimum turns up before that: in the first
+child of the first root branch, as in C5^3 and C7^3.  The orbits are
+computed only when a node at depth 0 or 1 is about to take its second
+branch, so searches that end in their first branch there, and commands that
+never search, pay nothing for them.
 
 The transitive clique search also takes an optional certified upper bound
 `cap` on the order's length and an optional `seed`, a known transitive
@@ -36,12 +55,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import DomainError, MycthetaInternal
-from .graphs import Digraph, Graph, _bits_matrix, _row_bits, or_power
+from .graphs import Digraph, Generators, Graph, _bits_matrix, _row_bits, or_power, power_generators
 
 GraphLike = Union[Graph, Digraph]
 
@@ -123,7 +142,7 @@ class _Refiner:
 
     def __init__(self, a: np.ndarray):
         self.a = a
-        self.rows = max(1, _BLOCK // len(a))
+        self.rows = max(1, _BLOCK // max(1, len(a)))
         self.blocks = _ORBIT_BLOCKS  # left to refine
 
     def refine(self, col: np.ndarray) -> Optional[np.ndarray]:
@@ -145,10 +164,15 @@ class _Refiner:
         return None
 
     def is_automorphism(self, p: np.ndarray) -> bool:
-        """a[p[i], p[j]] == a[i, j] for all i, j, checked a row block at a time."""
-        a, rows = self.a, self.rows
-        return all(np.array_equal(a[p[lo:lo + rows]][:, p], a[lo:lo + rows])
-                   for lo in range(0, len(a), rows))
+        return _is_automorphism(self.a, p)
+
+
+def _is_automorphism(a: np.ndarray, p: np.ndarray) -> bool:
+    """a[p[i], p[j]] == a[i, j] for all i, j, checked a row block of at most
+    _BLOCK entries at a time, so no n x n copy of a is made."""
+    rows = max(1, _BLOCK // max(1, len(a)))
+    return all(np.array_equal(a[p[lo:lo + rows]][:, p], a[lo:lo + rows])
+               for lo in range(0, len(a), rows))
 
 
 def _individualized(col: np.ndarray, v: int) -> np.ndarray:
@@ -197,19 +221,20 @@ def _automorphism(r: _Refiner, ca: np.ndarray, cb: np.ndarray, x: int,
     return None
 
 
-def _orbits(a: np.ndarray) -> list[int]:
-    """The least vertex of each vertex's orbit under automorphisms of the
-    graph with adjacency matrix a, as far as `_automorphism` finds them
-    within `_ORBIT_BLOCKS` refined row blocks.
+def _automorphisms(a: np.ndarray) -> list[np.ndarray]:
+    """Automorphisms of the graph with adjacency matrix a, each one verified,
+    as far as `_automorphism` finds them within `_ORBIT_BLOCKS` refined row
+    blocks.
 
-    Two vertices share an orbit only through a verified automorphism, so the
-    partition may be finer than the true orbits, never coarser.  Within each
-    cell of the equitable coloring, the first vertex not yet placed is
-    mapped onto the cell's other orbits; each automorphism found merges
-    every cycle it has.
+    Within each cell of the equitable coloring, the first vertex not yet
+    placed is mapped onto the cell's other orbits; each automorphism found
+    merges every cycle it has.  The list holds one automorphism per merge, so
+    the orbits of the group it generates may be finer than the true orbits,
+    never coarser.
     """
     n = len(a)
     parent = list(range(n))
+    found: list[np.ndarray] = []
 
     def find(v: int) -> int:
         while parent[v] != v:
@@ -218,7 +243,7 @@ def _orbits(a: np.ndarray) -> list[int]:
         return v
 
     r = _Refiner(a)
-    base = r.refine(np.zeros(n, dtype=np.uint64))
+    base = r.refine(np.zeros(n, dtype=np.uint64)) if n else None
     cells: dict[int, list[int]] = {}
     for v, c in enumerate([] if base is None else base.tolist()):
         cells.setdefault(c, []).append(v)
@@ -230,26 +255,154 @@ def _orbits(a: np.ndarray) -> list[int]:
             if p is None:
                 members = rest
                 continue
+            found.append(p)
             for i, j in enumerate(p.tolist()):
                 i, j = find(i), find(j)
                 if i != j:
                     parent[max(i, j)] = min(i, j)
             members = [v] + [w for w in rest if find(w) != find(v)]
-    return [find(v) for v in range(n)]
+    return found
+
+
+def _orbits(a: np.ndarray) -> list[int]:
+    """The least vertex of each vertex's orbit under the automorphisms that
+    `_automorphisms` finds."""
+    return _orbit_labels(_stack(_automorphisms(a), len(a))).tolist()
+
+
+def _stack(perms: Sequence[np.ndarray], n: int) -> np.ndarray:
+    """The permutations as the rows of a len(perms) x n int32 array."""
+    return np.array(perms, dtype=np.int32).reshape(len(perms), n)
+
+
+def _orbit_labels(perms: np.ndarray) -> np.ndarray:
+    """The least vertex of each vertex's orbit under the group generated by
+    the rows of perms, by label propagation.
+
+    Each vertex takes the least label of its images, then the label of its
+    label (a vertex of the same orbit).  Every edge v -> p(v) lies on a cycle
+    of p, so labels flow around each cycle and the fixed point is constant
+    on every orbit, at its least vertex.
+    """
+    lab = np.arange(perms.shape[1], dtype=np.int32)
+    while len(perms):
+        new = np.minimum(lab, lab[perms].min(axis=0))
+        new = new[new]
+        if np.array_equal(new, lab):
+            break
+        lab = new
+    return lab
+
+
+def _label_masks(labels: Sequence[int]) -> list[int]:
+    """The bitmask of the vertices that share each vertex's label."""
+    masks: dict[int, int] = {}
+    for v, root in enumerate(labels):
+        masks[root] = masks.get(root, 0) | 1 << v
+    return [masks[root] for root in labels]
 
 
 def _orbit_masks(bits: tuple[int, ...]) -> list[int]:
     """The bitmask of each vertex's orbit, as `_orbits` finds it."""
-    rep = _orbits(_bits_matrix(bits))
-    masks: dict[int, int] = {}
-    for v, root in enumerate(rep):
-        masks[root] = masks.get(root, 0) | 1 << v
-    return [masks[root] for root in rep]
+    return _label_masks(_orbits(_bits_matrix(bits)))
+
+
+# Entries of the stacked Schreier generators one stabilizer may use.  Past
+# it, fewer points of the orbit carry transversal elements, which yields a
+# subgroup of the stabilizer: its orbits may come out finer, never coarser.
+_SCHREIER_CELLS = 1 << 16
+
+
+def _stabilizer(gens: np.ndarray, v: int) -> np.ndarray:
+    """Schreier generators of the stabilizer of v in the group generated by
+    the rows of gens (Schreier's lemma), as the rows of an array.
+
+    The transversal element t_y maps v to y along a breadth-first tree of
+    v's orbit, and each generator g gives t_z^-1 g t_y with z = g(y).  Only
+    the first points y of the orbit, as many as `_SCHREIER_CELLS` allows, get
+    a t_y, and a pair is used only when z is one of them too.
+    """
+    k, n = gens.shape
+    limit = max(1, _SCHREIER_CELLS // max(1, k * n))
+    images = gens.tolist()
+    points, where, tree = [v], {v: 0}, set()
+    parents: list[tuple[int, int]] = []
+    for y in points:
+        for j in range(k):
+            z = images[j][y]
+            if z not in where and len(points) < limit:
+                where[z] = len(points)
+                points.append(z)
+                parents.append((where[y], j))
+                tree.add((where[z], j))
+    trans = np.empty((len(points), n), dtype=np.int32)
+    trans[0] = np.arange(n)
+    for i, (up, j) in enumerate(parents, 1):
+        trans[i] = gens[j][trans[up]]
+    pairs = [(i, j, where[z]) for i, y in enumerate(points) for j in range(k)
+             if (z := images[j][y]) in where and (where[z], j) not in tree]
+    if not pairs:
+        return np.empty((0, n), dtype=np.int32)
+    ys, js, zs = (np.array(c) for c in zip(*pairs))
+    inverse = np.empty_like(trans)
+    inverse[np.arange(len(points))[:, None], trans] = np.arange(n, dtype=np.int32)
+    return inverse[zs[:, None], gens[js[:, None], trans[ys]]]
+
+
+class _Symmetry:
+    """The orbits `_max_clique_bits` prunes by, in the search's labelling.
+
+    With generators (`p[v]` the image of v, in the graph's own labelling),
+    the root takes the orbits of the group H they generate and a depth-1
+    node [v] those of the subgroup of H's stabilizer of v spanned by
+    `_stabilizer`.  Each generator is checked to be an automorphism, once,
+    on the first call, which comes only when a node at depth 0 or 1 is about
+    to take its second branch; one that fails raises MycthetaInternal.
+    Without generators the root takes the orbits of `_orbit_masks` and depth
+    1 is not pruned.
+    """
+
+    def __init__(self, bits: tuple[int, ...], order: list[int],
+                 generators: Optional[Sequence[np.ndarray]]):
+        self.bits = bits
+        self.order = order
+        self.generators = generators
+        self.gens: Optional[np.ndarray] = None  # the checked generators, relabeled
+        self.levels = 1 if generators is None else 2  # top levels of the tree pruned
+
+    def __call__(self, current: list[int]) -> list[int]:
+        """The orbit bitmask of each vertex, for the node whose clique so far
+        is `current`, at a depth below `levels`."""
+        if self.generators is None:
+            return _orbit_masks(self.bits)
+        if self.gens is None:
+            self.gens = self._checked()
+        return _label_masks(_orbit_labels(_stabilizer(self.gens, current[0]) if current else self.gens))
+
+    def _checked(self) -> np.ndarray:
+        n = len(self.bits)
+        a = _bits_matrix(self.bits)
+        order = np.asarray(self.order, dtype=np.intp)
+        relabel = np.empty(n, dtype=np.intp)  # graph vertex -> search vertex
+        relabel[order] = np.arange(n)
+        rows = []
+        for p in self.generators:
+            p = np.asarray(p)
+            hit = np.zeros(n, dtype=bool)
+            if p.shape == (n,) and p.dtype.kind in "iu" and (n == 0 or 0 <= p.min() <= p.max() < n):
+                hit[p] = True
+            if not hit.all():
+                raise MycthetaInternal("automorphism generator is not a permutation of the vertices")
+            q = relabel[p[order]]
+            if not _is_automorphism(a, q):
+                raise MycthetaInternal("automorphism generator failed its check against the graph")
+            rows.append(q)
+        return _stack(rows, n)
 
 
 def _max_clique_bits(bits: tuple[int, ...], budget: _Budget,
                      initial_best: tuple[int, tuple[int, ...]],
-                     root_orbits: Callable[[], list[int]]) -> tuple[int, tuple[int, ...]]:
+                     orbits: _Symmetry) -> tuple[int, tuple[int, ...]]:
     """Branch and bound over candidate bitsets with BBMC coloring bounds,
     from every vertex of the graph.
 
@@ -257,35 +410,46 @@ def _max_clique_bits(bits: tuple[int, ...], budget: _Budget,
     Segundo, Rodriguez-Losada & Jimenez 2011): class k repeatedly takes the
     lowest uncolored vertex that has no neighbor in the class yet.  Built
     lowest index first, the classes are exactly those of first-fit coloring
-    in index order, so below the root the search tree, node counts and
+    in index order, so below depth 1 the search tree, node counts and
     witnesses are those of per-vertex greedy coloring.  Only vertices of
     color k > kmin = best_size - len(current) are kept for branching: the
     loop would prune every lower color, since best_size only grows while a
     node is expanded.
 
-    At the root, once a vertex's branch is done its whole orbit leaves the
-    candidates; `root_orbits()` gives each vertex's orbit bitmask and is
-    called only when a second root branch is about to start.  The root
-    starts from every vertex, so its candidates are a union of orbits when
-    each branch starts.  A clique K
-    through a vertex w of the orbit of an explored vertex v, within later
-    candidates, maps under an automorphism taking w to v onto a clique of
-    the same size through v within v's candidates, which v's branch has
-    already beaten or matched.  So skipping w never loses a larger clique,
-    and size and exhausted are those of the unpruned search.  The witness
-    is the first clique of the final size found: the unpruned one whenever
-    the optimum turns up in the first root branch, as in every
-    vertex-transitive graph, and on every graph the tests compare.  Later
+    Symmetry prunes the top `orbits.levels` levels, the root and, given
+    generators, depth 1.  `orbits(current)` gives each vertex's orbit
+    bitmask at the node whose clique so far is `current`: under a group H
+    of automorphisms at the root, under a subgroup S of H's stabilizer of v
+    at the depth-1 node [v].  It is called only when that node is about to
+    take its second branch; from then on, once a branch is done, its
+    vertex's whole orbit leaves the node's candidates.
+
+    The root starts from every vertex and drops whole H-orbits, so its
+    candidates R are H-invariant whenever a root branch starts.  The node
+    [v] starts from R & N(v), which every element of H fixing v maps onto
+    itself, and drops whole S-orbits, so its candidates stay S-invariant.
+    At either node, let C be the candidates when the branch of w started
+    and w' a later candidate in w's orbit, taken to w by an automorphism s
+    of the node's group (fixing v at depth 1).  A clique through w' (and v)
+    within later candidates, a subset of C, maps under s onto a clique of
+    the same size through w (and v) within C, which w's branch has already
+    beaten or matched.  So skipping w' never loses a larger clique, and
+    size and exhausted are those of the unpruned search.
+
+    The witness is the first clique of the final size found.  The tree is
+    the unpruned one until an orbit first takes a vertex other than the one
+    just branched on, so the witness is the unpruned one whenever the
+    optimum turns up before that, as in the first child of the first root
+    branch of C5^3 and C7^3, and on every graph the tests compare.  Later
     branches see fewer candidates than unpruned, which could order their
     ties differently.
     """
     best_size, best_witness = initial_best
     outside = [~(b | 1 << v) for v, b in enumerate(bits)]  # neither v nor a neighbor
-    orbit: list[int] = []  # orbit bitmask of each vertex, once a second root branch needs it
-    last_root = -1  # the root vertex branched on last, while its orbit is still a candidate
+    levels = orbits.levels
 
     def expand(mask: int, current: list[int]) -> None:
-        nonlocal best_size, best_witness, orbit, last_root
+        nonlocal best_size, best_witness
         if not budget.tick():
             return
         kmin = best_size - len(current)
@@ -304,21 +468,24 @@ def _max_clique_bits(bits: tuple[int, ...], budget: _Budget,
                 if k > kmin:
                     order.append(v)
                     bounds.append(k)
+        shallow = len(current) < levels  # prune by orbits
+        orbit: list[int] = []  # orbit bitmask of each vertex, once a second branch needs it
+        done = -1  # the vertex branched on last, while its orbit is still a candidate
         for i in range(len(order) - 1, -1, -1):
             if budget.limit is not None and budget.nodes > budget.limit:
                 return
             v = order[i]
             if len(current) + bounds[i] <= best_size:
                 return
-            if not current:
-                if last_root >= 0:
+            if shallow:
+                if done >= 0:
                     if not orbit:
-                        orbit = root_orbits()
-                    mask &= ~orbit[last_root]
-                    last_root = -1
+                        orbit = orbits(current)
+                    mask &= ~orbit[done]
+                    done = -1
                 if not mask >> v & 1:
                     continue
-                last_root = v
+                done = v
             current.append(v)
             if len(current) > best_size:
                 best_size = len(current)
@@ -353,8 +520,15 @@ def _is_transitive(d: Digraph, order: tuple[int, ...]) -> bool:
     return bool(d.bool_matrix()[np.ix_(idx, idx)][np.triu_indices(len(idx), 1)].all())
 
 
-def clique_number(g: Graph, node_budget: Optional[int] = None) -> CliqueResult:
-    """Branch-and-bound maximum clique with bit-parallel coloring upper bounds."""
+def clique_number(g: Graph, node_budget: Optional[int] = None,
+                  generators: Optional[Sequence[np.ndarray]] = None) -> CliqueResult:
+    """Branch-and-bound maximum clique with bit-parallel coloring upper bounds.
+
+    `generators` are automorphisms of g (`p[v]` the image of v), such as a
+    family's construction gives them; the search prunes its root and depth 1
+    by the group they generate, and checks each one first.  Without them
+    only the root is pruned, by the orbits the finder verifies.
+    """
     if g.n == 0:
         raise DomainError("clique number needs a nonempty vertex set")
     # search in the degeneracy order so bit tricks scan it cheaply
@@ -362,7 +536,7 @@ def clique_number(g: Graph, node_budget: Optional[int] = None) -> CliqueResult:
     pos = {v: i for i, v in enumerate(order)}
     seed = tuple(sorted(pos[v] for v in _greedy_clique(g, order)))
     budget = _Budget(node_budget)
-    size, witness = _max_clique_bits(bits, budget, (len(seed), seed), lambda: _orbit_masks(bits))
+    size, witness = _max_clique_bits(bits, budget, (len(seed), seed), _Symmetry(bits, order, generators))
     original = tuple(sorted(order[i] for i in witness))
     if not verify_clique(g, original):
         raise MycthetaInternal("clique witness failed re-verification")
@@ -594,14 +768,17 @@ class CapacityBound:
 
 def capacity_lower_bound(g: GraphLike, k: int, node_budget: Optional[int] = None,
                          cap: Optional[int] = None,
-                         seed: tuple[int, ...] = ()) -> CapacityBound:
+                         seed: tuple[int, ...] = (),
+                         generators: Optional[Sequence[np.ndarray]] = None) -> CapacityBound:
     """k-th root of the clique number of the k-th OR-power.
 
     Uses the transitive clique number for digraphs; flags whether the inner
     search was exhaustive.  The value is a valid capacity lower bound either
     way because any witness clique suffices.  `cap` and `seed` go to the
     transitive search over a digraph's power, in its vertex numbering; the
-    undirected search takes neither.
+    undirected search takes neither.  `generators` are automorphisms of an
+    undirected g, lifted to g^k for its search by `_power_search_generators`;
+    the transitive search takes none.
     """
     if k < 1:
         raise DomainError("capacity lower bound needs k >= 1")
@@ -612,5 +789,18 @@ def capacity_lower_bound(g: GraphLike, k: int, node_budget: Optional[int] = None
     if directed:
         res = transitive_clique_number(power, node_budget, cap, seed)
     else:
-        res = clique_number(power, node_budget)
+        res = clique_number(power, node_budget, _power_search_generators(g, k, generators))
     return CapacityBound(res.size ** (1.0 / k), k, res, directed)
+
+
+def _power_search_generators(g: Graph, k: int,
+                            generators: Optional[Sequence[np.ndarray]] = None) -> Optional[Generators]:
+    """Automorphism generators of g^k for its clique search: `generators` of
+    g, or for k >= 2 the automorphisms the finder verifies on g, each on one
+    coordinate, with the swaps of adjacent coordinates.  None for k = 1
+    without generators, where the search runs the finder on g itself."""
+    if generators is None:
+        if k == 1:
+            return None
+        generators = _automorphisms(g.bool_matrix())
+    return power_generators(generators, g.n, k)

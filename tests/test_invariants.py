@@ -2,8 +2,9 @@ import itertools
 import random
 
 import networkx
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from myctheta import (
@@ -24,15 +25,20 @@ from myctheta import (
     transitive_clique_number,
     transitive_tournament,
 )
-from myctheta import invariants
+from myctheta import cli, invariants
 from myctheta.errors import MycthetaInternal
+from myctheta.graphs import _bits_matrix
 from myctheta.invariants import (
     CliqueResult,
+    _automorphisms,
     _Budget,
     _greedy_clique,
+    _orbit_labels,
     _orbit_masks,
     _orbits,
     _ordered_bits,
+    _stabilizer,
+    _stack,
     greedy_coloring,
     verify_clique,
     verify_coloring,
@@ -188,6 +194,146 @@ def test_root_orbit_pruning_changes_only_nodes_on_petersen_and_m3_c7():
         res, ref = clique_number(g), first_fit_clique_number(g, prune=False)
         assert res == CliqueResult(ref.size, ref.witness, ref.exhausted, res.nodes)
         assert res.nodes < ref.nodes
+
+
+FAMILY_POWERS = ("power:cycle:5:t=2", "power:cycle:5:t=3", "power:cycle:7:t=2",
+                 "power:mycielski:cycle:5:t=2")
+
+
+def generator_cases():
+    """(graph, generator sets): the finder's automorphisms of the graphs of
+    `symmetric_and_random_graphs` and of the family powers, and the family
+    powers' structural generators."""
+    cases = [(g, [_automorphisms(g.bool_matrix())]) for g in symmetric_and_random_graphs()]
+    for spec in FAMILY_POWERS:
+        g, gens = cli.family_with_generators(spec)
+        cases.append((g, [gens, _automorphisms(g.bool_matrix())]))
+    return cases
+
+
+def test_depth_one_pruning_keeps_the_unpruned_answers():
+    for g, generator_sets in generator_cases():
+        for budget in (None, 3, 20, 100):
+            ref = first_fit_clique_number(g, budget, prune=False)
+            for gens in generator_sets:
+                res = clique_number(g, budget, gens)
+                assert (res.size, res.witness) == (ref.size, ref.witness)
+                assert res.nodes <= ref.nodes
+                if budget is None:
+                    assert res.exhausted and ref.exhausted
+                else:
+                    # the pruned tree is smaller, so it may finish where the unpruned one is cut
+                    assert res.exhausted >= ref.exhausted
+
+
+@pytest.mark.parametrize("spec, nodes", [
+    ("power:cycle:5:t=3", 1190),
+    ("power:mycielski:cycle:5:t=2", 52),
+])
+def test_family_generators_prune_depth_one(spec, nodes):
+    g, gens = cli.family_with_generators(spec)
+    res, plain = clique_number(g, generators=gens), clique_number(g)
+    assert res == CliqueResult(plain.size, plain.witness, True, nodes)
+
+
+def test_c7_cube_with_family_generators():
+    g, gens = cli.family_with_generators("power:cycle:7:t=3")
+    res = clique_number(g, generators=gens)
+    assert (res.size, res.exhausted) == (8, True) and res.nodes <= 100_000
+
+
+def test_empty_generators_give_the_unpruned_tree():
+    for g in symmetric_and_random_graphs()[:12]:
+        assert clique_number(g, 50, ()) == first_fit_clique_number(g, 50, prune=False)
+
+
+@pytest.mark.parametrize("spec, count", [
+    ("power:complete:3:t=4", 1),
+    ("power:mycielski:cycle:5:t=3", 10),
+    ("mycielski:power:cycle:5:t=2", 3),
+    ("power:path:4:t=2", 3),
+])
+def test_root_orbits_from_structural_generators(spec, count, monkeypatch):
+    monkeypatch.setattr(invariants, "_orbits", lambda a: pytest.fail("orbit finder called"))
+    g, gens = cli.family_with_generators(spec)
+    assert len(set(_orbit_labels(_stack(gens, g.n)).tolist())) == count
+    clique_number(g, 2000, gens)  # prunes by the structural generators alone; M(C5)^3 is cut
+
+
+def test_stabilizer_fixes_its_point_and_has_the_full_orbits():
+    g, gens = cli.family_with_generators("power:cycle:5:t=3")
+    order, bits = _ordered_bits(g)
+    stack = invariants._Symmetry(bits, order, gens)._checked()
+    a = _bits_matrix(bits)
+    for v in (0, 62, 124):
+        schreier = _stabilizer(stack, v)
+        assert (schreier[:, v] == v).all()
+        assert all(invariants._is_automorphism(a, s) for s in schreier)
+    # Stab((0,0,0)) in D5 wr S3: a coordinate is 0, +-1 or +-2, up to order
+    g = or_power(cycle_graph(5), 3)
+    stack = _stack(cli.family_with_generators("power:cycle:5:t=3")[1], g.n)
+    assert len(set(_orbit_labels(_stabilizer(stack, 0)).tolist())) == 10
+
+
+def test_capped_schreier_generators_span_a_subgroup(monkeypatch):
+    g, gens = cli.family_with_generators("power:cycle:7:t=3")
+    stack = _stack(gens, g.n)
+    full = orbit_partition(_orbit_labels(_stabilizer(stack, 0)).tolist())
+    cube, cube_gens = cli.family_with_generators("power:cycle:5:t=3")
+    for cells in (0, 3000, 50_000):
+        monkeypatch.setattr(invariants, "_SCHREIER_CELLS", cells)
+        schreier = _stabilizer(stack, 0)
+        assert schreier.size <= max(cells, len(gens) * g.n)
+        assert refines(orbit_partition(_orbit_labels(schreier).tolist()), full)
+        res = clique_number(cube, generators=cube_gens)
+        assert (res.size, res.exhausted) == (10, True) and res.nodes >= 1190
+
+
+@pytest.mark.parametrize("bad", [
+    [np.array([1, 0] + list(range(2, 25)))],      # a transposition of C5^2 that is no automorphism
+    [np.arange(24)],                               # not a permutation of 25 vertices
+    [np.array([0] * 25)],
+])
+def test_non_automorphism_generator_raises(bad):
+    g, gens = cli.family_with_generators("power:cycle:5:t=2")
+    with pytest.raises(MycthetaInternal):
+        clique_number(g, generators=list(gens) + bad)
+
+
+@pytest.mark.parametrize("g", [complete_graph(7), empty_graph(6), cycle_graph(4), cycle_graph(9)])
+def test_generators_are_checked_only_when_a_second_branch_starts(g):
+    # each of these searches ends in its first branch at depth 0 and 1
+    bad = [np.roll(np.arange(g.n), 1) ^ 1 if g.n % 2 == 0 else np.zeros(g.n, dtype=int)]
+    assert clique_number(g, generators=bad).exhausted
+
+
+@st.composite
+def family_specs(draw):
+    """A family spec of at most three constructors and 200 vertices, and its vertex count."""
+    base = draw(st.sampled_from(["cycle", "complete", "empty", "path"]))
+    n = draw(st.integers(3 if base == "cycle" else 1, 7))
+    spec, size = f"{base}:{n}", n
+    for _ in range(draw(st.integers(0, 2))):
+        if draw(st.booleans()):
+            r = draw(st.integers(1, 3))
+            spec, size = f"mycielski:{spec}:r={r}", r * size + 1
+        else:
+            t = draw(st.integers(1, 3))
+            spec, size = f"power:{spec}:t={t}", size ** t
+    assume(size <= 200)
+    return spec
+
+
+@given(family_specs())
+def test_structural_generators_are_automorphisms_and_keep_the_answers(spec):
+    g, gens = cli.family_with_generators(spec)
+    a = g.bool_matrix()
+    for p in gens:
+        assert sorted(p.tolist()) == list(range(g.n))
+        assert (a[np.ix_(p, p)] == a).all()
+    res, ref = clique_number(g, generators=gens), clique_number(g, generators=())
+    assert (res.size, res.exhausted) == (ref.size, ref.exhausted) == (ref.size, True)
+    assert res.nodes <= ref.nodes
 
 
 def orbit_partition(rep: list[int]) -> set[frozenset[int]]:

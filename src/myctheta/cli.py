@@ -270,7 +270,8 @@ def _detect_construction(spec: Optional[str]) -> dict:
     """Attach the matching clique construction for mycielski:<base>:n specs.
 
     The construction lives in the n-th power and has n^n + 1 vertices; it is
-    attached only when that fits the vertex bound.
+    attached only for n >= 2, where it is defined, and when that fits the
+    vertex bound.
     """
     if not spec:
         return {}
@@ -281,7 +282,7 @@ def _detect_construction(spec: Optional[str]) -> dict:
         levels = [int(tok.split("=")[1]) for tok in tokens[3:]] or [2]
         if levels == [2] and tokens[1] in ("complete", "tournament"):
             n = int(tokens[2])
-            if n ** n + 1 <= graphs.max_vertices():
+            if 2 <= n and n ** n + 1 <= graphs.max_vertices():
                 return {f"mycielski_{tokens[1]}": n}
     return {}
 

@@ -15,20 +15,19 @@ that orbit has an image of the same size through the vertex itself, inside
 the same union of unexplored orbits, so the pruned branches could never
 raise the best size.
 
-Given automorphism generators, as every `--family` graph has them from its
-construction, the root takes the orbits of the group H they generate, and
-the search also prunes at depth 1, as nauty-style searches do (McKay &
-Piperno 2014).  The root's candidates are a union of H-orbits whenever a
-root branch starts, so the candidates of its child [v], those candidates
-that are neighbors of v, are mapped onto themselves by every element of H
-that fixes v.  Once a child w of [v] is done, [v] drops w's orbit under a
-subgroup of that stabilizer, whose generators come from Schreier's lemma;
-the same image argument, with the image fixing v, shows nothing larger is
-lost.  Without generators, the root's orbits come from `_orbits`, which
+The search also prunes at depth 1, as nauty-style searches do (McKay &
+Piperno 2014).  The root takes the orbits of a group H of automorphisms, so
+its candidates are a union of H-orbits whenever a root branch starts, and
+the candidates of its child [v], those candidates that are neighbors of v,
+are mapped onto themselves by every element of H that fixes v.  Once a child
+w of [v] is done, [v] drops w's orbit under a subgroup of that stabilizer,
+whose generators come from Schreier's lemma; the same image argument, with
+the image fixing v, shows nothing larger is lost.  H is spanned by the
+automorphism generators the caller gives, as every `--family` graph has them
+from its construction, each checked against the graph before any is used.
+Given none, H is spanned by the automorphisms `_automorphisms` finds, which
 merges two vertices only through a permutation it has checked to be an
-automorphism, and depth 1 is not pruned.  Every orbit used may be too fine
-but never too coarse, and the generators are checked against the graph
-before any of them is used.
+automorphism.  Every orbit used may be too fine but never too coarse.
 
 Size and exhausted are those of the unpruned search.  The tree is the
 unpruned one until an orbit first takes a vertex other than the one just
@@ -60,7 +59,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import DomainError, MycthetaInternal
-from .graphs import Digraph, Generators, Graph, _bits_matrix, _row_bits, or_power, power_generators
+from .graphs import Digraph, Graph, _bits_matrix, _row_bits, or_power, power_generators
 
 GraphLike = Union[Graph, Digraph]
 
@@ -264,12 +263,6 @@ def _automorphisms(a: np.ndarray) -> list[np.ndarray]:
     return found
 
 
-def _orbits(a: np.ndarray) -> list[int]:
-    """The least vertex of each vertex's orbit under the automorphisms that
-    `_automorphisms` finds."""
-    return _orbit_labels(_stack(_automorphisms(a), len(a))).tolist()
-
-
 def _stack(perms: Sequence[np.ndarray], n: int) -> np.ndarray:
     """The permutations as the rows of a len(perms) x n int32 array."""
     return np.array(perms, dtype=np.int32).reshape(len(perms), n)
@@ -300,11 +293,6 @@ def _label_masks(labels: Sequence[int]) -> list[int]:
     for v, root in enumerate(labels):
         masks[root] = masks.get(root, 0) | 1 << v
     return [masks[root] for root in labels]
-
-
-def _orbit_masks(bits: tuple[int, ...]) -> list[int]:
-    """The bitmask of each vertex's orbit, as `_orbits` finds it."""
-    return _label_masks(_orbits(_bits_matrix(bits)))
 
 
 # Entries of the stacked Schreier generators one stabilizer may use.  Past
@@ -352,14 +340,14 @@ def _stabilizer(gens: np.ndarray, v: int) -> np.ndarray:
 class _Symmetry:
     """The orbits `_max_clique_bits` prunes by, in the search's labelling.
 
-    With generators (`p[v]` the image of v, in the graph's own labelling),
-    the root takes the orbits of the group H they generate and a depth-1
-    node [v] those of the subgroup of H's stabilizer of v spanned by
-    `_stabilizer`.  Each generator is checked to be an automorphism, once,
-    on the first call, which comes only when a node at depth 0 or 1 is about
-    to take its second branch; one that fails raises MycthetaInternal.
-    Without generators the root takes the orbits of `_orbit_masks` and depth
-    1 is not pruned.
+    The root takes the orbits of the group H the generators span, and a
+    depth-1 node [v] those of the subgroup of H's stabilizer of v spanned by
+    `_stabilizer`.  Given generators (`p[v]` the image of v, in the graph's
+    own labelling), each is checked to be an automorphism; one that fails
+    raises MycthetaInternal.  Given none, they are the automorphisms
+    `_automorphisms` finds and verifies on the search's own bits.  Either
+    way they are taken once, on the first call, which comes only when a node
+    at depth 0 or 1 is about to take its second branch.
     """
 
     def __init__(self, bits: tuple[int, ...], order: list[int],
@@ -368,13 +356,10 @@ class _Symmetry:
         self.order = order
         self.generators = generators
         self.gens: Optional[np.ndarray] = None  # the checked generators, relabeled
-        self.levels = 1 if generators is None else 2  # top levels of the tree pruned
 
     def __call__(self, current: list[int]) -> list[int]:
-        """The orbit bitmask of each vertex, for the node whose clique so far
-        is `current`, at a depth below `levels`."""
-        if self.generators is None:
-            return _orbit_masks(self.bits)
+        """The orbit bitmask of each vertex, for the node at depth 0 or 1
+        whose clique so far is `current`."""
         if self.gens is None:
             self.gens = self._checked()
         return _label_masks(_orbit_labels(_stabilizer(self.gens, current[0]) if current else self.gens))
@@ -382,6 +367,8 @@ class _Symmetry:
     def _checked(self) -> np.ndarray:
         n = len(self.bits)
         a = _bits_matrix(self.bits)
+        if self.generators is None:
+            return _stack(_automorphisms(a), n)
         order = np.asarray(self.order, dtype=np.intp)
         relabel = np.empty(n, dtype=np.intp)  # graph vertex -> search vertex
         relabel[order] = np.arange(n)
@@ -416,13 +403,13 @@ def _max_clique_bits(bits: tuple[int, ...], budget: _Budget,
     loop would prune every lower color, since best_size only grows while a
     node is expanded.
 
-    Symmetry prunes the top `orbits.levels` levels, the root and, given
-    generators, depth 1.  `orbits(current)` gives each vertex's orbit
-    bitmask at the node whose clique so far is `current`: under a group H
-    of automorphisms at the root, under a subgroup S of H's stabilizer of v
-    at the depth-1 node [v].  It is called only when that node is about to
-    take its second branch; from then on, once a branch is done, its
-    vertex's whole orbit leaves the node's candidates.
+    Symmetry prunes the top two levels, the root and depth 1.
+    `orbits(current)` gives each vertex's orbit bitmask at the node whose
+    clique so far is `current`: under a group H of automorphisms at the
+    root, under a subgroup S of H's stabilizer of v at the depth-1 node [v].
+    It is called only when that node is about to take its second branch;
+    from then on, once a branch is done, its vertex's whole orbit leaves the
+    node's candidates.
 
     The root starts from every vertex and drops whole H-orbits, so its
     candidates R are H-invariant whenever a root branch starts.  The node
@@ -446,7 +433,6 @@ def _max_clique_bits(bits: tuple[int, ...], budget: _Budget,
     """
     best_size, best_witness = initial_best
     outside = [~(b | 1 << v) for v, b in enumerate(bits)]  # neither v nor a neighbor
-    levels = orbits.levels
 
     def expand(mask: int, current: list[int]) -> None:
         nonlocal best_size, best_witness
@@ -468,7 +454,7 @@ def _max_clique_bits(bits: tuple[int, ...], budget: _Budget,
                 if k > kmin:
                     order.append(v)
                     bounds.append(k)
-        shallow = len(current) < levels  # prune by orbits
+        shallow = len(current) < 2  # prune by orbits
         orbit: list[int] = []  # orbit bitmask of each vertex, once a second branch needs it
         done = -1  # the vertex branched on last, while its orbit is still a candidate
         for i in range(len(order) - 1, -1, -1):
@@ -526,8 +512,8 @@ def clique_number(g: Graph, node_budget: Optional[int] = None,
 
     `generators` are automorphisms of g (`p[v]` the image of v), such as a
     family's construction gives them; the search prunes its root and depth 1
-    by the group they generate, and checks each one first.  Without them
-    only the root is pruned, by the orbits the finder verifies.
+    by the group they generate, and checks each one first.  Without them it
+    prunes by the automorphisms the finder verifies on g.
     """
     if g.n == 0:
         raise DomainError("clique number needs a nonempty vertex set")
@@ -777,8 +763,9 @@ def capacity_lower_bound(g: GraphLike, k: int, node_budget: Optional[int] = None
     way because any witness clique suffices.  `cap` and `seed` go to the
     transitive search over a digraph's power, in its vertex numbering; the
     undirected search takes neither.  `generators` are automorphisms of an
-    undirected g, lifted to g^k for its search by `_power_search_generators`;
-    the transitive search takes none.
+    undirected g, lifted to g^k by `power_generators` for its search, which
+    without them prunes by the automorphisms the finder verifies on g^k; the
+    transitive search takes none.
     """
     if k < 1:
         raise DomainError("capacity lower bound needs k >= 1")
@@ -789,18 +776,6 @@ def capacity_lower_bound(g: GraphLike, k: int, node_budget: Optional[int] = None
     if directed:
         res = transitive_clique_number(power, node_budget, cap, seed)
     else:
-        res = clique_number(power, node_budget, _power_search_generators(g, k, generators))
+        gens = None if generators is None else power_generators(generators, g.n, k)
+        res = clique_number(power, node_budget, gens)
     return CapacityBound(res.size ** (1.0 / k), k, res, directed)
-
-
-def _power_search_generators(g: Graph, k: int,
-                            generators: Optional[Sequence[np.ndarray]] = None) -> Optional[Generators]:
-    """Automorphism generators of g^k for its clique search: `generators` of
-    g, or for k >= 2 the automorphisms the finder verifies on g, each on one
-    coordinate, with the swaps of adjacent coordinates.  None for k = 1
-    without generators, where the search runs the finder on g itself."""
-    if generators is None:
-        if k == 1:
-            return None
-        generators = _automorphisms(g.bool_matrix())
-    return power_generators(generators, g.n, k)

@@ -149,17 +149,18 @@ def test_report_attaches_construction(capsys):
 
 
 def test_report_skips_construction_beyond_vertex_bound(capsys):
-    # the construction for M(K6) would have 6^6 + 1 vertices, above the bound
-    code, payload, err = run_cli(
-        ["report", "--family", "mycielski:complete:6", "--format", "json",
-         "--max-power", "1"],
-        capsys,
-    )
-    assert code == 0 and err == ""
-    doc = json.loads(payload)
-    make_validator("report.schema.json").validate(doc)
-    assert doc["construction"] is None
-    assert doc["errors"] == {}
+    # the construction for M(K6) would have 6^6 + 1 vertices, above the
+    # bound; for n = 1 it is not defined, since it needs n >= 2
+    for spec in ("mycielski:complete:6", "mycielski:complete:1", "mycielski:tournament:1"):
+        code, payload, err = run_cli(
+            ["report", "--family", spec, "--format", "json", "--max-power", "1"],
+            capsys,
+        )
+        assert code == 0 and err == ""
+        doc = json.loads(payload)
+        make_validator("report.schema.json").validate(doc)
+        assert doc["construction"] is None
+        assert doc["errors"] == {}
 
 
 def test_myc_theta_text(capsys):
@@ -177,11 +178,12 @@ def test_myc_theta_domain_error(capsys):
     assert code == 2 and "t >= 2" in err
 
 
-@pytest.mark.parametrize("t", ["inf", "nan"])
+@pytest.mark.parametrize("t", ["inf", "nan", "1e110", "1e308"])
 def test_myc_theta_rejects_non_finite(t, capsys):
+    # above 1e100 the cubic residual's t^3 would overflow a float
     code, out, err = run_cli(["myc-theta", "--t", t, "--format", "json"], capsys)
     assert code == 2 and out == ""
-    assert err.startswith("error:") and "finite" in err
+    assert err.startswith("error:") and "finite" in err and len(err.splitlines()) == 1
 
 
 def test_unreadable_edge_file_exit_code(tmp_path, capsys):
@@ -372,7 +374,7 @@ def test_report_roundtrip_through_edgelist(tmp_path, capsys):
     a.pop("construction"), b.pop("construction")
     a.pop("best_lower_bound"), b.pop("best_lower_bound")
     # a power's node count depends on the automorphisms that pruned it: the
-    # family's generators for the spec, the finder's on M(K2) for the file
+    # family's generators for the spec, the finder's on the power for the file
     for doc in (a, b):
         for bound in doc["lower_bounds"]:
             bound.pop("nodes")

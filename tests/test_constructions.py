@@ -331,19 +331,19 @@ def test_report_closes_mt3_square_by_theta():
 def test_undirected_report_searches_uncapped():
     # omega(C5^3) = 10, as an uncapped search finds it.  C5^3 is
     # vertex-transitive, so the root takes one branch, and depth 1 is pruned
-    # by the stabilizer of the root vertex.  Given no generators, the report
-    # lifts the automorphisms the finder verifies on C5 (one rotation) to
-    # C5^3 and takes 2974 nodes; C5's family generators (rotation and
-    # reflection) take it to 1190.  The unpruned search takes 149 498.
+    # by the stabilizer of the root vertex.  Given no generators, the search
+    # prunes by the automorphisms the finder verifies on C5^3 itself and
+    # takes 1190 nodes, as C5's family generators (rotation and reflection)
+    # lifted to C5^3 do.  The unpruned search takes 149 498.
     c5, cube_graph = cycle_graph(5), or_power(cycle_graph(5), 3)
     report = capacity_report(c5, ReportOptions(max_power=3))
     cube = report.lower_bounds[2].clique
-    assert (cube.size, cube.nodes, cube.closed_by) == (10, 2974, "search")
+    assert (cube.size, cube.nodes, cube.closed_by) == (10, 1190, "search")
     plain = clique_number(cube_graph)
     assert (cube.size, cube.witness, cube.exhausted) == (plain.size, plain.witness, plain.exhausted)
     doc = report.to_dict()
     assert [b["closed_by"] for b in doc["lower_bounds"]] == ["search"] * 3
-    assert [b["nodes"] for b in doc["lower_bounds"]] == [report.omega.nodes, 6, 2974]
+    assert [b["nodes"] for b in doc["lower_bounds"]] == [report.omega.nodes, 6, 1190]
     assert doc["omega"]["closed_by"] == "search"
     by_family = capacity_report(c5, ReportOptions(max_power=3), family_generators("cycle", 5))
     cube = by_family.lower_bounds[2].clique

@@ -27,15 +27,13 @@ from myctheta import (
 )
 from myctheta import cli, invariants
 from myctheta.errors import MycthetaInternal
-from myctheta.graphs import _bits_matrix
+from myctheta.graphs import _bits_matrix, format_edgelist, parse_edgelist
 from myctheta.invariants import (
     CliqueResult,
     _automorphisms,
     _Budget,
     _greedy_clique,
     _orbit_labels,
-    _orbit_masks,
-    _orbits,
     _ordered_bits,
     _stabilizer,
     _stack,
@@ -100,14 +98,10 @@ def first_fit_color_order(bits: tuple[int, ...], cand: int) -> tuple[list[int], 
     return flat, bounds
 
 
-def first_fit_clique_number(g: Graph, node_budget=None, prune=True) -> CliqueResult:
-    """clique_number with every node bounded by first_fit_color_order.
-
-    With prune, each finished root branch also drops its vertex's orbit as
-    the package's finder gives it, computed up front; without, every root
-    vertex is branched on, which is the unpruned first-fit tree."""
+def first_fit_clique_number(g: Graph, node_budget=None) -> CliqueResult:
+    """clique_number with every node bounded by first_fit_color_order and no
+    symmetry pruning: the unpruned first-fit tree."""
     order, bits = _ordered_bits(g)
-    orbit = _orbit_masks(bits) if prune else [1 << v for v in range(g.n)]
     pos = {v: i for i, v in enumerate(order)}
     seed = tuple(sorted(pos[v] for v in _greedy_clique(g, order)))
     budget = _Budget(node_budget)
@@ -123,8 +117,6 @@ def first_fit_clique_number(g: Graph, node_budget=None, prune=True) -> CliqueRes
             v = flat[i]
             if len(current) + bounds[i] <= best[0]:
                 return
-            if not mask >> v & 1:  # at the root: in the orbit of a finished branch
-                continue
             current.append(v)
             if len(current) > best[0]:
                 best[:] = [len(current), tuple(sorted(current))]
@@ -133,8 +125,6 @@ def first_fit_clique_number(g: Graph, node_budget=None, prune=True) -> CliqueRes
                 expand(sub, current)
             current.pop()
             mask &= ~(1 << v)
-            if not current:
-                mask &= ~orbit[v]
 
     expand((1 << g.n) - 1, [])
     witness = tuple(sorted(order[i] for i in best[1]))
@@ -142,13 +132,13 @@ def first_fit_clique_number(g: Graph, node_budget=None, prune=True) -> CliqueRes
 
 
 @pytest.mark.parametrize("k, budget, size, nodes, exhausted", [
-    (3, None, 10, 12_887, True),
+    (3, None, 10, 149_498, True),
     (3, 1000, 10, 1001, False),
     (4, 20_000, 19, 20_001, False),
 ])
 def test_clique_search_tree_matches_first_fit_on_c5_powers(k, budget, size, nodes, exhausted):
     g = or_power(cycle_graph(5), k)
-    res = clique_number(g, budget)
+    res = clique_number(g, budget, ())
     assert (res.size, res.nodes, res.exhausted) == (size, nodes, exhausted)
     assert res == first_fit_clique_number(g, budget)
 
@@ -159,7 +149,7 @@ def test_clique_search_tree_matches_first_fit():
     graphs += [random_graph(rng, rng.randint(1, 40), rng.random()) for _ in range(40)]
     for g in graphs:
         for budget in (None, 5, 50):
-            assert clique_number(g, budget) == first_fit_clique_number(g, budget)
+            assert clique_number(g, budget, ()) == first_fit_clique_number(g, budget)
 
 
 def circulant(n: int, jumps) -> Graph:
@@ -182,16 +172,16 @@ def symmetric_and_random_graphs() -> list[Graph]:
 
 def test_root_orbit_pruning_keeps_the_unpruned_answers():
     for g in symmetric_and_random_graphs():
-        res, ref = clique_number(g), first_fit_clique_number(g, prune=False)
+        res, ref = clique_number(g), first_fit_clique_number(g)
         assert (res.size, res.witness, res.exhausted) == (ref.size, ref.witness, ref.exhausted)
         assert res.nodes <= ref.nodes
         for budget in (3, 20, 100):
-            assert clique_number(g, budget).size >= first_fit_clique_number(g, budget, prune=False).size
+            assert clique_number(g, budget).size >= first_fit_clique_number(g, budget).size
 
 
 def test_root_orbit_pruning_changes_only_nodes_on_petersen_and_m3_c7():
     for g in (petersen_graph(), mycielskian(cycle_graph(7), 3)):
-        res, ref = clique_number(g), first_fit_clique_number(g, prune=False)
+        res, ref = clique_number(g), first_fit_clique_number(g)
         assert res == CliqueResult(ref.size, ref.witness, ref.exhausted, res.nodes)
         assert res.nodes < ref.nodes
 
@@ -214,7 +204,7 @@ def generator_cases():
 def test_depth_one_pruning_keeps_the_unpruned_answers():
     for g, generator_sets in generator_cases():
         for budget in (None, 3, 20, 100):
-            ref = first_fit_clique_number(g, budget, prune=False)
+            ref = first_fit_clique_number(g, budget)
             for gens in generator_sets:
                 res = clique_number(g, budget, gens)
                 assert (res.size, res.witness) == (ref.size, ref.witness)
@@ -236,15 +226,30 @@ def test_family_generators_prune_depth_one(spec, nodes):
     assert res == CliqueResult(plain.size, plain.witness, True, nodes)
 
 
+def test_finder_generators_prune_depth_one_on_c5_cube():
+    # given no generators, the finder's automorphisms of C5^3 itself prune
+    # the root and depth 1 as far as the family's rotations and reflections
+    g, gens = cli.family_with_generators("power:cycle:5:t=3")
+    res, family = clique_number(g), clique_number(g, generators=gens)
+    assert res == CliqueResult(family.size, family.witness, True, 1190)
+
+
 def test_c7_cube_with_family_generators():
     g, gens = cli.family_with_generators("power:cycle:7:t=3")
     res = clique_number(g, generators=gens)
     assert (res.size, res.exhausted) == (8, True) and res.nodes <= 100_000
 
 
+def test_c7_cube_from_an_edge_list():
+    # a graph read from a file has no generators; the finder supplies them
+    g = parse_edgelist(format_edgelist(or_power(cycle_graph(7), 3)))
+    res = clique_number(g)
+    assert (res.size, res.exhausted) == (8, True) and res.nodes <= 150_000
+
+
 def test_empty_generators_give_the_unpruned_tree():
     for g in symmetric_and_random_graphs()[:12]:
-        assert clique_number(g, 50, ()) == first_fit_clique_number(g, 50, prune=False)
+        assert clique_number(g, 50, ()) == first_fit_clique_number(g, 50)
 
 
 @pytest.mark.parametrize("spec, count", [
@@ -254,7 +259,7 @@ def test_empty_generators_give_the_unpruned_tree():
     ("power:path:4:t=2", 3),
 ])
 def test_root_orbits_from_structural_generators(spec, count, monkeypatch):
-    monkeypatch.setattr(invariants, "_orbits", lambda a: pytest.fail("orbit finder called"))
+    monkeypatch.setattr(invariants, "_automorphisms", lambda a: pytest.fail("orbit finder called"))
     g, gens = cli.family_with_generators(spec)
     assert len(set(_orbit_labels(_stack(gens, g.n)).tolist())) == count
     clique_number(g, 2000, gens)  # prunes by the structural generators alone; M(C5)^3 is cut
@@ -343,6 +348,12 @@ def orbit_partition(rep: list[int]) -> set[frozenset[int]]:
     return {frozenset(c) for c in cells.values()}
 
 
+def finder_orbits(a: np.ndarray) -> list[int]:
+    """The least vertex of each vertex's orbit under the automorphisms that
+    `_automorphisms` finds on the graph with adjacency matrix a."""
+    return _orbit_labels(_stack(_automorphisms(a), len(a))).tolist()
+
+
 def networkx_orbits(g: Graph) -> set[frozenset[int]]:
     """Orbits of every automorphism networkx enumerates."""
     h = networkx.Graph()
@@ -362,13 +373,13 @@ def refines(finer: set[frozenset[int]], coarser: set[frozenset[int]]) -> bool:
 def test_orbits_split_what_color_refinement_cannot():
     # C6 and two triangles: every vertex has degree 2, so refinement leaves one cell
     g = Graph(12, [(i, (i + 1) % 6) for i in range(6)] + [(6, 7), (7, 8), (6, 8), (9, 10), (10, 11), (9, 11)])
-    assert orbit_partition(_orbits(g.bool_matrix())) == {frozenset(range(6)), frozenset(range(6, 12))}
+    assert orbit_partition(finder_orbits(g.bool_matrix())) == {frozenset(range(6)), frozenset(range(6, 12))}
 
 
 def test_orbits_of_a_rigid_graph_are_singletons():
     h = networkx.frucht_graph()
     g = Graph(h.number_of_nodes(), list(h.edges()))
-    assert _orbits(g.bool_matrix()) == list(range(g.n))
+    assert finder_orbits(g.bool_matrix()) == list(range(g.n))
 
 
 @pytest.mark.parametrize("g, count", [
@@ -378,7 +389,7 @@ def test_orbits_of_a_rigid_graph_are_singletons():
     (or_power(mycielskian(cycle_graph(5)), 2), 6),
 ])
 def test_orbit_counts(g, count):
-    assert len(set(_orbits(g.bool_matrix()))) == count
+    assert len(set(finder_orbits(g.bool_matrix()))) == count
 
 
 def test_orbits_refine_networkx_orbits():
@@ -386,26 +397,26 @@ def test_orbits_refine_networkx_orbits():
     graphs = [random_graph(rng, rng.randint(1, 8), rng.random()) for _ in range(60)]
     graphs += [petersen_graph(), or_power(path_graph(3), 2), circulant(8, (1, 4))]
     for g in graphs:
-        assert refines(orbit_partition(_orbits(g.bool_matrix())), networkx_orbits(g))
+        assert refines(orbit_partition(finder_orbits(g.bool_matrix())), networkx_orbits(g))
 
 
 def test_spent_refinement_budget_keeps_a_finer_partition(monkeypatch):
     cube = or_power(cycle_graph(5), 3)
     petersen = petersen_graph()
-    full = {g: orbit_partition(_orbits(g.bool_matrix())) for g in (cube, petersen)}
+    full = {g: orbit_partition(finder_orbits(g.bool_matrix())) for g in (cube, petersen)}
     assert [len(p) for p in full.values()] == [1, 1]
     for blocks in (0, 1, 5, 20):
         monkeypatch.setattr(invariants, "_ORBIT_BLOCKS", blocks)
-        cut = orbit_partition(_orbits(cube.bool_matrix()))
+        cut = orbit_partition(finder_orbits(cube.bool_matrix()))
         assert len(cut) > 1 and refines(cut, full[cube])
-        assert refines(orbit_partition(_orbits(petersen.bool_matrix())), networkx_orbits(petersen))
+        assert refines(orbit_partition(finder_orbits(petersen.bool_matrix())), networkx_orbits(petersen))
         res = clique_number(cube)
         assert (res.size, res.exhausted) == (10, True) and res.nodes > 12_887
 
 
 def test_orbits_merge_only_through_verified_automorphisms(monkeypatch):
     monkeypatch.setattr(invariants._Refiner, "is_automorphism", lambda self, p: False)
-    assert _orbits(or_power(cycle_graph(5), 3).bool_matrix()) == list(range(125))
+    assert finder_orbits(or_power(cycle_graph(5), 3).bool_matrix()) == list(range(125))
 
 
 @pytest.mark.parametrize("g", [complete_graph(7), empty_graph(6), cycle_graph(4), cycle_graph(9)])
@@ -413,7 +424,7 @@ def test_single_root_branch_never_calls_the_orbit_finder(g, monkeypatch):
     def fail(a):
         raise AssertionError("orbit finder called")
 
-    monkeypatch.setattr(invariants, "_orbits", fail)
+    monkeypatch.setattr(invariants, "_automorphisms", fail)
     assert clique_number(g).exhausted
 
 

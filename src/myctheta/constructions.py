@@ -50,7 +50,6 @@ from .graphs import (
     mycielskian_digraph,
     or_power,
     power_coords,
-    power_generators,
     power_index,
     transitive_tournament,
 )
@@ -58,6 +57,7 @@ from .invariants import (
     CapacityBound,
     ChromaticResult,
     CliqueResult,
+    _power_search_generators,
     capacity_lower_bound,
     chromatic_number,
     clique_number,
@@ -318,14 +318,12 @@ def chained_power_clique(g: Graph, k: int = 1,
     M(G) labels (q_1, level) ... (q_k, level), apex to k apexes.  Pairwise
     adjacency over M(G) is re-verified coordinate-wise.  `generators` are
     automorphisms of g, lifted to G^k for its search as in
-    `capacity_lower_bound`; without them the search prunes by the
-    automorphisms the finder verifies on G^k.
+    `capacity_lower_bound`.
     """
     if k < 1:
         raise DomainError("chaining needs k >= 1")
     power = or_power(g, k)
-    gens = None if generators is None else power_generators(generators, g.n, k)
-    witness = clique_number(power, node_budget, gens)
+    witness = clique_number(power, node_budget, _power_search_generators(g, k, generators))
     if not witness.exhausted:
         raise InconclusiveError("clique search for omega(G^k) ran out of budget")
     cap = witness.size
@@ -497,8 +495,8 @@ def capacity_report(g: GraphLike, options: ReportOptions = ReportOptions(),
 
     `generators` are automorphisms of an undirected g.  They prune the
     search for omega(g) and, lifted to g^k, each power's search; without
-    them each search prunes by the automorphisms the finder verifies on the
-    graph it searches (see `capacity_lower_bound`).
+    them each power takes the automorphisms the finder verifies on g (see
+    `capacity_lower_bound`).
     """
     theta_mod.check_tol(options.theta_tol)
     if options.clique_budget is not None and options.clique_budget < 1:

@@ -24,9 +24,6 @@ from typing import Union
 from .errors import DomainError
 
 _CLAMP = 1e-12
-# Largest t the formula accepts: its cubic residual needs t^3 as a finite
-# float, which fails above about 5.6e102.
-_T_MAX = 1e100
 
 
 @dataclass(frozen=True)
@@ -114,14 +111,17 @@ def mycielski_theta_formula(t: float) -> FormulaResult:
     rejected: t = 1 (edgeless G) is the caller's special case with value 2,
     and no graph attains values strictly between 1 and 2.  Solver noise just
     below the boundary (within 1e-6) is snapped to t = 2 rather than refused.
-    Values above 1e100 are rejected too, before t^3 can overflow.
+    So are values whose t^3 overflows a float (above about 5.6e102).
     """
     if 2.0 - 1e-6 <= t < 2.0:
         t = 2.0
-    if not (math.isfinite(t) and 2.0 <= t <= _T_MAX):
-        raise DomainError(f"formula needs a finite t >= 2 and at most {_T_MAX:g}, got {t}")
+    if not (math.isfinite(t) and t >= 2.0):
+        raise DomainError(f"formula needs a finite t >= 2, got {t}")
     m = star_branch(t, 0)
-    residual = cubic_residual(t, m)
+    try:
+        residual = cubic_residual(t, m)
+    except OverflowError:  # from t ** 3
+        raise DomainError(f"formula needs t^3 to be a finite float, got t = {t}") from None
     return FormulaResult(t, m, residual, (star_branch(t, 1), star_branch(t, 2)))
 
 

@@ -29,14 +29,11 @@ Given none, H is spanned by the automorphisms `_automorphisms` finds, which
 merges two vertices only through a permutation it has checked to be an
 automorphism.  Every orbit used may be too fine but never too coarse.
 
-Size and exhausted are those of the unpruned search.  The tree is the
-unpruned one until an orbit first takes a vertex other than the one just
-branched on, so the witness, the first clique of the final size found, is
-the unpruned one whenever the optimum turns up before that: in the first
-child of the first root branch, as in C5^3 and C7^3.  The orbits are
-computed only when a node at depth 0 or 1 is about to take its second
-branch, so searches that end in their first branch there, and commands that
-never search, pay nothing for them.
+Size and exhausted are those of the unpruned search, and so is the witness
+whenever the optimum turns up before an orbit first prunes (see
+`_max_clique_bits`).  The orbits are computed only when a node at depth 0
+or 1 is about to take its second branch, so searches that end in their
+first branch there, and commands that never search, pay nothing for them.
 
 The transitive clique search also takes an optional certified upper bound
 `cap` on the order's length and an optional `seed`, a known transitive
@@ -59,7 +56,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import DomainError, MycthetaInternal
-from .graphs import Digraph, Graph, _bits_matrix, _row_bits, or_power, power_generators
+from .graphs import Digraph, Generators, Graph, _bits_matrix, _row_bits, or_power, power_generators
 
 GraphLike = Union[Graph, Digraph]
 
@@ -225,11 +222,15 @@ def _automorphisms(a: np.ndarray) -> list[np.ndarray]:
     as far as `_automorphism` finds them within `_ORBIT_BLOCKS` refined row
     blocks.
 
-    Within each cell of the equitable coloring, the first vertex not yet
-    placed is mapped onto the cell's other orbits; each automorphism found
-    merges every cycle it has.  The list holds one automorphism per merge, so
-    the orbits of the group it generates may be finer than the true orbits,
-    never coarser.
+    They are sought down a chain of point stabilizers, as nauty does.  On
+    each coloring, from the equitable one down, automorphisms that keep it
+    map the first vertex x of its smallest nontrivial cell onto the cell's
+    other orbits (on the equitable coloring, the first vertex of every cell
+    onto its cell's), then x is individualized and the coloring refined,
+    until it is discrete.  Each automorphism found merges every cycle it
+    has, and the list holds one per merge.  Found to the end, they generate
+    the whole group; cut by the budget, the orbits of the group they
+    generate may be finer than the true orbits, never coarser.
     """
     n = len(a)
     parent = list(range(n))
@@ -242,24 +243,33 @@ def _automorphisms(a: np.ndarray) -> list[np.ndarray]:
         return v
 
     r = _Refiner(a)
-    base = r.refine(np.zeros(n, dtype=np.uint64)) if n else None
-    cells: dict[int, list[int]] = {}
-    for v, c in enumerate([] if base is None else base.tolist()):
-        cells.setdefault(c, []).append(v)
-    for members in cells.values():
-        while len(members) > 1 and r.blocks > 0:
-            v = members[0]
-            rest = [w for w in members[1:] if find(w) != find(v)]
-            p = _automorphism(r, base, base, v, rest) if rest else None
-            if p is None:
-                members = rest
-                continue
-            found.append(p)
-            for i, j in enumerate(p.tolist()):
-                i, j = find(i), find(j)
-                if i != j:
-                    parent[max(i, j)] = min(i, j)
-            members = [v] + [w for w in rest if find(w) != find(v)]
+    col = r.refine(np.zeros(n, dtype=np.uint64)) if n else None
+    top = True
+    while col is not None:
+        cells: dict[int, list[int]] = {}
+        for v, c in enumerate(col.tolist()):
+            cells.setdefault(c, []).append(v)
+        split = [members for members in cells.values() if len(members) > 1]
+        if not split:
+            break
+        smallest = min(split, key=len)
+        parent[:] = range(n)  # the orbits found on this coloring
+        for members in split if top else [smallest]:
+            while len(members) > 1 and r.blocks > 0:
+                v = members[0]
+                rest = [w for w in members[1:] if find(w) != find(v)]
+                p = _automorphism(r, col, col, v, rest) if rest else None
+                if p is None:
+                    members = rest
+                    continue
+                found.append(p)
+                for i, j in enumerate(p.tolist()):
+                    i, j = find(i), find(j)
+                    if i != j:
+                        parent[max(i, j)] = min(i, j)
+                members = [v] + [w for w in rest if find(w) != find(v)]
+        top = False
+        col = r.refine(_individualized(col, smallest[0]))
     return found
 
 
@@ -763,9 +773,8 @@ def capacity_lower_bound(g: GraphLike, k: int, node_budget: Optional[int] = None
     way because any witness clique suffices.  `cap` and `seed` go to the
     transitive search over a digraph's power, in its vertex numbering; the
     undirected search takes neither.  `generators` are automorphisms of an
-    undirected g, lifted to g^k by `power_generators` for its search, which
-    without them prunes by the automorphisms the finder verifies on g^k; the
-    transitive search takes none.
+    undirected g, lifted to g^k for its search by `_power_search_generators`;
+    the transitive search takes none.
     """
     if k < 1:
         raise DomainError("capacity lower bound needs k >= 1")
@@ -776,6 +785,19 @@ def capacity_lower_bound(g: GraphLike, k: int, node_budget: Optional[int] = None
     if directed:
         res = transitive_clique_number(power, node_budget, cap, seed)
     else:
-        gens = None if generators is None else power_generators(generators, g.n, k)
-        res = clique_number(power, node_budget, gens)
+        res = clique_number(power, node_budget, _power_search_generators(g, k, generators))
     return CapacityBound(res.size ** (1.0 / k), k, res, directed)
+
+
+def _power_search_generators(g: Graph, k: int,
+                             generators: Optional[Sequence[np.ndarray]] = None) -> Optional[Generators]:
+    """Automorphism generators of g^k for its clique search: `generators` of
+    g, or for k >= 2 the automorphisms the finder verifies on g, lifted by
+    `power_generators`.  None for k = 1 without generators, where the search
+    runs the finder on g itself; on a larger power the finder costs far more
+    than on g and can run out of budget."""
+    if generators is None:
+        if k == 1:
+            return None
+        generators = _automorphisms(g.bool_matrix())
+    return power_generators(generators, g.n, k)

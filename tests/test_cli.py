@@ -180,7 +180,7 @@ def test_myc_theta_domain_error(capsys):
 
 @pytest.mark.parametrize("t", ["inf", "nan", "1e110", "1e308"])
 def test_myc_theta_rejects_non_finite(t, capsys):
-    # above 1e100 the cubic residual's t^3 would overflow a float
+    # above about 5.6e102 the cubic residual's t^3 overflows a float
     code, out, err = run_cli(["myc-theta", "--t", t, "--format", "json"], capsys)
     assert code == 2 and out == ""
     assert err.startswith("error:") and "finite" in err and len(err.splitlines()) == 1

@@ -1,5 +1,6 @@
 import itertools
 import random
+from typing import Optional
 
 import networkx
 import numpy as np
@@ -35,6 +36,7 @@ from myctheta.invariants import (
     _greedy_clique,
     _orbit_labels,
     _ordered_bits,
+    _power_search_generators,
     _stabilizer,
     _stack,
     greedy_coloring,
@@ -241,10 +243,25 @@ def test_c7_cube_with_family_generators():
 
 
 def test_c7_cube_from_an_edge_list():
-    # a graph read from a file has no generators; the finder supplies them
+    # a graph read from a file has no generators; the finder supplies them,
+    # down its stabilizer chain as many as the family's rotations and reflections
     g = parse_edgelist(format_edgelist(or_power(cycle_graph(7), 3)))
     res = clique_number(g)
     assert (res.size, res.exhausted) == (8, True) and res.nodes <= 150_000
+    family, gens = cli.family_with_generators("power:cycle:7:t=3")
+    assert res == clique_number(family, generators=gens)
+
+
+def test_power_bound_lifts_the_finders_automorphisms_of_the_base(monkeypatch):
+    # the finder runs on g, never on g^k, where it costs far more
+    sizes = []
+    finder = invariants._automorphisms
+    monkeypatch.setattr(invariants, "_automorphisms", lambda a: sizes.append(len(a)) or finder(a))
+    res = capacity_lower_bound(mycielskian(cycle_graph(5)), 2).clique
+    assert sizes == [11] and (res.size, res.exhausted, res.nodes) == (5, True, 52)
+    # on M(C5)^3 the lift gives the family's 10 root orbits
+    gens = _power_search_generators(mycielskian(cycle_graph(5)), 3)
+    assert len(set(_orbit_labels(_stack(gens, 11 ** 3)).tolist())) == 10
 
 
 def test_empty_generators_give_the_unpruned_tree():
@@ -354,13 +371,18 @@ def finder_orbits(a: np.ndarray) -> list[int]:
     return _orbit_labels(_stack(_automorphisms(a), len(a))).tolist()
 
 
-def networkx_orbits(g: Graph) -> set[frozenset[int]]:
-    """Orbits of every automorphism networkx enumerates."""
+def networkx_automorphisms(g: Graph) -> list[dict[int, int]]:
+    """Every automorphism of g, as networkx enumerates them."""
     h = networkx.Graph()
     h.add_nodes_from(range(g.n))
     h.add_edges_from(g.edges())
+    return list(networkx.algorithms.isomorphism.GraphMatcher(h, h).isomorphisms_iter())
+
+
+def networkx_orbits(g: Graph, automorphisms: Optional[list[dict[int, int]]] = None) -> set[frozenset[int]]:
+    """Orbits of every automorphism networkx enumerates (or of those given)."""
     images: dict[int, set[int]] = {v: set() for v in range(g.n)}
-    for iso in networkx.algorithms.isomorphism.GraphMatcher(h, h).isomorphisms_iter():
+    for iso in networkx_automorphisms(g) if automorphisms is None else automorphisms:
         for v, w in iso.items():
             images[v].add(w)
     return {frozenset(c) for c in images.values()}
@@ -368,6 +390,18 @@ def networkx_orbits(g: Graph) -> set[frozenset[int]]:
 
 def refines(finer: set[frozenset[int]], coarser: set[frozenset[int]]) -> bool:
     return all(any(c <= d for d in coarser) for c in finer)
+
+
+def group_order(perms: list[np.ndarray], n: int) -> int:
+    """Order of the group the permutations generate, by closure."""
+    gens = [p.tolist() for p in perms]
+    seen = {tuple(range(n))}
+    frontier = list(seen)
+    while frontier:
+        new = {tuple(x[i] for i in p) for x in frontier for p in gens} - seen
+        seen |= new
+        frontier = list(new)
+    return len(seen)
 
 
 def test_orbits_split_what_color_refinement_cannot():
@@ -395,9 +429,14 @@ def test_orbit_counts(g, count):
 def test_orbits_refine_networkx_orbits():
     rng = random.Random(5)
     graphs = [random_graph(rng, rng.randint(1, 8), rng.random()) for _ in range(60)]
-    graphs += [petersen_graph(), or_power(path_graph(3), 2), circulant(8, (1, 4))]
+    # C5 and M(C5) need a reflection besides the rotation that merges their orbits
+    graphs += [petersen_graph(), or_power(path_graph(3), 2), circulant(8, (1, 4)), cycle_graph(5),
+               mycielskian(cycle_graph(5))]
     for g in graphs:
-        assert refines(orbit_partition(finder_orbits(g.bool_matrix())), networkx_orbits(g))
+        automorphisms = networkx_automorphisms(g)
+        assert refines(orbit_partition(finder_orbits(g.bool_matrix())), networkx_orbits(g, automorphisms))
+        # found to the end, down the stabilizer chain, they generate the whole group
+        assert group_order(_automorphisms(g.bool_matrix()), g.n) == len(automorphisms)
 
 
 def test_spent_refinement_budget_keeps_a_finer_partition(monkeypatch):

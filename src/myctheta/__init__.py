@@ -23,10 +23,8 @@ from .graphs import (
     cycle_graph,
     embed_mycielski_power,
     empty_graph,
-    family_generators,
     format_edgelist,
     generate,
-    mycielski_generators,
     mycielskian,
     mycielskian_digraph,
     or_power,

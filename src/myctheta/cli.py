@@ -10,8 +10,8 @@ back.  Family specs compose constructors right to left, e.g.
     power:cycle:5:t=2           the OR-square of C_5
     mycielski:power:complete:2:t=2:r=3
 
-A family spec also yields automorphism generators of its graph, built
-alongside it; the clique searches of `invariant` and `report` prune by them.
+A graph is searched the same whichever source it came from: the clique
+searches take their automorphisms from the graph alone.
 
 Floats print with 12 significant digits, rationals as "p/q".  Exit codes:
 0 success, 2 domain/usage errors, 1 internal failures.  A report whose
@@ -45,19 +45,11 @@ def _fmt(x: float) -> str:
 
 def parse_family(spec: str) -> graphs.GraphLike:
     """Family grammar: wrapper* base ':' n (key=value tokens bind innermost)."""
-    return family_with_generators(spec)[0]
-
-
-def family_with_generators(spec: str) -> tuple[graphs.GraphLike, graphs.Generators]:
-    """The graph of a family spec, with automorphism generators built
-    alongside it: those of the base family, then each Mycielskian applies
-    them on every level and each power on every coordinate, adding the swaps
-    of adjacent coordinates."""
     tokens = [tok for tok in spec.split(":") if tok]
     if not tokens:
         raise DomainError("empty family spec")
 
-    def parse(tokens: list[str]) -> tuple[graphs.GraphLike, graphs.Generators, list[str]]:
+    def parse(tokens: list[str]) -> tuple[graphs.GraphLike, list[str]]:
         if not tokens:
             raise DomainError("family spec ends where a graph was expected")
         head = tokens[0]
@@ -68,9 +60,9 @@ def family_with_generators(spec: str) -> tuple[graphs.GraphLike, graphs.Generato
                 n = int(tokens[1])
             except ValueError:
                 raise DomainError(f"bad size {tokens[1]!r} for family {head!r}") from None
-            return graphs.generate(head, n), graphs.family_generators(head, n), tokens[2:]
+            return graphs.generate(head, n), tokens[2:]
         if head in _WRAPPER_KEYS:
-            inner, gens, rest = parse(tokens[1:])
+            inner, rest = parse(tokens[1:])
             key = _WRAPPER_KEYS[head]
             value: Optional[int] = None
             remaining = []
@@ -85,24 +77,23 @@ def family_with_generators(spec: str) -> tuple[graphs.GraphLike, graphs.Generato
             if head == "mycielski":
                 r = 2 if value is None else value
                 build = graphs.mycielskian_digraph if isinstance(inner, graphs.Digraph) else graphs.mycielskian
-                return build(inner, r), graphs.mycielski_generators(gens, inner.n, r), remaining
+                return build(inner, r), remaining
             if value is None:
                 raise DomainError("power needs an exponent, e.g. power:cycle:5:t=2")
-            return graphs.or_power(inner, value), graphs.power_generators(gens, inner.n, value), remaining
+            return graphs.or_power(inner, value), remaining
         raise DomainError(f"unknown constructor {head!r} in family spec")
 
-    g, gens, leftovers = parse(tokens)
+    g, leftovers = parse(tokens)
     if leftovers:
         raise DomainError(f"unparsed family tokens: {leftovers}")
-    return g, gens
+    return g
 
 
-def _load_graph(args) -> tuple[graphs.GraphLike, Optional[graphs.Generators]]:
-    """The graph, with its family's automorphism generators (None for an edge list)."""
+def _load_graph(args) -> graphs.GraphLike:
     if getattr(args, "family", None) and getattr(args, "edges", None):
         raise DomainError("give exactly one graph source (--family or --edges)")
     if getattr(args, "family", None):
-        return family_with_generators(args.family)
+        return parse_family(args.family)
     if getattr(args, "edges", None):
         try:
             with open(args.edges, "r", encoding="utf-8") as fh:
@@ -110,7 +101,7 @@ def _load_graph(args) -> tuple[graphs.GraphLike, Optional[graphs.Generators]]:
         except (OSError, UnicodeDecodeError) as exc:
             reason = getattr(exc, "strerror", None) or exc
             raise DomainError(f"cannot read edge list {args.edges!r}: {reason}") from None
-        return graphs.parse_edgelist(text), None
+        return graphs.parse_edgelist(text)
     raise DomainError("a graph source is required (--family or --edges)")
 
 
@@ -127,13 +118,13 @@ def _emit(args, text: str) -> None:
 
 
 def _cmd_gen(args) -> int:
-    g, _ = _load_graph(args)
+    g = _load_graph(args)
     _emit(args, graphs.format_edgelist(g))
     return 0
 
 
 def _cmd_invariant(args) -> int:
-    g, gens = _load_graph(args)
+    g = _load_graph(args)
     directed = isinstance(g, graphs.Digraph)
     which = args.which
     undirected_only = {"omega", "chi", "chi-f"}
@@ -145,7 +136,7 @@ def _cmd_invariant(args) -> int:
     doc: dict = {"n": g.n, "m": g.m, "directed": directed}
     omega = None
     if which in ("omega", "all") and not directed:
-        r = omega = invariants.clique_number(g, args.budget, gens)
+        r = omega = invariants.clique_number(g, args.budget)
         doc["omega"] = {"size": r.size, "witness": list(r.witness), "exhausted": r.exhausted}
     if which in ("omega-s", "all") and directed:
         r = invariants.symmetric_clique_number(g, args.budget)
@@ -160,7 +151,7 @@ def _cmd_invariant(args) -> int:
         r = fractional.fractional_chromatic(g)
         doc["chi_f"] = f"{r.value.numerator}/{r.value.denominator}"
     if which in ("power-bound",):
-        b = invariants.capacity_lower_bound(g, args.power, args.budget, generators=gens)
+        b = invariants.capacity_lower_bound(g, args.power, args.budget)
         doc["lower_bound"] = {"k": b.k, "value": b.value, "exhausted": b.exhausted}
     if args.format == "json":
         _emit(args, json.dumps(doc, indent=2, sort_keys=True) + "\n")
@@ -171,7 +162,7 @@ def _cmd_invariant(args) -> int:
 
 
 def _cmd_theta(args) -> int:
-    g, _ = _load_graph(args)
+    g = _load_graph(args)
     if isinstance(g, graphs.Digraph):
         raise DomainError("theta is defined for undirected graphs")
     sol = theta_mod.theta_bar(g, args.tol)
@@ -204,7 +195,7 @@ def _cmd_myc_theta(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    g, _ = _load_graph(args)
+    g = _load_graph(args)
     if isinstance(g, graphs.Digraph):
         raise DomainError("certificates apply to undirected graphs")
     sol = theta_mod.theta_bar(g, args.tol)
@@ -266,36 +257,10 @@ def _cmd_construct(args) -> int:
     return 0
 
 
-def _detect_construction(spec: Optional[str]) -> dict:
-    """Attach the matching clique construction for mycielski:<base>:n specs.
-
-    The construction lives in the n-th power and has n^n + 1 vertices; it is
-    attached only for n >= 2, where it is defined, and when that fits the
-    vertex bound.
-    """
-    if not spec:
-        return {}
-    tokens = [tok for tok in spec.split(":") if tok]
-    if len(tokens) >= 3 and tokens[0] == "mycielski" and all(
-        tok.startswith("r=") for tok in tokens[3:]
-    ):
-        levels = [int(tok.split("=")[1]) for tok in tokens[3:]] or [2]
-        if levels == [2] and tokens[1] in ("complete", "tournament"):
-            n = int(tokens[2])
-            if 2 <= n and n ** n + 1 <= graphs.max_vertices():
-                return {f"mycielski_{tokens[1]}": n}
-    return {}
-
-
 def _cmd_report(args) -> int:
-    g, gens = _load_graph(args)
-    options = cons.ReportOptions(
-        max_power=args.max_power,
-        theta_tol=args.tol,
-        clique_budget=args.budget,
-        **_detect_construction(getattr(args, "family", None)),
-    )
-    report = cons.capacity_report(g, options, gens)
+    g = _load_graph(args)
+    options = cons.ReportOptions(max_power=args.max_power, theta_tol=args.tol, clique_budget=args.budget)
+    report = cons.capacity_report(g, options)
     if args.format == "json":
         _emit(args, report.to_json() + "\n")
     elif args.format == "csv":

@@ -22,7 +22,7 @@ hi the upper end of the certified bracket of theta_bar(U), the cap is
 floor(hi^k (1 + 1e-9)); U has n vertices, so no SDP is solved on a power.
 Each search is seeded with the lexicographic product of lower-power
 witnesses, which keeps a transitive order, and at power n with the attached
-construction when its host is D itself; a seed that reaches the cap proves
+construction, whose host is D itself; a seed that reaches the cap proves
 the optimum without a search.  Undirected reports search uncapped.
 """
 
@@ -44,6 +44,7 @@ from .graphs import (
     Digraph,
     Graph,
     PowerVertex,
+    _power_exceeds,
     complete_graph,
     max_vertices,
     mycielskian,
@@ -57,7 +58,6 @@ from .invariants import (
     CapacityBound,
     ChromaticResult,
     CliqueResult,
-    _power_search_generators,
     capacity_lower_bound,
     chromatic_number,
     clique_number,
@@ -145,11 +145,8 @@ def _verify_clique(host: GraphLike, members: Sequence[tuple[int, ...]], what: st
 
 
 def _check_construction_size(n: int) -> None:
-    size = n ** n + 1
-    if size > max_vertices():
-        raise SizeLimitError(
-            f"lifted clique of size {size} exceeds the vertex bound"
-        )
+    if _power_exceeds(n, n, max_vertices() - 1):  # n^n + 1 > bound
+        raise SizeLimitError(f"lifted clique of size {n}^{n} + 1 exceeds the vertex bound")
 
 
 def lifted_clique(n: int) -> LiftedCliqueSet:
@@ -255,7 +252,7 @@ def no_lifted_clique_check(n: int, r: int, t: int,
         raise DomainError("the nonexistence statement needs n >= 3 and r >= 3")
     if t < 1:
         raise DomainError("power exponent must be at least 1")
-    if n ** t > max_vertices():
+    if _power_exceeds(n, t, max_vertices()):
         raise SizeLimitError("clique size n**t exceeds the vertex bound")
     host = mycielskian(complete_graph(n), r)
     apex = r * n
@@ -309,21 +306,18 @@ class ChainedClique:
 
 
 def chained_power_clique(g: Graph, k: int = 1,
-                         node_budget: Optional[int] = None,
-                         generators: Optional[Sequence[np.ndarray]] = None) -> ChainedClique:
+                         node_budget: Optional[int] = None) -> ChainedClique:
     """Explicit (N^N + 1)-clique in [M(G)]^(k N), where N = omega(G^k).
 
     Chains a clique witness K_N inside G^k with the extended lifted clique in
     [M(K_N)]^N: each M(K_N) coordinate (q, level) expands to the k-tuple of
     M(G) labels (q_1, level) ... (q_k, level), apex to k apexes.  Pairwise
-    adjacency over M(G) is re-verified coordinate-wise.  `generators` are
-    automorphisms of g, lifted to G^k for its search as in
-    `capacity_lower_bound`.
+    adjacency over M(G) is re-verified coordinate-wise.
     """
     if k < 1:
         raise DomainError("chaining needs k >= 1")
     power = or_power(g, k)
-    witness = clique_number(power, node_budget, _power_search_generators(g, k, generators))
+    witness = clique_number(power, node_budget)
     if not witness.exhausted:
         raise InconclusiveError("clique search for omega(G^k) ran out of budget")
     cap = witness.size
@@ -363,8 +357,6 @@ class ReportOptions:
     max_power: int = 1
     theta_tol: float = 1e-6
     clique_budget: Optional[int] = None
-    mycielski_complete: Optional[int] = None    # attach extended_clique(n)
-    mycielski_tournament: Optional[int] = None  # attach lifted_transitive_clique(n)
 
 
 @dataclass
@@ -477,8 +469,19 @@ def _product_seed(witnesses: dict[int, tuple[int, ...]], k: int, n: int) -> tupl
     return best
 
 
-def capacity_report(g: GraphLike, options: ReportOptions = ReportOptions(),
-                    generators: Optional[Sequence[np.ndarray]] = None) -> CapacityReport:
+def _construction(g: GraphLike) -> Optional[LiftedCliqueSet]:
+    """The clique construction whose host is g itself: `extended_clique(n)`
+    for g = M(K_n), `lifted_transitive_clique(n)` for g = M(T_n), where
+    n = (g.n - 1) / 2 >= 2 and n^n + 1 fits the vertex bound; else None."""
+    n = (g.n - 1) // 2
+    if n < 2 or _power_exceeds(n, n, max_vertices() - 1):
+        return None
+    if isinstance(g, Digraph):
+        return lifted_transitive_clique(n) if g == mycielskian_digraph(transitive_tournament(n), 2) else None
+    return extended_clique(n) if g == mycielskian(complete_graph(n), 2) else None
+
+
+def capacity_report(g: GraphLike, options: ReportOptions = ReportOptions()) -> CapacityReport:
     """Bundle of invariants and bounds; per-field failures land in `errors`.
 
     Only expected failures (`MycthetaError`) are recorded there.  A bad
@@ -487,16 +490,13 @@ def capacity_report(g: GraphLike, options: ReportOptions = ReportOptions(),
     re-verification or a clique above its theta cap (MycthetaInternal) or
     any other exception propagates.
 
-    For a digraph, the transitive search over each power k >= 2 that fits
-    the vertex bound is capped and seeded (see the module docstring).  The
-    cap's theta_bar solve runs once, when first needed; if it fails, the
-    searches run uncapped and nothing is recorded, since the report outputs
-    no theta for a digraph.
-
-    `generators` are automorphisms of an undirected g.  They prune the
-    search for omega(g) and, lifted to g^k, each power's search; without
-    them each power takes the automorphisms the finder verifies on g (see
-    `capacity_lower_bound`).
+    The powers k = 2..max_power stop at the first one beyond the vertex
+    bound, whose SizeLimitError is recorded.  For a digraph, the transitive
+    search over each power k >= 2 that fits the bound is capped and seeded
+    (see the module docstring).  The cap's theta_bar solve runs once, when
+    first needed; if it fails, the searches run uncapped and nothing is
+    recorded, since the report outputs no theta for a digraph.  The
+    attached construction is `_construction(g)`.
     """
     theta_mod.check_tol(options.theta_tol)
     if options.clique_budget is not None and options.clique_budget < 1:
@@ -513,12 +513,8 @@ def capacity_report(g: GraphLike, options: ReportOptions = ReportOptions(),
             report.errors[name] = f"{type(exc).__name__}: {exc}"
             return None
 
+    report.construction = attempt("construction", lambda: _construction(g))
     if directed:
-        if options.mycielski_tournament is not None:
-            report.construction = attempt(
-                "construction",
-                lambda: lifted_transitive_clique(options.mycielski_tournament),
-            )
         report.omega_s = attempt(
             "omega_s", lambda: symmetric_clique_number(g, options.clique_budget)
         )
@@ -527,7 +523,7 @@ def capacity_report(g: GraphLike, options: ReportOptions = ReportOptions(),
         )
     else:
         report.omega = omega = attempt(
-            "omega", lambda: clique_number(g, options.clique_budget, generators)
+            "omega", lambda: clique_number(g, options.clique_budget)
         )
     # the k = 1 bound is the clique number of G^1 = G, searched just above
     bounds = []
@@ -546,16 +542,13 @@ def capacity_report(g: GraphLike, options: ReportOptions = ReportOptions(),
             return None
         return sol.value + sol.tolerance_achieved
 
-    construction = report.construction  # a seed at power n when it lives in g^n
-    if construction is not None and mycielskian_digraph(transitive_tournament(construction.n), 2) != g:
-        construction = None
-
     def search_args(k: int) -> dict:
         """Cap and seed of the transitive search over g^k; none for an
         undirected g or a power beyond the vertex bound, which fails first."""
-        if not directed or g.n ** k > max_vertices():
+        if not directed or _power_exceeds(g.n, k, max_vertices()):
             return {}
         seed = _product_seed({b.k: b.clique.witness for b in bounds}, k, g.n)
+        construction = report.construction  # it lives in g^n, n = construction.n
         if construction is not None and construction.n == k and len(construction.vertices) > len(seed):
             seed = tuple(power_index(v, g.n) for v in construction.vertices)
         hi = theta_hi()
@@ -564,11 +557,12 @@ def capacity_report(g: GraphLike, options: ReportOptions = ReportOptions(),
     for k in range(2, options.max_power + 1):
         bound = attempt(
             f"lower_bound_k{k}",
-            lambda k=k: capacity_lower_bound(g, k, options.clique_budget, generators=generators,
-                                             **search_args(k)),
+            lambda k=k: capacity_lower_bound(g, k, options.clique_budget, **search_args(k)),
         )
         if bound is not None:
             bounds.append(bound)
+        elif _power_exceeds(g.n, k, max_vertices()):
+            break
     report.lower_bounds = tuple(bounds)
     if not directed:
         sol = attempt("theta", lambda: theta_mod.theta_bar(g, options.theta_tol))
@@ -579,9 +573,4 @@ def capacity_report(g: GraphLike, options: ReportOptions = ReportOptions(),
         if chi_f is not None:
             report.chi_f = chi_f.value
         report.chi = attempt("chi", lambda: chromatic_number(g, CHROMATIC_BUDGET, omega))
-        if options.mycielski_complete is not None:
-            report.construction = attempt(
-                "construction",
-                lambda: extended_clique(options.mycielski_complete),
-            )
     return report

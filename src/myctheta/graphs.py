@@ -21,6 +21,7 @@ the flat and the structured view.
 from __future__ import annotations
 
 import io
+import math
 import os
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
@@ -46,10 +47,18 @@ def max_vertices() -> int:
     return value
 
 
-def _check_size(n: int, what: str = "graph") -> None:
+def _power_exceeds(n: int, t: int, bound: int) -> bool:
+    """Whether n ** t > bound, for t >= 1, without building n ** t when it is
+    far larger: for n >= 2 and t > bound.bit_length(), n ** t >= 2 ** t > bound."""
+    return n >= 2 and t > bound.bit_length() or n ** t > bound
+
+
+def _check_size(n: int, what: str = "graph", t: int = 1) -> None:
+    """Raise SizeLimitError when n ** t vertices exceed the bound."""
     bound = max_vertices()
-    if n > bound:
-        raise SizeLimitError(f"{what} needs {n} vertices, exceeding the bound {bound}")
+    if _power_exceeds(n, t, bound):
+        size = n ** t if t <= bound.bit_length() else f"{n}^{t}"
+        raise SizeLimitError(f"{what} needs {size} vertices, exceeding the bound {bound}")
 
 
 def _pair_matrix(n: int, pairs, what: str) -> np.ndarray:
@@ -355,44 +364,13 @@ def _require_positive(n: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# automorphism generators of the families and constructions
+# automorphism generators of OR-powers
 # ---------------------------------------------------------------------------
 #
 # A generator is an int array p with p[v] the image of vertex v.  The
-# generators built here come from the construction alone and are checked
-# against the graph only by the search that uses them (`clique_number`).
+# clique search checks every generator against its graph before use.
 
-Generators = tuple[np.ndarray, ...]
-
-
-def family_generators(family: str, n: int) -> Generators:
-    """Automorphism generators of generate(family, n): a cycle's rotation and
-    reflection, an n-cycle and a transposition of the complete and empty
-    graphs (all of S_n), a path's reflection, none for the rigid transitive
-    tournament.  Identities are left out."""
-    if family not in _FAMILIES:
-        raise DomainError(f"unknown family {family!r}; choose from {sorted(_FAMILIES)}")
-    _require_positive(n)
-    v = np.arange(n)
-    if family == "cycle":
-        gens = [np.roll(v, -1), -v % n]
-    elif family in ("complete", "empty"):
-        gens = [np.roll(v, -1)] + [np.concatenate([[1, 0], v[2:]])] * (n > 2)
-    elif family == "path":
-        gens = [v[::-1]]
-    else:
-        gens = []
-    return tuple(p for p in gens if (p != v).any())
-
-
-def mycielski_generators(gens: Sequence[np.ndarray], n: int, r: int = 2) -> Generators:
-    """Each generator of a graph on n vertices applied on every level of M_r,
-    with the apex fixed (the layout of `mycielskian`)."""
-    return tuple(np.concatenate([np.asarray(p) + lvl * n for lvl in range(r)] + [[r * n]])
-                 for p in gens)
-
-
-def power_generators(gens: Sequence[np.ndarray], n: int, t: int) -> Generators:
+def power_generators(gens: Sequence[np.ndarray], n: int, t: int) -> tuple[np.ndarray, ...]:
     """Automorphism generators of the t-th OR-power of a graph on n vertices
     with generators gens: each one applied on one coordinate, and the swaps
     of adjacent coordinates (the layout of `or_power`)."""
@@ -401,6 +379,33 @@ def power_generators(gens: Sequence[np.ndarray], n: int, t: int) -> Generators:
     if n > 1:
         out += [np.swapaxes(grid, i, i + 1).ravel() for i in range(t - 1)]
     return tuple(out)
+
+
+def _power_base(g: Graph) -> Optional[tuple[np.ndarray, int]]:
+    """(a, t) for the least b >= 2 such that g, in its own labelling, is the
+    t-th OR-power (t >= 2, layout of `or_power`) of its leading b x b block,
+    whose adjacency matrix is a; None if there is no such b.
+
+    An OR-power's non-adjacency matrix, diagonal included, is the Kronecker
+    power of its base's, and so is vertex 0's row of it.  That test on one
+    bitset rejects most graphs before the n x n comparison.
+    """
+    n = g.n
+    row = ~g.bits[0] & ((1 << n) - 1)  # vertex 0's non-neighbors and itself
+    for b in range(2, math.isqrt(n) + 1):
+        base = power = row & ((1 << b) - 1)
+        t = 1
+        while b ** t < n:  # a new leading coordinate x shifts a copy by x b^t
+            power = sum(power << x * b ** t for x in range(b) if base >> x & 1)
+            t += 1
+        if b ** t == n and power == row:
+            non = ~g.bool_matrix()
+            kron = non[:b, :b]
+            for _ in range(t - 1):
+                kron = (kron[:, None, :, None] & non[None, :b, None, :b]).reshape(len(kron) * b, -1)
+            if np.array_equal(kron, non):
+                return ~non[:b, :b], t
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -465,9 +470,9 @@ def or_product(f: GraphLike, g: GraphLike) -> GraphLike:
 def or_power(g: GraphLike, t: int) -> GraphLike:
     if t < 1:
         raise DomainError("OR-power needs t >= 1")
-    _check_size(g.n ** t, "OR-power")
+    _check_size(g.n, "OR-power", t)
     result = g
-    for _ in range(t - 1):
+    for _ in range(t - 1 if g.n > 1 else 0):  # on one vertex or none, g^t is g
         result = or_product(result, g)
     return result
 
@@ -518,7 +523,7 @@ def embed_mycielski_power(g: GraphLike, t: int) -> PowerEmbedding:
     if t < 1:
         raise DomainError("power embedding needs t >= 1")
     n = g.n
-    _check_size((2 * n + 1) ** t, "power of the Mycielskian")
+    _check_size(2 * n + 1, "power of the Mycielskian", t)
     power = or_power(g, t)
     if isinstance(g, Graph):
         domain = mycielskian(power, 2)

@@ -22,12 +22,14 @@ the candidates of its child [v], those candidates that are neighbors of v,
 are mapped onto themselves by every element of H that fixes v.  Once a child
 w of [v] is done, [v] drops w's orbit under a subgroup of that stabilizer,
 whose generators come from Schreier's lemma; the same image argument, with
-the image fixing v, shows nothing larger is lost.  H is spanned by the
-automorphism generators the caller gives, as every `--family` graph has them
-from its construction, each checked against the graph before any is used.
-Given none, H is spanned by the automorphisms `_automorphisms` finds, which
-merges two vertices only through a permutation it has checked to be an
-automorphism.  Every orbit used may be too fine but never too coarse.
+the image fixing v, shows nothing larger is lost.  H is spanned by
+generators taken from the graph alone: the automorphisms `_automorphisms`
+finds on its base, lifted, when it is an OR-power of its leading block (as
+every power the package builds is), and otherwise those it finds on the
+graph itself.  The finder merges two vertices only through a permutation
+it has checked to be an automorphism, and each lifted generator is checked
+against the power before any is used.  Every orbit used may be too fine but
+never too coarse.
 
 Size and exhausted are those of the unpruned search, and so is the witness
 whenever the optimum turns up before an orbit first prunes (see
@@ -56,7 +58,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import DomainError, MycthetaInternal
-from .graphs import Digraph, Generators, Graph, _bits_matrix, _row_bits, or_power, power_generators
+from .graphs import Digraph, Graph, _bits_matrix, _power_base, _row_bits, or_power, power_generators
 
 GraphLike = Union[Graph, Digraph]
 
@@ -352,16 +354,19 @@ class _Symmetry:
 
     The root takes the orbits of the group H the generators span, and a
     depth-1 node [v] those of the subgroup of H's stabilizer of v spanned by
-    `_stabilizer`.  Given generators (`p[v]` the image of v, in the graph's
-    own labelling), each is checked to be an automorphism; one that fails
-    raises MycthetaInternal.  Given none, they are the automorphisms
-    `_automorphisms` finds and verifies on the search's own bits.  Either
-    way they are taken once, on the first call, which comes only when a node
-    at depth 0 or 1 is about to take its second branch.
+    `_stabilizer`.  Given none, the generators are the automorphisms
+    `_automorphisms` finds on g's base block, lifted by `power_generators`,
+    when g is an OR-power of it (`_power_base`), and those it finds on the
+    search's own bits otherwise.  Each generator given or lifted (`p[v]` the
+    image of v, in g's own labelling) is checked to be an automorphism, and
+    one that fails raises MycthetaInternal.  They are taken once, on the
+    first call, which comes only when a node at depth 0 or 1 is about to
+    take its second branch.
     """
 
-    def __init__(self, bits: tuple[int, ...], order: list[int],
+    def __init__(self, g: Graph, bits: tuple[int, ...], order: list[int],
                  generators: Optional[Sequence[np.ndarray]]):
+        self.g = g
         self.bits = bits
         self.order = order
         self.generators = generators
@@ -377,13 +382,18 @@ class _Symmetry:
     def _checked(self) -> np.ndarray:
         n = len(self.bits)
         a = _bits_matrix(self.bits)
-        if self.generators is None:
-            return _stack(_automorphisms(a), n)
+        generators = self.generators
+        if generators is None:
+            power = _power_base(self.g)
+            if power is None:
+                return _stack(_automorphisms(a), n)
+            base, t = power
+            generators = power_generators(_automorphisms(base), len(base), t)
         order = np.asarray(self.order, dtype=np.intp)
         relabel = np.empty(n, dtype=np.intp)  # graph vertex -> search vertex
         relabel[order] = np.arange(n)
         rows = []
-        for p in self.generators:
+        for p in generators:
             p = np.asarray(p)
             hit = np.zeros(n, dtype=bool)
             if p.shape == (n,) and p.dtype.kind in "iu" and (n == 0 or 0 <= p.min() <= p.max() < n):
@@ -520,10 +530,10 @@ def clique_number(g: Graph, node_budget: Optional[int] = None,
                   generators: Optional[Sequence[np.ndarray]] = None) -> CliqueResult:
     """Branch-and-bound maximum clique with bit-parallel coloring upper bounds.
 
-    `generators` are automorphisms of g (`p[v]` the image of v), such as a
-    family's construction gives them; the search prunes its root and depth 1
-    by the group they generate, and checks each one first.  Without them it
-    prunes by the automorphisms the finder verifies on g.
+    The search prunes its root and depth 1 by the group automorphism
+    generators of g span: by default those `_Symmetry` takes from g alone,
+    else `generators` (`p[v]` the image of v), each checked first; `()`
+    gives the unpruned tree.
     """
     if g.n == 0:
         raise DomainError("clique number needs a nonempty vertex set")
@@ -532,7 +542,7 @@ def clique_number(g: Graph, node_budget: Optional[int] = None,
     pos = {v: i for i, v in enumerate(order)}
     seed = tuple(sorted(pos[v] for v in _greedy_clique(g, order)))
     budget = _Budget(node_budget)
-    size, witness = _max_clique_bits(bits, budget, (len(seed), seed), _Symmetry(bits, order, generators))
+    size, witness = _max_clique_bits(bits, budget, (len(seed), seed), _Symmetry(g, bits, order, generators))
     original = tuple(sorted(order[i] for i in witness))
     if not verify_clique(g, original):
         raise MycthetaInternal("clique witness failed re-verification")
@@ -764,17 +774,14 @@ class CapacityBound:
 
 def capacity_lower_bound(g: GraphLike, k: int, node_budget: Optional[int] = None,
                          cap: Optional[int] = None,
-                         seed: tuple[int, ...] = (),
-                         generators: Optional[Sequence[np.ndarray]] = None) -> CapacityBound:
+                         seed: tuple[int, ...] = ()) -> CapacityBound:
     """k-th root of the clique number of the k-th OR-power.
 
     Uses the transitive clique number for digraphs; flags whether the inner
     search was exhaustive.  The value is a valid capacity lower bound either
     way because any witness clique suffices.  `cap` and `seed` go to the
     transitive search over a digraph's power, in its vertex numbering; the
-    undirected search takes neither.  `generators` are automorphisms of an
-    undirected g, lifted to g^k for its search by `_power_search_generators`;
-    the transitive search takes none.
+    undirected search takes neither.
     """
     if k < 1:
         raise DomainError("capacity lower bound needs k >= 1")
@@ -785,19 +792,5 @@ def capacity_lower_bound(g: GraphLike, k: int, node_budget: Optional[int] = None
     if directed:
         res = transitive_clique_number(power, node_budget, cap, seed)
     else:
-        res = clique_number(power, node_budget, _power_search_generators(g, k, generators))
+        res = clique_number(power, node_budget)
     return CapacityBound(res.size ** (1.0 / k), k, res, directed)
-
-
-def _power_search_generators(g: Graph, k: int,
-                             generators: Optional[Sequence[np.ndarray]] = None) -> Optional[Generators]:
-    """Automorphism generators of g^k for its clique search: `generators` of
-    g, or for k >= 2 the automorphisms the finder verifies on g, lifted by
-    `power_generators`.  None for k = 1 without generators, where the search
-    runs the finder on g itself; on a larger power the finder costs far more
-    than on g and can run out of budget."""
-    if generators is None:
-        if k == 1:
-            return None
-        generators = _automorphisms(g.bool_matrix())
-    return power_generators(generators, g.n, k)

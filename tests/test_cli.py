@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -357,7 +358,8 @@ def test_size_guard_env(tmp_path, capsys, monkeypatch):
 
 
 def test_report_roundtrip_through_edgelist(tmp_path, capsys):
-    # invariants computed from a gen'd file match those from the family spec
+    # the report of a gen'd file is the report of its family spec: the
+    # construction, and the symmetry the searches prune by, come from the graph
     out_file = tmp_path / "mk2.edges"
     run_cli(["gen", "--family", "mycielski:complete:2", "--out", str(out_file)], capsys)
     _, from_family, _ = run_cli(
@@ -370,15 +372,36 @@ def test_report_roundtrip_through_edgelist(tmp_path, capsys):
         capsys,
     )
     a, b = json.loads(from_family), json.loads(from_file)
-    # the family spec additionally attaches the clique construction
-    a.pop("construction"), b.pop("construction")
-    a.pop("best_lower_bound"), b.pop("best_lower_bound")
-    # a power's node count depends on the automorphisms that pruned it: the
-    # family's generators for the spec, the finder's on the power for the file
-    for doc in (a, b):
-        for bound in doc["lower_bounds"]:
-            bound.pop("nodes")
     assert a == b
+    assert a["construction"]["size"] == 5 and a["lower_bounds"][1]["nodes"] == 6
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--family", "power:cycle:5:t=7000"],
+    ["gen", "--family", "power:cycle:5:t=30000000"],
+    ["construct", "--lifted-clique", "2000"],
+    ["construct", "--no-lift-check", "3", "3", "100000000"],
+    ["report", "--family", "complete:2", "--max-power", "5000"],
+    ["report", "--family", "complete:2", "--max-power", "20000"],
+])
+def test_size_checks_never_build_the_power(argv, capsys):
+    # n ** t is never built for a power far beyond the vertex bound, nor
+    # formatted into a message; a report stops at the first power beyond it.
+    # Unchecked, these raised a ValueError or ran for more than 30 s.
+    start = time.monotonic()
+    code, out, err = run_cli(argv, capsys)
+    assert time.monotonic() - start < 10
+    assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+    if argv[0] == "report":
+        assert err == "error: report incomplete: lower_bound_k13\n"
+        assert [b["k"] for b in json.loads(out)["lower_bounds"]] == list(range(1, 13))
+
+
+def test_report_powers_of_one_vertex(capsys):
+    # K1^k is K1 for every k; lifting generators to 65 coordinates once raised a ValueError
+    code, out, err = run_cli(["report", "--family", "complete:1", "--max-power", "100"], capsys)
+    assert code == 0 and err == ""
+    assert [b["clique_size"] for b in json.loads(out)["lower_bounds"]] == [1] * 100
 
 
 def test_report_deterministic(capsys):

@@ -19,7 +19,6 @@ from myctheta import (
     complete_graph,
     cycle_graph,
     extended_clique,
-    family_generators,
     lifted_clique,
     lifted_transitive_clique,
     mycielskian,
@@ -213,7 +212,7 @@ def test_capacity_report_k1():
 def test_capacity_report_mycielski_k3():
     report = capacity_report(
         mycielskian(complete_graph(3), 2),
-        ReportOptions(max_power=1, mycielski_complete=3),
+        ReportOptions(max_power=1),
     )
     assert report.omega.size == 3
     assert report.construction is not None
@@ -223,19 +222,17 @@ def test_capacity_report_mycielski_k3():
 
 
 def test_capacity_report_records_oversized_construction():
-    report = capacity_report(
-        mycielskian(complete_graph(6), 2),
-        ReportOptions(max_power=1, mycielski_complete=6),
-    )
+    # the construction of M(K6) would have 6^6 + 1 vertices: the report skips it
+    report = capacity_report(mycielskian(complete_graph(6), 2), ReportOptions(max_power=1))
     assert report.construction is None
-    assert list(report.errors) == ["construction"]
+    assert report.errors == {}
     assert report.chi.value == 7
 
 
 def test_capacity_report_digraph():
     report = capacity_report(
         mycielskian_digraph(transitive_tournament(2), 2),
-        ReportOptions(max_power=2, mycielski_tournament=2),
+        ReportOptions(max_power=2),
     )
     assert report.omega_s.size == 1
     assert report.omega_tr.size == 2
@@ -305,7 +302,7 @@ def test_report_csv_and_json_shapes():
 
 def test_report_closes_mt3_cube_by_theta():
     d = mycielskian_digraph(transitive_tournament(3), 2)
-    report = capacity_report(d, ReportOptions(max_power=3, mycielski_tournament=3))
+    report = capacity_report(d, ReportOptions(max_power=3))
     assert not report.errors and report.theta is None
     cube = report.lower_bounds[2].clique
     assert (cube.size, cube.nodes, cube.closed_by) == (28, 0, "theta")
@@ -331,10 +328,10 @@ def test_report_closes_mt3_square_by_theta():
 def test_undirected_report_searches_uncapped():
     # omega(C5^3) = 10, as an uncapped search finds it.  C5^3 is
     # vertex-transitive, so the root takes one branch, and depth 1 is pruned
-    # by the stabilizer of the root vertex.  Given no generators, the search
-    # prunes by the automorphisms the finder verifies on C5^3 itself and
-    # takes 1190 nodes, as C5's family generators (rotation and reflection)
-    # lifted to C5^3 do.  The unpruned search takes 149 498.
+    # by the stabilizer of the root vertex.  The search recognises C5^3 as a
+    # power and prunes by C5's rotation and reflection, which the finder
+    # verifies on C5, lifted to C5^3: 1190 nodes.  The unpruned search takes
+    # 149 498.
     c5, cube_graph = cycle_graph(5), or_power(cycle_graph(5), 3)
     report = capacity_report(c5, ReportOptions(max_power=3))
     cube = report.lower_bounds[2].clique
@@ -345,9 +342,6 @@ def test_undirected_report_searches_uncapped():
     assert [b["closed_by"] for b in doc["lower_bounds"]] == ["search"] * 3
     assert [b["nodes"] for b in doc["lower_bounds"]] == [report.omega.nodes, 6, 1190]
     assert doc["omega"]["closed_by"] == "search"
-    by_family = capacity_report(c5, ReportOptions(max_power=3), family_generators("cycle", 5))
-    cube = by_family.lower_bounds[2].clique
-    assert (cube.size, cube.witness, cube.nodes, cube.closed_by) == (10, plain.witness, 1190, "search")
 
 
 def test_report_truncated_search_is_not_closed():
@@ -386,6 +380,15 @@ def test_digraph_report_solves_no_cap_beyond_the_vertex_bound(monkeypatch):
     assert list(report.errors) == ["lower_bound_k2"]
     assert report.errors["lower_bound_k2"].startswith("SizeLimitError")
     assert report.omega_tr.size == 70
+
+
+def test_report_stops_at_the_first_power_beyond_the_bound(monkeypatch):
+    # K2^6 fits 64 vertices; K2^7 is the first power beyond, and every later one is larger still
+    monkeypatch.setenv("MYCTHETA_MAX_VERTICES", "64")
+    report = capacity_report(complete_graph(2), ReportOptions(max_power=10 ** 6))
+    assert list(report.errors) == ["lower_bound_k7"]
+    assert report.errors["lower_bound_k7"].startswith("SizeLimitError")
+    assert [b.k for b in report.lower_bounds] == [1, 2, 3, 4, 5, 6]
 
 
 @pytest.mark.parametrize("options, message", [

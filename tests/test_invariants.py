@@ -28,7 +28,7 @@ from myctheta import (
 )
 from myctheta import cli, invariants
 from myctheta.errors import MycthetaInternal
-from myctheta.graphs import _bits_matrix, format_edgelist, parse_edgelist
+from myctheta.graphs import _bits_matrix, _power_base, format_edgelist, parse_edgelist, power_generators
 from myctheta.invariants import (
     CliqueResult,
     _automorphisms,
@@ -36,7 +36,6 @@ from myctheta.invariants import (
     _greedy_clique,
     _orbit_labels,
     _ordered_bits,
-    _power_search_generators,
     _stabilizer,
     _stack,
     greedy_coloring,
@@ -192,14 +191,31 @@ FAMILY_POWERS = ("power:cycle:5:t=2", "power:cycle:5:t=3", "power:cycle:7:t=2",
                  "power:mycielski:cycle:5:t=2")
 
 
+def lifted_generators(g: Graph):
+    """The generators `clique_number` takes for g given none, when g is an
+    OR-power of its leading block: the finder's automorphisms of that block,
+    lifted to g.  None when g is no such power."""
+    power = _power_base(g)
+    if power is None:
+        return None
+    base, t = power
+    return power_generators(_automorphisms(base), len(base), t)
+
+
+def root_orbit_count(g: Graph) -> int:
+    """The number of root orbits `clique_number(g)` prunes by."""
+    order, bits = _ordered_bits(g)
+    return len(set(_orbit_labels(invariants._Symmetry(g, bits, order, None)._checked()).tolist()))
+
+
 def generator_cases():
     """(graph, generator sets): the finder's automorphisms of the graphs of
-    `symmetric_and_random_graphs` and of the family powers, and the family
-    powers' structural generators."""
+    `symmetric_and_random_graphs` and of the family powers, and the finder's
+    automorphisms of the family powers' bases lifted to them."""
     cases = [(g, [_automorphisms(g.bool_matrix())]) for g in symmetric_and_random_graphs()]
     for spec in FAMILY_POWERS:
-        g, gens = cli.family_with_generators(spec)
-        cases.append((g, [gens, _automorphisms(g.bool_matrix())]))
+        g = cli.parse_family(spec)
+        cases.append((g, [lifted_generators(g), _automorphisms(g.bool_matrix())]))
     return cases
 
 
@@ -221,35 +237,36 @@ def test_depth_one_pruning_keeps_the_unpruned_answers():
 @pytest.mark.parametrize("spec, nodes", [
     ("power:cycle:5:t=3", 1190),
     ("power:mycielski:cycle:5:t=2", 52),
+    ("power:mycielski:complete:2:t=2", 6),  # M(K2) is C5: the finder gives it all of D5
 ])
 def test_family_generators_prune_depth_one(spec, nodes):
-    g, gens = cli.family_with_generators(spec)
-    res, plain = clique_number(g, generators=gens), clique_number(g)
+    # the same counts from a family spec and from its edge list: the lift
+    # is read off the graph alone
+    g = cli.parse_family(spec)
+    res, plain = clique_number(g), clique_number(g, generators=())
     assert res == CliqueResult(plain.size, plain.witness, True, nodes)
+    assert clique_number(parse_edgelist(format_edgelist(g))) == res
 
 
 def test_finder_generators_prune_depth_one_on_c5_cube():
-    # given no generators, the finder's automorphisms of C5^3 itself prune
-    # the root and depth 1 as far as the family's rotations and reflections
-    g, gens = cli.family_with_generators("power:cycle:5:t=3")
-    res, family = clique_number(g), clique_number(g, generators=gens)
-    assert res == CliqueResult(family.size, family.witness, True, 1190)
+    # the finder's automorphisms of C5^3 itself prune the root and depth 1
+    # as far as those of C5 lifted to C5^3, which the search takes by default
+    g = or_power(cycle_graph(5), 3)
+    res, whole = clique_number(g), clique_number(g, generators=_automorphisms(g.bool_matrix()))
+    assert res == CliqueResult(whole.size, whole.witness, True, 1190)
 
 
 def test_c7_cube_with_family_generators():
-    g, gens = cli.family_with_generators("power:cycle:7:t=3")
-    res = clique_number(g, generators=gens)
-    assert (res.size, res.exhausted) == (8, True) and res.nodes <= 100_000
+    res = clique_number(cli.parse_family("power:cycle:7:t=3"))
+    assert (res.size, res.exhausted, res.nodes) == (8, True, 45_039)
 
 
 def test_c7_cube_from_an_edge_list():
-    # a graph read from a file has no generators; the finder supplies them,
-    # down its stabilizer chain as many as the family's rotations and reflections
+    # a graph read from a file is recognised as C7^3, and the finder runs on C7
     g = parse_edgelist(format_edgelist(or_power(cycle_graph(7), 3)))
     res = clique_number(g)
-    assert (res.size, res.exhausted) == (8, True) and res.nodes <= 150_000
-    family, gens = cli.family_with_generators("power:cycle:7:t=3")
-    assert res == clique_number(family, generators=gens)
+    assert (res.size, res.exhausted, res.nodes) == (8, True, 45_039)
+    assert res == clique_number(cli.parse_family("power:cycle:7:t=3"))
 
 
 def test_power_bound_lifts_the_finders_automorphisms_of_the_base(monkeypatch):
@@ -259,14 +276,19 @@ def test_power_bound_lifts_the_finders_automorphisms_of_the_base(monkeypatch):
     monkeypatch.setattr(invariants, "_automorphisms", lambda a: sizes.append(len(a)) or finder(a))
     res = capacity_lower_bound(mycielskian(cycle_graph(5)), 2).clique
     assert sizes == [11] and (res.size, res.exhausted, res.nodes) == (5, True, 52)
-    # on M(C5)^3 the lift gives the family's 10 root orbits
-    gens = _power_search_generators(mycielskian(cycle_graph(5)), 3)
-    assert len(set(_orbit_labels(_stack(gens, 11 ** 3)).tolist())) == 10
+    # on M(C5)^3 the lift gives the product group's 10 root orbits
+    assert root_orbit_count(or_power(mycielskian(cycle_graph(5)), 3)) == 10
 
 
 def test_empty_generators_give_the_unpruned_tree():
     for g in symmetric_and_random_graphs()[:12]:
         assert clique_number(g, 50, ()) == first_fit_clique_number(g, 50)
+
+
+# the vertices of each graph's base block: M(C5^2) is no OR-power, so its
+# base is the whole graph
+BASE_SIZES = {"power:complete:3:t=4": 3, "power:mycielski:cycle:5:t=3": 11,
+              "mycielski:power:cycle:5:t=2": 51, "power:path:4:t=2": 4}
 
 
 @pytest.mark.parametrize("spec, count", [
@@ -276,38 +298,62 @@ def test_empty_generators_give_the_unpruned_tree():
     ("power:path:4:t=2", 3),
 ])
 def test_root_orbits_from_structural_generators(spec, count, monkeypatch):
-    monkeypatch.setattr(invariants, "_automorphisms", lambda a: pytest.fail("orbit finder called"))
-    g, gens = cli.family_with_generators(spec)
-    assert len(set(_orbit_labels(_stack(gens, g.n)).tolist())) == count
-    clique_number(g, 2000, gens)  # prunes by the structural generators alone; M(C5)^3 is cut
+    # the same counts from a family spec and from its edge list, with the
+    # finder run on the base block alone; run on the search's bits of K3^4
+    # it finds 69 orbits, and 18 on those of M(C5)^3
+    g = cli.parse_family(spec)
+    finder = invariants._automorphisms
+
+    def base_only(a):
+        assert len(a) == BASE_SIZES[spec], "orbit finder called on more than the base block"
+        return finder(a)
+
+    monkeypatch.setattr(invariants, "_automorphisms", base_only)
+    for h in (g, parse_edgelist(format_edgelist(g))):
+        assert root_orbit_count(h) == count
+        clique_number(h, 2000)  # prunes by the lifted generators; M(C5)^3 is cut
+
+
+def test_near_power_falls_back_to_the_finder(monkeypatch):
+    # C5^2 with one edge of its last vertex toggled: row 0 is still that of
+    # C5^2, so only the full comparison tells it is no power
+    a = or_power(cycle_graph(5), 2).bool_matrix()
+    a[24, 12] = a[12, 24] = True
+    g = Graph(25, a)
+    assert _power_base(g) is None
+    sizes = []
+    finder = invariants._automorphisms
+    monkeypatch.setattr(invariants, "_automorphisms", lambda a: sizes.append(len(a)) or finder(a))
+    res, ref = clique_number(g), first_fit_clique_number(g)
+    assert sizes == [25] and (res.size, res.witness, res.exhausted) == (ref.size, ref.witness, True)
 
 
 def test_stabilizer_fixes_its_point_and_has_the_full_orbits():
-    g, gens = cli.family_with_generators("power:cycle:5:t=3")
+    g = or_power(cycle_graph(5), 3)
     order, bits = _ordered_bits(g)
-    stack = invariants._Symmetry(bits, order, gens)._checked()
+    stack = invariants._Symmetry(g, bits, order, None)._checked()
     a = _bits_matrix(bits)
     for v in (0, 62, 124):
         schreier = _stabilizer(stack, v)
         assert (schreier[:, v] == v).all()
         assert all(invariants._is_automorphism(a, s) for s in schreier)
     # Stab((0,0,0)) in D5 wr S3: a coordinate is 0, +-1 or +-2, up to order
-    g = or_power(cycle_graph(5), 3)
-    stack = _stack(cli.family_with_generators("power:cycle:5:t=3")[1], g.n)
+    stack = _stack(lifted_generators(g), g.n)
     assert len(set(_orbit_labels(_stabilizer(stack, 0)).tolist())) == 10
 
 
 def test_capped_schreier_generators_span_a_subgroup(monkeypatch):
-    g, gens = cli.family_with_generators("power:cycle:7:t=3")
+    g = or_power(cycle_graph(7), 3)
+    gens = lifted_generators(g)
     stack = _stack(gens, g.n)
     full = orbit_partition(_orbit_labels(_stabilizer(stack, 0)).tolist())
-    cube, cube_gens = cli.family_with_generators("power:cycle:5:t=3")
+    cube = or_power(cycle_graph(5), 3)
     for cells in (0, 3000, 50_000):
         monkeypatch.setattr(invariants, "_SCHREIER_CELLS", cells)
         schreier = _stabilizer(stack, 0)
         assert schreier.size <= max(cells, len(gens) * g.n)
         assert refines(orbit_partition(_orbit_labels(schreier).tolist()), full)
-        res = clique_number(cube, generators=cube_gens)
+        res = clique_number(cube)
         assert (res.size, res.exhausted) == (10, True) and res.nodes >= 1190
 
 
@@ -317,9 +363,18 @@ def test_capped_schreier_generators_span_a_subgroup(monkeypatch):
     [np.array([0] * 25)],
 ])
 def test_non_automorphism_generator_raises(bad):
-    g, gens = cli.family_with_generators("power:cycle:5:t=2")
+    g = or_power(cycle_graph(5), 2)
     with pytest.raises(MycthetaInternal):
-        clique_number(g, generators=list(gens) + bad)
+        clique_number(g, generators=list(lifted_generators(g)) + bad)
+
+
+def test_lifted_generators_are_checked(monkeypatch):
+    # a lifted permutation that is no automorphism of the power raises, as a given one does
+    lift = invariants.power_generators
+    swap = np.array([1, 0] + list(range(2, 25)))
+    monkeypatch.setattr(invariants, "power_generators", lambda *args: lift(*args) + (swap,))
+    with pytest.raises(MycthetaInternal, match="failed its check"):
+        clique_number(or_power(cycle_graph(5), 2))
 
 
 @pytest.mark.parametrize("g", [complete_graph(7), empty_graph(6), cycle_graph(4), cycle_graph(9)])
@@ -348,12 +403,16 @@ def family_specs(draw):
 
 @given(family_specs())
 def test_structural_generators_are_automorphisms_and_keep_the_answers(spec):
-    g, gens = cli.family_with_generators(spec)
+    # a power spec's graph is always recognised, if perhaps over a smaller base
+    g = cli.parse_family(spec)
+    gens = lifted_generators(g)
+    if spec.startswith("power:") and not spec.endswith(":t=1") and g.n > 1:
+        assert gens is not None
     a = g.bool_matrix()
-    for p in gens:
+    for p in gens or ():
         assert sorted(p.tolist()) == list(range(g.n))
         assert (a[np.ix_(p, p)] == a).all()
-    res, ref = clique_number(g, generators=gens), clique_number(g, generators=())
+    res, ref = clique_number(g), clique_number(g, generators=())
     assert (res.size, res.exhausted) == (ref.size, ref.exhausted) == (ref.size, True)
     assert res.nodes <= ref.nodes
 
@@ -449,7 +508,7 @@ def test_spent_refinement_budget_keeps_a_finer_partition(monkeypatch):
         cut = orbit_partition(finder_orbits(cube.bool_matrix()))
         assert len(cut) > 1 and refines(cut, full[cube])
         assert refines(orbit_partition(finder_orbits(petersen.bool_matrix())), networkx_orbits(petersen))
-        res = clique_number(cube)
+        res = clique_number(cube, generators=_automorphisms(cube.bool_matrix()))
         assert (res.size, res.exhausted) == (10, True) and res.nodes > 12_887
 
 

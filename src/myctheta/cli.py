@@ -97,11 +97,10 @@ def _load_graph(args) -> graphs.GraphLike:
     if getattr(args, "edges", None):
         try:
             with open(args.edges, "r", encoding="utf-8") as fh:
-                text = fh.read()
+                return graphs.parse_edgelist(fh)
         except (OSError, UnicodeDecodeError) as exc:
             reason = getattr(exc, "strerror", None) or exc
             raise DomainError(f"cannot read edge list {args.edges!r}: {reason}") from None
-        return graphs.parse_edgelist(text)
     raise DomainError("a graph source is required (--family or --edges)")
 
 

@@ -23,8 +23,9 @@ from __future__ import annotations
 import io
 import math
 import os
+import warnings
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -553,20 +554,33 @@ def embed_mycielski_power(g: GraphLike, t: int) -> PowerEmbedding:
 def format_edgelist(g: GraphLike) -> str:
     directed = isinstance(g, Digraph)
     a = g.bool_matrix() if directed else np.triu(g.bool_matrix(), 1)
-    labels = [str(v) for v in range(g.n)]
-    lines = [f"{g.n} {g.m}" + (" directed" if directed else "")]
+    labels = np.array([f"{v}\n" for v in range(g.n)], dtype=object)
+    parts = [f"{g.n} {g.m}" + (" directed" if directed else "") + "\n"]
     for u, row in enumerate(a):
-        cols = np.flatnonzero(row).tolist()
-        if cols:
-            prefix = labels[u] + " "
-            lines.append(prefix + ("\n" + prefix).join([labels[v] for v in cols]))
-    return "\n".join(lines) + "\n"
+        cols = np.flatnonzero(row)
+        if cols.size:
+            prefix = f"{u} "
+            parts.append(prefix + prefix.join(labels[cols].tolist()))
+    return "".join(parts)
 
 
-def parse_edgelist(text: str) -> GraphLike:
-    header, _, body = text.strip().partition("\n")
-    if not header:
-        raise DomainError("empty edge-list input")
+def parse_edgelist(source: Union[str, TextIO]) -> GraphLike:
+    """The graph of an edge list, given as its text or as an open text stream.
+
+    A stream is read once, in chunks, so the peak memory follows the int64
+    pairs and the adjacency, not the text; only a bad body is read again, to
+    name its first bad line.  A stream that cannot seek is read whole first.
+    """
+    if isinstance(source, str):
+        source = io.StringIO(source)
+    elif not source.seekable():
+        source = io.StringIO(source.read())
+    header = ""
+    while not header:
+        line = source.readline()
+        if not line:
+            raise DomainError("empty edge-list input")
+        header = line.strip()
     head = header.split()
     directed = False
     if len(head) == 3 and head[2] == "directed":
@@ -576,24 +590,29 @@ def parse_edgelist(text: str) -> GraphLike:
     try:
         n, m = int(head[0]), int(head[1])
     except ValueError as exc:
-        raise DomainError(f"bad header {header.strip()!r}") from exc
-    if body.strip():
-        try:
-            pairs = np.loadtxt(io.StringIO(body), dtype=np.int64, ndmin=2, comments=None)
-            if pairs.shape[1] != 2:
-                raise ValueError(f"{pairs.shape[1]} columns")
-        except ValueError as exc:
-            raise DomainError(_bad_edge_line(body, exc)) from None
-    else:
-        pairs = np.empty((0, 2), dtype=np.int64)
+        raise DomainError(f"bad header {header!r}") from exc
+    body_start = source.tell()
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            pairs = np.loadtxt(source, dtype=np.int64, ndmin=2, comments=None)
+        if pairs.size == 0:
+            pairs = pairs.reshape(0, 2)
+        elif pairs.shape[1] != 2:
+            raise ValueError(f"{pairs.shape[1]} columns")
+    except UnicodeDecodeError:
+        raise  # the stream is unreadable, not malformed
+    except ValueError as exc:
+        source.seek(body_start)
+        raise DomainError(_bad_edge_line(source, exc)) from None
     if len(pairs) != m:
         raise DomainError(f"expected {m} edge lines, found {len(pairs)}")
     return Digraph(n, pairs) if directed else Graph(n, pairs)
 
 
-def _bad_edge_line(body: str, exc: ValueError) -> str:
+def _bad_edge_line(lines: Iterable[str], exc: ValueError) -> str:
     """Message naming the first body line that is not two int64 vertex labels."""
-    for line in body.splitlines():
+    for line in lines:
         parts = line.split()
         if not parts:
             continue

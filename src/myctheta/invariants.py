@@ -508,16 +508,23 @@ def _max_clique_bits(bits: tuple[int, ...], budget: _Budget,
 
 def _greedy_clique(g: Graph, order: list[int]) -> tuple[int, ...]:
     clique: list[int] = []
+    common = -1  # the vertices adjacent to every member so far
     for v in order:
-        if all(g.has_edge(v, u) for u in clique):
+        if common >> v & 1:
             clique.append(v)
+            common &= g.bits[v]
     return tuple(sorted(clique))
 
 
 def verify_clique(g: Graph, witness: tuple[int, ...]) -> bool:
-    return all(
-        g.has_edge(u, v) for i, u in enumerate(witness) for v in witness[i + 1:]
-    )
+    """Every two members are adjacent; a repeated member is not adjacent to
+    itself, so a repeat fails too."""
+    common = -1
+    for v in witness:
+        if not common >> v & 1:
+            return False
+        common &= g.bits[v]
+    return True
 
 
 def _is_transitive(d: Digraph, order: tuple[int, ...]) -> bool:

@@ -99,6 +99,28 @@ def test_edgelist_parser_never_leaks_raw_errors():
     fuzz()
 
 
+def test_edgelist_parser_reads_a_stream_as_its_text():
+    import io
+
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    from myctheta import DomainError, graphs as graphs_mod
+
+    def outcome(source):
+        try:
+            return graphs_mod.parse_edgelist(source)
+        except DomainError as exc:
+            return str(exc)
+
+    @settings(max_examples=300)
+    @given(st.text(alphabet="0123456789 directed\n-", max_size=60))
+    def fuzz(text):
+        assert outcome(text) == outcome(io.StringIO(text))
+
+    fuzz()
+
+
 def test_gen_roundtrip(tmp_path, capsys):
     out_file = tmp_path / "c5.edges"
     code, _, _ = run_cli(["gen", "--family", "cycle:5", "--out", str(out_file)], capsys)
@@ -194,6 +216,17 @@ def test_unreadable_edge_file_exit_code(tmp_path, capsys):
         code, out, err = run_cli(["theta", "--edges", str(path)], capsys)
         assert code == 2 and out == ""
         assert err.startswith("error: cannot read edge list") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("good_lines", [0, 60_000])
+def test_undecodable_edge_file_body_exit_code(good_lines, tmp_path, capsys):
+    # invalid UTF-8 after a valid header, at the start of the body and past
+    # the first chunks the reader decodes: unreadable, not a bad edge line
+    path = tmp_path / "tail.edges"
+    path.write_bytes(f"3 {good_lines + 1}\n".encode() + b"0 1\n" * good_lines + b"1 \xff\xfe\n")
+    code, out, err = run_cli(["gen", "--edges", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot read edge list") and err.count("\n") == 1
 
 
 def test_out_write_failure_exit_code(tmp_path, capsys):

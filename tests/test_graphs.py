@@ -1,5 +1,7 @@
 import itertools
+import os
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from myctheta import (
     parse_edgelist,
     transitive_tournament,
 )
+import myctheta.graphs as graphs_mod
 from myctheta.graphs import (
     max_vertices,
     mycielski_index,
@@ -475,6 +478,7 @@ def test_parse_edgelist_rejects_malformed_body(text):
     assert "\n" not in str(info.value)
 
 
+@pytest.mark.filterwarnings("error")  # an empty body is no edges, not a warning
 def test_parse_edgelist_accepts_blank_lines_and_no_edges():
     g = parse_edgelist("\n3 2\n\n  0 1 \n\n2 1\n\n")
     assert g == Graph(3, [(0, 1), (1, 2)])
@@ -483,6 +487,57 @@ def test_parse_edgelist_accepts_blank_lines_and_no_edges():
     for text in ("3 2\n0 1\n0 1 2\n", "3 1\n0 1 2\n"):
         with pytest.raises(DomainError, match="bad edge line '0 1 2'"):
             parse_edgelist(text)
+
+
+def test_parse_edgelist_names_a_bad_line_past_the_first_chunk(tmp_path):
+    # the reader takes the body in chunks; the line is found by reading it again
+    path = tmp_path / "late.edges"
+    path.write_text("3 60001\n" + "0 1\n" * 60_000 + "1 x\n", encoding="utf-8")
+    with open(path, encoding="utf-8") as fh, pytest.raises(DomainError) as info:
+        parse_edgelist(fh)
+    assert str(info.value) == "bad edge line '1 x'"
+
+
+def test_parse_edgelist_does_not_take_undecodable_bytes_for_a_bad_line(tmp_path, monkeypatch):
+    path = tmp_path / "tail.edges"
+    # past the text the header's read decodes, so the body's read meets it
+    path.write_bytes(b"3 20001\n" + b"0 1\n" * 20_000 + b"1 \xff\n")
+    monkeypatch.setattr(graphs_mod, "_bad_edge_line", lambda lines, exc: pytest.fail("read as a bad line"))
+    with open(path, encoding="utf-8") as fh, pytest.raises(UnicodeDecodeError):
+        parse_edgelist(fh)
+
+
+def test_parse_edgelist_reads_a_pipe():
+    # a stream that cannot seek is read whole, so a bad line is still named
+    for text, expected in (("3 2\n0 1\n1 2\n", Graph(3, [(0, 1), (1, 2)])),
+                           ("3 2\n0 1\n1 2 0\n", "bad edge line '1 2 0'")):
+        read, write = os.pipe()
+        os.write(write, text.encode())
+        os.close(write)
+        with open(read, encoding="utf-8") as fh:
+            assert not fh.seekable()
+            try:
+                assert parse_edgelist(fh) == expected
+            except DomainError as exc:
+                assert str(exc) == expected
+
+
+def test_parse_edgelist_memory_follows_the_pairs(tmp_path):
+    # read from an open file, the peak is the int64 pairs and the adjacency,
+    # not the text: below twice the 16 m bytes of the pairs (the text read
+    # whole peaks at about 1.9 MB here)
+    g = or_power(cycle_graph(7), 3)
+    path = tmp_path / "c7_3.edges"
+    path.write_text(format_edgelist(g), encoding="utf-8")
+    with open(path, encoding="utf-8") as fh:
+        tracemalloc.start()
+        try:
+            back = parse_edgelist(fh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert back == g and g.m == 37_387
+    assert peak < 2 * 16 * g.m
 
 
 def test_size_guard(monkeypatch):

@@ -577,6 +577,35 @@ def test_clique_against_brute_force():
         assert verify_clique(g, res.witness)
 
 
+def pairwise_greedy_clique(g: Graph, order: list[int]) -> tuple[int, ...]:
+    clique: list[int] = []
+    for v in order:
+        if all(g.has_edge(v, u) for u in clique):
+            clique.append(v)
+    return tuple(sorted(clique))
+
+
+def pairwise_is_clique(g: Graph, witness: tuple[int, ...]) -> bool:
+    return all(g.has_edge(u, v) for i, u in enumerate(witness) for v in witness[i + 1:])
+
+
+def test_bitset_clique_checks_match_the_pairwise_reference():
+    rng = random.Random(31)
+    graphs = [petersen_graph(), or_power(cycle_graph(5), 2), complete_graph(6), empty_graph(4)]
+    graphs += [random_graph(rng, rng.randint(1, 25), rng.random()) for _ in range(40)]
+    for g in graphs:
+        order = list(range(g.n))
+        rng.shuffle(order)
+        assert _greedy_clique(g, order) == pairwise_greedy_clique(g, order)
+        for _ in range(30):
+            witness = tuple(rng.randrange(g.n) for _ in range(rng.randint(0, 6)))
+            assert verify_clique(g, witness) == pairwise_is_clique(g, witness)
+    k4, c5 = complete_graph(4), cycle_graph(5)
+    assert verify_clique(k4, (0, 1, 2, 3)) and verify_clique(k4, (2,)) and verify_clique(k4, ())
+    assert not verify_clique(k4, (0, 1, 1)) and not verify_clique(k4, (3, 3))
+    assert verify_clique(c5, (0, 1)) and not verify_clique(c5, (0, 2)) and not verify_clique(c5, (4, 0, 1))
+
+
 def test_clique_mycielski_preserved():
     rng = random.Random(13)
     for _ in range(30):

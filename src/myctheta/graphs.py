@@ -23,6 +23,8 @@ from __future__ import annotations
 import io
 import math
 import os
+import re
+import stat
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, TextIO, Union
@@ -82,14 +84,17 @@ def _pair_matrix(n: int, pairs, what: str) -> np.ndarray:
         p = p.reshape(0, 2)
     if p.ndim != 2 or p.shape[1] != 2:
         raise DomainError(f"each {what} must be a pair of vertices")
-    bad = ((p < 0) | (p >= n)).any(axis=1)
-    loop = p[:, 0] == p[:, 1]
-    first = np.flatnonzero(bad | loop)
+    # read as uint64, a negative label is at least 2**63, so one test per
+    # column catches both ends of the range
+    u, v = p.view(np.uint64).T
+    bad = (u >= n) | (v >= n)
+    first = np.flatnonzero(bad | (u == v))
     if first.size:
-        u, v = p[first[0]].tolist()
-        if bad[first[0]]:
-            raise DomainError(f"{what} ({u},{v}) out of range for n={n}")
-        raise DomainError(f"self-loop at vertex {u} not allowed")
+        i = first[0]
+        x, y = p[i].tolist()
+        if bad[i]:
+            raise DomainError(f"{what} ({x},{y}) out of range for n={n}")
+        raise DomainError(f"self-loop at vertex {x} not allowed")
     a = np.zeros((n, n), dtype=bool)
     a[p[:, 0], p[:, 1]] = True
     return a
@@ -567,20 +572,26 @@ def format_edgelist(g: GraphLike) -> str:
 def parse_edgelist(source: Union[str, TextIO]) -> GraphLike:
     """The graph of an edge list, given as its text or as an open text stream.
 
-    A stream is read once, in chunks, so the peak memory follows the int64
-    pairs and the adjacency, not the text; only a bad body is read again, to
-    name its first bad line.  A stream that cannot seek is read whole first.
+    The body is read once, so the peak memory follows the int64 pairs and the
+    adjacency, not the text; only a bad body is read again, to name its first
+    bad line.  A stream opened on a regular file (`_file_path`) is parsed from
+    that file's path, past the header's lines: given a path, `np.loadtxt`
+    reads the file in large chunks in C, where from a stream it takes one
+    Python str per line.  Text, other streams and pipes are parsed from the
+    stream; a pipe, which cannot seek, is read whole first.  Text is read with
+    universal newlines, as a file is.
     """
     if isinstance(source, str):
-        source = io.StringIO(source)
+        source = io.StringIO(source, newline=None)
     elif not source.seekable():
         source = io.StringIO(source.read())
-    header = ""
+    path = _file_path(source)
+    header, skipped = "", 0
     while not header:
         line = source.readline()
         if not line:
             raise DomainError("empty edge-list input")
-        header = line.strip()
+        header, skipped = line.strip(), skipped + 1
     head = header.split()
     directed = False
     if len(head) == 3 and head[2] == "directed":
@@ -592,10 +603,12 @@ def parse_edgelist(source: Union[str, TextIO]) -> GraphLike:
     except ValueError as exc:
         raise DomainError(f"bad header {header!r}") from exc
     body_start = source.tell()
+    body, skiprows = (path, skipped) if path else (source, 0)
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            pairs = np.loadtxt(source, dtype=np.int64, ndmin=2, comments=None)
+            pairs = np.loadtxt(body, dtype=np.int64, ndmin=2, comments=None,
+                               skiprows=skiprows, encoding=source.encoding)
         if pairs.size == 0:
             pairs = pairs.reshape(0, 2)
         elif pairs.shape[1] != 2:
@@ -610,16 +623,47 @@ def parse_edgelist(source: Union[str, TextIO]) -> GraphLike:
     return Digraph(n, pairs) if directed else Graph(n, pairs)
 
 
+# `np.loadtxt` opens a path through `numpy.lib.npyio.DataSource`, which
+# decompresses by these suffixes
+_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
+
+
+def _file_path(source: TextIO) -> Optional[str]:
+    """Absolute path of the regular file `source` has open, if `np.loadtxt`
+    would read that same file from it; else None.
+
+    The stream must be at its start with strict decoding, and its name must
+    still stat to the open file, so a file that later replaced it at that
+    name is not read.  The path is made absolute so that a name that looks
+    like a URL is not fetched.  numpy reads the path with universal newlines,
+    as `open` does by default, so the header's line count holds for a stream
+    opened that way.
+    """
+    name = getattr(source, "name", None)
+    if (not isinstance(name, str) or name.endswith(_COMPRESSED_SUFFIXES)
+            or getattr(source, "errors", None) != "strict" or source.tell() != 0):
+        return None
+    try:
+        opened = os.fstat(source.fileno())
+        if stat.S_ISREG(opened.st_mode) and os.path.samestat(opened, os.stat(name)):
+            return os.path.abspath(name)
+    except (OSError, ValueError):  # ValueError: a name with a NUL byte
+        pass
+    return None
+
+
+_INT64_TOKEN = re.compile(r"[+-]?[0-9]+")
+
+
 def _bad_edge_line(lines: Iterable[str], exc: ValueError) -> str:
-    """Message naming the first body line that is not two int64 vertex labels."""
+    """Message naming the first body line that is not two int64 vertex labels,
+    in the integer grammar of `np.loadtxt`: an optional sign and ASCII digits."""
     for line in lines:
         parts = line.split()
         if not parts:
             continue
-        try:
-            if len(parts) == 2 and all(-(1 << 63) <= int(p) < 1 << 63 for p in parts):
-                continue
-        except ValueError:
-            pass
+        if len(parts) == 2 and all(_INT64_TOKEN.fullmatch(p) and -(1 << 63) <= int(p) < 1 << 63
+                                   for p in parts):
+            continue
         return f"bad edge line {line.strip()!r}"
     return f"bad edge list: {exc}"

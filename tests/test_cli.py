@@ -99,7 +99,9 @@ def test_edgelist_parser_never_leaks_raw_errors():
     fuzz()
 
 
-def test_edgelist_parser_reads_a_stream_as_its_text():
+def test_edgelist_parser_reads_a_stream_as_its_text(tmp_path):
+    # the text, a StringIO with the newline handling of a file, and a real
+    # file (read from its path) give the same graph or the same message
     import io
 
     from hypothesis import given, settings
@@ -113,10 +115,28 @@ def test_edgelist_parser_reads_a_stream_as_its_text():
         except DomainError as exc:
             return str(exc)
 
+    # near-valid lists too, so that some texts are graphs; every character
+    # comes from the alphabet of the free text
+    token = st.sampled_from(["0", "1", "2", "3", "+1", "007", "-0", "-1", "1_0", "directed", ""])
+    gap = st.sampled_from([" ", "\t", " \t "])
+    end = st.sampled_from(["\n", "\r", "\r\n", "\n\n", "\r\r\n", ""])
+
+    @st.composite
+    def edge_lists(draw):
+        rows = draw(st.lists(st.tuples(token, gap, token, end), max_size=5))
+        head = f"{draw(st.integers(0, 4))} {len(rows) - draw(st.integers(0, 1))}"
+        return (draw(end) + head + draw(st.sampled_from(["", " directed"])) + draw(end)
+                + "".join(map("".join, rows)))
+
+    path = tmp_path / "fuzz.edges"
+
     @settings(max_examples=300)
-    @given(st.text(alphabet="0123456789 directed\n-", max_size=60))
+    @given(st.one_of(st.text(alphabet="0123456789 directed\n\r\t-+_", max_size=60), edge_lists()))
     def fuzz(text):
-        assert outcome(text) == outcome(io.StringIO(text))
+        path.write_bytes(text.encode())
+        with open(path, encoding="utf-8") as fh:
+            from_file = outcome(fh)
+        assert outcome(text) == outcome(io.StringIO(text, newline=None)) == from_file
 
     fuzz()
 
@@ -227,6 +247,15 @@ def test_undecodable_edge_file_body_exit_code(good_lines, tmp_path, capsys):
     code, out, err = run_cli(["gen", "--edges", str(path)], capsys)
     assert code == 2 and out == ""
     assert err.startswith("error: cannot read edge list") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("token", ["1_0", "\uff11"])
+def test_edge_file_with_a_token_int_would_take_names_the_line(token, tmp_path, capsys):
+    path = tmp_path / "bad.edges"
+    path.write_text(f"3 1\n{token} 2\n", encoding="utf-8")
+    code, out, err = run_cli(["gen", "--edges", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: bad edge line '{token} 2'\n"
 
 
 def test_out_write_failure_exit_code(tmp_path, capsys):

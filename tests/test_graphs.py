@@ -1,3 +1,4 @@
+import io
 import itertools
 import os
 import random
@@ -397,6 +398,31 @@ def test_matrix_input_validation(cls, monkeypatch):
         cls(4, np.zeros((4, 4), dtype=bool))
 
 
+def _pair_matrix_reference(n, pairs, what):
+    """The pair checks one pair at a time: the first bad pair wins."""
+    a = np.zeros((n, n), dtype=bool)
+    for u, v in pairs:
+        if not (0 <= u < n and 0 <= v < n):
+            raise DomainError(f"{what} ({u},{v}) out of range for n={n}")
+        if u == v:
+            raise DomainError(f"self-loop at vertex {u} not allowed")
+        a[u, v] = True
+    return a
+
+
+@given(st.integers(0, 6), st.lists(st.tuples(*[st.one_of(
+    st.integers(-2, 7), st.sampled_from([-(1 << 63), (1 << 63) - 1, 1 << 32])
+)] * 2), max_size=8))
+def test_pair_checks_match_the_one_pair_reference(n, pairs):
+    def outcome(check):
+        try:
+            return check(n, np.array(pairs, dtype=np.int64).reshape(-1, 2), "arc").tolist()
+        except DomainError as exc:
+            return str(exc)
+
+    assert outcome(graphs_mod._pair_matrix) == outcome(_pair_matrix_reference)
+
+
 def _mycielskian_reference(g, r):
     """M_r(G) from the edge list, one pair at a time (arcs for digraphs)."""
     n, directed = g.n, isinstance(g, Digraph)
@@ -538,6 +564,79 @@ def test_parse_edgelist_memory_follows_the_pairs(tmp_path):
             tracemalloc.stop()
     assert back == g and g.m == 37_387
     assert peak < 2 * 16 * g.m
+
+
+def test_parse_edgelist_reads_text_with_universal_newlines():
+    for text in ("3 1\r0 1\r", "3 1\r\n0 1\r\n", "\r\n3 1\r\r0 1"):
+        assert parse_edgelist(text) == Graph(3, [(0, 1)])
+
+
+def test_parse_edgelist_takes_loadtxt_integers():
+    # an optional sign and ASCII digits, as `np.loadtxt` reads an int64
+    assert parse_edgelist("8 2\n007 +1\n-0 2\n") == Graph(8, [(7, 1), (0, 2)])
+
+
+@pytest.mark.parametrize("token", ["1_0", "\uff11", "\u0661"])
+def test_parse_edgelist_names_a_line_python_int_would_take(token):
+    # int() takes an underscore and non-ASCII digits; loadtxt does not
+    with pytest.raises(DomainError) as info:
+        parse_edgelist(f"3 1\n{token} 2\n")
+    assert str(info.value) == f"bad edge line '{token} 2'"
+
+
+def _record_loadtxt(monkeypatch):
+    seen = []
+    real = np.loadtxt
+
+    def loadtxt(fname, *args, **kwargs):
+        seen.append(fname)
+        return real(fname, *args, **kwargs)
+
+    monkeypatch.setattr(graphs_mod.np, "loadtxt", loadtxt)
+    return seen
+
+
+def test_parse_edgelist_reads_a_regular_file_from_its_path(tmp_path, monkeypatch):
+    seen = _record_loadtxt(monkeypatch)
+    path = tmp_path / "c5.edges"
+    path.write_text("\n \n5 5\n0 1\n1 2\n2 3\n3 4\n0 4\n", encoding="utf-8")
+    with open(path, encoding="utf-8") as fh:
+        assert parse_edgelist(fh) == cycle_graph(5)
+    assert seen == [str(path)]
+    # a pipe, a StringIO, a file read past its start, a name that numpy
+    # would decompress and lenient decoding are all read from the stream
+    read, write = os.pipe()
+    os.write(write, path.read_bytes())
+    os.close(write)
+    with open(read, encoding="utf-8") as fh:
+        assert parse_edgelist(fh) == cycle_graph(5)
+    assert parse_edgelist(io.StringIO(path.read_text())) == cycle_graph(5)
+    later = tmp_path / "later.edges"
+    later.write_text("junk\n" + path.read_text(), encoding="utf-8")
+    with open(later, encoding="utf-8") as fh:
+        fh.readline()
+        assert parse_edgelist(fh) == cycle_graph(5)
+    packed = tmp_path / "c5.edges.gz"  # plain text, whatever its name says
+    packed.write_text(path.read_text(), encoding="utf-8")
+    with open(packed, encoding="utf-8") as fh:
+        assert parse_edgelist(fh) == cycle_graph(5)
+    lenient = tmp_path / "lenient.edges"  # decoded as the stream decodes it
+    lenient.write_bytes(b"3 1\n0 \xff\n")
+    with open(lenient, encoding="utf-8", errors="replace") as fh, pytest.raises(DomainError) as info:
+        parse_edgelist(fh)
+    assert str(info.value) == "bad edge line '0 \ufffd'"
+    assert len(seen) == 6 and not any(isinstance(arg, str) for arg in seen[1:])
+
+
+def test_parse_edgelist_reads_the_opened_file_not_its_replacement(tmp_path, monkeypatch):
+    seen = _record_loadtxt(monkeypatch)
+    path, other = tmp_path / "g.edges", tmp_path / "other.edges"
+    path.write_text(format_edgelist(cycle_graph(5)), encoding="utf-8")
+    other.write_text(format_edgelist(complete_graph(5)), encoding="utf-8")
+    with open(path, encoding="utf-8") as fh:
+        os.replace(other, path)
+        assert parse_edgelist(fh) == cycle_graph(5)
+    assert not isinstance(seen[0], str)
 
 
 def test_size_guard(monkeypatch):

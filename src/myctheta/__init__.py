@@ -15,11 +15,7 @@ from .errors import (
 from .graphs import (
     Digraph,
     Graph,
-    PowerVertex,
-    VertexLabel,
-    categorical_product,
     complete_graph,
-    complete_join,
     cycle_graph,
     embed_mycielski_power,
     empty_graph,
@@ -50,12 +46,10 @@ from .fractional import (
     maximal_independent_sets,
 )
 from .formula import (
-    CubicRoots,
     FormulaResult,
     cubic_residual,
     lpu_formula,
     mycielski_theta_formula,
-    solve_cubic_trig,
     verify_root_selection,
 )
 from .theta import (

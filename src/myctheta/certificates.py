@@ -42,18 +42,11 @@ import numpy as np
 
 from . import eigen
 from .errors import CertificateError, DomainError
-from .formula import cubic_residual, mycielski_theta_formula
+from .formula import _snap_boundary, cubic_residual, mycielski_theta_formula
 from .graphs import Graph, mycielskian
 from .theta import VectorColoring, spectral_ratio
 
 _CONSISTENCY_TOL = 1e-6
-
-
-def _snap_boundary(t: float) -> float:
-    """Solver noise just below the t >= 2 boundary must not raise."""
-    if 2.0 - 1e-6 <= t < 2.0:
-        return 2.0
-    return t
 
 
 def _check_pair(t: float, m: float, allow_degenerate: bool = False) -> bool:
@@ -107,17 +100,6 @@ class LiftParameters:
             abs(self.alpha * self.beta / (t - 1.0) + self.x * y_signed - w),
             abs(self.y - w),
         )
-
-
-def degenerate_root_residual(t: float) -> float:
-    """v w + w - 1 at the degenerate root m = t + 1, i.e. w = 1/t.
-
-    This is the linear factor of the lift polynomial whose vanishing puts
-    m = t+1 among the solutions of the squared system; it is identically zero.
-    """
-    v = t - 1.0
-    w = 1.0 / ((t + 1.0) - 1.0)
-    return v * w + w - 1.0
 
 
 def lift_parameters(t: float, m: float) -> LiftParameters:

@@ -44,7 +44,8 @@ def _fmt(x: float) -> str:
 
 
 def parse_family(spec: str) -> graphs.GraphLike:
-    """Family grammar: wrapper* base ':' n (key=value tokens bind innermost)."""
+    """Family grammar: wrapper* base ':' n (key=value tokens bind innermost);
+    n and the values are integers in the grammar of the edge-list format."""
     tokens = [tok for tok in spec.split(":") if tok]
     if not tokens:
         raise DomainError("empty family spec")
@@ -57,7 +58,7 @@ def parse_family(spec: str) -> graphs.GraphLike:
             if len(tokens) < 2:
                 raise DomainError(f"family {head!r} needs a size, e.g. {head}:5")
             try:
-                n = int(tokens[1])
+                n = graphs._int_token(tokens[1])
             except ValueError:
                 raise DomainError(f"bad size {tokens[1]!r} for family {head!r}") from None
             return graphs.generate(head, n), tokens[2:]
@@ -69,7 +70,7 @@ def parse_family(spec: str) -> graphs.GraphLike:
             for tok in rest:
                 if value is None and tok.startswith(f"{key}="):
                     try:
-                        value = int(tok.split("=", 1)[1])
+                        value = graphs._int_token(tok.split("=", 1)[1])
                     except ValueError:
                         raise DomainError(f"bad parameter token {tok!r}") from None
                 else:

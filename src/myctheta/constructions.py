@@ -43,7 +43,6 @@ from .fractional import fractional_chromatic
 from .graphs import (
     Digraph,
     Graph,
-    PowerVertex,
     _power_exceeds,
     complete_graph,
     max_vertices,
@@ -88,10 +87,8 @@ class LiftedCliqueSet:
     verified: bool
 
     def to_json(self) -> str:
-        labels = [
-            [repr(lbl) for lbl in PowerVertex(v).labels(self.n)]
-            for v in self.vertices
-        ]
+        n = self.n  # coordinate c is (vertex, level) = (c % n, c // n), or the apex 2n
+        labels = [["Apex" if c == 2 * n else f"({c % n},{c // n})" for c in v] for v in self.vertices]
         return json.dumps(
             {
                 "n": self.n,

@@ -23,57 +23,6 @@ from typing import Union
 
 from .errors import DomainError
 
-_CLAMP = 1e-12
-
-
-@dataclass(frozen=True)
-class CubicRoots:
-    """Roots of a cubic with three real roots, indexed by the branch k."""
-
-    roots: tuple[float, float, float]
-    p: float
-    q: float
-
-
-def solve_cubic_trig(a: float, b: float, c: float, d: float) -> CubicRoots:
-    """Real roots of a x^3 + b x^2 + c x + d = 0 by the trigonometric method.
-
-    Only the three-real-root regime is supported: requires a != 0 and a
-    negative depressed-cubic p; the arccos argument may poke at most 1e-12
-    outside [-1, 1] (it is clamped), anything further is a domain error.
-
-    Branch order: k=0 is the largest root, k=1 the middle, k=2 the smallest.
-    """
-    if a == 0:
-        raise DomainError("leading coefficient must be nonzero")
-    p = (3.0 * a * c - b * b) / (3.0 * a * a)
-    q = (2.0 * b ** 3 - 9.0 * a * b * c + 27.0 * a * a * d) / (27.0 * a ** 3)
-    if p >= 0:
-        raise DomainError(
-            f"trigonometric method needs p < 0 (three real roots); p = {p}"
-        )
-    arg = (3.0 * q / (2.0 * p)) * math.sqrt(-3.0 / p)
-    if abs(arg) > 1.0 + _CLAMP:
-        raise DomainError(
-            f"arccos argument {arg} outside [-1, 1]: complex-root regime"
-        )
-    arg = min(1.0, max(-1.0, arg))
-    amp = 2.0 * math.sqrt(-p / 3.0)
-    shift = b / (3.0 * a)
-    phi = math.acos(arg) / 3.0
-    roots = tuple(
-        amp * math.cos(phi - 2.0 * math.pi * k / 3.0) - shift for k in range(3)
-    )
-    return CubicRoots(roots, p, q)
-
-
-def evaluate_cubic(a: float, b: float, c: float, d: float, x: float) -> float:
-    return ((a * x + b) * x + c) * x + d
-
-
-# ---------------------------------------------------------------------------
-# the Mycielskian formula
-# ---------------------------------------------------------------------------
 
 def mycielski_cubic_coefficients(t: float) -> tuple[float, float, float, float]:
     return 1.0, t - 3.0, 3.0 - 2.0 * t - t * t, -t ** 3 + 5.0 * t * t - 3.0 * t - 1.0
@@ -82,7 +31,7 @@ def mycielski_cubic_coefficients(t: float) -> tuple[float, float, float, float]:
 def cubic_residual(t: float, m: float) -> float:
     """Left side of the Mycielskian cubic evaluated at x = m."""
     a, b, c, d = mycielski_cubic_coefficients(t)
-    return evaluate_cubic(a, b, c, d, m)
+    return ((a * m + b) * m + c) * m + d
 
 
 def star_branch(t: float, k: int) -> float:
@@ -94,6 +43,13 @@ def star_branch(t: float, k: int) -> float:
         - t / 3.0
         + 1.0
     )
+
+
+def _snap_boundary(t: float) -> float:
+    """t = 2 for solver noise just below the t >= 2 boundary (within 1e-6)."""
+    if 2.0 - 1e-6 <= t < 2.0:
+        return 2.0
+    return t
 
 
 @dataclass(frozen=True)
@@ -113,8 +69,7 @@ def mycielski_theta_formula(t: float) -> FormulaResult:
     below the boundary (within 1e-6) is snapped to t = 2 rather than refused.
     So are values whose t^3 overflows a float (above about 5.6e102).
     """
-    if 2.0 - 1e-6 <= t < 2.0:
-        t = 2.0
+    t = _snap_boundary(t)
     if not (math.isfinite(t) and t >= 2.0):
         raise DomainError(f"formula needs a finite t >= 2, got {t}")
     m = star_branch(t, 0)

@@ -14,8 +14,8 @@ matrix and handed to the constructor whole.
 
 Product graphs use row-major vertex pairing, (f, g) -> f * |V(G)| + g, and
 power graphs extend this to mixed-radix coordinates (leftmost coordinate most
-significant).  `power_index` / `power_coords` / `PowerVertex` convert between
-the flat and the structured view.
+significant).  `power_index` / `power_coords` convert between the flat index
+and the coordinates.
 """
 
 from __future__ import annotations
@@ -237,60 +237,8 @@ GraphLike = Union[Graph, Digraph]
 
 
 # ---------------------------------------------------------------------------
-# vertex labels for Mycielskians and powers
+# power coordinates
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class VertexLabel:
-    """Name of a vertex of M_r(G): a (vertex, level) pair or the apex."""
-
-    vertex: Optional[int] = None
-    level: Optional[int] = None
-
-    @staticmethod
-    def apex() -> "VertexLabel":
-        return VertexLabel(None, None)
-
-    @property
-    def is_apex(self) -> bool:
-        return self.vertex is None
-
-    def __repr__(self):
-        if self.is_apex:
-            return "Apex"
-        return f"({self.vertex},{self.level})"
-
-
-def mycielski_index(n: int, label: VertexLabel, r: int = 2) -> int:
-    """Flat index of a labeled M_r vertex; levels are stored level-major."""
-    if label.is_apex:
-        return r * n
-    if not (0 <= label.vertex < n and 0 <= label.level < r):
-        raise DomainError(f"label {label} invalid for n={n}, r={r}")
-    return label.level * n + label.vertex
-
-
-def mycielski_label(n: int, index: int, r: int = 2) -> VertexLabel:
-    if index == r * n:
-        return VertexLabel.apex()
-    if not 0 <= index < r * n:
-        raise DomainError(f"index {index} out of range for M_{r} over {n} vertices")
-    return VertexLabel(index % n, index // n)
-
-
-@dataclass(frozen=True)
-class PowerVertex:
-    """Structured view of a vertex of a t-th OR-power: one coordinate per factor."""
-
-    coords: tuple[int, ...]
-
-    def __len__(self):
-        return len(self.coords)
-
-    def labels(self, base_n: int, r: int = 2) -> tuple[VertexLabel, ...]:
-        """Decode coordinates as M_r(G) labels (for powers of Mycielskians)."""
-        return tuple(mycielski_label(base_n, c, r) for c in self.coords)
-
 
 def power_index(coords: Sequence[int], base_size: int) -> int:
     idx = 0
@@ -483,23 +431,6 @@ def or_power(g: GraphLike, t: int) -> GraphLike:
     return result
 
 
-def categorical_product(f: Graph, g: Graph) -> Graph:
-    """Categorical (tensor) product: adjacent iff adjacent in both coordinates."""
-    _check_size(f.n * g.n, "categorical product")
-    adj = np.kron(f.bool_matrix(), g.bool_matrix())
-    return Graph(len(adj), adj)
-
-
-def complete_join(g: Graph, h: Graph) -> Graph:
-    """Disjoint union of g and h plus all edges between the two parts."""
-    _check_size(g.n + h.n, "complete join")
-    adj = np.block([
-        [g.bool_matrix(), np.ones((g.n, h.n), dtype=bool)],
-        [np.zeros((h.n, g.n), dtype=bool), h.bool_matrix()],
-    ])
-    return Graph(len(adj), adj)
-
-
 # ---------------------------------------------------------------------------
 # the Mycielskian-of-a-power embedding
 # ---------------------------------------------------------------------------
@@ -599,7 +530,7 @@ def parse_edgelist(source: Union[str, TextIO]) -> GraphLike:
     elif len(head) != 2:
         raise DomainError("header must be 'n m' or 'n m directed'")
     try:
-        n, m = int(head[0]), int(head[1])
+        n, m = _int_token(head[0]), _int_token(head[1])
     except ValueError as exc:
         raise DomainError(f"bad header {header!r}") from exc
     body_start = source.tell()
@@ -653,6 +584,15 @@ def _file_path(source: TextIO) -> Optional[str]:
 
 
 _INT64_TOKEN = re.compile(r"[+-]?[0-9]+")
+
+
+def _int_token(token: str) -> int:
+    """The integer a token spells in the grammar of `np.loadtxt`, an optional
+    sign and ASCII digits; ValueError otherwise, where Python's `int` would
+    also take `1_0`, surrounding spaces or non-ASCII digits."""
+    if not _INT64_TOKEN.fullmatch(token):
+        raise ValueError(f"not an integer token: {token!r}")
+    return int(token)
 
 
 def _bad_edge_line(lines: Iterable[str], exc: ValueError) -> str:

@@ -516,21 +516,18 @@ def _greedy_clique(g: Graph, order: list[int]) -> tuple[int, ...]:
     return tuple(sorted(clique))
 
 
-def verify_clique(g: Graph, witness: tuple[int, ...]) -> bool:
-    """Every two members are adjacent; a repeated member is not adjacent to
-    itself, so a repeat fails too."""
-    common = -1
+def verify_clique(g: GraphLike, witness: tuple[int, ...]) -> bool:
+    """Every member is adjacent to every later one: in a graph, every two
+    members are adjacent; in a digraph, each member has an arc to every
+    later one, so `witness` is a transitive order.  A repeated member is not
+    adjacent to itself, so a repeat fails too."""
+    bits = g.out_bits if isinstance(g, Digraph) else g.bits
+    common = -1  # the vertices every member so far is adjacent to
     for v in witness:
         if not common >> v & 1:
             return False
-        common &= g.bits[v]
+        common &= bits[v]
     return True
-
-
-def _is_transitive(d: Digraph, order: tuple[int, ...]) -> bool:
-    """Every forward pair of `order` is an arc of d."""
-    idx = np.asarray(order, dtype=np.int64)
-    return bool(d.bool_matrix()[np.ix_(idx, idx)][np.triu_indices(len(idx), 1)].all())
 
 
 def clique_number(g: Graph, node_budget: Optional[int] = None,
@@ -578,7 +575,7 @@ def transitive_clique_number(d: Digraph, node_budget: Optional[int] = None,
     """
     if d.n == 0:
         raise DomainError("clique number needs a nonempty vertex set")
-    if seed and not (all(0 <= v < d.n for v in seed) and _is_transitive(d, seed)):
+    if seed and not (all(0 <= v < d.n for v in seed) and verify_clique(d, seed)):
         raise DomainError("seed is not a transitive order of the digraph")
     budget = _Budget(node_budget)
     if cap is not None and len(seed) >= cap:
@@ -588,7 +585,7 @@ def transitive_clique_number(d: Digraph, node_budget: Optional[int] = None,
         capped = False
         if size < len(seed):  # a truncated search that ended below the seed
             size, witness = len(seed), tuple(seed)
-    if not _is_transitive(d, witness):
+    if not verify_clique(d, witness):
         raise MycthetaInternal("transitive witness failed re-verification")
     if cap is not None and size > cap:
         raise MycthetaInternal(f"verified clique of size {size} exceeds its certified cap {cap}")
@@ -732,7 +729,8 @@ def chromatic_number(g: Graph, node_budget: Optional[int] = None,
     The clique search gets a quarter of the budget, and its nodes count
     against the whole.  `omega` is a clique search of g already run: when it
     is exhaustive within that quarter, the search would repeat it node for
-    node, so it stands in and the result is the same.
+    node, so it stands in and the result is the same.  The coloring returned
+    is re-verified (`_checked_coloring`).
     """
     if g.n == 0:
         raise DomainError("chromatic number needs a nonempty vertex set")
@@ -754,13 +752,23 @@ def chromatic_number(g: Graph, node_budget: Optional[int] = None,
             coloring = attempt
             break
         if not budget.within_limit:
-            return ChromaticResult(k, hi, False, coloring, budget.nodes)
+            return ChromaticResult(k, hi, False, _checked_coloring(g, coloring, hi), budget.nodes)
         k += 1
-    return ChromaticResult(hi, hi, True, coloring, budget.nodes)
+    return ChromaticResult(hi, hi, True, _checked_coloring(g, coloring, hi), budget.nodes)
 
 
 def verify_coloring(g: Graph, coloring: tuple[int, ...]) -> bool:
-    return all(coloring[u] != coloring[v] for u, v in g.edges())
+    """One color per vertex, and no vertex has a neighbor in its own color
+    class (the bitmask of the vertices of its color)."""
+    return len(coloring) == g.n and not any(
+        b & same for b, same in zip(g.bits, _label_masks(coloring)))
+
+
+def _checked_coloring(g: Graph, coloring: tuple[int, ...], hi: int) -> tuple[int, ...]:
+    """coloring, once it is proper with colors in range(hi); else MycthetaInternal."""
+    if not (verify_coloring(g, coloring) and 0 <= min(coloring) <= max(coloring) < hi):
+        raise MycthetaInternal(f"coloring with at most {hi} colors failed re-verification")
+    return coloring
 
 
 # ---------------------------------------------------------------------------

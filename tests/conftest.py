@@ -28,6 +28,14 @@ def isomorphic(g: Graph, h: Graph) -> bool:
     return networkx.is_isomorphic(to_nx(g), to_nx(h))
 
 
+def complete_join(g: Graph, h: Graph) -> Graph:
+    """Disjoint union of g and h, h's vertex v as g.n + v, plus every edge
+    between the two parts."""
+    edges = list(g.edges()) + [(g.n + u, g.n + v) for u, v in h.edges()]
+    edges += [(u, g.n + v) for u in range(g.n) for v in range(h.n)]
+    return Graph(g.n + h.n, edges)
+
+
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     edges = [
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p

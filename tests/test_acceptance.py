@@ -16,7 +16,6 @@ from myctheta import (
     chromatic_number,
     clique_number,
     complete_graph,
-    complete_join,
     cubic_residual,
     cycle_graph,
     embed_mycielski_power,
@@ -37,7 +36,7 @@ from myctheta import (
 from myctheta.certificates import verify_lift
 from myctheta.invariants import verify_clique
 
-from conftest import all_labeled_graphs, random_graph, random_graph_with_edge
+from conftest import all_labeled_graphs, complete_join, random_graph, random_graph_with_edge
 
 SQRT5 = math.sqrt(5)
 

@@ -19,7 +19,6 @@ from myctheta import (
     mycielski_theta_formula,
     mycielskian,
     optimal_edge_matrix,
-    solve_cubic_trig,
     spectral_ratio,
     theta_bar,
     verify_block_spectrum,
@@ -28,7 +27,6 @@ from myctheta import eigen
 from myctheta.certificates import (
     certificate_blocks,
     certificate_parameters,
-    degenerate_root_residual,
     gamma_hat,
     t1_star_matrix,
     verify_lift,
@@ -61,7 +59,6 @@ def test_lift_parameters_degenerate_root():
     assert p.degenerate
     assert p.x == pytest.approx(p.w, abs=1e-15)
     assert max(p.system_residuals()) < 1e-12
-    assert degenerate_root_residual(3.0) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_lift_parameters_rejects_inconsistent_m():
@@ -239,8 +236,7 @@ def test_t1_star_cubic_and_vieta():
         vals = eigen.eigh(star)[0]
         for mu in vals:
             assert abs(mu**3 - delta * mu**2 - (eta + 1) * mu + eta * delta) < 1e-8
-        roots = solve_cubic_trig(1.0, -delta, -(eta + 1.0), eta * delta)
-        mu1, mu2, mu3 = roots.roots
+        mu1, mu2, mu3 = sorted(np.roots([1.0, -delta, -(eta + 1.0), eta * delta]).real, reverse=True)
         assert mu1 + mu2 + mu3 == pytest.approx(delta, abs=1e-8)
         assert mu1 * mu2 * mu3 == pytest.approx(-eta * delta, abs=1e-8)
         assert mu1 * mu2 + mu1 * mu3 + mu2 * mu3 == pytest.approx(-(eta + 1), abs=1e-8)

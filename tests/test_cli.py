@@ -10,7 +10,7 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from myctheta import cli, graphs, invariants
+from myctheta import DomainError, cli, graphs, invariants
 from myctheta import theta as theta_mod
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "schemas"
@@ -61,6 +61,30 @@ def test_family_grammar():
     for bad in ("", "cycle", "unknown:3", "power:cycle:5", "cycle:5:r=2"):
         with pytest.raises(DomainError):
             cli.parse_family(bad)
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("cycle:1_0", "bad size '1_0' for family 'cycle'"),
+    ("cycle:\uff15", "bad size '\uff15' for family 'cycle'"),
+    ("cycle: 5", "bad size ' 5' for family 'cycle'"),
+    ("power:cycle:5:t=0_2", "bad parameter token 't=0_2'"),
+    ("mycielski:cycle:5:r=\uff12", "bad parameter token 'r=\uff12'"),
+])
+def test_family_spec_takes_loadtxt_integers_only(spec, message):
+    # the integer grammar of the edge-list format, where int() would take these
+    with pytest.raises(DomainError) as info:
+        cli.parse_family(spec)
+    assert str(info.value) == message
+    assert cli.parse_family("power:cycle:+05:t=+2") == graphs.or_power(graphs.cycle_graph(5), 2)
+
+
+def test_bad_integers_exit_2_with_their_message(tmp_path, capsys):
+    path = tmp_path / "bad_header.edges"
+    path.write_text("1_0 1\n0 1\n", encoding="utf-8")
+    for source, message in ((["--family", "cycle:1_0"], "bad size '1_0' for family 'cycle'"),
+                            (["--edges", str(path)], "bad header '1_0 1'")):
+        code, out, err = run_cli(["gen", *source], capsys)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_family_grammar_never_leaks_raw_errors():

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import math
 import random
 
@@ -111,6 +112,13 @@ def test_extended_clique_rejects_a_member_off_the_apex(monkeypatch):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_extended_bound_exceeds_n(n):
     assert extended_clique(n).bound > n
+
+
+def test_construction_labels():
+    # coordinate c over M(K_2) is the vertex (c % 2, c // 2) at that level, or the apex c = 4
+    rows = [["(0,1)", "(0,0)"], ["(0,0)", "(1,1)"], ["(1,0)", "(0,1)"], ["(1,1)", "(1,0)"]]
+    assert json.loads(extended_clique(2).to_json())["labels"] == rows + [["Apex", "Apex"]]
+    assert json.loads(lifted_transitive_clique(2).to_json())["labels"] == [["Apex", "Apex"]] + rows
 
 
 def test_lifted_clique_rejects_small_n():

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given
@@ -11,11 +12,9 @@ from myctheta import (
     cubic_residual,
     lpu_formula,
     mycielski_theta_formula,
-    solve_cubic_trig,
     verify_root_selection,
 )
-from myctheta.formula import evaluate_cubic, mycielski_cubic_coefficients, star_branch
-from myctheta.certificates import degenerate_root_residual
+from myctheta.formula import mycielski_cubic_coefficients, star_branch
 
 
 def sympy_real_roots(a, b, c, d):
@@ -25,11 +24,11 @@ def sympy_real_roots(a, b, c, d):
 
 
 def test_cubic_symmetric_example():
-    res = solve_cubic_trig(1, 0, -3, 0)
-    # branch order follows the trig formula: largest, middle, smallest
-    assert res.roots[0] == pytest.approx(math.sqrt(3), abs=1e-14)
-    assert res.roots[1] == pytest.approx(0.0, abs=1e-14)
-    assert res.roots[2] == pytest.approx(-math.sqrt(3), abs=1e-14)
+    # at t = 2 the branches are sqrt(5), 1 and -sqrt(5), in the trig
+    # formula's order: largest, middle, smallest
+    assert star_branch(2.0, 0) == pytest.approx(math.sqrt(5), abs=1e-14)
+    assert star_branch(2.0, 1) == pytest.approx(1.0, abs=1e-14)
+    assert star_branch(2.0, 2) == pytest.approx(-math.sqrt(5), abs=1e-14)
 
 
 def test_cubic_t2_factoring_oracle():
@@ -37,42 +36,17 @@ def test_cubic_t2_factoring_oracle():
     x = sympy.symbols("x")
     quotient, remainder = sympy.div(x**3 - x**2 - 5 * x + 5, x - 1, x)
     assert remainder == 0 and sympy.expand(quotient) == x**2 - 5
-    res = solve_cubic_trig(1, -1, -5, 5)
+    assert mycielski_cubic_coefficients(2.0) == (1, -1, -5, 5)
     expected = sympy_real_roots(1, -1, -5, 5)
-    assert sorted(res.roots) == pytest.approx(expected, abs=1e-12)
+    assert sorted(star_branch(2.0, k) for k in range(3)) == pytest.approx(expected, abs=1e-12)
 
 
 def test_cubic_trig_identity_example():
-    res = solve_cubic_trig(1, 0, -3, 1)
-    assert res.roots[0] == pytest.approx(2 * math.cos(math.acos(-0.5) / 3), abs=1e-14)
-    assert res.roots[0] == pytest.approx(2 * math.cos(2 * math.pi / 9), abs=1e-14)
-
-
-def test_cubic_domain_errors():
-    with pytest.raises(DomainError):
-        solve_cubic_trig(0, 1, 2, 3)
-    with pytest.raises(DomainError):
-        solve_cubic_trig(1, 0, 3, 1)  # p > 0: one real root only
-    with pytest.raises(DomainError):
-        solve_cubic_trig(1, 0, -1, 5)  # p < 0 but |arg| > 1
-
-
-@given(
-    r1=st.floats(-10, 10),
-    gap2=st.floats(0.01, 10),
-    gap3=st.floats(0.01, 10),
-)
-def test_cubic_roots_from_constructed_factors(r1, gap2, gap3):
-    roots = sorted([r1, r1 + gap2, r1 + gap2 + gap3])
-    a = 1.0
-    b = -(roots[0] + roots[1] + roots[2])
-    c = roots[0] * roots[1] + roots[0] * roots[2] + roots[1] * roots[2]
-    d = -roots[0] * roots[1] * roots[2]
-    res = solve_cubic_trig(a, b, c, d)
-    scale = max(abs(v) for v in (a, b, c, d))
-    for root in res.roots:
-        assert abs(evaluate_cubic(a, b, c, d, root)) <= 1e-9 * max(1.0, scale)
-    assert sorted(res.roots) == pytest.approx(roots, abs=1e-6 * max(1.0, scale))
+    # at t = 3 the cubic is x^3 - 12x + 8; x = 2y turns it into 8 (y^3 - 3y + 1),
+    # whose roots are 2 cos(2 pi / 9 - 2 pi k / 3)
+    assert mycielski_cubic_coefficients(3.0) == (1, 0, -12, 8)
+    for k in range(3):
+        assert star_branch(3.0, k) == pytest.approx(4 * math.cos(2 * math.pi / 9 - 2 * math.pi * k / 3), abs=1e-14)
 
 
 def test_formula_values():
@@ -87,10 +61,10 @@ def test_formula_values():
 
 def test_formula_matches_cubic_solver():
     for t in (2.0, 2.5, 3.0, 5.0, 17.0):
+        roots = sorted(np.roots(mycielski_cubic_coefficients(t)).real, reverse=True)
+        assert [star_branch(t, k) for k in range(3)] == pytest.approx(roots, abs=1e-10)
         res = mycielski_theta_formula(t)
-        cubic = solve_cubic_trig(*mycielski_cubic_coefficients(t))
-        assert res.m == pytest.approx(cubic.roots[0], abs=1e-10)
-        assert res.discarded == pytest.approx(cubic.roots[1:], abs=1e-10)
+        assert (res.m, *res.discarded) == pytest.approx(roots, abs=1e-10)
 
 
 @given(st.floats(2.0, 50.0))
@@ -109,10 +83,6 @@ def test_residual_at_m_equals_t():
 
 
 def test_degenerate_root_factor():
-    for t in (2.0, 4.0, 8.0, 16.0, 32.0):  # w = 1/t exact in binary
-        assert degenerate_root_residual(t) == 0.0
-    for t in (2.7, 3.0, 11.3):
-        assert abs(degenerate_root_residual(t)) < 1e-15
     # t + 1 is not a root of the cubic itself: residual is 4 t (t - 1)
     for t in (2.0, 3.0, 5.0):
         assert cubic_residual(t, t + 1.0) == pytest.approx(4 * t * (t - 1), rel=1e-12)

@@ -13,12 +13,8 @@ from myctheta import (
     Digraph,
     DomainError,
     Graph,
-    PowerVertex,
     SizeLimitError,
-    VertexLabel,
-    categorical_product,
     complete_graph,
-    complete_join,
     cycle_graph,
     embed_mycielski_power,
     empty_graph,
@@ -32,15 +28,9 @@ from myctheta import (
     transitive_tournament,
 )
 import myctheta.graphs as graphs_mod
-from myctheta.graphs import (
-    max_vertices,
-    mycielski_index,
-    mycielski_label,
-    power_coords,
-    power_index,
-)
+from myctheta.graphs import max_vertices, power_coords, power_index
 
-from conftest import isomorphic, random_digraph, random_graph
+from conftest import complete_join, isomorphic, random_digraph, random_graph
 
 
 def test_generate_families():
@@ -79,27 +69,11 @@ def test_digraph_basics():
     assert d.reverse().has_arc(2, 1)
 
 
-def test_vertex_labels_roundtrip():
-    apex = VertexLabel.apex()
-    assert apex.is_apex
-    for r in (1, 2, 3):
-        n = 4
-        for idx in range(r * n + 1):
-            lbl = mycielski_label(n, idx, r)
-            assert mycielski_index(n, lbl, r) == idx
-    with pytest.raises(DomainError):
-        mycielski_label(4, 99, 2)
-
-
 def test_power_vertex_views():
     coords = (2, 0, 1)
     idx = power_index(coords, 3)
     assert idx == 2 * 9 + 0 * 3 + 1
     assert power_coords(idx, 3, 3) == coords
-    pv = PowerVertex((2, 4))
-    labels = pv.labels(2)
-    assert labels[0] == VertexLabel(0, 1)
-    assert labels[1].is_apex
 
 
 def test_mycielskian_counts_and_levels():
@@ -204,14 +178,6 @@ def test_or_product_of_oriented_graphs_can_create_two_cycles():
     assert square.bidirected_graph().m >= 1
 
 
-def test_categorical_product():
-    two_edges = categorical_product(complete_graph(2), complete_graph(2))
-    assert two_edges.n == 4 and two_edges.m == 2
-    assert categorical_product(cycle_graph(5), complete_graph(1)).m == 0
-    c5sq = categorical_product(cycle_graph(5), cycle_graph(5))
-    assert c5sq.m == 50
-
-
 def test_or_complement_duality(small_graph_zoo):
     # complementing an OR-product gives the strong product of the complements:
     # a distinct pair is adjacent iff both coordinates are adjacent-or-equal
@@ -241,19 +207,20 @@ def test_or_complement_duality(small_graph_zoo):
 
 def test_categorical_restriction_of_strong_dual(small_graph_zoo):
     # on pairs differing in both coordinates, the complement of the OR-product
-    # agrees with the categorical product of the complements
+    # agrees with the categorical product of the complements: adjacent iff
+    # adjacent in both
     rng = random.Random(8)
     graphs = [g for g in small_graph_zoo if g.n in (2, 3)]
     for _ in range(40):
         f, g = rng.choice(graphs), rng.choice(graphs)
         lhs = or_product(f, g).complement()
-        rhs = categorical_product(f.complement(), g.complement())
+        fc, gc = f.complement(), g.complement()
         for a in range(lhs.n):
             fa, ga = divmod(a, g.n)
             for b in range(a + 1, lhs.n):
                 fb, gb = divmod(b, g.n)
                 if fa != fb and ga != gb:
-                    assert lhs.has_edge(a, b) == rhs.has_edge(a, b)
+                    assert lhs.has_edge(a, b) == (fc.has_edge(fa, fb) and gc.has_edge(ga, gb))
 
 
 def test_complete_join():
@@ -582,6 +549,16 @@ def test_parse_edgelist_names_a_line_python_int_would_take(token):
     with pytest.raises(DomainError) as info:
         parse_edgelist(f"3 1\n{token} 2\n")
     assert str(info.value) == f"bad edge line '{token} 2'"
+
+
+@pytest.mark.parametrize("token", ["1_0", "\uff13", "\u0663"])
+def test_parse_edgelist_header_takes_loadtxt_integers_only(token):
+    # the header's n and m are read in the body's grammar
+    for header in (f"{token} 1", f"3 {token}"):
+        with pytest.raises(DomainError) as info:
+            parse_edgelist(f"{header}\n0 1\n")
+        assert str(info.value) == f"bad header {header!r}"
+    assert parse_edgelist("+03 01\n0 1\n") == Graph(3, [(0, 1)])
 
 
 def _record_loadtxt(monkeypatch):

@@ -604,6 +604,34 @@ def test_bitset_clique_checks_match_the_pairwise_reference():
     assert verify_clique(k4, (0, 1, 2, 3)) and verify_clique(k4, (2,)) and verify_clique(k4, ())
     assert not verify_clique(k4, (0, 1, 1)) and not verify_clique(k4, (3, 3))
     assert verify_clique(c5, (0, 1)) and not verify_clique(c5, (0, 2)) and not verify_clique(c5, (4, 0, 1))
+    t3 = transitive_tournament(3)  # a digraph's witness is an order: each member has an arc to every later one
+    assert verify_clique(t3, (0, 1, 2)) and not verify_clique(t3, (0, 2, 1)) and not verify_clique(t3, (0, 0))
+
+
+@st.composite
+def graphs_with_orders(draw):
+    """A graph or digraph on 1..7 vertices and an order of its vertices that
+    may repeat one."""
+    n = draw(st.integers(1, 7))
+    a = np.array(draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))).reshape(n, n)
+    np.fill_diagonal(a, False)
+    g = Digraph(n, a) if draw(st.booleans()) else Graph(n, a)
+    return g, tuple(draw(st.lists(st.integers(0, n - 1), max_size=n + 1)))
+
+
+@given(graphs_with_orders())
+def test_verify_clique_matches_the_forward_pair_reference(case):
+    # a digraph's witness is a transitive order: every forward pair is an arc
+    g, order = case
+    o = np.asarray(order, dtype=np.intp)
+    a = g.bool_matrix()
+    assert verify_clique(g, order) == bool(a[np.ix_(o, o)][np.triu_indices(len(o), 1)].all())
+
+
+def test_transitive_witness_is_re_verified(monkeypatch):
+    monkeypatch.setattr(invariants, "verify_clique", lambda g, witness: False)
+    with pytest.raises(MycthetaInternal, match="transitive witness failed re-verification"):
+        transitive_clique_number(transitive_tournament(3))
 
 
 def test_clique_mycielski_preserved():
@@ -819,6 +847,34 @@ def test_chromatic_budget_bracket():
     if not res.exhausted:
         assert res.lo < res.hi or res.lo == res.hi
     assert verify_coloring(g, res.coloring)
+
+
+def test_bitset_coloring_check_matches_the_edge_reference():
+    rng = random.Random(37)
+    for _ in range(60):
+        g = random_graph(rng, rng.randint(1, 12), rng.random())
+        for _ in range(10):
+            coloring = tuple(rng.randrange(3) for _ in range(g.n))
+            assert verify_coloring(g, coloring) == all(coloring[u] != coloring[v] for u, v in g.edges())
+        assert not verify_coloring(g, (0,) * (g.n + 1))
+
+
+def _improper_greedy(g, k, budget):
+    if k == g.n:  # the greedy coloring: 3 colors, but 3, 4 and 0 share one
+        return (0, 1, 2, 0, 0)
+    budget.nodes = budget.limit + 1  # the search runs out before k = 2 is settled
+    return None
+
+
+@pytest.mark.parametrize("k_colorable, node_budget", [
+    (lambda g, k, budget: (0,) * g.n, None),  # improper, returned as settled
+    (_improper_greedy, 100),  # improper, returned in a bracket
+    (lambda g, k, budget: (0, 1, 2, 0, 1) if k == 2 else (0, 1, 0, 1, 2), None),  # 3 colors for k = 2
+], ids=["improper", "improper-bracket", "too-many-colors"])
+def test_chromatic_number_re_verifies_its_coloring(monkeypatch, k_colorable, node_budget):
+    monkeypatch.setattr(invariants, "_k_colorable", k_colorable)
+    with pytest.raises(MycthetaInternal, match="coloring with at most . colors failed re-verification"):
+        chromatic_number(cycle_graph(5), node_budget)
 
 
 def reference_greedy_coloring(g: Graph) -> tuple[int, ...]:

@@ -8,7 +8,6 @@ from myctheta import (
     ConvergenceError,
     DomainError,
     complete_graph,
-    complete_join,
     cycle_graph,
     empty_graph,
     extract_vector_coloring,
@@ -22,7 +21,7 @@ from myctheta import (
 )
 from myctheta.graphs import Graph
 
-from conftest import random_graph
+from conftest import complete_join, random_graph
 
 
 def theta_odd_cycle(n: int) -> float:

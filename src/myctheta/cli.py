@@ -90,6 +90,12 @@ def parse_family(spec: str) -> graphs.GraphLike:
     return g
 
 
+def integer(token: str) -> int:
+    """argparse type of the integer flags: the edge-list grammar, where
+    Python's int() would also take 1_0, spaces or non-ASCII digits."""
+    return graphs._int_token(token)
+
+
 def _load_graph(args) -> graphs.GraphLike:
     if getattr(args, "family", None) and getattr(args, "edges", None):
         raise DomainError("give exactly one graph source (--family or --edges)")
@@ -315,8 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--which", default="all",
                    choices=["omega", "omega-s", "omega-tr", "chi", "chi-f",
                             "power-bound", "all"])
-    p.add_argument("--power", type=int, default=2, help="k for power-bound")
-    p.add_argument("--budget", type=int, default=None, help="search node budget")
+    p.add_argument("--power", type=integer, default=2, help="k for power-bound")
+    p.add_argument("--budget", type=integer, default=None, help="search node budget")
     p.add_argument("--format", default="json", choices=["json", "text"])
     p.set_defaults(fn=_cmd_invariant)
 
@@ -340,19 +346,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_certify)
 
     p = sub.add_parser("construct", help="explicit cliques in Mycielskian powers")
-    p.add_argument("--lifted-clique", type=int, metavar="N")
+    p.add_argument("--lifted-clique", type=integer, metavar="N")
     p.add_argument("--extend", action="store_true", help="append the apex sequence")
-    p.add_argument("--transitive-clique", type=int, metavar="N")
-    p.add_argument("--no-lift-check", type=int, nargs=3, metavar=("N", "R", "T"))
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--transitive-clique", type=integer, metavar="N")
+    p.add_argument("--no-lift-check", type=integer, nargs=3, metavar=("N", "R", "T"))
+    p.add_argument("--budget", type=integer, default=None)
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_construct)
 
     p = sub.add_parser("report", help="bundle of capacity bounds for one graph")
     add_graph_source(p)
-    p.add_argument("--max-power", type=int, default=2)
+    p.add_argument("--max-power", type=integer, default=2)
     p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=integer, default=None)
     p.add_argument("--format", default="json", choices=["json", "csv", "text"])
     p.set_defaults(fn=_cmd_report)
 

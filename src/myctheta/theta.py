@@ -6,13 +6,14 @@ complement:
     maximize  <J, X>   s.t.  trace X = 1,  X_ij = 0 for every non-edge i != j,
                              X positive semidefinite,
 
-whose optimum equals theta_bar(G).  The solver is a splitting scheme that
-alternates the affine-constraint projection with a projection onto the PSD
-cone (a dense symmetric eigendecomposition) and stops on primal/dual
-residuals driven to tol/50.  Its penalty is rho = 2n: X has trace 1, so its
-entries are about 1/n, while J and the dual have entries of about 1, and
-at rho = 1 the affine step z - u + J would be n times the scale of the
-iterate.  The scaled dual variable u carries the dual as rho * u.
+whose optimum equals theta_bar(G).  The solver is a splitting scheme: its
+map T sends v = (z, u) through the affine-constraint projection and a
+projection onto the PSD cone (one dense symmetric eigendecomposition), and
+it stops on primal/dual residuals driven to tol/50.  Its penalty is
+rho = 2n: X has trace 1, so its entries are about 1/n, while J and the dual
+have entries of about 1, and at rho = 1 the affine step z - u + J would be
+n times the scale of the iterate.  The scaled dual variable u carries the
+dual as rho * u.
 
 The reported value is certified, not merely converged: shifting the affine
 iterate X by its negative eigenvalue mass gives a strictly feasible primal
@@ -21,8 +22,14 @@ ones on the diagonal and the edges gives a feasible point of the
 min-lambda_max dual (an upper bound).  The solver stops once this bracket is
 narrower than tol - which also rescues degenerate instances whose residuals
 decay sublinearly - and returns the midpoint, with the half-width as the
-tolerance achieved.  Instances still running after 1000 iterations switch to
-over-relaxation, which speeds up exactly those slow tails.
+tolerance achieved.  Any iterate gives valid bounds, so the iteration is
+free to extrapolate: each step is a type-II Anderson step on the fixed
+point v = T(v) (O'Donoghue's SCS 3; Zhang, O'Donoghue & Boyd 2020), which
+fits the residual T(v) - v by the differences of the last few residuals and
+moves T(v) by the same combination of the map values.  A safeguard keeps it
+honest: a step is accepted only if its residual is no larger than the
+current one, and otherwise the history is dropped and the next step is the
+plain T(v).  Slow tails shrink from thousands of iterations to hundreds.
 
 At convergence S = -rho * u is the dual slack matrix: S is PSD, its
 diagonal approaches theta - 1 and its edge entries -1, so S / (theta - 1)
@@ -47,8 +54,7 @@ DEFAULT_TOL = 1e-6
 MAX_ITERATIONS = 200_000
 _RESIDUAL_SAFETY = 50.0    # residual target below tol so the value meets tol
 _CERTIFY_EVERY = 250       # iterations between bracket evaluations
-_RELAX_AFTER = 1_000       # switch to over-relaxation on slow instances
-_RELAXATION = 1.7
+_ANDERSON_MEMORY = 5       # residual differences kept by the accelerated step
 
 
 @dataclass
@@ -129,6 +135,37 @@ def _certified_bracket(x, u, nonedge, jmat):
     return lower, upper, x_hat
 
 
+class _AndersonHistory:
+    """Differences of the last accepted map values T(v) and residuals T(v) - v.
+
+    Type-II Anderson acceleration: the next point is T(v) - d_t @ gamma, with
+    gamma the least-squares fit of the residual f by its differences d_f,
+    solved from their m x m Gram matrix with a tiny ridge.
+    """
+
+    def __init__(self, size: int):
+        self.d_t = np.zeros((_ANDERSON_MEMORY, size))
+        self.d_f = np.zeros((_ANDERSON_MEMORY, size))
+        self.gram = np.zeros((_ANDERSON_MEMORY, _ANDERSON_MEMORY))  # d_f @ d_f.T
+        self.stored = 0
+
+    def push(self, d_t: np.ndarray, d_f: np.ndarray) -> None:
+        slot = self.stored % _ANDERSON_MEMORY
+        self.d_t[slot] = d_t.ravel()
+        self.d_f[slot] = d_f.ravel()
+        m = min(self.stored + 1, _ANDERSON_MEMORY)
+        self.gram[slot, :m] = self.gram[:m, slot] = self.d_f[:m] @ self.d_f[slot]
+        self.stored += 1
+
+    def extrapolate(self, t_v: np.ndarray, f: np.ndarray) -> np.ndarray:
+        m = min(self.stored, _ANDERSON_MEMORY)
+        gram = self.gram[:m, :m].copy()
+        gram.flat[::m + 1] += 1e-12 * gram.trace() + 1e-300  # solvable if d_f vanishes
+        gamma = np.linalg.solve(gram, self.d_f[:m] @ f.ravel())
+        cand = t_v - (gamma @ self.d_t[:m]).reshape(t_v.shape)
+        return 0.5 * (cand + cand.swapaxes(1, 2))
+
+
 def check_tol(tol: float) -> None:
     """Reject a requested tolerance outside [1e-10, 1e-3], NaN included."""
     if not (1e-10 <= tol <= 1e-3):
@@ -161,31 +198,43 @@ def theta_bar(g: Graph, tol: float = DEFAULT_TOL,
         )
     nonedge = _nonedge_mask(g)
     jmat = np.ones((n, n))
-    z = np.eye(n) / n
-    u = np.zeros((n, n))
+    rho = 2.0 * n  # penalty scaled to the graph (see the module docstring)
+    support = (~nonedge).astype(float)
+    j_rho = support / rho  # the affine step's J / rho, already zero off the support
+
+    def step(v):
+        """One evaluation of the splitting map: (x, T(v)) for v = (z, u)."""
+        z, u = v
+        x = (z - u) * support + j_rho
+        x.flat[::n + 1] += (1.0 - x.trace()) / n
+        vals, vecs = eigen.eigh(x + u)
+        k = vals.searchsorted(0.0, side="right")
+        half = vecs[:, k:] * np.sqrt(vals[k:])
+        mapped = np.empty_like(v)
+        np.matmul(half, half.T, out=mapped[0])  # a rank-k product, so exactly symmetric
+        np.subtract(u + x, mapped[0], out=mapped[1])
+        return x, mapped
+
+    history = _AndersonHistory(2 * n * n)
+    t_v = f = None  # T(v) and T(v) - v at the last accepted point v
+    cand = np.stack((np.eye(n) / n, np.zeros((n, n))))
     target = tol / _RESIDUAL_SAFETY
     best = None  # (width, midpoint) of the narrowest bracket so far
-    rho = 2.0 * n  # penalty scaled to the graph (see the module docstring)
-    x = z
     for iteration in range(1, max_iterations + 1):
-        x = z - u + jmat / rho
-        x[nonedge] = 0.0
-        diag = np.diag(x).copy()
-        np.fill_diagonal(x, diag + (1.0 - diag.sum()) / n)
-        relaxed = x if iteration <= _RELAX_AFTER else (
-            _RELAXATION * x + (1.0 - _RELAXATION) * z
-        )
-        w = relaxed + u
-        w = 0.5 * (w + w.T)
-        vals, vecs = eigen.eigh(w)
-        pos = vals > 0
-        z_new = (vecs[:, pos] * vals[pos]) @ vecs[:, pos].T
-        z_new = 0.5 * (z_new + z_new.T)
-        primal_res = float(np.linalg.norm(x - z_new))
-        dual_res = rho * float(np.linalg.norm(z_new - z))
-        z = z_new
-        u = u + relaxed - z
-        residual = max(primal_res, dual_res)
+        if t_v is not None:
+            cand = history.extrapolate(t_v, f) if history.stored else t_v
+        x, t_c = step(cand)
+        f_c = t_c - cand
+        z_sq, u_sq = (f_c * f_c).sum(axis=(1, 2))
+        f_c_norm = math.sqrt(z_sq + u_sq)
+        if history.stored and f_c_norm > f_norm:
+            history.stored = 0  # the safeguard: drop the history, take the plain step
+        else:
+            if t_v is not None:
+                history.push(t_c - t_v, f_c - f)
+            t_v, f, f_norm = t_c, f_c, f_c_norm
+        u = t_c[1]
+        residual = math.sqrt(max(u_sq, rho * rho * z_sq))  # primal and dual residuals
         if (residual < target and iteration > 5) or iteration % _CERTIFY_EVERY == 0:
             lower, upper, x_hat = _certified_bracket(x, rho * u, nonedge, jmat)
             width = upper - lower

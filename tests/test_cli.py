@@ -87,6 +87,30 @@ def test_bad_integers_exit_2_with_their_message(tmp_path, capsys):
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["invariant", "--which", "omega", "--family", "cycle:5", "--budget", "{}"], "--budget"),
+    (["invariant", "--which", "power-bound", "--family", "cycle:5", "--power", "{}"], "--power"),
+    (["construct", "--lifted-clique", "{}"], "--lifted-clique"),
+    (["construct", "--transitive-clique", "{}"], "--transitive-clique"),
+    (["construct", "--no-lift-check", "3", "{}", "2"], "--no-lift-check"),
+    (["construct", "--no-lift-check", "3", "3", "2", "--budget", "{}"], "--budget"),
+    (["report", "--family", "cycle:5", "--max-power", "{}"], "--max-power"),
+    (["report", "--family", "cycle:5", "--budget", "{}"], "--budget"),
+])
+@pytest.mark.parametrize("token", ["1_0", "１", " 2"])
+def test_integer_flags_take_loadtxt_integers_only(argv, flag, token, capsys):
+    # the integer grammar of the edge-list format, where int() would take these
+    code, out, err = run_cli([a.format(token) for a in argv], capsys)
+    assert code == 2 and out == ""
+    assert err.rstrip("\n").endswith(f"error: argument {flag}: invalid integer value: {token!r}")
+
+
+def test_integer_flags_take_a_sign():
+    args = cli.build_parser().parse_args(
+        ["construct", "--no-lift-check", "+3", "03", "2", "--budget", "+10"])
+    assert args.no_lift_check == [3, 3, 2] and args.budget == 10
+
+
 def test_family_grammar_never_leaks_raw_errors():
     from hypothesis import given, settings
     from hypothesis import strategies as st

@@ -211,7 +211,7 @@ class SpectralCertificate:
     def ratio(self) -> float:
         return 1.0 + self.lambda_max / abs(self.lambda_min)
 
-    def to_json(self, verbose: bool = False) -> str:
+    def to_dict(self, verbose: bool = False) -> dict:
         doc = {
             "n": self.n,
             "t": self.t,
@@ -230,7 +230,10 @@ class SpectralCertificate:
         if verbose:
             doc["T"] = self.T.tolist()
             doc["T_hat"] = self.T_hat.tolist()
-        return json.dumps(doc, indent=2, sort_keys=True)
+        return doc
+
+    def to_json(self, verbose: bool = False) -> str:
+        return json.dumps(self.to_dict(verbose), indent=2, sort_keys=True)
 
 
 def build_spectral_certificate(g: Graph, t_matrix: np.ndarray, t: float,

@@ -220,7 +220,7 @@ def _cmd_certify(args) -> int:
         "theta": sol.value,
         "t_spectral": t_val,
         "m_formula": res.m,
-        "certificate": json.loads(cert.to_json(verbose=args.verbose)),
+        "certificate": cert.to_dict(verbose=args.verbose),
         "checks": {
             "ratio_matches_formula": abs(cert.ratio - res.m) <= 1e-6,
             "block_spectrum": bool(block),
@@ -258,7 +258,7 @@ def _cmd_construct(args) -> int:
         _emit(args, cons.lifted_transitive_clique(args.transitive_clique).to_json() + "\n")
         return 0
     n, r, t = args.no_lift_check
-    ok = cons.no_lifted_clique_check(n, r, t, args.budget or 10 ** 7)
+    ok = cons.no_lifted_clique_check(n, r, t, args.budget)
     _emit(args, json.dumps({"n": n, "r": r, "t": t, "no_such_clique": ok}) + "\n")
     return 0
 
@@ -300,8 +300,16 @@ def _cmd_report(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is one `error: ...` line on stderr and exit 2, as a
+    DomainError is; subparsers take this class too."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="myctheta",
         description="Zero-error capacity bounds under the Mycielski construction",
     )

@@ -1,6 +1,6 @@
 """Explicit clique constructions in OR-powers of Mycielskians, the
-small-scale nonexistence check for deeper level structures, and the
-per-graph capacity report.
+nonexistence check for deeper level structures, and the per-graph capacity
+report.
 
 The n^n clique lives in [M(K_n) minus apex]^n: a base sequence
 x in {0..n-1}^n with digit sum congruent to j mod n is lifted at coordinate
@@ -11,8 +11,13 @@ coordinate, hence the all-apex sequence extends it to size n^n + 1.  The
 directed variant over M(T_n) orders the same vertex set by digit sum, then
 lexicographically on the base coordinates away from the lifted position, and
 every forward pair is an arc.  Constructions verify all their pairs at once
-on the host's boolean adjacency matrix before returning: they are proofs, not
-hopes.
+on the members' adjacency in the OR-power (`_power_adjacency`) before
+returning: they are proofs, not hopes.
+
+For n, r >= 3 no clique of size n^t in [M_r(K_n) minus apex]^t has a
+level-(r-1) coordinate in every member.  The check builds H, the induced
+subgraph on those sequences, from the same power adjacency, and lets the
+package's clique search decide whether omega(H) reaches n^t.
 
 For a digraph D, the capacity report caps the transitive clique search over
 every power D^k by the sandwich theorem: a transitive clique of D^k is a
@@ -57,6 +62,8 @@ from .invariants import (
     CapacityBound,
     ChromaticResult,
     CliqueResult,
+    _Budget,
+    _max_clique,
     capacity_lower_bound,
     chromatic_number,
     clique_number,
@@ -86,109 +93,100 @@ class LiftedCliqueSet:
     bound: Optional[float]
     verified: bool
 
-    def to_json(self) -> str:
+    def to_dict(self) -> dict:
         n = self.n  # coordinate c is (vertex, level) = (c % n, c // n), or the apex 2n
         labels = [["Apex" if c == 2 * n else f"({c % n},{c // n})" for c in v] for v in self.vertices]
-        return json.dumps(
-            {
-                "n": self.n,
-                "directed": self.directed,
-                "size": len(self.vertices),
-                "includes_apex": self.includes_apex,
-                "bound": self.bound,
-                "verified": self.verified,
-                "vertices": [list(v) for v in self.vertices],
-                "labels": labels,
-                "residue_classes": list(self.residue_classes),
-            },
-            indent=2,
-        )
+        return {
+            "n": self.n,
+            "directed": self.directed,
+            "size": len(self.vertices),
+            "includes_apex": self.includes_apex,
+            "bound": self.bound,
+            "verified": self.verified,
+            "vertices": [list(v) for v in self.vertices],
+            "labels": labels,
+            "residue_classes": list(self.residue_classes),
+        }
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
 
-def _base_clique_vertices(n: int) -> tuple[list[tuple[int, ...]], list[int]]:
-    """All lifted sequences: class j lifts coordinate j (0-based) to level 1."""
-    vertices = []
-    classes = []
+def _lifted_members(n: int) -> list[tuple[tuple[int, ...], int]]:
+    """Every lifted sequence with its class j: a base sequence x in
+    {0..n-1}^n with digit sum j mod n, coordinate j (0-based) on level 1."""
+    members = []
     for x in itertools.product(range(n), repeat=n):
         j = sum(x) % n
-        coords = tuple(
-            (n + x[i]) if i == j else x[i] for i in range(n)
-        )
-        vertices.append(coords)
-        classes.append(j)
-    return vertices, classes
+        members.append((x[:j] + (n + x[j],) + x[j + 1:], j))
+    return members
 
 
-def _or_adjacent(host: Graph, a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    return any(host.has_edge(u, v) for u, v in zip(a, b))
+def _power_adjacency(host: GraphLike, members: Sequence[tuple[int, ...]]) -> np.ndarray:
+    """Adjacency matrix of the power vertices `members` in the OR-power of host.
 
-
-def _verify_clique(host: GraphLike, members: Sequence[tuple[int, ...]], what: str) -> None:
-    """Raise unless every pair of power vertices i < j is OR-adjacent over host.
-
-    Pair (i, j) is adjacent when some coordinate c has host[members[i][c],
-    members[j][c]]; for a digraph host that is an arc from i to j, so the
-    member order must be a transitive order.
+    Entry (i, j) is set when some coordinate c has host[members[i][c],
+    members[j][c]]; for a digraph host that is an arc from i to j.
     """
     coords = np.asarray(members, dtype=np.int64)
     a = host.bool_matrix()
     joined = np.zeros((len(coords), len(coords)), dtype=bool)
     for c in coords.T:
         joined |= a[np.ix_(c, c)]
-    missing = np.flatnonzero(np.triu(~joined, 1))
+    return joined
+
+
+def _verify_clique(host: GraphLike, members: Sequence[tuple[int, ...]], what: str) -> None:
+    """Raise unless every pair of power vertices i < j is OR-adjacent over
+    host; for a digraph host the member order must be a transitive order."""
+    missing = np.flatnonzero(np.triu(~_power_adjacency(host, members), 1))
     if missing.size:
-        i, j = divmod(int(missing[0]), len(coords))
+        i, j = divmod(int(missing[0]), len(members))
         raise DomainError(f"{what} broke: {members[i]} !~ {members[j]}")
 
 
-def _check_construction_size(n: int) -> None:
+def _lifted_set(n: int, directed: bool, apex: bool) -> LiftedCliqueSet:
+    """The lifted sequences over M(K_n), or over M(T_n) in their transitive
+    order, with the apex sequence when `apex` is set (first when directed,
+    last otherwise); every pair is verified at once."""
+    if n < 2:
+        raise DomainError("lifted clique needs n >= 2")
     if _power_exceeds(n, n, max_vertices() - 1):  # n^n + 1 > bound
         raise SizeLimitError(f"lifted clique of size {n}^{n} + 1 exceeds the vertex bound")
+    members = _lifted_members(n)
+    if directed:  # ascending digit sum, ties lexicographic off the lifted position
+        members.sort(key=lambda m: (sum(m[0]), m[0][:m[1]] + m[0][m[1] + 1:]))
+    vertices = [v for v, _ in members]
+    classes: list[Optional[int]] = [j for _, j in members]
+    if apex:
+        at = 0 if directed else len(vertices)
+        vertices.insert(at, (2 * n,) * n)
+        classes.insert(at, None)
+    host = mycielskian_digraph(transitive_tournament(n), 2) if directed else mycielskian(complete_graph(n), 2)
+    _verify_clique(host, vertices, "transitive construction" if directed else
+                   "extended construction" if apex else "construction")
+    return LiftedCliqueSet(
+        n=n,
+        directed=directed,
+        vertices=tuple(vertices),
+        residue_classes=tuple(classes),
+        includes_apex=apex,
+        bound=(n ** n + 1) ** (1.0 / n) if apex else None,
+        verified=True,
+    )
 
 
 def lifted_clique(n: int) -> LiftedCliqueSet:
     """The n^n clique in [M(K_n) minus apex]^n, verified pairwise."""
-    if n < 2:
-        raise DomainError("lifted clique needs n >= 2")
-    _check_construction_size(n)
-    vertices, classes = _base_clique_vertices(n)
-    _verify_clique(mycielskian(complete_graph(n), 2), vertices, "construction")
-    return LiftedCliqueSet(
-        n=n,
-        directed=False,
-        vertices=tuple(vertices),
-        residue_classes=tuple(classes),
-        includes_apex=False,
-        bound=None,
-        verified=True,
-    )
+    return _lifted_set(n, directed=False, apex=False)
 
 
 def extended_clique(n: int) -> LiftedCliqueSet:
     """lifted_clique(n) plus the all-apex sequence: n^n + 1 vertices.
 
-    Reports the capacity bound (n^n + 1)^(1/n), which exceeds n.  The lifted
-    members are verified by lifted_clique, so only the apex row is checked.
+    Reports the capacity bound (n^n + 1)^(1/n), which exceeds n.
     """
-    base = lifted_clique(n)
-    apex = (2 * n,) * n
-    apex_row = mycielskian(complete_graph(n), 2).bool_matrix()[2 * n]
-    missing = np.flatnonzero(~apex_row[np.asarray(base.vertices)].any(axis=1))
-    if missing.size:
-        raise DomainError(
-            f"extended construction broke: {base.vertices[missing[0]]} !~ {apex}"
-        )
-    vertices = base.vertices + (apex,)
-    size = n ** n + 1
-    return LiftedCliqueSet(
-        n=n,
-        directed=False,
-        vertices=vertices,
-        residue_classes=base.residue_classes + (None,),
-        includes_apex=True,
-        bound=size ** (1.0 / n),
-        verified=True,
-    )
+    return _lifted_set(n, directed=False, apex=True)
 
 
 def lifted_transitive_clique(n: int) -> LiftedCliqueSet:
@@ -198,95 +196,58 @@ def lifted_transitive_clique(n: int) -> LiftedCliqueSet:
     lexicographically on the base coordinates excluding the lifted position.
     Every ordered pair is verified to be an arc.
     """
-    if n < 2:
-        raise DomainError("lifted clique needs n >= 2")
-    _check_construction_size(n)
-    host = mycielskian_digraph(transitive_tournament(n), 2)
-    vertices, classes = _base_clique_vertices(n)
-
-    def base_of(coords: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(c - n if c >= n else c for c in coords)
-
-    def key(item):
-        coords, j = item
-        x = base_of(coords)
-        return (sum(x), tuple(x[i] for i in range(n) if i != j))
-
-    ordered = sorted(zip(vertices, classes), key=key)
-    apex_seq = (2 * n,) * n
-    all_vertices = [apex_seq] + [c for c, _ in ordered]
-    all_classes: list[Optional[int]] = [None] + [j for _, j in ordered]
-    _verify_clique(host, all_vertices, "transitive construction")
-    size = n ** n + 1
-    return LiftedCliqueSet(
-        n=n,
-        directed=True,
-        vertices=tuple(all_vertices),
-        residue_classes=tuple(all_classes),
-        includes_apex=True,
-        bound=size ** (1.0 / n),
-        verified=True,
-    )
+    return _lifted_set(n, directed=True, apex=True)
 
 
 # ---------------------------------------------------------------------------
 # nonexistence of the analogous clique for r, n >= 3
 # ---------------------------------------------------------------------------
 
-def no_lifted_clique_check(n: int, r: int, t: int,
-                           node_budget: int = 10 ** 7) -> bool:
-    """Exhaustively confirm there is no clique of size n^t in
-    [M_r(K_n) minus apex]^t whose members all carry a level-(r-1) coordinate.
+def _level_power(n: int, r: int, t: int) -> tuple[Graph, list[tuple[int, ...]]]:
+    """H, the induced subgraph of [M_r(K_n) minus apex]^t on the sequences
+    with a level-(r-1) coordinate, and those sequences, in ascending order.
 
-    Two power vertices with the same base projection are never adjacent
-    (equal letters are non-adjacent in every coordinate of M_r(K_n)), so a
-    clique of size n^t must use every base projection exactly once; the
-    search assigns one level vector per projection and backtracks.  Returns
-    True when no assignment survives; raises InconclusiveError if the node
-    budget runs out first.
+    Raises SizeLimitError before building anything when |H| = (rn)^t -
+    ((r-1)n)^t exceeds the vertex bound; |H| >= n^t, which is checked first.
+    """
+    bound = max_vertices()
+    if _power_exceeds(n, t, bound) or (r * n) ** t - ((r - 1) * n) ** t > bound:
+        raise SizeLimitError(f"the nonexistence check needs (rn)^t - ((r-1)n)^t vertices for "
+                             f"(n, r, t) = ({n}, {r}, {t}), exceeding the bound {bound}")
+    low, top, every = range((r - 1) * n), range((r - 1) * n, r * n), range(r * n)
+    # split by the first level-(r-1) coordinate, then merge into ascending order
+    tuples = sorted(x for i in range(t) for x in itertools.product(*[low] * i, top, *[every] * (t - i - 1)))
+    return Graph(len(tuples), _power_adjacency(mycielskian(complete_graph(n), r), tuples)), tuples
+
+
+def no_lifted_clique_check(n: int, r: int, t: int,
+                           node_budget: Optional[int] = None) -> bool:
+    """Confirm there is no clique of size n^t in [M_r(K_n) minus apex]^t
+    whose members all carry a level-(r-1) coordinate.
+
+    Such members are vertices of H (`_level_power`).  Two power vertices
+    with the same base projection are never adjacent (equal letters are
+    non-adjacent in every coordinate of M_r(K_n)), so no clique of H is
+    larger than n^t.
+    The package's clique search runs on H from a best size of n^t - 1 with
+    no witness, so it prunes every branch whose coloring bound is below n^t.
+    Returns True when it ends with nothing larger and False on a clique of
+    size n^t, which is re-verified first; raises InconclusiveError if the
+    node budget (default 10^7) runs out first.
     """
     if n < 3 or r < 3:
         raise DomainError("the nonexistence statement needs n >= 3 and r >= 3")
     if t < 1:
         raise DomainError("power exponent must be at least 1")
-    if _power_exceeds(n, t, max_vertices()):
-        raise SizeLimitError("clique size n**t exceeds the vertex bound")
-    host = mycielskian(complete_graph(n), r)
-    apex = r * n
-    projections = list(itertools.product(range(n), repeat=t))
-    level_choices = [
-        lv for lv in itertools.product(range(r), repeat=t) if (r - 1) in lv
-    ]
-    nodes = 0
-
-    def coords_of(proj, levels) -> tuple[int, ...]:
-        return tuple(lv * n + p for p, lv in zip(proj, levels))
-
-    chosen: list[tuple[int, ...]] = []
-
-    def assign(idx: int) -> bool:
-        """True if a full clique assignment exists from this point."""
-        nonlocal nodes
-        if idx == len(projections):
-            return True
-        for levels in level_choices:
-            nodes += 1
-            if nodes > node_budget:
-                raise InconclusiveError(
-                    f"nonexistence search for (n={n}, r={r}, t={t}) exceeded "
-                    f"{node_budget} nodes"
-                )
-            cand = coords_of(projections[idx], levels)
-            if apex in cand:
-                continue
-            if all(_or_adjacent(host, cand, prev) for prev in chosen):
-                chosen.append(cand)
-                if assign(idx + 1):
-                    return True
-                chosen.pop()
+    h, _ = _level_power(n, r, t)
+    budget = _Budget(10 ** 7 if node_budget is None else node_budget)
+    if _max_clique(h, budget, beat=n ** t - 1):
         return False
-
-    return not assign(0)
+    if not budget.within_limit:
+        raise InconclusiveError(
+            f"nonexistence search for (n={n}, r={r}, t={t}) exceeded {budget.limit} nodes"
+        )
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +281,6 @@ def chained_power_clique(g: Graph, k: int = 1,
     cap = witness.size
     if cap < 2:
         raise DomainError("chaining needs omega(G^k) >= 2")
-    _check_construction_size(cap)
     ext = extended_clique(cap)
     host = mycielskian(g, 2)
     n = g.n
@@ -418,9 +378,7 @@ class CapacityReport:
             "chi": None
             if self.chi is None
             else {"lo": self.chi.lo, "hi": self.chi.hi, "exhausted": self.chi.exhausted},
-            "construction": None
-            if self.construction is None
-            else json.loads(self.construction.to_json()),
+            "construction": None if self.construction is None else self.construction.to_dict(),
             "best_lower_bound": self.best_lower_bound(),
             "errors": self.errors,
         }

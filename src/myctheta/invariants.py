@@ -541,16 +541,34 @@ def clique_number(g: Graph, node_budget: Optional[int] = None,
     """
     if g.n == 0:
         raise DomainError("clique number needs a nonempty vertex set")
+    budget = _Budget(node_budget)
+    witness = _max_clique(g, budget, generators)
+    return CliqueResult(len(witness), witness, budget.within_limit, budget.nodes)
+
+
+def _max_clique(g: Graph, budget: _Budget, generators: Optional[Sequence[np.ndarray]] = None,
+                beat: Optional[int] = None) -> tuple[int, ...]:
+    """The largest clique `_max_clique_bits` finds on g within budget, re-verified,
+    in g's labels.
+
+    The search starts from the greedy clique of the degeneracy order.  Given
+    `beat`, it starts instead from a best size of `beat` with no witness: it
+    prunes every branch whose bound cannot exceed `beat`, and returns () unless
+    it finds a larger clique, so it decides whether omega(g) > beat.
+    """
     # search in the degeneracy order so bit tricks scan it cheaply
     order, bits = _ordered_bits(g)
-    pos = {v: i for i, v in enumerate(order)}
-    seed = tuple(sorted(pos[v] for v in _greedy_clique(g, order)))
-    budget = _Budget(node_budget)
-    size, witness = _max_clique_bits(bits, budget, (len(seed), seed), _Symmetry(g, bits, order, generators))
+    if beat is None:
+        pos = {v: i for i, v in enumerate(order)}
+        seed = tuple(sorted(pos[v] for v in _greedy_clique(g, order)))
+        best = (len(seed), seed)
+    else:
+        best = (beat, ())
+    _, witness = _max_clique_bits(bits, budget, best, _Symmetry(g, bits, order, generators))
     original = tuple(sorted(order[i] for i in witness))
     if not verify_clique(g, original):
         raise MycthetaInternal("clique witness failed re-verification")
-    return CliqueResult(size, original, budget.within_limit, budget.nodes)
+    return original
 
 
 def symmetric_clique_number(d: Digraph, node_budget: Optional[int] = None) -> CliqueResult:

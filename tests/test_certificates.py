@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -187,6 +188,9 @@ def test_certificate_c5():
     assert cert.ratio == pytest.approx(m, abs=1e-7)
     assert cert.T_hat.shape == (11, 11)
     assert verify_block_spectrum(cert).ok
+    for verbose in (False, True):  # the JSON text is the dict, dumped
+        assert cert.to_json(verbose) == json.dumps(cert.to_dict(verbose), indent=2, sort_keys=True)
+    assert "T_hat" in cert.to_dict(verbose=True) and "T_hat" not in cert.to_dict()
 
 
 def test_certificate_support_is_mycielskian():

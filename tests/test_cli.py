@@ -386,6 +386,34 @@ def test_construct_no_lift_check(capsys):
     assert json.loads(payload)["no_such_clique"] is True
 
 
+@pytest.mark.parametrize("n, r, t", [(3, 3, 3), (5, 3, 3)])
+def test_construct_no_lift_check_at_scale(n, r, t, capsys):
+    # |H| = 513 and 2375 power vertices; the search ends within 6 nodes
+    start = time.monotonic()
+    code, payload, _ = run_cli(["construct", "--no-lift-check", str(n), str(r), str(t)], capsys)
+    assert time.monotonic() - start < 10
+    assert code == 0
+    assert json.loads(payload) == {"n": n, "r": r, "t": t, "no_such_clique": True}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["invariant", "--family", "cycle:5", "--which", "omega", "--budget", "1_0"],
+     "argument --budget: invalid integer value: '1_0'"),
+    ([], "the following arguments are required: command"),
+    (["construct", "--no-lift-check", "3", "3"], "argument --no-lift-check: expected 3 arguments"),
+])
+def test_usage_errors_are_one_line(argv, message, capsys):
+    # argparse's usage errors read as a DomainError does: one line, exit 2
+    assert run_cli(argv, capsys) == (2, "", f"error: {message}\n")
+
+
+def test_help_still_prints_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(["construct", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: myctheta construct")
+
+
 def test_construct_requires_one_mode(capsys):
     code, _, err = run_cli(["construct"], capsys)
     assert code == 2
@@ -493,6 +521,7 @@ def test_report_roundtrip_through_edgelist(tmp_path, capsys):
     ["construct", "--no-lift-check", "3", "3", "100000000"],
     ["report", "--family", "complete:2", "--max-power", "5000"],
     ["report", "--family", "complete:2", "--max-power", "20000"],
+    ["construct", "--no-lift-check", "3", "3", "4"],
 ])
 def test_size_checks_never_build_the_power(argv, capsys):
     # n ** t is never built for a power far beyond the vertex bound, nor

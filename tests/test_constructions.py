@@ -5,6 +5,7 @@ import math
 import random
 
 import networkx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from myctheta import (
     Graph,
     InconclusiveError,
     ReportOptions,
+    SizeLimitError,
     capacity_report,
     chained_power_clique,
     clique_number,
@@ -31,7 +33,10 @@ from myctheta import (
     transitive_tournament,
 )
 from myctheta import constructions, invariants
-from myctheta.constructions import _or_adjacent, _verify_clique
+from myctheta.constructions import _level_power, _power_adjacency, _verify_clique
+from myctheta.formula import mycielski_theta_formula
+from myctheta.graphs import power_index
+from myctheta.invariants import _Budget, _max_clique
 from myctheta.errors import ConvergenceError, MycthetaInternal
 
 from conftest import random_digraph
@@ -68,7 +73,7 @@ def test_lifted_clique_structure(n):
         assert sum(digits) % n == cls
     # pairwise adjacency, re-verified here independently
     for a, b in itertools.combinations(lc.vertices, 2):
-        assert _or_adjacent(host, a, b)
+        assert any(host.has_edge(u, v) for u, v in zip(a, b))
 
 
 def test_same_class_members_differ_twice():
@@ -100,12 +105,14 @@ def test_extended_clique_3():
 
 
 def test_extended_clique_rejects_a_member_off_the_apex(monkeypatch):
-    # an all-base sequence has no lifted coordinate, so the apex misses it
-    base = lifted_clique(3)
-    off = (0, 1, 2)
-    broken = dataclasses.replace(base, vertices=base.vertices[:4] + (off,) + base.vertices[5:])
-    monkeypatch.setattr(constructions, "lifted_clique", lambda n: broken)
-    with pytest.raises(DomainError, match=r"extended construction broke: \(0, 1, 2\) !~ \(6, 6, 6\)"):
+    # member 4, (0, 1, 4), unlifted to its base sequence: that is still adjacent
+    # to every other member (their base sequences differ) but has no level-1
+    # coordinate, so only the apex misses it
+    members = constructions._lifted_members(3)
+    assert members[4] == ((0, 1, 4), 2)
+    broken = members[:4] + [((0, 1, 1), 2)] + members[5:]
+    monkeypatch.setattr(constructions, "_lifted_members", lambda n: list(broken))
+    with pytest.raises(DomainError, match=r"extended construction broke: \(0, 1, 1\) !~ \(6, 6, 6\)"):
         extended_clique(3)
 
 
@@ -119,6 +126,8 @@ def test_construction_labels():
     rows = [["(0,1)", "(0,0)"], ["(0,0)", "(1,1)"], ["(1,0)", "(0,1)"], ["(1,1)", "(1,0)"]]
     assert json.loads(extended_clique(2).to_json())["labels"] == rows + [["Apex", "Apex"]]
     assert json.loads(lifted_transitive_clique(2).to_json())["labels"] == [["Apex", "Apex"]] + rows
+    for lc in (lifted_clique(2), extended_clique(3), lifted_transitive_clique(2)):
+        assert lc.to_json() == json.dumps(lc.to_dict(), indent=2)
 
 
 def test_lifted_clique_rejects_small_n():
@@ -174,7 +183,55 @@ def test_no_lifted_clique_check():
     with pytest.raises(DomainError):
         no_lifted_clique_check(3, 2, 1)
     with pytest.raises(InconclusiveError):
-        no_lifted_clique_check(3, 3, 2, node_budget=3)
+        no_lifted_clique_check(3, 3, 3, node_budget=3)  # the search takes 6 nodes
+    assert no_lifted_clique_check(3, 3, 3, node_budget=6) is True
+
+
+@pytest.mark.parametrize("n, r, t, size", [(3, 3, 2, 45), (3, 3, 3, 513), (3, 4, 3, 999), (5, 3, 3, 2375)])
+def test_level_power_holds_only_the_top_level_sequences(n, r, t, size):
+    h, tuples = _level_power(n, r, t)
+    assert h.n == len(tuples) == (r * n) ** t - ((r - 1) * n) ** t == size
+    assert tuples == sorted(set(tuples))
+    assert all(any(c // n == r - 1 for c in x) and max(x) < r * n for x in tuples)
+    if size < 100:  # H is the induced subgraph of the power on those sequences
+        power = or_power(mycielskian(complete_graph(n), r), t)
+        assert h == power.subgraph([power_index(x, r * n + 1) for x in tuples])
+
+
+@pytest.mark.parametrize("n, r, t", [(3, 3, 4), (10 ** 6, 3, 2)])
+def test_no_lifted_clique_check_sizes_h_before_building_it(n, r, t):
+    # |H| = (rn)^t - ((r-1)n)^t: 5265 for (3, 3, 4), though n^t = 81 fits
+    with pytest.raises(SizeLimitError, match="nonexistence check"):
+        no_lifted_clique_check(n, r, t)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_decision_search_finds_the_lifted_clique_at_level_two(n):
+    # with r = 2 the check's graph H holds the paper's n^n clique, so the
+    # search from a best size of n^n - 1 must find a clique of that shape
+    h, tuples = _level_power(n, 2, n)
+    assert set(lifted_clique(n).vertices) <= set(tuples)
+    witness = _max_clique(h, _Budget(None), beat=n ** n - 1)
+    found = [tuples[i] for i in witness]
+    assert len(found) == n ** n
+    _verify_clique(mycielskian(complete_graph(n), 2), found, "search")
+    assert sorted(tuple(c % n for c in x) for x in found) == list(itertools.product(range(n), repeat=n))
+    assert all(sum(c >= n for c in x) == 1 for x in found)
+
+
+def test_mc5_cube_has_a_13_clique():
+    # omega(M(C5)^3) = 13: vertex (a, b, c) is or_power index 121a + 11b + c
+    # over mycielskian(cycle_graph(5)) (0-4 the cycle, 5-9 the copies, 10 the apex)
+    members = [(0, 2, 0), (1, 0, 5), (2, 3, 3), (2, 8, 2), (3, 1, 3), (3, 6, 2), (4, 4, 5),
+               (5, 7, 6), (5, 10, 9), (6, 0, 10), (9, 4, 10), (10, 7, 1), (10, 10, 4)]
+    host = mycielskian(cycle_graph(5))
+    power = or_power(host, 3)
+    assert invariants.verify_clique(power, tuple(121 * a + 11 * b + c for a, b, c in members))
+    adjacency = _power_adjacency(host, members)
+    assert adjacency[~np.eye(13, dtype=bool)].all()
+    # theta_bar(M(C5)) = m(sqrt 5), so omega(M(C5)^3) <= floor(m^3) = 13
+    assert math.floor(mycielski_theta_formula(math.sqrt(5)).m ** 3 * (1 + 1e-9)) == 13
+    assert 13 ** (1 / 3) > math.sqrt(5)
 
 
 def test_chained_power_clique_k2():

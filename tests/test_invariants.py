@@ -34,6 +34,7 @@ from myctheta.invariants import (
     _automorphisms,
     _Budget,
     _greedy_clique,
+    _max_clique,
     _orbit_labels,
     _ordered_bits,
     _stabilizer,
@@ -542,6 +543,19 @@ def test_clique_number_matches_networkx(g):
     res = clique_number(g)
     assert res.exhausted and verify_clique(g, res.witness)
     assert res.size == max(len(c) for c in networkx.find_cliques(h))
+
+
+@given(simple_graphs())
+def test_decision_search_answers_omega_at_least_k(g):
+    # started from a best size of k - 1 with no witness, the search finds a
+    # clique exactly when omega(g) >= k, and one larger than k - 1 when it does
+    omega = clique_number(g).size
+    for k in range(1, g.n + 2):
+        budget = _Budget(None)
+        witness = _max_clique(g, budget, beat=k - 1)
+        assert bool(witness) == (omega >= k)
+        assert budget.within_limit and verify_clique(g, witness)
+        assert not witness or k <= len(witness) <= omega
 
 
 def brute_force_omega(g: Graph) -> int:

@@ -22,6 +22,7 @@ Floats print with 12 significant digits, rationals as "p/q".  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional
@@ -308,7 +309,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first call.
+
+    Each `add_argument` makes a help formatter and asks for the terminal
+    size, so a build costs about 2 ms; `parse_args` leaves the parser as it
+    was, so every `main` call can share it.
+    """
     parser = _Parser(
         prog="myctheta",
         description="Zero-error capacity bounds under the Mycielski construction",

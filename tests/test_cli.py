@@ -414,6 +414,32 @@ def test_help_still_prints_usage(capsys):
     assert capsys.readouterr().out.startswith("usage: myctheta construct")
 
 
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_shared_parser_keeps_no_flag_between_calls(capsys, monkeypatch):
+    # every main call parses with the one cached parser: a flag given in one
+    # call must not become the default of the next
+    seen = []
+    load_graph = cli._load_graph
+    monkeypatch.setattr(cli, "_load_graph", lambda args: seen.append(args) or load_graph(args))
+    argv = ["invariant", "--family", "cycle:5", "--which", "omega"]
+    assert run_cli(argv + ["--budget", "5"], capsys)[0] == 0
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0 and json.loads(out)["omega"]["size"] == 2
+    assert [args.budget for args in seen] == [5, None]
+
+
+def test_usage_error_leaves_the_shared_parser_usable(capsys):
+    argv = ["invariant", "--family", "cycle:5", "--which", "omega"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0 and json.loads(out)["omega"]["size"] == 2
+    assert run_cli(argv + ["--budget", "1_0"], capsys)[0] == 2
+    assert run_cli(["invariant", "--which", "bogus"], capsys)[0] == 2
+    assert run_cli(argv, capsys) == (0, out, "")
+
+
 def test_construct_requires_one_mode(capsys):
     code, _, err = run_cli(["construct"], capsys)
     assert code == 2

@@ -27,7 +27,6 @@ from .graphs import (
     or_product,
     parse_edgelist,
     path_graph,
-    power_generators,
     transitive_tournament,
 )
 from .invariants import (

@@ -233,7 +233,8 @@ def _cmd_certify(args) -> int:
         },
     }
     _emit(args, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    all_ok = doc["checks"]["ratio_matches_formula"] and block.ok and ineq.ok
+    checks = doc["checks"]
+    all_ok = checks["ratio_matches_formula"] and block.ok and ineq.ok and checks["lift_ok"]
     return 0 if all_ok else 1
 
 

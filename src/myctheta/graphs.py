@@ -21,7 +21,6 @@ and the coordinates.
 from __future__ import annotations
 
 import io
-import math
 import os
 import re
 import stat
@@ -315,51 +314,6 @@ def _require_positive(n: int) -> None:
     if n < 1:
         raise DomainError("family size must be at least 1")
     _check_size(n)
-
-
-# ---------------------------------------------------------------------------
-# automorphism generators of OR-powers
-# ---------------------------------------------------------------------------
-#
-# A generator is an int array p with p[v] the image of vertex v.  The
-# clique search checks every generator against its graph before use.
-
-def power_generators(gens: Sequence[np.ndarray], n: int, t: int) -> tuple[np.ndarray, ...]:
-    """Automorphism generators of the t-th OR-power of a graph on n vertices
-    with generators gens: each one applied on one coordinate, and the swaps
-    of adjacent coordinates (the layout of `or_power`)."""
-    grid = np.arange(n ** t).reshape((n,) * t)
-    out = [np.take(grid, p, axis=i).ravel() for i in range(t) for p in gens]
-    if n > 1:
-        out += [np.swapaxes(grid, i, i + 1).ravel() for i in range(t - 1)]
-    return tuple(out)
-
-
-def _power_base(g: Graph) -> Optional[tuple[np.ndarray, int]]:
-    """(a, t) for the least b >= 2 such that g, in its own labelling, is the
-    t-th OR-power (t >= 2, layout of `or_power`) of its leading b x b block,
-    whose adjacency matrix is a; None if there is no such b.
-
-    An OR-power's non-adjacency matrix, diagonal included, is the Kronecker
-    power of its base's, and so is vertex 0's row of it.  That test on one
-    bitset rejects most graphs before the n x n comparison.
-    """
-    n = g.n
-    row = ~g.bits[0] & ((1 << n) - 1)  # vertex 0's non-neighbors and itself
-    for b in range(2, math.isqrt(n) + 1):
-        base = power = row & ((1 << b) - 1)
-        t = 1
-        while b ** t < n:  # a new leading coordinate x shifts a copy by x b^t
-            power = sum(power << x * b ** t for x in range(b) if base >> x & 1)
-            t += 1
-        if b ** t == n and power == row:
-            non = ~g.bool_matrix()
-            kron = non[:b, :b]
-            for _ in range(t - 1):
-                kron = (kron[:, None, :, None] & non[None, :b, None, :b]).reshape(len(kron) * b, -1)
-            if np.array_equal(kron, non):
-                return ~non[:b, :b], t
-    return None
 
 
 # ---------------------------------------------------------------------------

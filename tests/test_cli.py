@@ -10,7 +10,7 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from myctheta import DomainError, cli, graphs, invariants
+from myctheta import DomainError, certificates, cli, graphs, invariants
 from myctheta import theta as theta_mod
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "schemas"
@@ -341,6 +341,18 @@ def test_certify_k3(capsys):
     assert doc["checks"]["inequalities"] is True
     assert doc["checks"]["lift_ok"] is True
     assert abs(doc["m_formula"] - 4 * math.cos(2 * math.pi / 9)) < 1e-4
+
+
+def test_certify_exits_1_when_the_lift_check_fails(capsys, monkeypatch):
+    # the upper-bound direction counts as the other three checks do, and the
+    # full document is still printed
+    monkeypatch.setattr(certificates, "verify_lift", lambda g, lifted: 1.0)
+    code, payload, _ = run_cli(["certify", "--family", "cycle:5"], capsys)
+    assert code == 1
+    doc = json.loads(payload)
+    make_validator("certify.schema.json").validate(doc)
+    assert doc["checks"]["lift_ok"] is False
+    assert doc["checks"]["block_spectrum"] is True and doc["checks"]["inequalities"] is True
 
 
 def test_construct_lifted_extend(capsys):

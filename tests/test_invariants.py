@@ -26,22 +26,28 @@ from myctheta import (
     transitive_clique_number,
     transitive_tournament,
 )
-from myctheta import cli, invariants
+from myctheta import cli, invariants, symmetry
 from myctheta.errors import MycthetaInternal
-from myctheta.graphs import _bits_matrix, _power_base, format_edgelist, parse_edgelist, power_generators
+from myctheta.graphs import _bits_matrix, format_edgelist, parse_edgelist
 from myctheta.invariants import (
     CliqueResult,
-    _automorphisms,
     _Budget,
     _greedy_clique,
     _max_clique,
-    _orbit_labels,
     _ordered_bits,
-    _stabilizer,
-    _stack,
     greedy_coloring,
     verify_clique,
     verify_coloring,
+)
+from myctheta.symmetry import (
+    _automorphisms,
+    _is_automorphism,
+    _orbit_labels,
+    _power_base,
+    _power_generators,
+    _stabilizer,
+    _stack,
+    orbit_masks,
 )
 
 from conftest import petersen_graph, random_digraph, random_graph, random_graph_with_edge
@@ -133,6 +139,19 @@ def first_fit_clique_number(g: Graph, node_budget=None) -> CliqueResult:
     return CliqueResult(best[0], witness, budget.within_limit, budget.nodes)
 
 
+def clique_with(g: Graph, budget, rows) -> CliqueResult:
+    """clique_number(g, budget) pruned by the group the rows span instead of
+    the one `symmetry.generators` takes from g, each row p (p[v] the image of
+    v) relabelled into the search's order; () gives the unpruned tree."""
+    order = np.asarray(_ordered_bits(g)[0])
+    relabel = np.empty(g.n, dtype=np.intp)
+    relabel[order] = np.arange(g.n)
+    gens = _stack([relabel[np.asarray(p)[order]] for p in rows], g.n)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(symmetry, "generators", lambda h, search_order: gens)
+        return clique_number(g, budget)
+
+
 @pytest.mark.parametrize("k, budget, size, nodes, exhausted", [
     (3, None, 10, 149_498, True),
     (3, 1000, 10, 1001, False),
@@ -140,7 +159,7 @@ def first_fit_clique_number(g: Graph, node_budget=None) -> CliqueResult:
 ])
 def test_clique_search_tree_matches_first_fit_on_c5_powers(k, budget, size, nodes, exhausted):
     g = or_power(cycle_graph(5), k)
-    res = clique_number(g, budget, ())
+    res = clique_with(g, budget, ())
     assert (res.size, res.nodes, res.exhausted) == (size, nodes, exhausted)
     assert res == first_fit_clique_number(g, budget)
 
@@ -151,7 +170,7 @@ def test_clique_search_tree_matches_first_fit():
     graphs += [random_graph(rng, rng.randint(1, 40), rng.random()) for _ in range(40)]
     for g in graphs:
         for budget in (None, 5, 50):
-            assert clique_number(g, budget, ()) == first_fit_clique_number(g, budget)
+            assert clique_with(g, budget, ()) == first_fit_clique_number(g, budget)
 
 
 def circulant(n: int, jumps) -> Graph:
@@ -200,13 +219,17 @@ def lifted_generators(g: Graph):
     if power is None:
         return None
     base, t = power
-    return power_generators(_automorphisms(base), len(base), t)
+    return _power_generators(_automorphisms(base), len(base), t)
+
+
+def search_generators(g: Graph) -> np.ndarray:
+    """The generators `clique_number(g)` prunes by, in its search's labelling."""
+    return symmetry.generators(g, _ordered_bits(g)[0])
 
 
 def root_orbit_count(g: Graph) -> int:
     """The number of root orbits `clique_number(g)` prunes by."""
-    order, bits = _ordered_bits(g)
-    return len(set(_orbit_labels(invariants._Symmetry(g, bits, order, None)._checked()).tolist()))
+    return len(set(orbit_masks(search_generators(g))))
 
 
 def generator_cases():
@@ -225,7 +248,7 @@ def test_depth_one_pruning_keeps_the_unpruned_answers():
         for budget in (None, 3, 20, 100):
             ref = first_fit_clique_number(g, budget)
             for gens in generator_sets:
-                res = clique_number(g, budget, gens)
+                res = clique_with(g, budget, gens)
                 assert (res.size, res.witness) == (ref.size, ref.witness)
                 assert res.nodes <= ref.nodes
                 if budget is None:
@@ -244,7 +267,7 @@ def test_family_generators_prune_depth_one(spec, nodes):
     # the same counts from a family spec and from its edge list: the lift
     # is read off the graph alone
     g = cli.parse_family(spec)
-    res, plain = clique_number(g), clique_number(g, generators=())
+    res, plain = clique_number(g), clique_with(g, None, ())
     assert res == CliqueResult(plain.size, plain.witness, True, nodes)
     assert clique_number(parse_edgelist(format_edgelist(g))) == res
 
@@ -253,7 +276,7 @@ def test_finder_generators_prune_depth_one_on_c5_cube():
     # the finder's automorphisms of C5^3 itself prune the root and depth 1
     # as far as those of C5 lifted to C5^3, which the search takes by default
     g = or_power(cycle_graph(5), 3)
-    res, whole = clique_number(g), clique_number(g, generators=_automorphisms(g.bool_matrix()))
+    res, whole = clique_number(g), clique_with(g, None, _automorphisms(g.bool_matrix()))
     assert res == CliqueResult(whole.size, whole.witness, True, 1190)
 
 
@@ -273,8 +296,8 @@ def test_c7_cube_from_an_edge_list():
 def test_power_bound_lifts_the_finders_automorphisms_of_the_base(monkeypatch):
     # the finder runs on g, never on g^k, where it costs far more
     sizes = []
-    finder = invariants._automorphisms
-    monkeypatch.setattr(invariants, "_automorphisms", lambda a: sizes.append(len(a)) or finder(a))
+    finder = symmetry._automorphisms
+    monkeypatch.setattr(symmetry, "_automorphisms", lambda a: sizes.append(len(a)) or finder(a))
     res = capacity_lower_bound(mycielskian(cycle_graph(5)), 2).clique
     assert sizes == [11] and (res.size, res.exhausted, res.nodes) == (5, True, 52)
     # on M(C5)^3 the lift gives the product group's 10 root orbits
@@ -283,7 +306,7 @@ def test_power_bound_lifts_the_finders_automorphisms_of_the_base(monkeypatch):
 
 def test_empty_generators_give_the_unpruned_tree():
     for g in symmetric_and_random_graphs()[:12]:
-        assert clique_number(g, 50, ()) == first_fit_clique_number(g, 50)
+        assert clique_with(g, 50, ()) == first_fit_clique_number(g, 50)
 
 
 # the vertices of each graph's base block: M(C5^2) is no OR-power, so its
@@ -303,13 +326,13 @@ def test_root_orbits_from_structural_generators(spec, count, monkeypatch):
     # finder run on the base block alone; run on the search's bits of K3^4
     # it finds 69 orbits, and 18 on those of M(C5)^3
     g = cli.parse_family(spec)
-    finder = invariants._automorphisms
+    finder = symmetry._automorphisms
 
     def base_only(a):
         assert len(a) == BASE_SIZES[spec], "orbit finder called on more than the base block"
         return finder(a)
 
-    monkeypatch.setattr(invariants, "_automorphisms", base_only)
+    monkeypatch.setattr(symmetry, "_automorphisms", base_only)
     for h in (g, parse_edgelist(format_edgelist(g))):
         assert root_orbit_count(h) == count
         clique_number(h, 2000)  # prunes by the lifted generators; M(C5)^3 is cut
@@ -323,21 +346,20 @@ def test_near_power_falls_back_to_the_finder(monkeypatch):
     g = Graph(25, a)
     assert _power_base(g) is None
     sizes = []
-    finder = invariants._automorphisms
-    monkeypatch.setattr(invariants, "_automorphisms", lambda a: sizes.append(len(a)) or finder(a))
+    finder = symmetry._automorphisms
+    monkeypatch.setattr(symmetry, "_automorphisms", lambda a: sizes.append(len(a)) or finder(a))
     res, ref = clique_number(g), first_fit_clique_number(g)
     assert sizes == [25] and (res.size, res.witness, res.exhausted) == (ref.size, ref.witness, True)
 
 
 def test_stabilizer_fixes_its_point_and_has_the_full_orbits():
     g = or_power(cycle_graph(5), 3)
-    order, bits = _ordered_bits(g)
-    stack = invariants._Symmetry(g, bits, order, None)._checked()
-    a = _bits_matrix(bits)
+    stack = search_generators(g)
+    a = _bits_matrix(_ordered_bits(g)[1])
     for v in (0, 62, 124):
         schreier = _stabilizer(stack, v)
         assert (schreier[:, v] == v).all()
-        assert all(invariants._is_automorphism(a, s) for s in schreier)
+        assert all(_is_automorphism(a, s) for s in schreier)
     # Stab((0,0,0)) in D5 wr S3: a coordinate is 0, +-1 or +-2, up to order
     stack = _stack(lifted_generators(g), g.n)
     assert len(set(_orbit_labels(_stabilizer(stack, 0)).tolist())) == 10
@@ -350,7 +372,7 @@ def test_capped_schreier_generators_span_a_subgroup(monkeypatch):
     full = orbit_partition(_orbit_labels(_stabilizer(stack, 0)).tolist())
     cube = or_power(cycle_graph(5), 3)
     for cells in (0, 3000, 50_000):
-        monkeypatch.setattr(invariants, "_SCHREIER_CELLS", cells)
+        monkeypatch.setattr(symmetry, "_SCHREIER_CELLS", cells)
         schreier = _stabilizer(stack, 0)
         assert schreier.size <= max(cells, len(gens) * g.n)
         assert refines(orbit_partition(_orbit_labels(schreier).tolist()), full)
@@ -358,31 +380,59 @@ def test_capped_schreier_generators_span_a_subgroup(monkeypatch):
         assert (res.size, res.exhausted) == (10, True) and res.nodes >= 1190
 
 
+def test_orbit_masks_of_the_whole_group():
+    # C5^3 is vertex-transitive; M(C5)^3 has the product group's 10 orbits
+    for g, count in ((or_power(cycle_graph(5), 3), 1), (or_power(mycielskian(cycle_graph(5)), 3), 10)):
+        assert len(set(orbit_masks(search_generators(g), ()))) == count
+
+
+def test_orbit_masks_of_a_point_stabilizer():
+    g = or_power(cycle_graph(5), 3)
+    gens = search_generators(g)
+    for v in (0, 62, 124):
+        masks = orbit_masks(gens, (v,))
+        assert masks[v] == 1 << v
+        assert all(mask >> u & 1 for u, mask in enumerate(masks))
+
+
+@pytest.mark.parametrize("spec", ["power:cycle:5:t=3", "power:mycielski:cycle:5:t=2", "power:cycle:7:t=2"])
+def test_generators_of_a_family_graph_and_its_edge_list_agree(spec):
+    g = cli.parse_family(spec)
+    h = parse_edgelist(format_edgelist(g))
+    assert np.array_equal(search_generators(g), search_generators(h))
+
+
 @pytest.mark.parametrize("bad", [
     [np.array([1, 0] + list(range(2, 25)))],      # a transposition of C5^2 that is no automorphism
     [np.arange(24)],                               # not a permutation of 25 vertices
     [np.array([0] * 25)],
 ])
-def test_non_automorphism_generator_raises(bad):
-    g = or_power(cycle_graph(5), 2)
+def test_non_automorphism_generator_raises(bad, monkeypatch):
+    # each lifted row is checked one by one, so no bad row gets as far as stacking
+    lift = symmetry._power_generators
+    monkeypatch.setattr(symmetry, "_power_generators", lambda *args: lift(*args) + tuple(bad))
     with pytest.raises(MycthetaInternal):
-        clique_number(g, generators=list(lifted_generators(g)) + bad)
+        clique_number(or_power(cycle_graph(5), 2))
 
 
 def test_lifted_generators_are_checked(monkeypatch):
-    # a lifted permutation that is no automorphism of the power raises, as a given one does
-    lift = invariants.power_generators
+    # a lifted permutation that is no automorphism of the power raises
+    lift = symmetry._power_generators
     swap = np.array([1, 0] + list(range(2, 25)))
-    monkeypatch.setattr(invariants, "power_generators", lambda *args: lift(*args) + (swap,))
+    monkeypatch.setattr(symmetry, "_power_generators", lambda *args: lift(*args) + (swap,))
     with pytest.raises(MycthetaInternal, match="failed its check"):
         clique_number(or_power(cycle_graph(5), 2))
 
 
 @pytest.mark.parametrize("g", [complete_graph(7), empty_graph(6), cycle_graph(4), cycle_graph(9)])
-def test_generators_are_checked_only_when_a_second_branch_starts(g):
-    # each of these searches ends in its first branch at depth 0 and 1
-    bad = [np.roll(np.arange(g.n), 1) ^ 1 if g.n % 2 == 0 else np.zeros(g.n, dtype=int)]
-    assert clique_number(g, generators=bad).exhausted
+def test_generators_are_checked_only_when_a_second_branch_starts(g, monkeypatch):
+    # each of these searches ends in its first branch at depth 0 and 1, so
+    # neither the power test nor the finder runs
+    def fail(h, order):
+        raise AssertionError("generators taken")
+
+    monkeypatch.setattr(symmetry, "generators", fail)
+    assert clique_number(g).exhausted
 
 
 @st.composite
@@ -413,7 +463,7 @@ def test_structural_generators_are_automorphisms_and_keep_the_answers(spec):
     for p in gens or ():
         assert sorted(p.tolist()) == list(range(g.n))
         assert (a[np.ix_(p, p)] == a).all()
-    res, ref = clique_number(g), clique_number(g, generators=())
+    res, ref = clique_number(g), clique_with(g, None, ())
     assert (res.size, res.exhausted) == (ref.size, ref.exhausted) == (ref.size, True)
     assert res.nodes <= ref.nodes
 
@@ -505,16 +555,16 @@ def test_spent_refinement_budget_keeps_a_finer_partition(monkeypatch):
     full = {g: orbit_partition(finder_orbits(g.bool_matrix())) for g in (cube, petersen)}
     assert [len(p) for p in full.values()] == [1, 1]
     for blocks in (0, 1, 5, 20):
-        monkeypatch.setattr(invariants, "_ORBIT_BLOCKS", blocks)
+        monkeypatch.setattr(symmetry, "_ORBIT_BLOCKS", blocks)
         cut = orbit_partition(finder_orbits(cube.bool_matrix()))
         assert len(cut) > 1 and refines(cut, full[cube])
         assert refines(orbit_partition(finder_orbits(petersen.bool_matrix())), networkx_orbits(petersen))
-        res = clique_number(cube, generators=_automorphisms(cube.bool_matrix()))
+        res = clique_with(cube, None, _automorphisms(cube.bool_matrix()))
         assert (res.size, res.exhausted) == (10, True) and res.nodes > 12_887
 
 
 def test_orbits_merge_only_through_verified_automorphisms(monkeypatch):
-    monkeypatch.setattr(invariants._Refiner, "is_automorphism", lambda self, p: False)
+    monkeypatch.setattr(symmetry, "_is_automorphism", lambda a, p: False)
     assert finder_orbits(or_power(cycle_graph(5), 3).bool_matrix()) == list(range(125))
 
 
@@ -523,7 +573,7 @@ def test_single_root_branch_never_calls_the_orbit_finder(g, monkeypatch):
     def fail(a):
         raise AssertionError("orbit finder called")
 
-    monkeypatch.setattr(invariants, "_automorphisms", fail)
+    monkeypatch.setattr(symmetry, "_automorphisms", fail)
     assert clique_number(g).exhausted
 
 

@@ -22,7 +22,6 @@ from .graphs import (
     format_edgelist,
     generate,
     mycielskian,
-    mycielskian_digraph,
     or_power,
     or_product,
     parse_edgelist,

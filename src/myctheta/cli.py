@@ -77,9 +77,7 @@ def parse_family(spec: str) -> graphs.GraphLike:
                 else:
                     remaining.append(tok)
             if head == "mycielski":
-                r = 2 if value is None else value
-                build = graphs.mycielskian_digraph if isinstance(inner, graphs.Digraph) else graphs.mycielskian
-                return build(inner, r), remaining
+                return graphs.mycielskian(inner, 2 if value is None else value), remaining
             if value is None:
                 raise DomainError("power needs an exponent, e.g. power:cycle:5:t=2")
             return graphs.or_power(inner, value), remaining
@@ -239,15 +237,6 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    chosen = [
-        args.lifted_clique is not None,
-        args.transitive_clique is not None,
-        args.no_lift_check is not None,
-    ]
-    if sum(chosen) != 1:
-        raise DomainError(
-            "choose exactly one of --lifted-clique, --transitive-clique, --no-lift-check"
-        )
     if args.lifted_clique is not None:
         result = (
             cons.extended_clique(args.lifted_clique)
@@ -363,10 +352,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_certify)
 
     p = sub.add_parser("construct", help="explicit cliques in Mycielskian powers")
-    p.add_argument("--lifted-clique", type=integer, metavar="N")
+    what = p.add_mutually_exclusive_group(required=True)
+    what.add_argument("--lifted-clique", type=integer, metavar="N")
     p.add_argument("--extend", action="store_true", help="append the apex sequence")
-    p.add_argument("--transitive-clique", type=integer, metavar="N")
-    p.add_argument("--no-lift-check", type=integer, nargs=3, metavar=("N", "R", "T"))
+    what.add_argument("--transitive-clique", type=integer, metavar="N")
+    what.add_argument("--no-lift-check", type=integer, nargs=3, metavar=("N", "R", "T"))
     p.add_argument("--budget", type=integer, default=None)
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_construct)

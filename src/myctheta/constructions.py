@@ -39,7 +39,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -48,11 +48,11 @@ from .fractional import fractional_chromatic
 from .graphs import (
     Digraph,
     Graph,
+    GraphLike,
     _power_exceeds,
     complete_graph,
     max_vertices,
     mycielskian,
-    mycielskian_digraph,
     or_power,
     power_coords,
     power_index,
@@ -71,8 +71,6 @@ from .invariants import (
     transitive_clique_number,
 )
 from . import theta as theta_mod
-
-GraphLike = Union[Graph, Digraph]
 
 
 @dataclass(frozen=True)
@@ -162,7 +160,7 @@ def _lifted_set(n: int, directed: bool, apex: bool) -> LiftedCliqueSet:
         at = 0 if directed else len(vertices)
         vertices.insert(at, (2 * n,) * n)
         classes.insert(at, None)
-    host = mycielskian_digraph(transitive_tournament(n), 2) if directed else mycielskian(complete_graph(n), 2)
+    host = mycielskian(transitive_tournament(n) if directed else complete_graph(n), 2)
     _verify_clique(host, vertices, "transitive construction" if directed else
                    "extended construction" if apex else "construction")
     return LiftedCliqueSet(
@@ -431,9 +429,10 @@ def _construction(g: GraphLike) -> Optional[LiftedCliqueSet]:
     n = (g.n - 1) // 2
     if n < 2 or _power_exceeds(n, n, max_vertices() - 1):
         return None
-    if isinstance(g, Digraph):
-        return lifted_transitive_clique(n) if g == mycielskian_digraph(transitive_tournament(n), 2) else None
-    return extended_clique(n) if g == mycielskian(complete_graph(n), 2) else None
+    directed = isinstance(g, Digraph)
+    if g != mycielskian(transitive_tournament(n) if directed else complete_graph(n), 2):
+        return None
+    return lifted_transitive_clique(n) if directed else extended_clique(n)
 
 
 def capacity_report(g: GraphLike, options: ReportOptions = ReportOptions()) -> CapacityReport:

@@ -1,9 +1,10 @@
 """Graph and digraph types plus the product / Mycielski constructors.
 
 Vertices are always labeled 0..n-1.  Both `Graph` and `Digraph` are immutable
-after construction.  The one stored form of the adjacency is a Python int
-bitset per vertex (`bits`; `out_bits` for digraphs), the representation of
-the bit-parallel clique search (San Segundo et al. 2011).  Everything else
+after construction.  The one stored form of the adjacency, shared by both
+through a private base class, is a Python int bitset per vertex (`bits`; a
+digraph's row v holds the heads of v's out-arcs), the representation of the
+bit-parallel clique search (San Segundo et al. 2011).  Everything else
 is derived from it on demand: `edges()` / `arcs()` in row-major order, `m`,
 degrees, `bool_matrix()` and `adjacency_matrix()`.  The constructors take
 either pairs, which are validated as one int64 array and scattered into an
@@ -118,10 +119,30 @@ def _pairs_tuple(a: np.ndarray) -> tuple[tuple[int, int], ...]:
     return tuple(zip(rows.tolist(), cols.tolist()))
 
 
-class Graph:
-    """Simple undirected graph: no loops, symmetric adjacency."""
+class _Bitsets:
+    """The storage `Graph` and `Digraph` share: n and one int bitset per
+    vertex, bit j of `bits[i]` set when i is adjacent to j (an arc i -> j)."""
 
     __slots__ = ("n", "bits")
+
+    def bool_matrix(self) -> np.ndarray:
+        """n x n boolean adjacency matrix (row = tail), unpacked from the bitsets."""
+        return _bits_matrix(self.bits)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.n == other.n and self.bits == other.bits
+
+    def __hash__(self):
+        return hash((self.n, self.bits))
+
+    def __repr__(self):
+        return f"{type(self).__name__}(n={self.n}, m={self.m})"
+
+
+class Graph(_Bitsets):
+    """Simple undirected graph: no loops, symmetric adjacency."""
+
+    __slots__ = ()
 
     def __init__(self, n: int, edges: Union[Iterable[tuple[int, int]], np.ndarray] = ()):
         """`edges` holds vertex pairs or an n x n boolean matrix (made symmetric)."""
@@ -158,54 +179,37 @@ class Graph:
             raise DomainError(f"subgraph vertex out of range for n={self.n}")
         return Graph(len(index), self.bool_matrix()[np.ix_(index, index)])
 
-    def bool_matrix(self) -> np.ndarray:
-        """n x n boolean adjacency matrix, unpacked from the bitsets."""
-        return _bits_matrix(self.bits)
-
     def adjacency_matrix(self) -> np.ndarray:
         return self.bool_matrix().astype(float)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Graph) and self.n == other.n and self.bits == other.bits
 
-    def __hash__(self):
-        return hash((self.n, self.bits))
-
-    def __repr__(self):
-        return f"Graph(n={self.n}, m={self.m})"
-
-
-class Digraph:
+class Digraph(_Bitsets):
     """Directed graph without loops; antiparallel arc pairs are allowed."""
 
-    __slots__ = ("n", "out_bits")
+    __slots__ = ()
 
     def __init__(self, n: int, arcs: Union[Iterable[tuple[int, int]], np.ndarray] = ()):
         """`arcs` holds (tail, head) pairs or an n x n boolean matrix."""
         a = _pair_matrix(n, arcs, "arc")
         self.n = n
-        self.out_bits = _row_bits(a)
+        self.bits = _row_bits(a)
 
     @property
     def m(self) -> int:
-        return sum(b.bit_count() for b in self.out_bits)
+        return sum(b.bit_count() for b in self.bits)
 
     def arcs(self) -> tuple[tuple[int, int], ...]:
         """Arcs (u, v) in row-major order."""
         return _pairs_tuple(self.bool_matrix())
 
     def has_arc(self, u: int, v: int) -> bool:
-        return bool(self.out_bits[u] >> v & 1)
+        return bool(self.bits[u] >> v & 1)
 
     def out_degree(self, v: int) -> int:
-        return self.out_bits[v].bit_count()
+        return self.bits[v].bit_count()
 
     def in_degree(self, v: int) -> int:
-        return sum(b >> v & 1 for b in self.out_bits)
-
-    def bool_matrix(self) -> np.ndarray:
-        """n x n boolean arc matrix (row = tail), unpacked from the bitsets."""
-        return _bits_matrix(self.out_bits)
+        return sum(b >> v & 1 for b in self.bits)
 
     def reverse(self) -> "Digraph":
         return Digraph(self.n, self.bool_matrix().T)
@@ -217,19 +221,6 @@ class Digraph:
         """Graph on the same vertices whose edges are the 2-cycles of D."""
         a = self.bool_matrix()
         return Graph(self.n, a & a.T)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Digraph)
-            and self.n == other.n
-            and self.out_bits == other.out_bits
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.out_bits))
-
-    def __repr__(self):
-        return f"Digraph(n={self.n}, m={self.m})"
 
 
 GraphLike = Union[Graph, Digraph]
@@ -340,25 +331,18 @@ def _mycielski_matrix(a: np.ndarray, r: int) -> np.ndarray:
     return out
 
 
-def mycielskian(g: Graph, r: int = 2) -> Graph:
-    """r-level generalized Mycielskian of an undirected graph.
+def mycielskian(g: GraphLike, r: int = 2) -> GraphLike:
+    """r-level generalized Mycielskian of a graph or a digraph, of g's type.
 
     Vertex layout: (v, level) -> level * n + v for level in 0..r-1, apex last.
     r = 2 is the classical construction; r = 1 adds a single dominating vertex.
+    In a digraph, inter-level arcs inherit the orientation of the original
+    arcs and apex arcs point outward from the apex toward level r-1.
+    (Orienting them the other way is an equally valid convention and
+    reverses no other structure.)
     """
     a = _mycielski_matrix(g.bool_matrix(), r)
-    return Graph(len(a), a)
-
-
-def mycielskian_digraph(d: Digraph, r: int = 2) -> Digraph:
-    """r-level Mycielskian of a digraph.
-
-    Inter-level arcs inherit the orientation of the original arcs; apex arcs
-    point outward from the apex toward level r-1.  (Orienting them the other
-    way is an equally valid convention and reverses no other structure.)
-    """
-    a = _mycielski_matrix(d.bool_matrix(), r)
-    return Digraph(len(a), a)
+    return type(g)(len(a), a)
 
 
 # ---------------------------------------------------------------------------
@@ -415,15 +399,8 @@ def embed_mycielski_power(g: GraphLike, t: int) -> PowerEmbedding:
         raise DomainError("power embedding needs t >= 1")
     n = g.n
     _check_size(2 * n + 1, "power of the Mycielskian", t)
-    power = or_power(g, t)
-    if isinstance(g, Graph):
-        domain = mycielskian(power, 2)
-        base_m = mycielskian(g, 2)
-        codomain = or_power(base_m, t)
-    else:
-        domain = mycielskian_digraph(power, 2)
-        base_m = mycielskian_digraph(g, 2)
-        codomain = or_power(base_m, t)
+    domain = mycielskian(or_power(g, t), 2)
+    codomain = or_power(mycielskian(g, 2), t)
     np_ = n ** t
     big = 2 * n + 1
     mapping = []

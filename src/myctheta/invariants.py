@@ -33,15 +33,13 @@ and raises MycthetaInternal; it is never clipped.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import symmetry
 from .errors import DomainError, MycthetaInternal
-from .graphs import Digraph, Graph, _row_bits, or_power
-
-GraphLike = Union[Graph, Digraph]
+from .graphs import Digraph, Graph, GraphLike, _row_bits, or_power
 
 
 @dataclass(frozen=True)
@@ -207,12 +205,11 @@ def verify_clique(g: GraphLike, witness: tuple[int, ...]) -> bool:
     members are adjacent; in a digraph, each member has an arc to every
     later one, so `witness` is a transitive order.  A repeated member is not
     adjacent to itself, so a repeat fails too."""
-    bits = g.out_bits if isinstance(g, Digraph) else g.bits
     common = -1  # the vertices every member so far is adjacent to
     for v in witness:
         if not common >> v & 1:
             return False
-        common &= bits[v]
+        common &= g.bits[v]
     return True
 
 
@@ -289,7 +286,7 @@ def transitive_clique_number(d: Digraph, node_budget: Optional[int] = None,
     if cap is not None and len(seed) >= cap:
         size, witness, capped = len(seed), tuple(seed), True
     else:
-        size, witness = _longest_transitive_order(d.out_bits, (1 << d.n) - 1, budget)
+        size, witness = _longest_transitive_order(d.bits, (1 << d.n) - 1, budget)
         capped = False
         if size < len(seed):  # a truncated search that ended below the seed
             size, witness = len(seed), tuple(seed)
@@ -300,7 +297,7 @@ def transitive_clique_number(d: Digraph, node_budget: Optional[int] = None,
     return CliqueResult(size, witness, capped or budget.within_limit, budget.nodes, capped)
 
 
-def _longest_transitive_order(out_bits: tuple[int, ...], full: int,
+def _longest_transitive_order(bits: tuple[int, ...], full: int,
                               budget: _Budget) -> tuple[int, tuple[int, ...]]:
     """Longest order v1, v2, ... within `full` with an arc from each vertex
     to every later one, as (length, order).
@@ -339,7 +336,7 @@ def _longest_transitive_order(out_bits: tuple[int, ...], full: int,
         while m:
             v = (m & -m).bit_length() - 1
             m &= m - 1
-            sub = cand & out_bits[v]
+            sub = cand & bits[v]
             if 1 + sub.bit_count() > frame[2]:
                 frame[1], frame[4] = m, v
                 value = enter(sub)

@@ -75,12 +75,19 @@ class ThetaSolution:
 
     value: float
     primal: np.ndarray
-    dual_edge_matrix: np.ndarray
     dual_slack: np.ndarray
     tolerance_achieved: float
     tol_requested: float
     iterations: int
     n: int
+
+    @property
+    def dual_edge_matrix(self) -> np.ndarray:
+        """The primal with its diagonal zeroed; the solver's primal is exactly
+        zero off the support, so this is supported on the edges."""
+        edge_part = self.primal.copy()
+        np.fill_diagonal(edge_part, 0.0)
+        return edge_part
 
     def to_json(self, verbose: bool = False) -> str:
         doc = {
@@ -202,7 +209,6 @@ def theta_bar(g: Graph, tol: float = DEFAULT_TOL,
         return ThetaSolution(
             value=1.0,
             primal=eye / n,
-            dual_edge_matrix=np.zeros((n, n)),
             dual_slack=np.zeros((n, n)),
             tolerance_achieved=0.0,
             tol_requested=tol,
@@ -266,13 +272,9 @@ def theta_bar(g: Graph, tol: float = DEFAULT_TOL,
         )
     slack = -rho * u
     slack = 0.5 * (slack + slack.T)
-    edge_part = x_hat.copy()
-    np.fill_diagonal(edge_part, 0.0)
-    edge_part[nonedge] = 0.0
     return ThetaSolution(
         value=0.5 * (lower + upper),
         primal=x_hat,
-        dual_edge_matrix=edge_part,
         dual_slack=slack,
         tolerance_achieved=0.5 * width,
         tol_requested=tol,

@@ -366,6 +366,16 @@ def test_construct_lifted_extend(capsys):
     assert abs(doc["bound"] - math.sqrt(5)) < 1e-12
 
 
+@pytest.mark.parametrize("flags, message", [
+    ([], "one of the arguments --lifted-clique --transitive-clique --no-lift-check is required"),
+    (["--lifted-clique", "2", "--transitive-clique", "2"],
+     "argument --transitive-clique: not allowed with argument --lifted-clique"),
+])
+def test_construct_takes_exactly_one_construction(flags, message, capsys):
+    # no construction or two of them: one usage line and exit 2, nothing built
+    assert run_cli(["construct", *flags], capsys) == (2, "", f"error: {message}\n")
+
+
 def test_construct_transitive_schema(capsys):
     code, payload, _ = run_cli(["construct", "--transitive-clique", "2"], capsys)
     assert code == 0

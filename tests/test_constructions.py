@@ -25,7 +25,6 @@ from myctheta import (
     lifted_clique,
     lifted_transitive_clique,
     mycielskian,
-    mycielskian_digraph,
     no_lifted_clique_check,
     or_power,
     theta_bar,
@@ -140,7 +139,7 @@ def test_transitive_clique_2():
     assert len(tc.vertices) == 5
     assert tc.vertices[0] == (4, 4)  # apex sequence first
     assert tc.bound == pytest.approx(math.sqrt(5), abs=1e-12)
-    host = mycielskian_digraph(transitive_tournament(2), 2)
+    host = mycielskian(transitive_tournament(2), 2)
     for i, a in enumerate(tc.vertices):
         for b in tc.vertices[i + 1:]:
             assert or_arc(host, a, b)
@@ -149,7 +148,7 @@ def test_transitive_clique_2():
 def test_transitive_clique_3_all_pairs():
     tc = lifted_transitive_clique(3)
     assert len(tc.vertices) == 28
-    host = mycielskian_digraph(transitive_tournament(3), 2)
+    host = mycielskian(transitive_tournament(3), 2)
     pairs = 0
     for i, a in enumerate(tc.vertices):
         for b in tc.vertices[i + 1:]:
@@ -170,7 +169,7 @@ def test_transitive_order_is_total():
 
 
 def test_transitive_matches_exact_search():
-    power = or_power(mycielskian_digraph(transitive_tournament(2), 2), 2)
+    power = or_power(mycielskian(transitive_tournament(2), 2), 2)
     assert transitive_clique_number(power).size == 5
 
 
@@ -296,7 +295,7 @@ def test_capacity_report_records_oversized_construction():
 
 def test_capacity_report_digraph():
     report = capacity_report(
-        mycielskian_digraph(transitive_tournament(2), 2),
+        mycielskian(transitive_tournament(2), 2),
         ReportOptions(max_power=2),
     )
     assert report.omega_s.size == 1
@@ -317,13 +316,13 @@ def test_verifier_rejects_a_non_adjacent_pair():
 
 def test_verifier_rejects_reversed_transitive_order():
     tc = lifted_transitive_clique(3)
-    host = mycielskian_digraph(transitive_tournament(3), 2)
+    host = mycielskian(transitive_tournament(3), 2)
     _verify_clique(host, tc.vertices, "transitive construction")
     with pytest.raises(DomainError, match="transitive construction broke"):
         _verify_clique(host, tc.vertices[::-1], "transitive construction")
 
 
-@pytest.mark.parametrize("g", [cycle_graph(5), mycielskian_digraph(transitive_tournament(2), 2)])
+@pytest.mark.parametrize("g", [cycle_graph(5), mycielskian(transitive_tournament(2), 2)])
 def test_capacity_report_reuses_omega_for_k1(g):
     report = capacity_report(g, ReportOptions(max_power=2))
     omega = report.omega_tr if report.directed else report.omega
@@ -366,7 +365,7 @@ def test_report_csv_and_json_shapes():
 
 
 def test_report_closes_mt3_cube_by_theta():
-    d = mycielskian_digraph(transitive_tournament(3), 2)
+    d = mycielskian(transitive_tournament(3), 2)
     report = capacity_report(d, ReportOptions(max_power=3))
     assert not report.errors and report.theta is None
     cube = report.lower_bounds[2].clique
@@ -380,7 +379,7 @@ def test_report_closes_mt3_cube_by_theta():
 
 def test_report_closes_mt3_square_by_theta():
     # cap floor(theta_bar(M(K3))^2) = 9 is met by the product of two T3 orders
-    d = mycielskian_digraph(transitive_tournament(3), 2)
+    d = mycielskian(transitive_tournament(3), 2)
     report = capacity_report(d, ReportOptions(max_power=2))
     square = report.lower_bounds[1].clique
     assert (square.size, square.nodes, square.closed_by) == (9, 0, "theta")
@@ -419,7 +418,7 @@ def test_report_with_theta_too_low_raises(monkeypatch):
     real = theta_bar
     monkeypatch.setattr(constructions.theta_mod, "theta_bar",
                         lambda g, tol: dataclasses.replace(real(g, tol), value=1.5))
-    d = mycielskian_digraph(transitive_tournament(3), 2)
+    d = mycielskian(transitive_tournament(3), 2)
     with pytest.raises(MycthetaInternal, match="size 9 exceeds its certified cap 2"):
         capacity_report(d, ReportOptions(max_power=2))
 
@@ -429,7 +428,7 @@ def test_digraph_report_without_a_cap_searches(monkeypatch):
         raise ConvergenceError("no convergence")
 
     monkeypatch.setattr(constructions.theta_mod, "theta_bar", fail)
-    d = mycielskian_digraph(transitive_tournament(3), 2)
+    d = mycielskian(transitive_tournament(3), 2)
     report = capacity_report(d, ReportOptions(max_power=2))
     assert report.errors == {} and report.theta is None
     square = report.lower_bounds[1].clique

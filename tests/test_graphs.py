@@ -21,7 +21,6 @@ from myctheta import (
     format_edgelist,
     generate,
     mycielskian,
-    mycielskian_digraph,
     or_power,
     or_product,
     parse_edgelist,
@@ -110,7 +109,7 @@ def test_mycielskian_r1_is_dominating_vertex():
 
 
 def test_mycielskian_digraph_orientation():
-    mt2 = mycielskian_digraph(transitive_tournament(2), 2)
+    mt2 = mycielskian(transitive_tournament(2), 2)
     outs = sorted(mt2.out_degree(v) for v in range(mt2.n))
     assert outs.count(1) == 1 and set(outs) <= {0, 1, 2}
     assert isomorphic(mt2.underlying(), cycle_graph(5))
@@ -118,7 +117,7 @@ def test_mycielskian_digraph_orientation():
     for _ in range(20):
         d = random_digraph(rng, rng.randint(1, 5), 0.4)
         for r in (1, 2, 3):
-            md = mycielskian_digraph(d, r)
+            md = mycielskian(d, r)
             assert md.underlying() == mycielskian(d.underlying(), r)
             apex = r * d.n
             assert md.out_degree(apex) == d.n and md.in_degree(apex) == 0
@@ -318,9 +317,9 @@ def test_digraph_representation_contract(case):
     assert d.m == len(expected)
     mat = d.bool_matrix()
     for v in range(n):
-        assert all(bool(d.out_bits[v] >> u & 1) == d.has_arc(v, u) == ((v, u) in expected)
+        assert all(bool(d.bits[v] >> u & 1) == d.has_arc(v, u) == ((v, u) in expected)
                    and mat[u, v] == d.has_arc(u, v) == ((u, v) in expected) for u in range(n))
-        assert d.out_degree(v) == sum(1 for a, _ in expected if a == v) == d.out_bits[v].bit_count()
+        assert d.out_degree(v) == sum(1 for a, _ in expected if a == v) == d.bits[v].bit_count()
         assert d.in_degree(v) == sum(1 for _, b in expected if b == v) == mat[:, v].sum()
     same = Digraph(n, list(reversed(pairs)))
     assert same == d and hash(same) == hash(d)
@@ -390,6 +389,13 @@ def test_pair_checks_match_the_one_pair_reference(n, pairs):
     assert outcome(graphs_mod._pair_matrix) == outcome(_pair_matrix_reference)
 
 
+def test_equality_keeps_graphs_and_digraphs_apart():
+    g, d = Graph(3, [(0, 1)]), Digraph(3, [(0, 1), (1, 0)])
+    assert g.bits == d.bits
+    assert g != d and d != g
+    assert repr(g) == "Graph(n=3, m=1)" and repr(d) == "Digraph(n=3, m=2)"
+
+
 def _mycielskian_reference(g, r):
     """M_r(G) from the edge list, one pair at a time (arcs for digraphs)."""
     n, directed = g.n, isinstance(g, Digraph)
@@ -416,7 +422,7 @@ def test_mycielskians_match_edge_list_reference():
         for g in graphs:
             assert mycielskian(g, r) == _mycielskian_reference(g, r)
         for d in digraphs:
-            assert mycielskian_digraph(d, r) == _mycielskian_reference(d, r)
+            assert mycielskian(d, r) == _mycielskian_reference(d, r)
 
 
 def _arc_matrix(g):
@@ -429,7 +435,7 @@ def _arc_matrix(g):
 
 
 def test_or_power_matches_kron_reference():
-    for base, t in ((cycle_graph(5), 3), (mycielskian_digraph(transitive_tournament(3)), 2)):
+    for base, t in ((cycle_graph(5), 3), (mycielskian(transitive_tournament(3)), 2)):
         non = ~_arc_matrix(base)  # True diagonal: a vertex is never adjacent to itself
         reference = non
         for _ in range(t - 1):
@@ -441,7 +447,7 @@ def test_or_power_matches_kron_reference():
 
 def test_edgelist_byte_identical_round_trip():
     for g in (or_power(cycle_graph(7), 2),
-              or_power(mycielskian_digraph(transitive_tournament(3)), 2)):
+              or_power(mycielskian(transitive_tournament(3)), 2)):
         text = format_edgelist(g)
         directed = isinstance(g, Digraph)
         pairs = g.arcs() if directed else g.edges()

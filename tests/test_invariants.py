@@ -19,7 +19,6 @@ from myctheta import (
     cycle_graph,
     empty_graph,
     mycielskian,
-    mycielskian_digraph,
     or_power,
     path_graph,
     symmetric_clique_number,
@@ -744,7 +743,7 @@ def test_symmetric_at_most_transitive():
 
 
 def test_transitive_or_square_of_mt2():
-    d = or_power(mycielskian_digraph(transitive_tournament(2), 2), 2)
+    d = or_power(mycielskian(transitive_tournament(2), 2), 2)
     res = transitive_clique_number(d)
     assert res.size == 5 and res.exhausted
     for u, v in itertools.combinations(res.witness, 2):
@@ -752,14 +751,14 @@ def test_transitive_or_square_of_mt2():
 
 
 def test_transitive_search_tree_on_mt3_square():
-    d = or_power(mycielskian_digraph(transitive_tournament(3), 2), 2)
+    d = or_power(mycielskian(transitive_tournament(3), 2), 2)
     res = transitive_clique_number(d)
     assert (res.size, res.nodes, res.exhausted) == (9, 527, True)
     assert res.witness == (0, 1, 2, 7, 8, 9, 14, 15, 16)
     assert res.closed_by == "search"
 
 
-def reference_longest_transitive_order(out_bits, full, budget):
+def reference_longest_transitive_order(bits, full, budget):
     """The transitive search as it was before frames stopped at full length:
     every frame tries each of its candidates."""
     memo = {}
@@ -776,7 +775,7 @@ def reference_longest_transitive_order(out_bits, full, budget):
         while m:
             v = (m & -m).bit_length() - 1
             m &= m - 1
-            sub = cand & out_bits[v]
+            sub = cand & bits[v]
             if 1 + sub.bit_count() > length:
                 r, tail = best(sub)
                 if 1 + r > length:
@@ -790,7 +789,7 @@ def reference_longest_transitive_order(out_bits, full, budget):
 
 def test_transitive_search_tree_matches_reference(monkeypatch):
     rng = random.Random(43)
-    digraphs = [or_power(mycielskian_digraph(transitive_tournament(3), 2), 2),
+    digraphs = [or_power(mycielskian(transitive_tournament(3), 2), 2),
                 or_power(transitive_tournament(6), 2), transitive_tournament(12)]
     digraphs += [random_digraph(rng, rng.randint(1, 12), rng.choice([0.3, 0.6, 0.9])) for _ in range(40)]
     budgets = (None, 5, 50)
@@ -801,14 +800,14 @@ def test_transitive_search_tree_matches_reference(monkeypatch):
 
 
 def test_seed_reaching_the_cap_closes_without_search():
-    d = or_power(mycielskian_digraph(transitive_tournament(2), 2), 2)
+    d = or_power(mycielskian(transitive_tournament(2), 2), 2)
     order = transitive_clique_number(d).witness
     res = transitive_clique_number(d, cap=len(order), seed=order)
     assert (res.witness, res.nodes, res.exhausted, res.closed_by) == (order, 0, True, "theta")
 
 
 def test_seed_below_the_cap_leaves_the_search_tree():
-    d = or_power(mycielskian_digraph(transitive_tournament(3), 2), 2)
+    d = or_power(mycielskian(transitive_tournament(3), 2), 2)
     seed = tuple(7 * a + b for a in (0, 1, 2) for b in (0, 1, 2))  # T3 x T3
     res = transitive_clique_number(d, cap=10, seed=seed)
     assert (res.size, res.nodes, res.closed_by) == (9, 527, "search")
@@ -816,7 +815,7 @@ def test_seed_below_the_cap_leaves_the_search_tree():
 
 
 def test_seed_below_the_cap_fills_a_truncated_search():
-    d = or_power(mycielskian_digraph(transitive_tournament(3), 2), 2)
+    d = or_power(mycielskian(transitive_tournament(3), 2), 2)
     seed = tuple(7 * a + b for a in (0, 1, 2) for b in (0, 1, 2))
     res = transitive_clique_number(d, 3, cap=10, seed=seed)
     assert (res.size, res.witness, res.exhausted, res.closed_by) == (9, seed, False, None)
@@ -1060,7 +1059,7 @@ def test_capacity_lower_bound():
 
 
 def test_capacity_lower_bound_digraph():
-    b = capacity_lower_bound(mycielskian_digraph(transitive_tournament(2), 2), 2)
+    b = capacity_lower_bound(mycielskian(transitive_tournament(2), 2), 2)
     assert abs(b.value - 5 ** 0.5) < 1e-12
 
 

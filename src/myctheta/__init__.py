@@ -27,6 +27,7 @@ from .graphs import (
     parse_edgelist,
     path_graph,
     transitive_tournament,
+    write_edgelist,
 )
 from .invariants import (
     CapacityBound,

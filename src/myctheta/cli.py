@@ -22,10 +22,12 @@ Floats print with 12 significant digits, rationals as "p/q".  Exit codes:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
+import os
 import sys
-from typing import Optional
+from typing import Iterator, Optional, TextIO
 
 from .errors import DomainError, MycthetaError, MycthetaInternal
 from . import certificates as certs
@@ -110,21 +112,45 @@ def _load_graph(args) -> graphs.GraphLike:
     raise DomainError("a graph source is required (--family or --edges)")
 
 
-def _emit(args, text: str) -> None:
+@contextlib.contextmanager
+def _output(args) -> Iterator[TextIO]:
+    """The stream a command writes to: the `--out` file, or stdout.
+
+    A failed write is a DomainError, exit 2 with one line.  stdout is
+    flushed here, so a full disk or a closed pipe shows now; it is then
+    pointed at os.devnull, so the flush at exit cannot fail a second time.
+    """
     out = getattr(args, "out", None)
     if out:
         try:
             with open(out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                yield fh
         except OSError as exc:
             raise DomainError(f"cannot write {out!r}: {exc.strerror or exc}") from None
-    else:
-        sys.stdout.write(text)
+        return
+    try:
+        yield sys.stdout
+        sys.stdout.flush()
+    except OSError as exc:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        except (OSError, ValueError):  # a stdout without a file descriptor
+            pass
+        finally:
+            os.close(devnull)
+        raise DomainError(f"cannot write standard output: {exc.strerror or exc}") from None
+
+
+def _emit(args, text: str) -> None:
+    with _output(args) as fh:
+        fh.write(text)
 
 
 def _cmd_gen(args) -> int:
     g = _load_graph(args)
-    _emit(args, graphs.format_edgelist(g))
+    with _output(args) as fh:
+        graphs.write_edgelist(g, fh)
     return 0
 
 

@@ -17,6 +17,12 @@ Product graphs use row-major vertex pairing, (f, g) -> f * |V(G)| + g, and
 power graphs extend this to mixed-radix coordinates (leftmost coordinate most
 significant).  `power_index` / `power_coords` convert between the flat index
 and the coordinates.
+
+The edge-list text ("n m [directed]", then one "u v" line per edge) is made
+by one private generator that yields the header and then blocks of whole
+rows of about `_BLOCK_EDGES` edges.  `write_edgelist` writes the blocks to
+a stream as they are made, so the whole text is never held; `format_edgelist`
+joins them into one string.  `parse_edgelist` reads the text back.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ import re
 import stat
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, TextIO, Union
+from typing import Iterable, Iterator, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -418,17 +424,45 @@ def embed_mycielski_power(g: GraphLike, t: int) -> PowerEmbedding:
 # edge-list text format: first line "n m [directed]", then one "u v" per line
 # ---------------------------------------------------------------------------
 
-def format_edgelist(g: GraphLike) -> str:
+# edges per block of the edge-list text: whole rows are joined until a block
+# holds at least this many, about 0.6 MB of text on C7^4
+_BLOCK_EDGES = 1 << 16
+
+
+def _edgelist_blocks(g: GraphLike) -> Iterator[str]:
+    """The edge-list text of g: its header, then blocks of whole rows.
+
+    A graph's row u lists its neighbours above u, read from the slice
+    `row[u + 1:]` of the adjacency, so no upper-triangle copy is made.
+    """
     directed = isinstance(g, Digraph)
-    a = g.bool_matrix() if directed else np.triu(g.bool_matrix(), 1)
+    yield f"{g.n} {g.m}" + (" directed" if directed else "") + "\n"
     labels = np.array([f"{v}\n" for v in range(g.n)], dtype=object)
-    parts = [f"{g.n} {g.m}" + (" directed" if directed else "") + "\n"]
-    for u, row in enumerate(a):
-        cols = np.flatnonzero(row)
-        if cols.size:
+    parts, edges = [], 0
+    for u, row in enumerate(g.bool_matrix()):
+        first = 0 if directed else u + 1
+        heads = labels[first:][row[first:]]
+        if heads.size:
             prefix = f"{u} "
-            parts.append(prefix + prefix.join(labels[cols].tolist()))
-    return "".join(parts)
+            parts.append(prefix + prefix.join(heads.tolist()))
+            edges += heads.size
+            if edges >= _BLOCK_EDGES:
+                yield "".join(parts)
+                parts, edges = [], 0
+    if parts:
+        yield "".join(parts)
+
+
+def format_edgelist(g: GraphLike) -> str:
+    """The edge-list text of g as one string."""
+    return "".join(_edgelist_blocks(g))
+
+
+def write_edgelist(g: GraphLike, out: TextIO) -> None:
+    """Write the edge-list text of g to `out` block by block, so the whole
+    text is never held: the same characters as `format_edgelist(g)`."""
+    for block in _edgelist_blocks(g):
+        out.write(block)
 
 
 def parse_edgelist(source: Union[str, TextIO]) -> GraphLike:

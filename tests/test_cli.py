@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -14,6 +15,7 @@ from myctheta import DomainError, certificates, cli, graphs, invariants
 from myctheta import theta as theta_mod
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "schemas"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def load_schema(name):
@@ -311,6 +313,53 @@ def test_out_write_failure_exit_code(tmp_path, capsys):
         code, out, err = run_cli(["gen", "--family", "cycle:5", "--out", str(path)], capsys)
         assert code == 2 and out == ""
         assert err.startswith("error: cannot write") and err.count("\n") == 1
+
+
+def _cli_env():
+    """The environment of a `python -m myctheta.cli` child, with buffered stdout."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
+
+
+def test_closed_stdout_pipe_exits_2_with_one_line():
+    # the reader stops after one line, as `| head -1` does; the 275 kB of
+    # C7^3 do not fit in the pipe, so a write meets the closed end
+    proc = subprocess.Popen([sys.executable, "-m", "myctheta.cli", "gen", "--family", "power:cycle:7:t=3"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=_cli_env())
+    try:
+        assert proc.stdout.readline() == "343 37387\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 2
+    finally:
+        proc.kill()
+        proc.wait()
+    assert err == "error: cannot write standard output: Broken pipe\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [
+    ["gen", "--family", "cycle:5"],
+    ["theta", "--family", "cycle:5"],
+    ["gen", "--family", "power:cycle:7:t=3"],
+])
+def test_full_stdout_exits_2_with_one_line(argv):
+    # the short outputs fail only at the flush, the long one at a write
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "myctheta.cli", *argv], stdout=full,
+                              stderr=subprocess.PIPE, text=True, env=_cli_env(), timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: cannot write standard output: No space left on device\n"
+
+
+def test_gen_to_stdout_and_to_out_agree(tmp_path, capsys):
+    out_file = tmp_path / "g.edges"
+    for spec in ("power:cycle:5:t=2", "power:mycielski:tournament:3:t=2"):
+        code, out, _ = run_cli(["gen", "--family", spec], capsys)
+        assert code == 0
+        assert run_cli(["gen", "--family", spec, "--out", str(out_file)], capsys)[0] == 0
+        assert out_file.read_bytes() == out.encode()
 
 
 @pytest.mark.parametrize("tol", ["inf", "nan", "0"])

@@ -25,6 +25,7 @@ from myctheta import (
     or_product,
     parse_edgelist,
     transitive_tournament,
+    write_edgelist,
 )
 import myctheta.graphs as graphs_mod
 from myctheta.graphs import max_vertices, power_coords, power_index
@@ -445,17 +446,48 @@ def test_or_power_matches_kron_reference():
         assert (_arc_matrix(power) == ~reference).all()
 
 
+class _Chunks(list):
+    """A text sink that keeps each write as one item."""
+
+    write = list.append
+
+
 def test_edgelist_byte_identical_round_trip():
-    for g in (or_power(cycle_graph(7), 2),
-              or_power(mycielskian(transitive_tournament(3)), 2)):
+    # M(C5)^3, 620 060 edges, spans about ten blocks of the writer; the graph
+    # on six vertices ends in isolated vertices; Graph(0) is its header alone
+    for g in (or_power(mycielskian(cycle_graph(5)), 3),
+              or_power(cycle_graph(7), 2),
+              or_power(mycielskian(transitive_tournament(3)), 2),
+              Graph(6, [(0, 1), (1, 2)]),
+              empty_graph(3),
+              Graph(0)):
         text = format_edgelist(g)
         directed = isinstance(g, Digraph)
         pairs = g.arcs() if directed else g.edges()
         reference = "\n".join([f"{g.n} {len(pairs)}" + (" directed" if directed else "")]
                               + [f"{u} {v}" for u, v in pairs]) + "\n"
         assert text == reference
+        chunks = _Chunks()
+        write_edgelist(g, chunks)
+        assert "".join(chunks) == reference
+        assert len(chunks) >= 1 + g.m // graphs_mod._BLOCK_EDGES
         back = parse_edgelist(text)
         assert back == g and format_edgelist(back) == text
+
+
+def test_write_edgelist_memory_stays_below_its_text(tmp_path):
+    # written to a file block by block, the whole text (4.9 MiB) is never held
+    g = or_power(mycielskian(cycle_graph(5)), 3)
+    path = tmp_path / "mc5_3.edges"
+    with open(path, "w", encoding="utf-8") as fh:
+        tracemalloc.start()
+        try:
+            write_edgelist(g, fh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert path.stat().st_size == 5_165_629
+    assert peak < path.stat().st_size
 
 
 @pytest.mark.parametrize("text", [

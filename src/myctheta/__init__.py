@@ -63,6 +63,7 @@ from .certificates import (
     LiftParameters,
     SpectralCertificate,
     build_spectral_certificate,
+    certify,
     check_certificate_inequalities,
     lift_coloring,
     lift_parameters,

@@ -29,11 +29,12 @@ eigendirection with the apex, and 2x2 blocks per remaining eigenvalue of T;
 `verify_block_spectrum` recomputes that decomposition and
 `check_certificate_inequalities` checks the positivity facts and the
 vanishing discriminant of the quadratic that pins gamma^2 down.
+
+`certify` runs both directions from one theta solve and gives the verdict.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -44,7 +45,8 @@ from . import eigen
 from .errors import CertificateError, DomainError
 from .formula import _snap_boundary, cubic_residual, mycielski_theta_formula
 from .graphs import Graph, mycielskian
-from .theta import VectorColoring, spectral_ratio
+from .theta import (VectorColoring, extract_vector_coloring, optimal_edge_matrix,
+                    spectral_ratio, theta_bar)
 
 _CONSISTENCY_TOL = 1e-6
 
@@ -232,9 +234,6 @@ class SpectralCertificate:
             doc["T_hat"] = self.T_hat.tolist()
         return doc
 
-    def to_json(self, verbose: bool = False) -> str:
-        return json.dumps(self.to_dict(verbose), indent=2, sort_keys=True)
-
 
 def build_spectral_certificate(g: Graph, t_matrix: np.ndarray, t: float,
                                m: Optional[float] = None) -> SpectralCertificate:
@@ -310,9 +309,6 @@ class BlockSpectrumReport:
     worst_gap: float
     offending: Optional[tuple[float, float]]
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 def verify_block_spectrum(cert: SpectralCertificate,
                           tol: float = 1e-7) -> BlockSpectrumReport:
@@ -357,9 +353,6 @@ class InequalityReport:
     gamma_hat_gap: float
     gamma_hat_ok: bool
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 def check_certificate_inequalities(t: float, m: float, gamma: float,
                                    delta: float, eta: float) -> InequalityReport:
@@ -390,3 +383,38 @@ def check_certificate_inequalities(t: float, m: float, gamma: float,
         gamma_hat_gap=gap,
         gamma_hat_ok=gap_ok,
     )
+
+
+# ---------------------------------------------------------------------------
+# both directions from one solve
+# ---------------------------------------------------------------------------
+
+def certify(g: Graph, tol: float, verbose: bool = False) -> tuple[dict, bool]:
+    """Solve theta_bar(g) to tol once and check both directions on M(G).
+
+    Returns the document `myctheta certify` prints and its verdict, true
+    when all four checks hold: the ratio of T_hat is within 1e-6 of m(t),
+    the block spectrum and the inequalities hold, and the lifted coloring
+    misses its conditions by at most max(1e-8, 20 tol).  `verbose` adds
+    the matrices T and T_hat to the document.
+    """
+    sol = theta_bar(g, tol)
+    t_matrix = optimal_edge_matrix(g, sol)
+    t = spectral_ratio(t_matrix, g)
+    m = mycielski_theta_formula(t).m
+    cert = build_spectral_certificate(g, t_matrix, t, m)
+    block = verify_block_spectrum(cert)
+    ineq = check_certificate_inequalities(cert.t, cert.m, cert.gamma, cert.delta, cert.eta)
+    lift_violation = verify_lift(g, lift_coloring(g, extract_vector_coloring(sol, g), m))
+    checks = {
+        "ratio_matches_formula": abs(cert.ratio - m) <= 1e-6,
+        "block_spectrum": block.ok,
+        "block_spectrum_worst_gap": block.worst_gap,
+        "inequalities": ineq.ok,
+        "discriminant": ineq.discriminant,
+        "lift_violation": lift_violation,
+        "lift_ok": lift_violation <= max(1e-8, 20.0 * tol),
+    }
+    doc = {"theta": sol.value, "t_spectral": t, "m_formula": m,
+           "certificate": cert.to_dict(verbose), "checks": checks}
+    return doc, checks["ratio_matches_formula"] and block.ok and ineq.ok and checks["lift_ok"]

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -11,6 +10,7 @@ from myctheta import (
     DomainError,
     VectorColoring,
     build_spectral_certificate,
+    certify,
     check_certificate_inequalities,
     complete_graph,
     cycle_graph,
@@ -19,7 +19,6 @@ from myctheta import (
     lift_parameters,
     mycielski_theta_formula,
     mycielskian,
-    optimal_edge_matrix,
     spectral_ratio,
     theta_bar,
     verify_block_spectrum,
@@ -126,13 +125,10 @@ def test_lift_value_upper_bounds_sdp():
         (complete_graph(3), 3.0),
         (cycle_graph(5), SQRT5),
     ]:
-        sol = theta_bar(g, tol=1e-7)
-        col = extract_vector_coloring(sol, g)
-        m = mycielski_theta_formula(col.value).m
-        lifted = lift_coloring(g, col, m)
+        doc, _ = certify(g, 1e-7)  # its lifted coloring has the value m_formula
         big = theta_bar(mycielskian(g, 2), tol=1e-6)
-        assert big.value <= lifted.value + 1e-4
-        assert verify_lift(g, lifted) <= max(1e-8, 20 * sol.tol_requested)
+        assert big.value <= doc["m_formula"] + 1e-4
+        assert doc["checks"]["lift_violation"] <= max(1e-8, 20 * 1e-7)
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +184,6 @@ def test_certificate_c5():
     assert cert.ratio == pytest.approx(m, abs=1e-7)
     assert cert.T_hat.shape == (11, 11)
     assert verify_block_spectrum(cert).ok
-    for verbose in (False, True):  # the JSON text is the dict, dumped
-        assert cert.to_json(verbose) == json.dumps(cert.to_dict(verbose), indent=2, sort_keys=True)
     assert "T_hat" in cert.to_dict(verbose=True) and "T_hat" not in cert.to_dict()
 
 
@@ -297,15 +291,10 @@ def test_bipartite_round_trip_snaps_boundary():
     from myctheta import path_graph
 
     for g in (path_graph(4), cycle_graph(6)):
-        sol = theta_bar(g, tol=1e-7)
-        t_matrix = optimal_edge_matrix(g, sol)
-        t_val = spectral_ratio(t_matrix, g)
-        cert = build_spectral_certificate(g, t_matrix, t_val)
-        assert cert.ratio == pytest.approx(SQRT5, abs=1e-6)
-        assert verify_block_spectrum(cert).ok
-        coloring = extract_vector_coloring(sol, g)
-        lifted = lift_coloring(g, coloring, mycielski_theta_formula(coloring.value).m)
-        assert verify_lift(g, lifted) <= 1e-5
+        doc, _ = certify(g, 1e-7)
+        assert doc["certificate"]["ratio"] == pytest.approx(SQRT5, abs=1e-6)
+        assert doc["checks"]["block_spectrum"] is True
+        assert doc["checks"]["lift_violation"] <= 1e-5
 
 
 def test_pipeline_on_random_graphs():
@@ -320,20 +309,26 @@ def test_pipeline_on_random_graphs():
     for _ in range(20):
         g = random_graph_with_edge(rng, rng.randint(2, 8), rng.choice([0.3, 0.5, 0.8]))
         sol = theta_bar(g, tol=1e-7)
-        t_matrix = optimal_edge_matrix(g, sol)
-        t_val = spectral_ratio(t_matrix, g)
-        assert abs(t_val - sol.value) <= 100 * sol.tol_requested + sol.tolerance_achieved
-        cert = build_spectral_certificate(g, t_matrix, t_val)
-        m = mycielski_theta_formula(t_val).m
-        assert cert.ratio == pytest.approx(m, abs=1e-6)
-        assert verify_block_spectrum(cert).ok
-        assert check_certificate_inequalities(
-            cert.t, cert.m, cert.gamma, cert.delta, cert.eta
-        ).ok
-        coloring = extract_vector_coloring(sol, g)
-        lifted = lift_coloring(g, coloring, mycielski_theta_formula(coloring.value).m)
-        assert verify_lift(g, lifted) <= 1e-5
-        assert abs(lifted.value - cert.ratio) <= 1e-4
+        doc, _ = certify(g, 1e-7)
+        assert doc["theta"] == sol.value
+        assert abs(doc["t_spectral"] - sol.value) <= 100 * sol.tol_requested + sol.tolerance_achieved
+        ratio, checks = doc["certificate"]["ratio"], doc["checks"]
+        assert ratio == pytest.approx(doc["m_formula"], abs=1e-6)
+        assert checks["block_spectrum"] is True and checks["inequalities"] is True
+        assert checks["lift_violation"] <= 1e-5
+        # m(theta), the value of a coloring lifted from the solver's own, meets the ratio
+        assert abs(mycielski_theta_formula(sol.value).m - ratio) <= 1e-4
+
+
+def test_certify_verbose_document_holds_the_matrices():
+    c5 = cycle_graph(5)
+    plain, ok = certify(c5, 1e-7)
+    full, full_ok = certify(c5, 1e-7, verbose=True)
+    assert ok is True and full_ok is True
+    assert "T" not in plain["certificate"] and "T_hat" not in plain["certificate"]
+    assert np.asarray(full["certificate"].pop("T")).shape == (5, 5)
+    assert np.asarray(full["certificate"].pop("T_hat")).shape == (11, 11)
+    assert full == plain
 
 
 def test_round_trip_with_solver_matrices():
@@ -345,13 +340,10 @@ def test_round_trip_with_solver_matrices():
         cycle_graph(5),
         cycle_graph(7),
     ):
-        sol = theta_bar(g, tol=1e-7)
-        t_matrix = optimal_edge_matrix(g, sol)
-        t_val = spectral_ratio(t_matrix, g)
-        cert = build_spectral_certificate(g, t_matrix, t_val)
-        target = mycielski_theta_formula(theta_bar(g, tol=1e-7).value).m
-        assert cert.ratio == pytest.approx(target, abs=1e-6)
-        assert verify_block_spectrum(cert).ok
+        doc, _ = certify(g, 1e-7)
+        target = mycielski_theta_formula(doc["theta"]).m
+        assert doc["certificate"]["ratio"] == pytest.approx(target, abs=1e-6)
+        assert doc["checks"]["block_spectrum"] is True
 
 
 def simplex_coloring(n: int) -> VectorColoring:

@@ -381,6 +381,32 @@ def test_theta_json_schema(capsys):
     assert abs(doc["value"] - math.sqrt(5)) < 1e-5
 
 
+@pytest.mark.parametrize("family", ["cycle:5", "tournament:3"])
+@pytest.mark.parametrize("which", ["omega", "omega-s", "omega-tr", "chi", "chi-f", "power-bound", "all"])
+def test_invariant_json_schema(family, which, capsys):
+    # each --which value validates, or is refused with exit 2 on the other kind of graph
+    directed = family.startswith("tournament")
+    code, payload, err = run_cli(["invariant", "--family", family, "--which", which], capsys)
+    if which in (("omega", "chi", "chi-f") if directed else ("omega-s", "omega-tr")):
+        assert (code, payload) == (2, "") and err.startswith(f"error: --which {which} needs")
+        return
+    assert code == 0
+    doc = json.loads(payload)
+    make_validator("invariant.schema.json").validate(doc)
+    assert doc["directed"] is directed
+    key = {"omega-s": "omega_s", "omega-tr": "omega_tr", "chi-f": "chi_f", "power-bound": "lower_bound"}
+    assert which == "all" or key.get(which, which) in doc
+
+
+@pytest.mark.parametrize("t", ["2", "3", "10.5"])
+def test_myc_theta_json_schema(t, capsys):
+    code, payload, _ = run_cli(["myc-theta", "--t", t, "--format", "json"], capsys)
+    assert code == 0
+    doc = json.loads(payload)
+    make_validator("myc-theta.schema.json").validate(doc)
+    assert doc["t"] == float(t)
+
+
 def test_certify_k3(capsys):
     code, payload, _ = run_cli(["certify", "--family", "complete:3"], capsys)
     assert code == 0
@@ -402,6 +428,22 @@ def test_certify_exits_1_when_the_lift_check_fails(capsys, monkeypatch):
     make_validator("certify.schema.json").validate(doc)
     assert doc["checks"]["lift_ok"] is False
     assert doc["checks"]["block_spectrum"] is True and doc["checks"]["inequalities"] is True
+
+
+@pytest.mark.parametrize("check, fake", [
+    (None, None),
+    ("verify_lift", lambda g, lifted: 1.0),
+    ("verify_block_spectrum", lambda cert: certificates.BlockSpectrumReport(False, 1.0, (0.0, 1.0))),
+])
+def test_certify_verdict_is_the_exit_code(check, fake, capsys, monkeypatch):
+    # the library's verdict and the CLI's exit code are one decision on one document
+    if check is not None:
+        monkeypatch.setattr(certificates, check, fake)
+    doc, ok = certificates.certify(graphs.cycle_graph(5), 1e-7)
+    code, payload, _ = run_cli(["certify", "--family", "cycle:5"], capsys)
+    assert ok is (check is None)
+    assert code == (0 if ok else 1)
+    assert payload == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def test_construct_lifted_extend(capsys):
@@ -476,6 +518,16 @@ def test_construct_no_lift_check_at_scale(n, r, t, capsys):
 def test_usage_errors_are_one_line(argv, message, capsys):
     # argparse's usage errors read as a DomainError does: one line, exit 2
     assert run_cli(argv, capsys) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("command", ["gen", "invariant", "theta", "certify", "report"])
+@pytest.mark.parametrize("sources, message", [
+    ([], "one of the arguments --family --edges is required"),
+    (["--family", "cycle:5", "--edges", "c5.edges"], "argument --edges: not allowed with argument --family"),
+])
+def test_graph_commands_take_exactly_one_source(command, sources, message, capsys):
+    # no graph source or two of them: one usage line and exit 2, nothing read
+    assert run_cli([command, *sources], capsys) == (2, "", f"error: {message}\n")
 
 
 def test_help_still_prints_usage(capsys):

@@ -45,8 +45,9 @@ from . import eigen
 from .errors import CertificateError, DomainError
 from .formula import _snap_boundary, cubic_residual, mycielski_theta_formula
 from .graphs import Graph, mycielskian
-from .theta import (VectorColoring, extract_vector_coloring, optimal_edge_matrix,
-                    spectral_ratio, theta_bar)
+from .theta import (VectorColoring, _edge_spectrum, _optimal_edge_spectrum, _ratio,
+                    extract_vector_coloring, theta_bar)
+from .theta import spectral_ratio  # noqa: F401  still importable from this module, as before
 
 _CONSISTENCY_TOL = 1e-6
 
@@ -208,6 +209,7 @@ class SpectralCertificate:
     lambda_max: float
     lambda_min: float
     degenerate_top: bool          # lambda_1 of T has multiplicity > 1
+    hat_eigenvalues: np.ndarray   # of T_hat, ascending
 
     @property
     def ratio(self) -> float:
@@ -243,7 +245,15 @@ def build_spectral_certificate(g: Graph, t_matrix: np.ndarray, t: float,
     agree with the spectral ratio of T within 1e-4; m defaults to the formula
     value m(t).
     """
-    ratio_t = spectral_ratio(t_matrix, g)
+    return _assemble_certificate(g, _edge_spectrum(t_matrix, g), t, m)
+
+
+def _assemble_certificate(g: Graph, spectrum: tuple[np.ndarray, np.ndarray, np.ndarray],
+                          t: float, m: Optional[float]) -> SpectralCertificate:
+    """`build_spectral_certificate` from T's `_edge_spectrum`, so that T is
+    decomposed once."""
+    t_sym, vals, vecs = spectrum
+    ratio_t = _ratio(vals)
     if abs(ratio_t - t) > 1e-4:
         raise DomainError(
             f"supplied t = {t} but T attains ratio {ratio_t}; difference too large"
@@ -254,8 +264,6 @@ def build_spectral_certificate(g: Graph, t_matrix: np.ndarray, t: float,
     _check_pair(t, m)
     gamma, delta, eta = certificate_parameters(t, m)
     n = g.n
-    t_sym = 0.5 * (np.asarray(t_matrix, dtype=float) + np.asarray(t_matrix, dtype=float).T)
-    vals, vecs = eigen.eigh(t_sym)
     lam_desc = vals[::-1].copy()
     lam1 = float(lam_desc[0])
     lam_n = float(lam_desc[-1])
@@ -289,7 +297,7 @@ def build_spectral_certificate(g: Graph, t_matrix: np.ndarray, t: float,
         T=t_sym, T_hat=t_hat, eigenvalues=lam_desc, v1=v1,
         expected_max=expected_max, expected_min=expected_min,
         lambda_max=lam_max_hat, lambda_min=lam_min_hat,
-        degenerate_top=degenerate,
+        degenerate_top=degenerate, hat_eigenvalues=hat_vals,
     )
 
 
@@ -315,7 +323,7 @@ def verify_block_spectrum(cert: SpectralCertificate,
     """Sp(T_hat) equals the union of the block spectra, eigenvalue by eigenvalue."""
     collected = np.concatenate([eigen.eigh(b)[0] for b in certificate_blocks(cert)])
     collected.sort()
-    hat_vals = eigen.eigh(cert.T_hat)[0]
+    hat_vals = cert.hat_eigenvalues
     gaps = np.abs(collected - hat_vals)
     worst = float(np.max(gaps))
     if worst <= tol:
@@ -399,10 +407,10 @@ def certify(g: Graph, tol: float, verbose: bool = False) -> tuple[dict, bool]:
     the matrices T and T_hat to the document.
     """
     sol = theta_bar(g, tol)
-    t_matrix = optimal_edge_matrix(g, sol)
-    t = spectral_ratio(t_matrix, g)
+    spectrum = _optimal_edge_spectrum(g, sol)[1:]
+    t = _ratio(spectrum[1])
     m = mycielski_theta_formula(t).m
-    cert = build_spectral_certificate(g, t_matrix, t, m)
+    cert = _assemble_certificate(g, spectrum, t, m)
     block = verify_block_spectrum(cert)
     ineq = check_certificate_inequalities(cert.t, cert.m, cert.gamma, cert.delta, cert.eta)
     lift_violation = verify_lift(g, lift_coloring(g, extract_vector_coloring(sol, g), m))

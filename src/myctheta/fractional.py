@@ -29,9 +29,20 @@ programming problems*):
 So no answer depends on a float, and the cover and the clique agree
 exactly, which is what makes identities such as the Mycielski formula for
 chi_f testable without tolerances.  The basis is n x n and its exact solve
-costs O(n^3), so chi_f takes at most 128 vertices (M(C5)^2 has 121, C5^3
-125).  The enumeration stops past 3^10 maximal independent sets, the
-Moon-Moser maximum for 30 vertices.
+costs O(n^3), so the LP takes at most 128 vertices.  The enumeration stops
+past 3^10 maximal independent sets, the Moon-Moser maximum for 30 vertices.
+
+An OR-power is not solved on its own.  When g is the t-th OR-power of its
+leading block H, in the layout of `or_power` (`symmetry._power_base`), the
+LP is solved on H alone, so the 128-vertex limit applies to H, and chi_f(g)
+= chi_f(H)^t exactly (Scheinerman & Ullman, *Fractional Graph Theory*,
+1997).  The projections of an independent set of H^t are independent in H,
+so every independent set of H^t lies in a product of independent sets of H.
+Hence the products of H's cover sets, weighted by the products of their
+weights, cover H^t, and the Kronecker power of H's fractional clique weighs
+every independent set of H^t at most 1.  Both have value chi_f(H)^t, which
+proves them optimal from H's integer-checked certificate.  C7^3 (343
+vertices) and M(C5)^3 (1331) are lifted from C7 and M(C5).
 """
 
 from __future__ import annotations
@@ -44,6 +55,7 @@ import numpy as np
 
 from .errors import DomainError, MycthetaInternal, SizeLimitError
 from .graphs import Graph
+from .symmetry import _power_base
 
 MAX_VERTICES_CHI_F = 128
 MAX_INDEPENDENT_SETS = 3 ** 10
@@ -243,9 +255,30 @@ def _dual_simplex_cover(m: int, col_rows: list[tuple[int, ...]]
 
 
 def fractional_chromatic(g: Graph) -> FractionalChromaticResult:
-    """Exact chi_f(G) with a fractional cover and the dual fractional clique."""
+    """Exact chi_f(G) with a fractional cover and the dual fractional clique.
+
+    A recognised OR-power H^t is lifted from H (see the module docstring),
+    so the vertex limit applies to H; every other graph is solved by
+    `_solve`.
+    """
     if g.n < 1:
         raise DomainError("fractional chromatic number needs a nonempty graph")
+    power = _power_base(g)
+    if power is None:
+        return _solve(g)
+    h, t = Graph(len(power[0]), power[0]), power[1]
+    base = _solve(h)
+    cover: list[tuple[frozenset, Fraction]] = [(frozenset([0]), Fraction(1))]
+    clique = [Fraction(1)]
+    for _ in range(t):  # vertex (u, v) of H^s x H is u n_H + v, as in `or_power`
+        cover = [(frozenset(u * h.n + v for u in s for v in r), w * x)
+                 for s, w in cover for r, x in base.cover_weights]
+        clique = [y * z for y in clique for z in base.clique_weights]
+    return FractionalChromaticResult(base.value ** t, tuple(cover), tuple(clique))
+
+
+def _solve(g: Graph) -> FractionalChromaticResult:
+    """chi_f(g) from the LP over all of g's maximal independent sets."""
     if g.n > MAX_VERTICES_CHI_F:
         raise SizeLimitError(
             f"chi_f limited to {MAX_VERTICES_CHI_F} vertices, got {g.n}"

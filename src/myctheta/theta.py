@@ -39,14 +39,38 @@ iterations, and draw 18 did not certify (nor within 50 000); memory 10 took
 and at most 6250 (draw 18, theta = 7.0112121); memory 20 took 15.3 s, draw
 18 13 750.  At memory M the history holds M differences of map values and
 M of residuals, each 2n^2 doubles, so it costs 2 * M * 2n^2 * 8 bytes:
-187 MB at n = 625 (C5^4, whose solve then peaks at 268 MB against 152 MB
-at memory 5).
+187 MB at n = 625 (a direct solve of C5^4 peaks at 268 MB, against 152 MB
+at memory 5; `theta_bar` lifts C5^4 from C5 instead, see below).
 
 At convergence S = -rho * u is the dual slack matrix: S is PSD, its
 diagonal approaches theta - 1 and its edge entries -1, so S / (theta - 1)
 is the Gram matrix of an optimal strict vector coloring; and
 the diagonally normalized primal minus the identity is an edge-supported
 matrix attaining the spectral ratio formula 1 + lambda_max / |lambda_min|.
+
+An OR-power is not solved on its own.  When g is the t-th OR-power of its
+leading block H, in the layout of `or_power` (`symmetry._power_base`, the
+test the clique search uses), H is solved and its certificate is raised to
+the t-th Kronecker power, as in Lovasz's proof that theta is multiplicative
+(Lovasz 1979, *On the Shannon capacity of a graph*, Theorem 7; the
+complement of an OR-power is the strong power of the complement):
+
+* x_hat^(kron t) is PSD, has trace 1 and vanishes off the support of g^t,
+  since every non-adjacent pair of g^t has a distinct, non-adjacent
+  coordinate, so <J, x_hat^(kron t)> = lo^t is a lower bound;
+* with lambda = hi the bracket's upper end and C the bracket's dual matrix,
+  M = lambda I - C + J has diagonal lambda, zeros on E(H) and M - J PSD, so
+  M^(kron t) - J is PSD (Kronecker powers keep the Loewner order between PSD
+  matrices) with diagonal lambda^t and zeros on E(g^t): a feasible dual
+  point of value hi^t, and the lifted `dual_slack`.
+
+The bracket [lo^t, hi^t] is about t hi^(t-1) times as wide as H's, so H is
+solved at tol / (t n_H^(t-1)), as theta_bar(H) <= n_H, but never below the
+1e-10 floor of `check_tol`.  If the lifted bracket is still wider than tol,
+or H's solve reaches its cap, g is solved directly.  A lifted solution's
+`iterations` are those of H's solve, and `lifted` is (n_H, t).  A graph
+that is not a recognised power, a Mycielskian above all (theta_bar(M(G)) =
+m(theta_bar(G)) is the theorem the package checks), is solved directly.
 """
 
 from __future__ import annotations
@@ -54,14 +78,17 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from . import eigen
 from .errors import ConvergenceError, DomainError, MycthetaError
 from .graphs import Graph
+from .symmetry import _power_base
 
 DEFAULT_TOL = 1e-6
+MIN_TOL = 1e-10            # the tightest tolerance `check_tol` accepts
 MAX_ITERATIONS = 200_000
 _RESIDUAL_SAFETY = 50.0    # residual target below tol so the value meets tol
 _CERTIFY_EVERY = 250       # iterations between bracket evaluations
@@ -80,6 +107,7 @@ class ThetaSolution:
     tol_requested: float
     iterations: int
     n: int
+    lifted: Optional[tuple[int, int]] = None  # (n_H, t) when lifted from the base H
 
     @property
     def dual_edge_matrix(self) -> np.ndarray:
@@ -97,6 +125,8 @@ class ThetaSolution:
             "iterations": self.iterations,
             "n": self.n,
         }
+        if self.lifted is not None:
+            doc["lifted"] = {"base_n": self.lifted[0], "t": self.lifted[1]}
         if verbose:
             doc["primal"] = self.primal.tolist()
             doc["dual_edge_matrix"] = self.dual_edge_matrix.tolist()
@@ -188,7 +218,7 @@ class _AndersonHistory:
 
 def check_tol(tol: float) -> None:
     """Reject a requested tolerance outside [1e-10, 1e-3], NaN included."""
-    if not (1e-10 <= tol <= 1e-3):
+    if not (MIN_TOL <= tol <= 1e-3):
         raise DomainError(f"tol must lie in [1e-10, 1e-3], got {tol}")
 
 
@@ -196,9 +226,11 @@ def theta_bar(g: Graph, tol: float = DEFAULT_TOL,
               max_iterations: int = MAX_ITERATIONS) -> ThetaSolution:
     """Complementary Lovasz theta number of g, certified within tol.
 
-    Edgeless graphs (including K_1) short-circuit to the exact value 1.
-    Raises ConvergenceError, carrying the best certified value and bracket
-    width, if the iteration cap is reached first.
+    Edgeless graphs (including K_1) short-circuit to the exact value 1.  A
+    recognised OR-power is lifted from its base (see the module docstring);
+    every other graph is solved by `_solve`.  Raises ConvergenceError,
+    carrying the best certified value and bracket width, if the iteration
+    cap is reached first.
     """
     if g.n < 1:
         raise DomainError("theta needs at least one vertex")
@@ -215,6 +247,52 @@ def theta_bar(g: Graph, tol: float = DEFAULT_TOL,
             iterations=0,
             n=n,
         )
+    power = _power_base(g)
+    if power is not None:
+        lifted = _lift(Graph(len(power[0]), power[0]), power[1], tol, max_iterations)
+        if lifted is not None:
+            return lifted
+    return _solve(g, tol, max_iterations)[0]
+
+
+def _lift(h: Graph, t: int, tol: float, max_iterations: int) -> Optional[ThetaSolution]:
+    """theta_bar(h^t) from one solve of h, or None when the lifted bracket is
+    wider than tol or h's solve reaches the cap."""
+    b = h.n
+    try:
+        base, lower, upper = _solve(h, max(MIN_TOL, tol / (t * b ** (t - 1))), max_iterations)
+    except ConvergenceError:
+        return None
+    # each float power is rounded outward by one step, so rounding cannot narrow the bracket
+    lower_t, upper_t = math.nextafter(lower ** t, 0.0), math.nextafter(upper ** t, math.inf)
+    if upper_t - lower_t > tol:
+        return None
+    # M = hi I - C + J: hi on the diagonal, 0 on the edges, and 1 + S on the
+    # non-edges, where the bracket's C is exactly -S
+    m = base.dual_slack + 1.0
+    m[h.bool_matrix()] = 0.0
+    np.fill_diagonal(m, upper)
+    primal, dual = base.primal, m
+    for _ in range(t - 1):
+        primal, dual = np.kron(primal, base.primal), np.kron(dual, m)
+    dual -= 1.0
+    return ThetaSolution(
+        value=0.5 * (lower_t + upper_t),
+        primal=primal,
+        dual_slack=dual,
+        tolerance_achieved=0.5 * (upper_t - lower_t),
+        tol_requested=tol,
+        iterations=base.iterations,
+        n=len(primal),
+        lifted=(b, t),
+    )
+
+
+def _solve(g: Graph, tol: float, max_iterations: int) -> tuple[ThetaSolution, float, float]:
+    """(solution, lower, upper): theta_bar(g) solved directly, by the splitting
+    iteration, with the certified bracket [lower, upper] it stopped on.  g must
+    have an edge."""
+    n = g.n
     nonedge = _nonedge_mask(g)
     jmat = np.ones((n, n))
     rho = 2.0 * n  # penalty scaled to the graph (see the module docstring)
@@ -280,7 +358,7 @@ def theta_bar(g: Graph, tol: float = DEFAULT_TOL,
         tol_requested=tol,
         iterations=iteration,
         n=n,
-    )
+    ), lower, upper
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +371,18 @@ def spectral_ratio(t_matrix: np.ndarray, g: Graph) -> float:
     T must be nonzero, symmetric, have zero diagonal and vanish off E(G); the
     smallest eigenvalue of such a matrix is negative since its trace is zero.
     """
+    return _ratio(_edge_spectrum(t_matrix, g)[1])
+
+
+def _ratio(vals: np.ndarray) -> float:
+    """1 + lambda_max / |lambda_min| from ascending eigenvalues."""
+    return 1.0 + float(vals[-1]) / abs(float(vals[0]))
+
+
+def _edge_spectrum(t_matrix: np.ndarray, g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(T_sym, eigenvalues, eigenvectors): T checked as `spectral_ratio`
+    requires, its symmetric part, and that part's one decomposition, which
+    the certificate reuses."""
     t = np.asarray(t_matrix, dtype=float)
     if t.shape != (g.n, g.n):
         raise DomainError(f"matrix shape {t.shape} does not match graph on {g.n} vertices")
@@ -305,11 +395,11 @@ def spectral_ratio(t_matrix: np.ndarray, g: Graph) -> float:
     off_support = np.abs(t) > 1e-12 * scale
     if np.any(off_support & nonedge) or np.any(np.abs(np.diag(t)) > 1e-12 * scale):
         raise DomainError("matrix support must lie exactly on the edge set")
-    vals = eigen.eigh(0.5 * (t + t.T))[0]
-    lam_min, lam_max = float(vals[0]), float(vals[-1])
-    if lam_min >= 0:
+    t_sym = 0.5 * (t + t.T)
+    vals, vecs = eigen.eigh(t_sym)
+    if float(vals[0]) >= 0:
         raise DomainError("matrix has no negative eigenvalue; support check failed")
-    return 1.0 + lam_max / abs(lam_min)
+    return t_sym, vals, vecs
 
 
 def optimal_edge_matrix(g: Graph, sol: ThetaSolution) -> np.ndarray:
@@ -325,6 +415,13 @@ def optimal_edge_matrix(g: Graph, sol: ThetaSolution) -> np.ndarray:
     adjacency matrix remain as fallbacks; raises when nothing reaches the
     slack, in which case a caller-supplied T is required.
     """
+    return _optimal_edge_spectrum(g, sol)[0]
+
+
+def _optimal_edge_spectrum(g: Graph, sol: ThetaSolution
+                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(T, T_sym, eigenvalues, eigenvectors) for `optimal_edge_matrix`'s T,
+    with the `_edge_spectrum` that chose it."""
     if g.m == 0:
         raise DomainError("edgeless graphs admit no edge-supported matrix")
     if sol.n != g.n:
@@ -346,11 +443,12 @@ def optimal_edge_matrix(g: Graph, sol: ThetaSolution) -> np.ndarray:
     best, best_ratio = None, -math.inf
     for cand in candidates:
         try:
-            ratio = spectral_ratio(cand, g)
+            spectrum = _edge_spectrum(cand, g)
         except DomainError:
             continue
+        ratio = _ratio(spectrum[1])
         if ratio > best_ratio:
-            best, best_ratio = cand, ratio
+            best, best_ratio = (cand, *spectrum), ratio
     slack = 100.0 * sol.tol_requested
     if best is None or best_ratio < sol.value - slack:
         raise MycthetaError(

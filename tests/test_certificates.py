@@ -375,3 +375,40 @@ def test_upper_meets_lower_on_corpus():
         lifted = lift_coloring(g, coloring, mycielski_theta_formula(coloring.value).m)
         assert cert.ratio == pytest.approx(lifted.value, abs=2e-6)
         assert verify_lift(g, lifted) <= 1e-5
+
+
+@pytest.mark.parametrize("family", ["power:cycle:5:t=2", "power:cycle:7:t=2",
+                                    "power:mycielski:cycle:5:t=2"])
+def test_certify_holds_on_lifted_powers(family):
+    # the Kronecker-power certificate of the lift passes all four checks
+    from myctheta.cli import parse_family
+
+    doc, ok = certify(parse_family(family), 1e-7)
+    assert ok
+    assert all(doc["checks"][k] is True for k in
+               ("ratio_matches_formula", "block_spectrum", "inequalities", "lift_ok"))
+
+
+def test_certify_decomposes_t_and_t_hat_once(monkeypatch):
+    # after the solve, certify decomposes the three edge-matrix candidates, the
+    # coloring Gram matrix and T_hat once each: five dense eigh calls on
+    # M(C5)^2, where recomputing T's and T_hat's spectra took nine (seven
+    # 121 x 121 and two 243 x 243)
+    from myctheta import certificates, or_power
+
+    g = or_power(mycielskian(cycle_graph(5)), 2)
+    sol = theta_bar(g, 1e-7)
+    monkeypatch.setattr(certificates, "theta_bar", lambda graph, tol: sol)
+    sizes = []
+    real = eigen.eigh
+
+    def counted(a):
+        sizes.append(len(a))
+        return real(a)
+
+    monkeypatch.setattr(eigen, "eigh", counted)
+    doc, ok = certify(g, 1e-7)
+    assert ok
+    dense = [n for n in sizes if n >= g.n]
+    assert dense.count(g.n) == 4 and dense.count(2 * g.n + 1) == 1
+    assert len(dense) <= 9 - 3

@@ -381,6 +381,17 @@ def test_theta_json_schema(capsys):
     assert abs(doc["value"] - math.sqrt(5)) < 1e-5
 
 
+@pytest.mark.parametrize("spec, lifted", [("power:cycle:7:t=2", {"base_n": 7, "t": 2}),
+                                          ("cycle:7", None)])
+def test_theta_json_says_when_it_was_lifted(spec, lifted, capsys):
+    # a recognised power carries "lifted"; any other graph's document has no such key
+    code, payload, _ = run_cli(["theta", "--family", spec], capsys)
+    assert code == 0
+    doc = json.loads(payload)
+    make_validator("theta.schema.json").validate(doc)
+    assert doc.get("lifted") == lifted
+
+
 @pytest.mark.parametrize("family", ["cycle:5", "tournament:3"])
 @pytest.mark.parametrize("which", ["omega", "omega-s", "omega-tr", "chi", "chi-f", "power-bound", "all"])
 def test_invariant_json_schema(family, which, capsys):

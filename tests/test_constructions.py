@@ -345,13 +345,16 @@ def test_capacity_report_raises_internal_errors(monkeypatch):
 
 
 def test_capacity_report_records_errors():
-    # chi_f is size-limited: a 129+ vertex graph lands in errors, not an exception
+    # chi_f is size-limited: a 129+ vertex graph that is not an OR-power lands
+    # in errors, not an exception
     from myctheta import empty_graph
 
-    big = or_power(empty_graph(12), 2)  # 144 vertices, edgeless
+    big = empty_graph(145)  # edgeless; 145 = 5 * 29 is no power, so no base is solved instead
     report = capacity_report(big, ReportOptions(max_power=1))
     assert "chi_f" in report.errors
     assert report.theta == 1.0
+    # an OR-power's limit applies to its base: E_12^2 has 144 vertices, E_12 twelve
+    assert capacity_report(or_power(empty_graph(12), 2), ReportOptions(max_power=1)).errors == {}
 
 
 def test_report_csv_and_json_shapes():

@@ -122,10 +122,41 @@ def test_chi_f_at_scale():
     res = fractional_chromatic(product)
     assert res.value == Fraction(29, 4) == Fraction(5, 2) * Fraction(29, 10)
     assert_optimal_pair(product, res)
-    square = or_power(mc5, 2)  # 121 vertices
-    res = fractional_chromatic(square)
-    assert res.value == Fraction(841, 100) == Fraction(29, 10) ** 2
-    assert_optimal_pair(square, res)
+    # M(C5)^2, 121 vertices: lifted from M(C5), and solved as an LP by
+    # `_solve`, the function the lift calls on the base
+    square = or_power(mc5, 2)
+    for res in (fractional_chromatic(square), fractional._solve(square)):
+        assert res.value == Fraction(841, 100) == Fraction(29, 10) ** 2
+        assert_optimal_pair(square, res)
+
+
+# M(C5)^2 is the fourth power the lift is checked on, in test_chi_f_at_scale
+LIFTED_POWERS = [("C5^2", cycle_graph(5), 2), ("C7^2", cycle_graph(7), 2),
+                 ("C5^3", cycle_graph(5), 3)]
+
+
+@pytest.mark.parametrize("name, base, t", LIFTED_POWERS, ids=[p[0] for p in LIFTED_POWERS])
+def test_lifted_chi_f_equals_the_lp(name, base, t):
+    g = or_power(base, t)
+    lifted = fractional_chromatic(g)
+    assert lifted.value == fractional._solve(g).value == fractional_chromatic(base).value ** t
+    if g.n <= 49:  # C5^2 and C7^2: the product cover and clique, checked in Fractions
+        assert_optimal_pair(g, lifted)
+
+
+@pytest.mark.parametrize("base, t, value", [
+    (mycielskian(cycle_graph(7), 2), 2, Fraction(58, 21) ** 2),  # 225 vertices
+    (cycle_graph(7), 3, Fraction(343, 27)),                      # 343
+    (mycielskian(cycle_graph(5), 2), 3, Fraction(24389, 1000)),  # 1331
+], ids=["M(C7)^2", "C7^3", "M(C5)^3"])
+def test_chi_f_of_powers_past_the_vertex_limit(base, t, value):
+    # the 128-vertex limit applies to the base, so these are exact too
+    g = or_power(base, t)
+    assert g.n > fractional.MAX_VERTICES_CHI_F
+    res = fractional_chromatic(g)
+    assert res.value == value
+    assert len(res.clique_weights) == g.n and sum(res.clique_weights) == value
+    assert sum(w for _, w in res.cover_weights) == value
 
 
 def test_lpu_identity_exact():

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from myctheta import (
     spectral_ratio,
     theta_bar,
 )
+from myctheta import theta as theta_mod
+from myctheta.formula import mycielski_theta_formula
 from myctheta.graphs import Graph
 
 from conftest import complete_join, random_graph
@@ -329,30 +332,127 @@ def test_mycielskian_of_c5_squared_matches_formula():
 def test_theta_multiplicative_at_scale():
     # M(C5)^2 has n = 121; theta_bar is multiplicative under OR products, so
     # the bracket of theta_bar(M(C5))^2 must meet the bracket at n = 121.
-    # The accelerated step certifies it in 234 iterations (plain splitting
-    # at penalty 2n needed 634, at penalty 1 5528)
+    # theta_bar lifts the power from M(C5), so the splitting solver is run on
+    # all 121 vertices through `_solve`, the function the lift calls on the
+    # base.  The accelerated step certifies it in 234 iterations (plain
+    # splitting at penalty 2n needed 634, at penalty 1 5528)
     base = theta_bar(mycielskian(cycle_graph(5)), tol=1e-6)
-    sol = theta_bar(or_power(mycielskian(cycle_graph(5)), 2), tol=1e-6)
-    assert sol.n == 121 and sol.iterations <= 1500
+    g = or_power(mycielskian(cycle_graph(5)), 2)
     h = base.tolerance_achieved
     square_slack = 2.0 * base.value * h + h * h  # half-width of the squared bracket
-    assert abs(sol.value - base.value ** 2) <= sol.tolerance_achieved + square_slack
+    direct = theta_mod._solve(g, 1e-6, theta_mod.MAX_ITERATIONS)[0]
+    lifted = theta_bar(g, tol=1e-6)
+    assert direct.n == lifted.n == 121 and direct.iterations <= 1500
+    assert direct.lifted is None and lifted.lifted == (11, 2)
+    for sol in (direct, lifted):
+        assert abs(sol.value - base.value ** 2) <= sol.tolerance_achieved + square_slack
 
 
 def test_theta_c5_cubed():
-    sol = theta_bar(or_power(cycle_graph(5), 3), tol=1e-6)
-    assert sol.n == 125
-    assert abs(sol.value - 5.0 ** 1.5) <= sol.tolerance_achieved
+    # the lifted value, and the splitting solver on all 125 vertices
+    g = or_power(cycle_graph(5), 3)
+    for sol in (theta_bar(g, tol=1e-6), theta_mod._solve(g, 1e-6, theta_mod.MAX_ITERATIONS)[0]):
+        assert sol.n == 125
+        assert abs(sol.value - 5.0 ** 1.5) <= sol.tolerance_achieved
 
 
 def test_extractions_at_scale():
     # the dual slack -rho * u must stay a coloring Gram matrix and the primal
-    # an optimal edge matrix at n = 121
+    # an optimal edge matrix at n = 121, from the splitting solver and from
+    # the Kronecker powers of M(C5)'s certificate alike
     g = or_power(mycielskian(cycle_graph(5)), 2)
-    sol = theta_bar(g, tol=1e-7)
-    assert extract_vector_coloring(sol, g).max_violation(g) < 1e-8
-    ratio = spectral_ratio(optimal_edge_matrix(g, sol), g)
-    assert abs(ratio - sol.value) <= sol.tol_requested
+    for sol in (theta_mod._solve(g, 1e-7, theta_mod.MAX_ITERATIONS)[0], theta_bar(g, tol=1e-7)):
+        assert extract_vector_coloring(sol, g).max_violation(g) < 1e-8
+        ratio = spectral_ratio(optimal_edge_matrix(g, sol), g)
+        assert abs(ratio - sol.value) <= sol.tol_requested
+
+
+LIFTED_POWERS = [("C5^2", cycle_graph(5), 2), ("C7^2", cycle_graph(7), 2),
+                 ("C5^3", cycle_graph(5), 3), ("M(C5)^2", mycielskian(cycle_graph(5)), 2)]
+
+
+@pytest.mark.parametrize("name, base, t", LIFTED_POWERS, ids=[p[0] for p in LIFTED_POWERS])
+def test_lifted_bracket_meets_the_direct_one(name, base, t):
+    g = or_power(base, t)
+    lifted = theta_bar(g, tol=1e-6)
+    direct = theta_mod._solve(g, 1e-6, theta_mod.MAX_ITERATIONS)[0]
+    assert lifted.lifted == (base.n, t) and direct.lifted is None
+    assert lifted.n == direct.n == g.n
+    assert 2.0 * lifted.tolerance_achieved <= 1e-6
+    # the iterations are those of the base's solve
+    assert lifted.iterations == theta_mod._solve(base, 1e-6 / (t * base.n ** (t - 1)),
+                                                 theta_mod.MAX_ITERATIONS)[0].iterations
+    lo = max(lifted.value - lifted.tolerance_achieved, direct.value - direct.tolerance_achieved)
+    hi = min(lifted.value + lifted.tolerance_achieved, direct.value + direct.tolerance_achieved)
+    assert lo <= hi
+
+
+def test_lifted_certificate_is_feasible():
+    # x_hat^(kron 2) is a feasible primal of C7^2 and M^(kron 2) - J a PSD
+    # slack with diagonal hi^2 - 1 and -1 on every edge
+    g = or_power(cycle_graph(7), 2)
+    sol = theta_bar(g, tol=1e-6)
+    x = sol.primal
+    nonedge = ~g.bool_matrix()
+    np.fill_diagonal(nonedge, False)
+    assert abs(np.trace(x) - 1.0) < 1e-12 and not x[nonedge].any()
+    assert np.linalg.eigvalsh(x)[0] >= -1e-12
+    assert abs(x.sum() - (sol.value - sol.tolerance_achieved)) <= 1e-12
+    s = sol.dual_slack
+    assert np.array_equal(s[g.bool_matrix()], -np.ones(2 * g.m))
+    assert np.allclose(np.diag(s), sol.value + sol.tolerance_achieved - 1.0, atol=1e-12)
+    assert np.linalg.eigvalsh(s)[0] >= -1e-12
+
+
+def test_theta_mc5_cubed_is_lifted_in_under_a_second():
+    # M(C5)^3 has 1331 vertices; its bracket is the cube of M(C5)'s, around
+    # m(sqrt 5)^3 = 13.819 (a direct solve would take minutes and about 1 GB)
+    g = or_power(mycielskian(cycle_graph(5)), 3)
+    start = time.perf_counter()
+    sol = theta_bar(g, tol=1e-6)
+    assert time.perf_counter() - start < 1.0
+    m = mycielski_theta_formula(math.sqrt(5)).m
+    assert sol.lifted == (11, 3) and 2.0 * sol.tolerance_achieved <= 1e-6
+    assert abs(sol.value - m ** 3) <= sol.tolerance_achieved + 1e-12
+
+
+def test_tightest_tolerance_still_certifies_a_power():
+    # at 1e-10 the base is solved at the 1e-10 floor, and the direct solve
+    # takes over if the lifted bracket is too wide
+    sol = theta_bar(or_power(cycle_graph(5), 2), tol=1e-10)
+    assert sol.tolerance_achieved <= 1e-10 and abs(sol.value - 5.0) <= sol.tolerance_achieved
+
+
+def test_too_wide_a_lift_falls_back_to_the_direct_solve(monkeypatch):
+    real = theta_mod._solve
+
+    def loose_base(g, tol, max_iterations):
+        sol, lower, upper = real(g, tol, max_iterations)
+        return sol, lower - (1e-3 if g.n == 5 else 0.0), upper
+
+    monkeypatch.setattr(theta_mod, "_solve", loose_base)
+    sol = theta_bar(or_power(cycle_graph(5), 2), tol=1e-6)
+    assert sol.lifted is None and sol.n == 25
+    assert abs(sol.value - 5.0) <= sol.tolerance_achieved <= 1e-6
+
+
+def test_a_capped_base_solve_falls_back_to_the_direct_solve():
+    # the base solve reaches the cap first; the direct solve raises as before
+    with pytest.raises(ConvergenceError):
+        theta_bar(or_power(mycielskian(cycle_graph(5)), 2), tol=1e-6, max_iterations=3)
+
+
+def test_shuffled_power_is_solved_directly():
+    # M(C5)^2 with its vertices shuffled is not recognised (`_power_base`
+    # reads the layout of `or_power`), so it is solved on all 121 vertices
+    g = or_power(mycielskian(cycle_graph(5)), 2)
+    perm = random.Random(13).sample(range(g.n), g.n)
+    shuffled = g.subgraph(perm)
+    direct = theta_bar(shuffled, tol=1e-6)
+    lifted = theta_bar(g, tol=1e-6)
+    assert direct.lifted is None and lifted.lifted == (11, 2)
+    assert abs(direct.value - lifted.value) <= direct.tolerance_achieved + lifted.tolerance_achieved
+
 
 
 def test_theta_petersen():

@@ -42,11 +42,11 @@ from typing import Optional
 import numpy as np
 
 from . import eigen
-from .errors import CertificateError, DomainError
+from .errors import CertificateError, DomainError, MycthetaError
 from .formula import _snap_boundary, cubic_residual, mycielski_theta_formula
 from .graphs import Graph, mycielskian
-from .theta import (VectorColoring, _edge_spectrum, _optimal_edge_spectrum, _ratio,
-                    extract_vector_coloring, theta_bar)
+from .theta import (VectorColoring, _edge_spectrum, _ratio, extract_vector_coloring,
+                    optimal_edge_matrix, theta_bar)
 from .theta import spectral_ratio  # noqa: F401  still importable from this module, as before
 
 _CONSISTENCY_TOL = 1e-6
@@ -320,8 +320,11 @@ class BlockSpectrumReport:
 
 def verify_block_spectrum(cert: SpectralCertificate,
                           tol: float = 1e-7) -> BlockSpectrumReport:
-    """Sp(T_hat) equals the union of the block spectra, eigenvalue by eigenvalue."""
-    collected = np.concatenate([eigen.eigh(b)[0] for b in certificate_blocks(cert)])
+    """Sp(T_hat) equals the union of the block spectra, eigenvalue by eigenvalue.
+
+    The 2x2 blocks are decomposed in one call, as an (n-1, 2, 2) stack."""
+    top, *pairs = certificate_blocks(cert)
+    collected = np.concatenate((eigen.eigh(top)[0], eigen.eigh(np.array(pairs))[0].ravel()))
     collected.sort()
     hat_vals = cert.hat_eigenvalues
     gaps = np.abs(collected - hat_vals)
@@ -404,11 +407,15 @@ def certify(g: Graph, tol: float, verbose: bool = False) -> tuple[dict, bool]:
     when all four checks hold: the ratio of T_hat is within 1e-6 of m(t),
     the block spectrum and the inequalities hold, and the lifted coloring
     misses its conditions by at most max(1e-8, 20 tol).  `verbose` adds
-    the matrices T and T_hat to the document.
+    the matrices T and T_hat to the document.  T is `optimal_edge_matrix`,
+    decomposed once; a T whose ratio t falls more than 100 tol below theta
+    raises MycthetaError, since the solution is then not optimal.
     """
     sol = theta_bar(g, tol)
-    spectrum = _optimal_edge_spectrum(g, sol)[1:]
+    spectrum = _edge_spectrum(optimal_edge_matrix(g, sol), g)
     t = _ratio(spectrum[1])
+    if t < sol.value - 100.0 * tol:
+        raise MycthetaError("no edge matrix within slack of the theta value; supply T manually")
     m = mycielski_theta_formula(t).m
     cert = _assemble_certificate(g, spectrum, t, m)
     block = verify_block_spectrum(cert)

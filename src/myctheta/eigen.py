@@ -2,8 +2,9 @@
 
 `eigh(a)` returns eigenvalues in ascending order and an orthonormal matrix of
 column eigenvectors.  Only the lower triangle of `a` is read, so callers pass
-exactly symmetric matrices.  Non-square input raises `numpy.linalg.LinAlgError`,
-a subclass of `ValueError`.
+exactly symmetric matrices.  A stack of shape (..., k, k) is decomposed matrix
+by matrix in one call.  Non-square input raises `numpy.linalg.LinAlgError`, a
+subclass of `ValueError`.
 """
 
 from __future__ import annotations

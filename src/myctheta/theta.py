@@ -94,6 +94,7 @@ _RESIDUAL_SAFETY = 50.0    # residual target below tol so the value meets tol
 _CERTIFY_EVERY = 250       # iterations between bracket evaluations
 _ANDERSON_MEMORY = 15      # residual differences kept by the accelerated step;
                            # sized in the module docstring, 2 * M * 2n^2 * 8 bytes
+_ROW_BLOCK = 512           # rows of inner products `max_violation` holds at once
 
 
 @dataclass
@@ -109,14 +110,6 @@ class ThetaSolution:
     n: int
     lifted: Optional[tuple[int, int]] = None  # (n_H, t) when lifted from the base H
 
-    @property
-    def dual_edge_matrix(self) -> np.ndarray:
-        """The primal with its diagonal zeroed; the solver's primal is exactly
-        zero off the support, so this is supported on the edges."""
-        edge_part = self.primal.copy()
-        np.fill_diagonal(edge_part, 0.0)
-        return edge_part
-
     def to_json(self, verbose: bool = False) -> str:
         doc = {
             "value": self.value,
@@ -128,8 +121,12 @@ class ThetaSolution:
         if self.lifted is not None:
             doc["lifted"] = {"base_n": self.lifted[0], "t": self.lifted[1]}
         if verbose:
+            # the primal with its diagonal zeroed; the solver's primal is exactly
+            # zero off the support, so this is supported on the edges
+            edge_part = self.primal.copy()
+            np.fill_diagonal(edge_part, 0.0)
             doc["primal"] = self.primal.tolist()
-            doc["dual_edge_matrix"] = self.dual_edge_matrix.tolist()
+            doc["dual_edge_matrix"] = edge_part.tolist()
         return json.dumps(doc, indent=2, sort_keys=True)
 
 
@@ -145,15 +142,24 @@ class VectorColoring:
         return int(self.vectors.shape[1])
 
     def max_violation(self, g: Graph) -> float:
-        """Worst deviation from unit norms and prescribed edge inner products."""
+        """Worst deviation from unit norms and prescribed edge inner products.
+
+        The inner products are formed _ROW_BLOCK rows at a time, as
+        V[rows] @ V.T, and read on the edges above the diagonal, so memory
+        stays at one block however many edges g has.
+        """
         norms = np.linalg.norm(self.vectors, axis=1)
         worst = float(np.max(np.abs(norms - 1.0))) if len(norms) else 0.0
         if g.m == 0:
             return worst
         target = -1.0 / (self.value - 1.0)
-        u, v = np.nonzero(np.triu(g.bool_matrix(), 1))
-        dots = np.einsum("ij,ij->i", self.vectors[u], self.vectors[v])
-        return max(worst, float(np.max(np.abs(dots - target))))
+        adj = g.bool_matrix()
+        for start in range(0, g.n, _ROW_BLOCK):
+            rows = slice(start, start + _ROW_BLOCK)
+            dots = (self.vectors[rows] @ self.vectors.T)[np.triu(adj[rows], start + 1)]
+            if dots.size:
+                worst = max(worst, float(np.max(np.abs(dots - target))))
+        return worst
 
 
 def _nonedge_mask(g: Graph) -> np.ndarray:
@@ -403,58 +409,29 @@ def _edge_spectrum(t_matrix: np.ndarray, g: Graph) -> tuple[np.ndarray, np.ndarr
 
 
 def optimal_edge_matrix(g: Graph, sol: ThetaSolution) -> np.ndarray:
-    """Edge-supported T with spectral ratio within 100*tol of sol.value.
+    """The edge-supported T whose spectral ratio is theta at the optimum.
 
-    The primary candidate is the diagonally normalized primal minus the
-    identity, D^(-1/2) X D^(-1/2) - I with D = diag(X): the normalized primal
-    is the Gram matrix of an optimal dual orthonormal representation, whose
-    top eigenvalue is theta while the subtraction pins the bottom at -1, so
-    the ratio is exact at the optimum even when diag(X) is not uniform.
-    Vertices the optimum ignores (zero diagonal, e.g. in non-maximal
-    components) contribute empty rows.  The raw off-diagonal part and the
-    adjacency matrix remain as fallbacks; raises when nothing reaches the
-    slack, in which case a caller-supplied T is required.
+    T is the diagonally normalized primal minus the identity,
+    D^(-1/2) X D^(-1/2) - I with D = diag(X): the normalized primal is the
+    Gram matrix of an optimal dual orthonormal representation (Lovasz 1979,
+    *On the Shannon capacity of a graph*), whose top eigenvalue is theta
+    while the subtraction pins the bottom at -1, so the ratio is exact at the
+    optimum even when diag(X) is not uniform.  Vertices the optimum ignores
+    (zero diagonal, e.g. in non-maximal components) contribute empty rows.
+    No eigensolve is done here; `certificates.certify` decomposes T once and
+    checks that its ratio lies within 100*tol of sol.value.
     """
-    return _optimal_edge_spectrum(g, sol)[0]
-
-
-def _optimal_edge_spectrum(g: Graph, sol: ThetaSolution
-                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(T, T_sym, eigenvalues, eigenvectors) for `optimal_edge_matrix`'s T,
-    with the `_edge_spectrum` that chose it."""
     if g.m == 0:
         raise DomainError("edgeless graphs admit no edge-supported matrix")
     if sol.n != g.n:
         raise DomainError("solution does not belong to this graph")
-    candidates = []
-    d = np.diag(sol.primal).copy()
+    d = np.diag(sol.primal)
     used = d > 1e-12 * float(d.max())
-    if used.any():
-        scale = np.zeros_like(d)
-        scale[used] = 1.0 / np.sqrt(d[used])
-        normalized = sol.primal * np.outer(scale, scale)
-        np.fill_diagonal(normalized, 0.0)
-        if float(np.max(np.abs(normalized))) > 0:
-            candidates.append(0.5 * (normalized + normalized.T))
-    dual = sol.dual_edge_matrix
-    if float(np.max(np.abs(dual))) > 0:
-        candidates.append(np.array(dual, dtype=float))
-    candidates.append(g.adjacency_matrix())
-    best, best_ratio = None, -math.inf
-    for cand in candidates:
-        try:
-            spectrum = _edge_spectrum(cand, g)
-        except DomainError:
-            continue
-        ratio = _ratio(spectrum[1])
-        if ratio > best_ratio:
-            best, best_ratio = (cand, *spectrum), ratio
-    slack = 100.0 * sol.tol_requested
-    if best is None or best_ratio < sol.value - slack:
-        raise MycthetaError(
-            "no edge matrix within slack of the theta value; supply T manually"
-        )
-    return best
+    scale = np.zeros_like(d)
+    scale[used] = 1.0 / np.sqrt(d[used])
+    normalized = sol.primal * np.outer(scale, scale)
+    np.fill_diagonal(normalized, 0.0)
+    return 0.5 * (normalized + normalized.T)
 
 
 def extract_vector_coloring(sol: ThetaSolution, g: Graph) -> VectorColoring:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from myctheta import (
     CertificateError,
     DomainError,
+    MycthetaError,
     VectorColoring,
     build_spectral_certificate,
     certify,
@@ -390,25 +392,45 @@ def test_certify_holds_on_lifted_powers(family):
 
 
 def test_certify_decomposes_t_and_t_hat_once(monkeypatch):
-    # after the solve, certify decomposes the three edge-matrix candidates, the
-    # coloring Gram matrix and T_hat once each: five dense eigh calls on
-    # M(C5)^2, where recomputing T's and T_hat's spectra took nine (seven
-    # 121 x 121 and two 243 x 243)
+    # after the solve, certify decomposes the one edge matrix T, the coloring
+    # Gram matrix and T_hat once each: three dense eigh calls on M(C5)^2,
+    # counted by shape, so the stacked (n-1, 2, 2) call of the block check is
+    # not one of them
     from myctheta import certificates, or_power
 
     g = or_power(mycielskian(cycle_graph(5)), 2)
     sol = theta_bar(g, 1e-7)
     monkeypatch.setattr(certificates, "theta_bar", lambda graph, tol: sol)
-    sizes = []
+    shapes = []
     real = eigen.eigh
 
     def counted(a):
-        sizes.append(len(a))
+        shapes.append(np.shape(a))
         return real(a)
 
     monkeypatch.setattr(eigen, "eigh", counted)
     doc, ok = certify(g, 1e-7)
     assert ok
-    dense = [n for n in sizes if n >= g.n]
-    assert dense.count(g.n) == 4 and dense.count(2 * g.n + 1) == 1
-    assert len(dense) <= 9 - 3
+    dense = [s for s in shapes if len(s) == 2 and s[0] >= g.n]
+    assert sorted(dense) == [(g.n, g.n), (g.n, g.n), (2 * g.n + 1, 2 * g.n + 1)]
+    assert shapes.count((g.n - 1, 2, 2)) == 1
+
+
+def test_certify_raises_when_t_misses_the_slack(monkeypatch, capsys):
+    # a primal whose normalized edge matrix falls short of theta by more than
+    # 100 tol is an internal failure: MycthetaError, and exit 1 with one line
+    from myctheta import certificates
+    from myctheta.cli import main
+
+    c5 = cycle_graph(5)
+    sol = theta_bar(c5, 1e-7)
+    primal = np.eye(5) / 5
+    primal[0, 1] = primal[1, 0] = 0.05  # T has ratio 2 < sqrt(5) - 100 tol
+    monkeypatch.setattr(certificates, "theta_bar",
+                        lambda graph, tol: dataclasses.replace(sol, primal=primal))
+    with pytest.raises(MycthetaError, match="no edge matrix within slack"):
+        certify(c5, 1e-7)
+    assert main(["certify", "--family", "cycle:5", "--tol", "1e-7"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("internal error: no edge matrix within slack") and err.count("\n") == 1

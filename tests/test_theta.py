@@ -211,12 +211,23 @@ def test_spectral_ratio_never_beats_theta():
 
 
 def test_optimal_edge_matrix_reaches_value():
-    for g in (complete_graph(2), complete_graph(4), cycle_graph(5), cycle_graph(7)):
-        sol = theta_bar(g, tol=1e-7)
-        t_matrix = optimal_edge_matrix(g, sol)
-        ratio = spectral_ratio(t_matrix, g)
-        assert ratio >= sol.value - 100 * sol.tol_requested
-        assert ratio <= sol.value + 1e-4  # weak duality
+    # the normalized primal alone reaches theta within the 100 tol slack that
+    # certify checks: on cliques, cycles, lifted powers, a disconnected graph
+    # (whose K1 the optimum ignores) and four G(n, 1/2) draws
+    rng = random.Random(2026)
+    draws = [random_graph(rng, n, 0.5) for n in (6, 9, 12, 15)]
+    c5_k2_k1 = Graph(8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (5, 6)])
+    m_c5_2 = or_power(mycielskian(cycle_graph(5)), 2)
+    corpus = [complete_graph(2), complete_graph(4), cycle_graph(5), cycle_graph(7),
+              or_power(cycle_graph(5), 2), or_power(cycle_graph(7), 2), m_c5_2, c5_k2_k1, *draws]
+    for tol in (1e-6, 1e-7):
+        assert theta_bar(m_c5_2, tol=tol).lifted == (11, 2)
+        for g in corpus:
+            sol = theta_bar(g, tol=tol)
+            t_matrix = optimal_edge_matrix(g, sol)
+            ratio = spectral_ratio(t_matrix, g)
+            assert ratio >= sol.value - 100 * sol.tol_requested
+            assert ratio <= sol.value + 1e-4  # weak duality
     with pytest.raises(DomainError):
         optimal_edge_matrix(empty_graph(3), theta_bar(empty_graph(3)))
 

@@ -237,19 +237,18 @@ class SpectralCertificate:
         return doc
 
 
-def build_spectral_certificate(g: Graph, t_matrix: np.ndarray, t: float,
-                               m: Optional[float] = None) -> SpectralCertificate:
+def build_spectral_certificate(g: Graph, t_matrix: np.ndarray, t: float) -> SpectralCertificate:
     """Assemble T_hat for M(G) and verify its extreme eigenvalues.
 
     t is supplied explicitly (synthetic exact values are allowed) but must
-    agree with the spectral ratio of T within 1e-4; m defaults to the formula
-    value m(t).
+    agree with the spectral ratio of T within 1e-4; m is the formula value
+    m(t).
     """
-    return _assemble_certificate(g, _edge_spectrum(t_matrix, g), t, m)
+    return _assemble_certificate(g, _edge_spectrum(t_matrix, g), t)
 
 
 def _assemble_certificate(g: Graph, spectrum: tuple[np.ndarray, np.ndarray, np.ndarray],
-                          t: float, m: Optional[float]) -> SpectralCertificate:
+                          t: float) -> SpectralCertificate:
     """`build_spectral_certificate` from T's `_edge_spectrum`, so that T is
     decomposed once."""
     t_sym, vals, vecs = spectrum
@@ -259,8 +258,7 @@ def _assemble_certificate(g: Graph, spectrum: tuple[np.ndarray, np.ndarray, np.n
             f"supplied t = {t} but T attains ratio {ratio_t}; difference too large"
         )
     t = _snap_boundary(t)
-    if m is None:
-        m = mycielski_theta_formula(t).m
+    m = mycielski_theta_formula(t).m
     _check_pair(t, m)
     gamma, delta, eta = certificate_parameters(t, m)
     n = g.n
@@ -318,9 +316,8 @@ class BlockSpectrumReport:
     offending: Optional[tuple[float, float]]
 
 
-def verify_block_spectrum(cert: SpectralCertificate,
-                          tol: float = 1e-7) -> BlockSpectrumReport:
-    """Sp(T_hat) equals the union of the block spectra, eigenvalue by eigenvalue.
+def verify_block_spectrum(cert: SpectralCertificate) -> BlockSpectrumReport:
+    """Sp(T_hat) equals the union of the block spectra within 1e-7, eigenvalue by eigenvalue.
 
     The 2x2 blocks are decomposed in one call, as an (n-1, 2, 2) stack."""
     top, *pairs = certificate_blocks(cert)
@@ -329,7 +326,7 @@ def verify_block_spectrum(cert: SpectralCertificate,
     hat_vals = cert.hat_eigenvalues
     gaps = np.abs(collected - hat_vals)
     worst = float(np.max(gaps))
-    if worst <= tol:
+    if worst <= 1e-7:
         return BlockSpectrumReport(True, worst, None)
     k = int(np.argmax(gaps))
     return BlockSpectrumReport(False, worst, (float(hat_vals[k]), float(collected[k])))
@@ -415,14 +412,14 @@ def certify(g: Graph, tol: float, verbose: bool = False) -> tuple[dict, bool]:
     spectrum = _edge_spectrum(optimal_edge_matrix(g, sol), g)
     t = _ratio(spectrum[1])
     if t < sol.value - 100.0 * tol:
-        raise MycthetaError("no edge matrix within slack of the theta value; supply T manually")
-    m = mycielski_theta_formula(t).m
-    cert = _assemble_certificate(g, spectrum, t, m)
+        raise MycthetaError(f"no edge matrix within slack of the theta value: T has ratio {t}, more "
+                            f"than 100 tol below theta {sol.value}, so the theta solution is not optimal")
+    cert = _assemble_certificate(g, spectrum, t)
     block = verify_block_spectrum(cert)
     ineq = check_certificate_inequalities(cert.t, cert.m, cert.gamma, cert.delta, cert.eta)
-    lift_violation = verify_lift(g, lift_coloring(g, extract_vector_coloring(sol, g), m))
+    lift_violation = verify_lift(g, lift_coloring(g, extract_vector_coloring(sol, g), cert.m))
     checks = {
-        "ratio_matches_formula": abs(cert.ratio - m) <= 1e-6,
+        "ratio_matches_formula": abs(cert.ratio - cert.m) <= 1e-6,
         "block_spectrum": block.ok,
         "block_spectrum_worst_gap": block.worst_gap,
         "inequalities": ineq.ok,
@@ -430,6 +427,6 @@ def certify(g: Graph, tol: float, verbose: bool = False) -> tuple[dict, bool]:
         "lift_violation": lift_violation,
         "lift_ok": lift_violation <= max(1e-8, 20.0 * tol),
     }
-    doc = {"theta": sol.value, "t_spectral": t, "m_formula": m,
+    doc = {"theta": sol.value, "t_spectral": t, "m_formula": cert.m,
            "certificate": cert.to_dict(verbose), "checks": checks}
     return doc, checks["ratio_matches_formula"] and block.ok and ineq.ok and checks["lift_ok"]

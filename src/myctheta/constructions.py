@@ -491,10 +491,9 @@ def capacity_report(g: GraphLike, options: ReportOptions = ReportOptions()) -> C
     def theta_hi() -> Optional[float]:
         """Upper end of the certified bracket of theta_bar(underlying(g))."""
         try:
-            sol = theta_mod.theta_bar(g.underlying(), options.theta_tol)
+            return theta_mod.theta_bar(g.underlying(), options.theta_tol).upper
         except MycthetaError:  # an uncapped search is still exact
             return None
-        return sol.value + sol.tolerance_achieved
 
     def search_args(k: int) -> dict:
         """Cap and seed of the transitive search over g^k; none for an

@@ -80,11 +80,11 @@ def mycielski_theta_formula(t: float) -> FormulaResult:
     return FormulaResult(t, m, residual, (star_branch(t, 1), star_branch(t, 2)))
 
 
-def verify_root_selection(t: float, tol: float = 1e-12) -> bool:
-    """Both discarded branches of the cubic stay <= 1 (hence below t)."""
+def verify_root_selection(t: float) -> bool:
+    """Both discarded branches of the cubic stay <= 1 + 1e-12 (hence below t)."""
     if not t >= 2.0:
         raise DomainError(f"root selection check needs t >= 2, got {t}")
-    return star_branch(t, 1) <= 1.0 + tol and star_branch(t, 2) <= 1.0 + tol
+    return star_branch(t, 1) <= 1.0 + 1e-12 and star_branch(t, 2) <= 1.0 + 1e-12
 
 
 Number = Union[Fraction, float, int]

@@ -64,12 +64,12 @@ _TOL = 1e-9  # float pivots: feasibility, pivot size and ratio ties
 _REFACTOR_EVERY = 50  # float pivots between fresh LAPACK inverses of the basis
 
 
-def maximal_independent_sets(g: Graph, cap: int = MAX_INDEPENDENT_SETS) -> list[int]:
+def maximal_independent_sets(g: Graph) -> list[int]:
     """All maximal independent sets of g as vertex bitmasks.
 
     Maximal independent sets of g are the maximal cliques of its complement;
     enumeration is Bron-Kerbosch with greedy pivoting.  Raises when more than
-    `cap` sets would be produced.
+    `MAX_INDEPENDENT_SETS` (read at call time) sets would be produced.
     """
     n = g.n
     comp_bits = [((1 << n) - 1) & ~g.bits[v] & ~(1 << v) for v in range(n)]
@@ -78,8 +78,8 @@ def maximal_independent_sets(g: Graph, cap: int = MAX_INDEPENDENT_SETS) -> list[
     def bk(r: int, p: int, x: int) -> None:
         if p == 0 and x == 0:
             out.append(r)
-            if len(out) > cap:
-                raise SizeLimitError(f"more than {cap} maximal independent sets")
+            if len(out) > MAX_INDEPENDENT_SETS:
+                raise SizeLimitError(f"more than {MAX_INDEPENDENT_SETS} maximal independent sets")
             return
         # pivot: vertex of p|x covering the most of p
         pivot, best = -1, -1

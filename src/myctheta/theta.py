@@ -21,9 +21,9 @@ iterate X by its negative eigenvalue mass gives a strictly feasible primal
 ones on the diagonal and the edges gives a feasible point of the
 min-lambda_max dual (an upper bound).  The solver stops once this bracket is
 narrower than tol - which also rescues degenerate instances whose residuals
-decay sublinearly - and returns the midpoint, with the half-width as the
-tolerance achieved.  Any iterate gives valid bounds, so the iteration is
-free to extrapolate: each step is a type-II Anderson step on the fixed
+decay sublinearly - and stores it; the value and tolerance achieved are its
+midpoint and half-width.  Any iterate gives valid bounds, so the iteration
+is free to extrapolate: each step is a type-II Anderson step on the fixed
 point v = T(v) (O'Donoghue's SCS 3; Zhang, O'Donoghue & Boyd 2020), which
 fits the residual T(v) - v by the differences of the last few residuals and
 moves T(v) by the same combination of the map values.  A safeguard keeps it
@@ -99,16 +99,27 @@ _ROW_BLOCK = 512           # rows of inner products `max_violation` holds at onc
 
 @dataclass
 class ThetaSolution:
-    """Converged theta SDP data for one graph."""
+    """Certified bracket [lower, upper] of theta_bar for one graph, and its SDP points."""
 
-    value: float
+    lower: float
+    upper: float
     primal: np.ndarray
     dual_slack: np.ndarray
-    tolerance_achieved: float
     tol_requested: float
     iterations: int
-    n: int
     lifted: Optional[tuple[int, int]] = None  # (n_H, t) when lifted from the base H
+
+    @property
+    def value(self) -> float:
+        return 0.5 * (self.lower + self.upper)
+
+    @property
+    def tolerance_achieved(self) -> float:
+        return 0.5 * (self.upper - self.lower)
+
+    @property
+    def n(self) -> int:
+        return len(self.primal)
 
     def to_json(self, verbose: bool = False) -> str:
         doc = {
@@ -228,76 +239,70 @@ def check_tol(tol: float) -> None:
         raise DomainError(f"tol must lie in [1e-10, 1e-3], got {tol}")
 
 
-def theta_bar(g: Graph, tol: float = DEFAULT_TOL,
-              max_iterations: int = MAX_ITERATIONS) -> ThetaSolution:
+def theta_bar(g: Graph, tol: float = DEFAULT_TOL) -> ThetaSolution:
     """Complementary Lovasz theta number of g, certified within tol.
 
-    Edgeless graphs (including K_1) short-circuit to the exact value 1.  A
-    recognised OR-power is lifted from its base (see the module docstring);
-    every other graph is solved by `_solve`.  Raises ConvergenceError,
-    carrying the best certified value and bracket width, if the iteration
-    cap is reached first.
+    The bracket is stored; value and tolerance achieved are its midpoint and
+    half-width.  Edgeless graphs (K_1 too) get [1, 1] exactly, a recognised
+    OR-power is lifted from its base (see the module docstring), and every
+    other graph is solved by `_solve`.  Raises ConvergenceError, with the best
+    certified value and bracket width, if `MAX_ITERATIONS` is reached first.
     """
     if g.n < 1:
         raise DomainError("theta needs at least one vertex")
     check_tol(tol)
-    n = g.n
     if g.m == 0:
-        eye = np.eye(n)
         return ThetaSolution(
-            value=1.0,
-            primal=eye / n,
-            dual_slack=np.zeros((n, n)),
-            tolerance_achieved=0.0,
+            lower=1.0,
+            upper=1.0,
+            primal=np.eye(g.n) / g.n,
+            dual_slack=np.zeros((g.n, g.n)),
             tol_requested=tol,
             iterations=0,
-            n=n,
         )
     power = _power_base(g)
     if power is not None:
-        lifted = _lift(Graph(len(power[0]), power[0]), power[1], tol, max_iterations)
+        lifted = _lift(Graph(len(power[0]), power[0]), power[1], tol)
         if lifted is not None:
             return lifted
-    return _solve(g, tol, max_iterations)[0]
+    return _solve(g, tol)
 
 
-def _lift(h: Graph, t: int, tol: float, max_iterations: int) -> Optional[ThetaSolution]:
+def _lift(h: Graph, t: int, tol: float) -> Optional[ThetaSolution]:
     """theta_bar(h^t) from one solve of h, or None when the lifted bracket is
     wider than tol or h's solve reaches the cap."""
     b = h.n
     try:
-        base, lower, upper = _solve(h, max(MIN_TOL, tol / (t * b ** (t - 1))), max_iterations)
+        base = _solve(h, max(MIN_TOL, tol / (t * b ** (t - 1))))
     except ConvergenceError:
         return None
     # each float power is rounded outward by one step, so rounding cannot narrow the bracket
-    lower_t, upper_t = math.nextafter(lower ** t, 0.0), math.nextafter(upper ** t, math.inf)
+    lower_t, upper_t = math.nextafter(base.lower ** t, 0.0), math.nextafter(base.upper ** t, math.inf)
     if upper_t - lower_t > tol:
         return None
     # M = hi I - C + J: hi on the diagonal, 0 on the edges, and 1 + S on the
     # non-edges, where the bracket's C is exactly -S
     m = base.dual_slack + 1.0
     m[h.bool_matrix()] = 0.0
-    np.fill_diagonal(m, upper)
+    np.fill_diagonal(m, base.upper)
     primal, dual = base.primal, m
     for _ in range(t - 1):
         primal, dual = np.kron(primal, base.primal), np.kron(dual, m)
     dual -= 1.0
     return ThetaSolution(
-        value=0.5 * (lower_t + upper_t),
+        lower=lower_t,
+        upper=upper_t,
         primal=primal,
         dual_slack=dual,
-        tolerance_achieved=0.5 * (upper_t - lower_t),
         tol_requested=tol,
         iterations=base.iterations,
-        n=len(primal),
         lifted=(b, t),
     )
 
 
-def _solve(g: Graph, tol: float, max_iterations: int) -> tuple[ThetaSolution, float, float]:
-    """(solution, lower, upper): theta_bar(g) solved directly, by the splitting
-    iteration, with the certified bracket [lower, upper] it stopped on.  g must
-    have an edge."""
+def _solve(g: Graph, tol: float) -> ThetaSolution:
+    """theta_bar(g) solved directly, by the splitting iteration, storing the certified
+    bracket it stopped on.  The cap is `MAX_ITERATIONS`.  g must have an edge."""
     n = g.n
     nonedge = _nonedge_mask(g)
     jmat = np.ones((n, n))
@@ -323,7 +328,7 @@ def _solve(g: Graph, tol: float, max_iterations: int) -> tuple[ThetaSolution, fl
     cand = np.stack((np.eye(n) / n, np.zeros((n, n))))
     target = tol / _RESIDUAL_SAFETY
     best = None  # (width, midpoint) of the narrowest bracket so far
-    for iteration in range(1, max_iterations + 1):
+    for iteration in range(1, MAX_ITERATIONS + 1):
         if t_v is not None:
             cand = history.extrapolate(t_v, f) if history.stored else t_v
         x, t_c = step(cand)
@@ -348,23 +353,22 @@ def _solve(g: Graph, tol: float, max_iterations: int) -> tuple[ThetaSolution, fl
     else:
         width, midpoint = best or (math.inf, float(jmat.ravel() @ x.ravel()))
         raise ConvergenceError(
-            f"theta solver did not certify tol {tol} in {max_iterations} "
+            f"theta solver did not certify tol {tol} in {MAX_ITERATIONS} "
             f"iterations (best bracket width {width:.3e})",
             best_value=midpoint,
             residual=width,
-            iterations=max_iterations,
+            iterations=MAX_ITERATIONS,
         )
     slack = -rho * u
     slack = 0.5 * (slack + slack.T)
     return ThetaSolution(
-        value=0.5 * (lower + upper),
+        lower=lower,
+        upper=upper,
         primal=x_hat,
         dual_slack=slack,
-        tolerance_achieved=0.5 * width,
         tol_requested=tol,
         iterations=iteration,
-        n=n,
-    ), lower, upper
+    )
 
 
 # ---------------------------------------------------------------------------

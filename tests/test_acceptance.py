@@ -133,7 +133,7 @@ def test_criterion_08_certificate_round_trip():
             cert = build_spectral_certificate(g, g.adjacency_matrix(), t)
             m = mycielski_theta_formula(t).m
             assert abs(cert.ratio - m) <= 1e-6
-            assert verify_block_spectrum(cert, tol=1e-7).ok
+            assert verify_block_spectrum(cert).ok
             report = check_certificate_inequalities(
                 cert.t, cert.m, cert.gamma, cert.delta, cert.eta
             )

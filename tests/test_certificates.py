@@ -21,6 +21,7 @@ from myctheta import (
     lift_parameters,
     mycielski_theta_formula,
     mycielskian,
+    optimal_edge_matrix,
     spectral_ratio,
     theta_bar,
     verify_block_spectrum,
@@ -373,7 +374,7 @@ def test_upper_meets_lower_on_corpus():
         t_val = t_exact if t_exact is not None else coloring.value
         m = mycielski_theta_formula(t_val).m
         cert = build_spectral_certificate(g, g.adjacency_matrix(),
-                                          spectral_ratio(g.adjacency_matrix(), g), m=None)
+                                          spectral_ratio(g.adjacency_matrix(), g))
         lifted = lift_coloring(g, coloring, mycielski_theta_formula(coloring.value).m)
         assert cert.ratio == pytest.approx(lifted.value, abs=2e-6)
         assert verify_lift(g, lifted) <= 1e-5
@@ -426,11 +427,17 @@ def test_certify_raises_when_t_misses_the_slack(monkeypatch, capsys):
     sol = theta_bar(c5, 1e-7)
     primal = np.eye(5) / 5
     primal[0, 1] = primal[1, 0] = 0.05  # T has ratio 2 < sqrt(5) - 100 tol
-    monkeypatch.setattr(certificates, "theta_bar",
-                        lambda graph, tol: dataclasses.replace(sol, primal=primal))
-    with pytest.raises(MycthetaError, match="no edge matrix within slack"):
+    bad = dataclasses.replace(sol, primal=primal)
+    monkeypatch.setattr(certificates, "theta_bar", lambda graph, tol: bad)
+    with pytest.raises(MycthetaError, match="no edge matrix within slack") as exc:
         certify(c5, 1e-7)
+    # the message names the cause, T's ratio against theta, and no option to set
+    message = str(exc.value)
+    assert f"T has ratio {spectral_ratio(optimal_edge_matrix(c5, bad), c5)}" in message
+    assert f"theta {sol.value}" in message and "not optimal" in message
+    assert "supply T" not in message
     assert main(["certify", "--family", "cycle:5", "--tol", "1e-7"]) == 1
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("internal error: no edge matrix within slack") and err.count("\n") == 1
+    assert "supply T" not in err

@@ -594,7 +594,7 @@ def test_report_internal_error_exit_code(capsys, monkeypatch):
 def test_report_theta_too_low_exits_1(capsys, monkeypatch):
     real = theta_mod.theta_bar
     monkeypatch.setattr(theta_mod, "theta_bar",
-                        lambda g, tol: dataclasses.replace(real(g, tol), value=1.5))
+                        lambda g, tol: dataclasses.replace(real(g, tol), lower=1.5, upper=1.5))
     code, out, err = run_cli(["report", "--family", "mycielski:tournament:3", "--max-power", "2"], capsys)
     assert code == 1 and out == ""
     assert err == "internal error: verified clique of size 9 exceeds its certified cap 2\n"

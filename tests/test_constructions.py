@@ -420,10 +420,25 @@ def test_report_truncated_search_is_not_closed():
 def test_report_with_theta_too_low_raises(monkeypatch):
     real = theta_bar
     monkeypatch.setattr(constructions.theta_mod, "theta_bar",
-                        lambda g, tol: dataclasses.replace(real(g, tol), value=1.5))
+                        lambda g, tol: dataclasses.replace(real(g, tol), lower=1.5, upper=1.5))
     d = mycielskian(transitive_tournament(3), 2)
     with pytest.raises(MycthetaInternal, match="size 9 exceeds its certified cap 2"):
         capacity_report(d, ReportOptions(max_power=2))
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-9])
+def test_digraph_cap_reads_the_solved_upper_end(monkeypatch, tol):
+    # the cap of M(T3)^2 is taken from the upper end the solver computed,
+    # not rebuilt from the value and the half-width; at tol 1e-9 the rebuilt
+    # value + tolerance_achieved differs from that end in the last place
+    d = mycielskian(transitive_tournament(3), 2)
+    options = ReportOptions(max_power=2, theta_tol=tol)
+    expect = theta_bar(d.underlying(), options.theta_tol).upper
+    seen = []
+    real = constructions._theta_cap
+    monkeypatch.setattr(constructions, "_theta_cap", lambda hi, k: seen.append(hi) or real(hi, k))
+    capacity_report(d, options)
+    assert seen == [expect]
 
 
 def test_digraph_report_without_a_cap_searches(monkeypatch):

@@ -51,9 +51,29 @@ def test_mis_enumeration_matches_brute_force():
         assert got == brute_force_mis(g)
 
 
-def test_mis_cap():
+TARDIF_BASES = [("K2", complete_graph(2)), ("K3", complete_graph(3)), ("C5", cycle_graph(5)),
+                ("C7", cycle_graph(7)), ("M(C5)", mycielskian(cycle_graph(5)))]
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+@pytest.mark.parametrize("name, g", TARDIF_BASES, ids=[b[0] for b in TARDIF_BASES])
+def test_chi_f_of_the_generalized_mycielskian_follows_tardif(name, g, r):
+    # chi_f(M_r(G)) = x + 1 / sum_{i<r} (x - 1)^i with x = chi_f(G) (Tardif
+    # 2001, Fractional chromatic numbers of cones over graphs); at r = 2 this
+    # is x + 1/x.  Exact: the LP's value is an integer-checked rational
+    x = fractional_chromatic(g).value
+    expect = x + 1 / sum((x - 1) ** i for i in range(r))
+    assert fractional_chromatic(mycielskian(g, r)).value == expect
+    pinned = {("K3", 2): Fraction(10, 3), ("K3", 3): Fraction(22, 7), ("K3", 4): Fraction(46, 15),
+              ("C5", 2): Fraction(29, 10), ("C5", 3): Fraction(103, 38),
+              ("C5", 4): Fraction(341, 130), ("M(C5)", 4): Fraction(397701, 133690)}
+    assert pinned.get((name, r), expect) == expect
+
+
+def test_mis_cap(monkeypatch):
+    monkeypatch.setattr(fractional, "MAX_INDEPENDENT_SETS", 0)
     with pytest.raises(SizeLimitError):
-        maximal_independent_sets(empty_graph(3).complement().complement(), cap=0)
+        maximal_independent_sets(empty_graph(3).complement().complement())
 
 
 def test_chi_f_families():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import time
@@ -67,11 +68,12 @@ def test_theta_tol_domain():
         theta_bar(Graph(0))
 
 
-def test_theta_nonconvergence_carries_state():
+def test_theta_nonconvergence_carries_state(monkeypatch):
     # the residual rule forms no bracket before iteration 6, so a cap of 5
     # ends without one: the value is <J, X> of the iterate
+    monkeypatch.setattr(theta_mod, "MAX_ITERATIONS", 5)
     with pytest.raises(ConvergenceError) as err:
-        theta_bar(cycle_graph(7), tol=1e-7, max_iterations=5)
+        theta_bar(cycle_graph(7), tol=1e-7)
     assert math.isfinite(err.value.best_value)
     assert err.value.residual is not None
 
@@ -90,33 +92,37 @@ def gnp_draw(index: int) -> Graph:
     return [random_graph(rng, 40, 0.5) for _ in range(index + 1)][index]
 
 
-def test_theta_nonconvergence_reports_best_bracket():
+def test_theta_nonconvergence_reports_best_bracket(monkeypatch):
     # draw 18 is the slowest of the first 20 draws: it needs 6250 iterations
     # at tol 1e-6 (theta = 7.0112121 +- 3.3e-7), so a cap of 1000 still ends
     # without a certificate.  The capped solve reports the midpoint of a
     # certified bracket
+    monkeypatch.setattr(theta_mod, "MAX_ITERATIONS", 1000)
     with pytest.raises(ConvergenceError) as err:
-        theta_bar(gnp_draw(18), tol=1e-6, max_iterations=1000)
+        theta_bar(gnp_draw(18), tol=1e-6)
     assert math.isfinite(err.value.residual)
     assert abs(err.value.best_value - 7.0112121) <= err.value.residual / 2 + 1e-6
 
 
 @pytest.mark.parametrize("index, cap", [(18, 10_000), (0, 2500), (4, 2500), (15, 2500)])
-def test_theta_certifies_the_slow_gnp_draws(index, cap):
+def test_theta_certifies_the_slow_gnp_draws(index, cap, monkeypatch):
     # the slowest of the first 20 G(40, 1/2) draws: at Anderson memory 15 they
     # take 6250, 1750, 1250 and 1680 iterations; at memory 5 draw 18 did not
     # certify within 50 000 and the others took 9174, 5500 and 5994
-    sol = theta_bar(gnp_draw(index), tol=1e-6, max_iterations=cap)
+    monkeypatch.setattr(theta_mod, "MAX_ITERATIONS", cap)
+    sol = theta_bar(gnp_draw(index), tol=1e-6)
     assert sol.tolerance_achieved <= sol.tol_requested
     if index == 18:
         assert abs(sol.value - 7.0112121) <= sol.tolerance_achieved
 
 
-def test_theta_slow_tail_certifies():
+def test_theta_slow_tail_certifies(monkeypatch):
     # the accelerated step certifies this tail in 500 iterations at tol 1e-6
     # and 1000 at 1e-7; plain splitting needed 9000 and 39 250 (and about
     # 148 000 at 1e-6 with penalty 1)
-    sol = theta_bar(slow_tail_graph(), tol=1e-6, max_iterations=20_000)
+    with monkeypatch.context() as patch:
+        patch.setattr(theta_mod, "MAX_ITERATIONS", 20_000)
+        sol = theta_bar(slow_tail_graph(), tol=1e-6)
     assert abs(sol.value - 4.0) <= sol.tolerance_achieved + 1e-12
     sol = theta_bar(slow_tail_graph(), tol=1e-7)
     assert sol.iterations <= 2000
@@ -351,7 +357,7 @@ def test_theta_multiplicative_at_scale():
     g = or_power(mycielskian(cycle_graph(5)), 2)
     h = base.tolerance_achieved
     square_slack = 2.0 * base.value * h + h * h  # half-width of the squared bracket
-    direct = theta_mod._solve(g, 1e-6, theta_mod.MAX_ITERATIONS)[0]
+    direct = theta_mod._solve(g, 1e-6)
     lifted = theta_bar(g, tol=1e-6)
     assert direct.n == lifted.n == 121 and direct.iterations <= 1500
     assert direct.lifted is None and lifted.lifted == (11, 2)
@@ -362,7 +368,7 @@ def test_theta_multiplicative_at_scale():
 def test_theta_c5_cubed():
     # the lifted value, and the splitting solver on all 125 vertices
     g = or_power(cycle_graph(5), 3)
-    for sol in (theta_bar(g, tol=1e-6), theta_mod._solve(g, 1e-6, theta_mod.MAX_ITERATIONS)[0]):
+    for sol in (theta_bar(g, tol=1e-6), theta_mod._solve(g, 1e-6)):
         assert sol.n == 125
         assert abs(sol.value - 5.0 ** 1.5) <= sol.tolerance_achieved
 
@@ -372,7 +378,7 @@ def test_extractions_at_scale():
     # an optimal edge matrix at n = 121, from the splitting solver and from
     # the Kronecker powers of M(C5)'s certificate alike
     g = or_power(mycielskian(cycle_graph(5)), 2)
-    for sol in (theta_mod._solve(g, 1e-7, theta_mod.MAX_ITERATIONS)[0], theta_bar(g, tol=1e-7)):
+    for sol in (theta_mod._solve(g, 1e-7), theta_bar(g, tol=1e-7)):
         assert extract_vector_coloring(sol, g).max_violation(g) < 1e-8
         ratio = spectral_ratio(optimal_edge_matrix(g, sol), g)
         assert abs(ratio - sol.value) <= sol.tol_requested
@@ -386,16 +392,13 @@ LIFTED_POWERS = [("C5^2", cycle_graph(5), 2), ("C7^2", cycle_graph(7), 2),
 def test_lifted_bracket_meets_the_direct_one(name, base, t):
     g = or_power(base, t)
     lifted = theta_bar(g, tol=1e-6)
-    direct = theta_mod._solve(g, 1e-6, theta_mod.MAX_ITERATIONS)[0]
+    direct = theta_mod._solve(g, 1e-6)
     assert lifted.lifted == (base.n, t) and direct.lifted is None
     assert lifted.n == direct.n == g.n
     assert 2.0 * lifted.tolerance_achieved <= 1e-6
     # the iterations are those of the base's solve
-    assert lifted.iterations == theta_mod._solve(base, 1e-6 / (t * base.n ** (t - 1)),
-                                                 theta_mod.MAX_ITERATIONS)[0].iterations
-    lo = max(lifted.value - lifted.tolerance_achieved, direct.value - direct.tolerance_achieved)
-    hi = min(lifted.value + lifted.tolerance_achieved, direct.value + direct.tolerance_achieved)
-    assert lo <= hi
+    assert lifted.iterations == theta_mod._solve(base, 1e-6 / (t * base.n ** (t - 1))).iterations
+    assert max(lifted.lower, direct.lower) <= min(lifted.upper, direct.upper)
 
 
 def test_lifted_certificate_is_feasible():
@@ -434,23 +437,64 @@ def test_tightest_tolerance_still_certifies_a_power():
     assert sol.tolerance_achieved <= 1e-10 and abs(sol.value - 5.0) <= sol.tolerance_achieved
 
 
-def test_too_wide_a_lift_falls_back_to_the_direct_solve(monkeypatch):
+def loosen_c5_solves(monkeypatch):
+    """Lower the stored bracket of every 5-vertex `_solve` by 1e-3, so that
+    the lift of C5^2 is too wide and its direct solve takes over."""
     real = theta_mod._solve
 
-    def loose_base(g, tol, max_iterations):
-        sol, lower, upper = real(g, tol, max_iterations)
-        return sol, lower - (1e-3 if g.n == 5 else 0.0), upper
+    def loose_base(g, tol):
+        sol = real(g, tol)
+        return dataclasses.replace(sol, lower=sol.lower - (1e-3 if g.n == 5 else 0.0))
 
     monkeypatch.setattr(theta_mod, "_solve", loose_base)
+
+
+def test_too_wide_a_lift_falls_back_to_the_direct_solve(monkeypatch):
+    loosen_c5_solves(monkeypatch)
     sol = theta_bar(or_power(cycle_graph(5), 2), tol=1e-6)
     assert sol.lifted is None and sol.n == 25
     assert abs(sol.value - 5.0) <= sol.tolerance_achieved <= 1e-6
 
 
-def test_a_capped_base_solve_falls_back_to_the_direct_solve():
+def test_solution_stores_its_certified_bracket(monkeypatch):
+    # value and half-width are derived from the stored ends: for a direct
+    # solve these are the last bracket the iteration formed, for a lift the
+    # base's ends to the t-th power rounded outward, for an edgeless graph
+    # [1, 1], and for a too-wide lift those of the direct solve
+    brackets = []
+    real_bracket = theta_mod._certified_bracket
+
+    def spy(*args):
+        out = real_bracket(*args)
+        brackets.append(out[:2])
+        return out
+
+    monkeypatch.setattr(theta_mod, "_certified_bracket", spy)
+    direct = theta_bar(cycle_graph(7), tol=1e-6)
+    assert (direct.lower, direct.upper) == brackets[-1]
+    lifted = theta_bar(or_power(cycle_graph(5), 2), tol=1e-6)
+    base = theta_mod._solve(cycle_graph(5), 1e-6 / (2 * 5))
+    assert lifted.lifted == (5, 2)
+    assert lifted.lower == math.nextafter(base.lower ** 2, 0.0)
+    assert lifted.upper == math.nextafter(base.upper ** 2, math.inf)
+    edgeless = theta_bar(empty_graph(3), tol=1e-6)
+    assert (edgeless.lower, edgeless.upper) == (1.0, 1.0)
+    loosen_c5_solves(monkeypatch)
+    fallback = theta_bar(or_power(cycle_graph(5), 2), tol=1e-6)
+    assert fallback.lifted is None and (fallback.lower, fallback.upper) == brackets[-1]
+    for sol in (direct, lifted, edgeless, fallback):
+        assert sol.lower <= sol.value <= sol.upper
+        assert sol.upper - sol.lower <= sol.tol_requested
+        assert sol.value == 0.5 * (sol.lower + sol.upper)
+        assert sol.tolerance_achieved == 0.5 * (sol.upper - sol.lower)
+        assert sol.n == len(sol.primal)
+
+
+def test_a_capped_base_solve_falls_back_to_the_direct_solve(monkeypatch):
     # the base solve reaches the cap first; the direct solve raises as before
+    monkeypatch.setattr(theta_mod, "MAX_ITERATIONS", 3)
     with pytest.raises(ConvergenceError):
-        theta_bar(or_power(mycielskian(cycle_graph(5)), 2), tol=1e-6, max_iterations=3)
+        theta_bar(or_power(mycielskian(cycle_graph(5)), 2), tol=1e-6)
 
 
 def test_shuffled_power_is_solved_directly():

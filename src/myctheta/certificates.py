@@ -52,23 +52,6 @@ from .theta import spectral_ratio  # noqa: F401  still importable from this modu
 _CONSISTENCY_TOL = 1e-6
 
 
-def _check_pair(t: float, m: float, allow_degenerate: bool = False) -> bool:
-    """Validate an (t, m) pair; returns True for the degenerate root m = t+1."""
-    if not t >= 2.0:
-        raise DomainError(f"certificates need t >= 2, got {t}")
-    scale = max(1.0, abs(t) ** 3)
-    degenerate = abs(m - (t + 1.0)) <= 1e-9
-    if not (t < m <= t + 1.0 + 1e-12):
-        raise DomainError(f"m = {m} outside (t, t+1] for t = {t}")
-    if degenerate and allow_degenerate:
-        return True
-    if abs(cubic_residual(t, m)) > _CONSISTENCY_TOL * scale:
-        raise DomainError(
-            f"m = {m} does not solve the Mycielskian cubic for t = {t}"
-        )
-    return False
-
-
 # ---------------------------------------------------------------------------
 # the coloring lift (upper bound)
 # ---------------------------------------------------------------------------
@@ -106,9 +89,16 @@ class LiftParameters:
 
 
 def lift_parameters(t: float, m: float) -> LiftParameters:
-    """Solve the lift system for (t, m); m = t+1 is the degenerate coloring."""
+    """Solve the lift system for t >= 2 and m in (t, t+1], a root of the
+    Mycielskian cubic or m = t+1, the degenerate coloring."""
     t = _snap_boundary(t)
-    degenerate = _check_pair(t, m, allow_degenerate=True)
+    if not t >= 2.0:
+        raise DomainError(f"certificates need t >= 2, got {t}")
+    if not (t < m <= t + 1.0 + 1e-12):
+        raise DomainError(f"m = {m} outside (t, t+1] for t = {t}")
+    degenerate = abs(m - (t + 1.0)) <= 1e-9
+    if not degenerate and abs(cubic_residual(t, m)) > _CONSISTENCY_TOL * max(1.0, abs(t) ** 3):
+        raise DomainError(f"m = {m} does not solve the Mycielskian cubic for t = {t}")
     v = t - 1.0
     w = 1.0 / (m - 1.0)
     if 1.0 - v * w < -1e-12:
@@ -259,7 +249,6 @@ def _assemble_certificate(g: Graph, spectrum: tuple[np.ndarray, np.ndarray, np.n
         )
     t = _snap_boundary(t)
     m = mycielski_theta_formula(t).m
-    _check_pair(t, m)
     gamma, delta, eta = certificate_parameters(t, m)
     n = g.n
     lam_desc = vals[::-1].copy()

@@ -39,7 +39,6 @@ from . import invariants
 from . import theta as theta_mod
 
 _WRAPPER_KEYS = {"mycielski": "r", "power": "t"}
-_BASES = {"complete", "cycle", "empty", "path", "tournament"}
 
 
 def _fmt(x: float) -> str:
@@ -57,7 +56,7 @@ def parse_family(spec: str) -> graphs.GraphLike:
         if not tokens:
             raise DomainError("family spec ends where a graph was expected")
         head = tokens[0]
-        if head in _BASES:
+        if head in graphs._FAMILIES:
             if len(tokens) < 2:
                 raise DomainError(f"family {head!r} needs a size, e.g. {head}:5")
             try:

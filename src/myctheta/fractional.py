@@ -32,12 +32,13 @@ chi_f testable without tolerances.  The basis is n x n and its exact solve
 costs O(n^3), so the LP takes at most 128 vertices.  The enumeration stops
 past 3^10 maximal independent sets, the Moon-Moser maximum for 30 vertices.
 
-An OR-power is not solved on its own.  When g is the t-th OR-power of its
-leading block H, in the layout of `or_power` (`symmetry._power_base`), the
-LP is solved on H alone, so the 128-vertex limit applies to H, and chi_f(g)
-= chi_f(H)^t exactly (Scheinerman & Ullman, *Fractional Graph Theory*,
-1997).  The projections of an independent set of H^t are independent in H,
-so every independent set of H^t lies in a product of independent sets of H.
+An OR-power is not solved on its own.  When `graphs._power_base` finds g
+to be the t-th OR-power of its leading block H, in the layout of `or_power`
+(`graphs._kron_power`), the LP is solved on H alone, so the 128-vertex
+limit applies to H, and chi_f(g) = chi_f(H)^t exactly (Scheinerman &
+Ullman, *Fractional Graph Theory*, 1997).  The projections of an
+independent set of H^t are independent in H, so every independent set of
+H^t lies in a product of independent sets of H.
 Hence the products of H's cover sets, weighted by the products of their
 weights, cover H^t, and the Kronecker power of H's fractional clique weighs
 every independent set of H^t at most 1.  Both have value chi_f(H)^t, which
@@ -54,8 +55,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import DomainError, MycthetaInternal, SizeLimitError
-from .graphs import Graph
-from .symmetry import _power_base
+from .graphs import Graph, _kron_power, _power_base
 
 MAX_VERTICES_CHI_F = 128
 MAX_INDEPENDENT_SETS = 3 ** 10
@@ -266,14 +266,13 @@ def fractional_chromatic(g: Graph) -> FractionalChromaticResult:
     power = _power_base(g)
     if power is None:
         return _solve(g)
-    h, t = Graph(len(power[0]), power[0]), power[1]
+    h, t = power
     base = _solve(h)
     cover: list[tuple[frozenset, Fraction]] = [(frozenset([0]), Fraction(1))]
-    clique = [Fraction(1)]
     for _ in range(t):  # vertex (u, v) of H^s x H is u n_H + v, as in `or_power`
         cover = [(frozenset(u * h.n + v for u in s for v in r), w * x)
                  for s, w in cover for r, x in base.cover_weights]
-        clique = [y * z for y in clique for z in base.clique_weights]
+    clique = _kron_power(np.array(base.clique_weights, dtype=object), t).tolist()
     return FractionalChromaticResult(base.value ** t, tuple(cover), tuple(clique))
 
 

@@ -16,7 +16,11 @@ matrix and handed to the constructor whole.
 Product graphs use row-major vertex pairing, (f, g) -> f * |V(G)| + g, and
 power graphs extend this to mixed-radix coordinates (leftmost coordinate most
 significant).  `power_index` / `power_coords` convert between the flat index
-and the coordinates.
+and the coordinates.  This module is the one owner of that layout:
+`_kron_power` is the Kronecker power in it, which builds `or_power` from the
+non-adjacency matrix and lifts theta_bar's certificate, and `_power_base`
+recognises a graph that is, in its own labelling, an OR-power of its leading
+block, for the lifts of theta_bar, chi_f and the clique search's symmetry.
 
 The edge-list text ("n m [directed]", then one "u v" line per edge) is made
 by one private generator that yields the header and then blocks of whole
@@ -28,6 +32,7 @@ joins them into one string.  `parse_edgelist` reads the text back.
 from __future__ import annotations
 
 import io
+import math
 import os
 import re
 import stat
@@ -365,14 +370,49 @@ def or_product(f: GraphLike, g: GraphLike) -> GraphLike:
     return type(f)(len(adj), adj)
 
 
+def _kron_power(a: np.ndarray, t: int) -> np.ndarray:
+    """The t-th Kronecker power of a, folded from the left, a x a x ... x a:
+    entry (i, j) is the product over the coordinates of i and j in base
+    len(a), leftmost coordinate most significant, the layout of `or_power`."""
+    out = a
+    for _ in range(t - 1):
+        out = np.kron(out, a)
+    return out
+
+
 def or_power(g: GraphLike, t: int) -> GraphLike:
+    """g^t, the complement of the Kronecker power of g's closed non-adjacency."""
     if t < 1:
         raise DomainError("OR-power needs t >= 1")
     _check_size(g.n, "OR-power", t)
-    result = g
-    for _ in range(t - 1 if g.n > 1 else 0):  # on one vertex or none, g^t is g
-        result = or_product(result, g)
-    return result
+    if g.n <= 1:  # on one vertex or none, g^t is g
+        return g
+    adj = ~_kron_power(~g.bool_matrix(), t)
+    return type(g)(len(adj), adj)
+
+
+def _power_base(g: GraphLike) -> Optional[tuple[GraphLike, int]]:
+    """(h, t) for the least b >= 2 such that g, in its own labelling, is
+    `or_power(h, t)` with t >= 2 and h its leading b x b block, of g's type;
+    None if there is no such b.
+
+    An OR-power's non-adjacency matrix, diagonal included, is the Kronecker
+    power of its base's, and so is vertex 0's row of it.  That test on one
+    bitset rejects most graphs before the n x n comparison.
+    """
+    n = g.n
+    row = ~g.bits[0] & ((1 << n) - 1)  # vertex 0's non-neighbors and itself
+    for b in range(2, math.isqrt(n) + 1):
+        base = power = row & ((1 << b) - 1)
+        t = 1
+        while b ** t < n:  # a new leading coordinate x shifts a copy by x b^t
+            power = sum(power << x * b ** t for x in range(b) if base >> x & 1)
+            t += 1
+        if b ** t == n and power == row:
+            non = ~g.bool_matrix()
+            if np.array_equal(_kron_power(non[:b, :b], t), non):
+                return type(g)(b, ~non[:b, :b]), t
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,8 @@ the image fixing v, shows nothing larger is lost.
 
 Two entry points serve it.  `generators(g, order)` spans H with generators
 taken from the graph alone: the automorphisms `_automorphisms` finds on its
-base, lifted, when it is an OR-power of its leading block (as every power
-the package builds is), and otherwise those it finds on the graph itself.
+base, lifted, when it is an OR-power of its leading block (`graphs._power_base`;
+every power the package builds is), and otherwise those it finds on g.
 `orbit_masks(gens, fixed)` gives the orbits of the pointwise stabilizer of
 `fixed`.  The finder merges two vertices only through a permutation it has
 checked to be an automorphism, and each lifted generator is checked against
@@ -30,14 +30,13 @@ A generator is an int array p with p[v] the image of vertex v.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import MycthetaInternal
-from .graphs import Graph
+from .graphs import Graph, _power_base
 
 # Refinement work one orbit search may spend, counted in row blocks of the
 # adjacency matrix of at most _BLOCK entries each (a round refines every
@@ -51,9 +50,9 @@ def generators(g: Graph, order: Sequence[int]) -> np.ndarray:
     """Checked automorphisms of g as the rows of an array, in the search's
     labelling, where vertex i is g's vertex order[i].
 
-    When g is an OR-power of its leading block (`_power_base`), the finder's
-    automorphisms of that block are lifted by `_power_generators`, and each
-    lifted one is checked to be a permutation and an automorphism; one that
+    When g is an OR-power of its leading block (`graphs._power_base`), the
+    finder's automorphisms of the block are lifted by `_power_generators`,
+    and each is checked to be a permutation and an automorphism; one that
     fails raises MycthetaInternal.  Otherwise the finder runs on g in the
     search's labelling, on which its result depends once its budget is cut.
     """
@@ -67,7 +66,7 @@ def generators(g: Graph, order: Sequence[int]) -> np.ndarray:
     relabel = np.empty(n, dtype=np.intp)  # graph vertex -> search vertex
     relabel[order] = np.arange(n)
     rows = []
-    for p in _power_generators(_automorphisms(base), len(base), t):
+    for p in _power_generators(_automorphisms(base.bool_matrix()), base.n, t):
         if p.shape != (n,) or p.dtype.kind not in "iu" or not np.array_equal(np.sort(p), np.arange(n)):
             raise MycthetaInternal("automorphism generator is not a permutation of the vertices")
         q = relabel[p[order]]
@@ -322,29 +321,3 @@ def _power_generators(gens: Sequence[np.ndarray], n: int, t: int) -> tuple[np.nd
         out += [np.swapaxes(grid, i, i + 1).ravel() for i in range(t - 1)]
     return tuple(out)
 
-
-def _power_base(g: Graph) -> Optional[tuple[np.ndarray, int]]:
-    """(a, t) for the least b >= 2 such that g, in its own labelling, is the
-    t-th OR-power (t >= 2, layout of `or_power`) of its leading b x b block,
-    whose adjacency matrix is a; None if there is no such b.
-
-    An OR-power's non-adjacency matrix, diagonal included, is the Kronecker
-    power of its base's, and so is vertex 0's row of it.  That test on one
-    bitset rejects most graphs before the n x n comparison.
-    """
-    n = g.n
-    row = ~g.bits[0] & ((1 << n) - 1)  # vertex 0's non-neighbors and itself
-    for b in range(2, math.isqrt(n) + 1):
-        base = power = row & ((1 << b) - 1)
-        t = 1
-        while b ** t < n:  # a new leading coordinate x shifts a copy by x b^t
-            power = sum(power << x * b ** t for x in range(b) if base >> x & 1)
-            t += 1
-        if b ** t == n and power == row:
-            non = ~g.bool_matrix()
-            kron = non[:b, :b]
-            for _ in range(t - 1):
-                kron = (kron[:, None, :, None] & non[None, :b, None, :b]).reshape(len(kron) * b, -1)
-            if np.array_equal(kron, non):
-                return ~non[:b, :b], t
-    return None

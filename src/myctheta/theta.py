@@ -48,12 +48,13 @@ is the Gram matrix of an optimal strict vector coloring; and
 the diagonally normalized primal minus the identity is an edge-supported
 matrix attaining the spectral ratio formula 1 + lambda_max / |lambda_min|.
 
-An OR-power is not solved on its own.  When g is the t-th OR-power of its
-leading block H, in the layout of `or_power` (`symmetry._power_base`, the
-test the clique search uses), H is solved and its certificate is raised to
-the t-th Kronecker power, as in Lovasz's proof that theta is multiplicative
-(Lovasz 1979, *On the Shannon capacity of a graph*, Theorem 7; the
-complement of an OR-power is the strong power of the complement):
+An OR-power is not solved on its own.  When `graphs._power_base` finds g
+to be the t-th OR-power of its leading block H (the test the clique search
+uses), H is solved and its certificate is raised to the t-th Kronecker
+power (`graphs._kron_power`, in the layout of `or_power`), as in Lovasz's
+proof that theta is multiplicative (Lovasz 1979, *On the Shannon capacity
+of a graph*, Theorem 7; the complement of an OR-power is the strong power
+of the complement):
 
 * x_hat^(kron t) is PSD, has trace 1 and vanishes off the support of g^t,
   since every non-adjacent pair of g^t has a distinct, non-adjacent
@@ -84,8 +85,7 @@ import numpy as np
 
 from . import eigen
 from .errors import ConvergenceError, DomainError, MycthetaError
-from .graphs import Graph
-from .symmetry import _power_base
+from .graphs import Graph, _kron_power, _power_base
 
 DEFAULT_TOL = 1e-6
 MIN_TOL = 1e-10            # the tightest tolerance `check_tol` accepts
@@ -262,7 +262,7 @@ def theta_bar(g: Graph, tol: float = DEFAULT_TOL) -> ThetaSolution:
         )
     power = _power_base(g)
     if power is not None:
-        lifted = _lift(Graph(len(power[0]), power[0]), power[1], tol)
+        lifted = _lift(*power, tol)
         if lifted is not None:
             return lifted
     return _solve(g, tol)
@@ -285,14 +285,12 @@ def _lift(h: Graph, t: int, tol: float) -> Optional[ThetaSolution]:
     m = base.dual_slack + 1.0
     m[h.bool_matrix()] = 0.0
     np.fill_diagonal(m, base.upper)
-    primal, dual = base.primal, m
-    for _ in range(t - 1):
-        primal, dual = np.kron(primal, base.primal), np.kron(dual, m)
+    dual = _kron_power(m, t)
     dual -= 1.0
     return ThetaSolution(
         lower=lower_t,
         upper=upper_t,
-        primal=primal,
+        primal=_kron_power(base.primal, t),
         dual_slack=dual,
         tol_requested=tol,
         iterations=base.iterations,

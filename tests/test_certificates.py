@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -65,12 +66,13 @@ def test_lift_parameters_degenerate_root():
 
 
 def test_lift_parameters_rejects_inconsistent_m():
-    with pytest.raises(DomainError):
-        lift_parameters(2.0, 2.5)
-    with pytest.raises(DomainError):
-        lift_parameters(2.0, 3.5)
-    with pytest.raises(DomainError):
-        lift_parameters(1.0, 1.5)
+    for t, m, message in ((2.0, 2.5, "does not solve the Mycielskian cubic"),
+                          (2.0, 3.5, "outside (t, t+1]"),
+                          (2.0, 2.0, "outside (t, t+1]"),
+                          (1.0, 1.5, "certificates need t >= 2"),
+                          (1.99995, 2.5, "certificates need t >= 2")):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            lift_parameters(t, m)
 
 
 @given(st.floats(2.0, 40.0))
@@ -205,6 +207,14 @@ def test_certificate_rejects_mismatched_t():
     k2 = complete_graph(2)
     with pytest.raises(DomainError):
         build_spectral_certificate(k2, k2.adjacency_matrix(), 2.1)
+
+
+def test_certificate_below_two_is_refused_by_the_formula():
+    # 1.99995 is within 1e-4 of K2's ratio 2 but not snapped to 2, so m(t)
+    # refuses it before any certificate parameter is formed
+    k2 = complete_graph(2)
+    with pytest.raises(DomainError, match=re.escape("formula needs a finite t >= 2")):
+        build_spectral_certificate(k2, k2.adjacency_matrix(), 1.99995)
 
 
 def test_certificate_degenerate_m_fails_parameters():

@@ -80,6 +80,12 @@ def test_family_spec_takes_loadtxt_integers_only(spec, message):
     assert cli.parse_family("power:cycle:+05:t=+2") == graphs.or_power(graphs.cycle_graph(5), 2)
 
 
+@pytest.mark.parametrize("name", sorted(graphs._FAMILIES))
+def test_every_family_name_parses_to_its_generator(name):
+    # the spec's base names are graphs._FAMILIES itself, so a family is added in one place
+    assert cli.parse_family(f"{name}:5") == graphs.generate(name, 5)
+
+
 def test_bad_integers_exit_2_with_their_message(tmp_path, capsys):
     path = tmp_path / "bad_header.edges"
     path.write_text("1_0 1\n0 1\n", encoding="utf-8")

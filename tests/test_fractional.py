@@ -160,6 +160,12 @@ def test_lifted_chi_f_equals_the_lp(name, base, t):
     g = or_power(base, t)
     lifted = fractional_chromatic(g)
     assert lifted.value == fractional._solve(g).value == fractional_chromatic(base).value ** t
+    # the Kronecker power of the base's fractional clique, against the product loop
+    base_clique, reference = fractional_chromatic(base).clique_weights, [Fraction(1)]
+    for _ in range(t):
+        reference = [y * z for y in reference for z in base_clique]
+    assert lifted.clique_weights == tuple(reference)
+    assert all(type(w) is Fraction for w in lifted.clique_weights)
     if g.n <= 49:  # C5^2 and C7^2: the product cover and clique, checked in Fractions
         assert_optimal_pair(g, lifted)
 

@@ -446,6 +446,39 @@ def test_or_power_matches_kron_reference():
         assert (_arc_matrix(power) == ~reference).all()
 
 
+@st.composite
+def small_powers(draw):
+    """(base, t): a graph or digraph on 1 to 5 vertices and 1 <= t <= 3."""
+    n = draw(st.integers(1, 5))
+    directed = draw(st.booleans())
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v and (directed or u < v)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return (Digraph if directed else Graph)(n, chosen), draw(st.integers(1, 3))
+
+
+@given(small_powers())
+def test_or_power_is_the_or_product_chain(power):
+    # the chain of OR-products, the construction's definition, is the reference
+    base, t = power
+    reference = base
+    for _ in range(t - 1):
+        reference = or_product(reference, base)
+    assert or_power(base, t) == reference
+
+
+@given(small_powers())
+def test_recognised_power_base_gives_the_graph_back(power):
+    # t = 1 draws the base itself, most often no power at all
+    base, t = power
+    g = or_power(base, t)
+    found = graphs_mod._power_base(g)
+    if base.n >= 2 and t >= 2:
+        assert found is not None  # the base's own b = base.n passes, if no smaller one does
+    if found is not None:
+        h, s = found
+        assert type(h) is type(g) and s >= 2 and or_power(h, s) == g
+
+
 class _Chunks(list):
     """A text sink that keeps each write as one item."""
 

@@ -27,7 +27,7 @@ from myctheta import (
 )
 from myctheta import cli, invariants, symmetry
 from myctheta.errors import MycthetaInternal
-from myctheta.graphs import _bits_matrix, format_edgelist, parse_edgelist
+from myctheta.graphs import _bits_matrix, _power_base, format_edgelist, parse_edgelist
 from myctheta.invariants import (
     CliqueResult,
     _Budget,
@@ -42,7 +42,6 @@ from myctheta.symmetry import (
     _automorphisms,
     _is_automorphism,
     _orbit_labels,
-    _power_base,
     _power_generators,
     _stabilizer,
     _stack,
@@ -218,7 +217,7 @@ def lifted_generators(g: Graph):
     if power is None:
         return None
     base, t = power
-    return _power_generators(_automorphisms(base), len(base), t)
+    return _power_generators(_automorphisms(base.bool_matrix()), base.n, t)
 
 
 def search_generators(g: Graph) -> np.ndarray:

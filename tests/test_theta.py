@@ -401,6 +401,22 @@ def test_lifted_bracket_meets_the_direct_one(name, base, t):
     assert max(lifted.lower, direct.lower) <= min(lifted.upper, direct.upper)
 
 
+KRON_LOOP_POWERS = [("C5^2", cycle_graph(5)), ("C7^2", cycle_graph(7)), ("M(C5)^2", mycielskian(cycle_graph(5)))]
+
+
+@pytest.mark.parametrize("name, base", KRON_LOOP_POWERS, ids=[p[0] for p in KRON_LOOP_POWERS])
+def test_lift_equals_the_explicit_kronecker_loop(name, base):
+    # `_lift` squares the base's primal and M by `graphs._kron_power`; the
+    # explicit np.kron of each with itself is the reference, bit for bit
+    lifted = theta_mod._lift(base, 2, 1e-6)
+    h = theta_mod._solve(base, 1e-6 / (2 * base.n))  # the base solve `_lift` makes
+    m = h.dual_slack + 1.0
+    m[base.bool_matrix()] = 0.0
+    np.fill_diagonal(m, h.upper)
+    assert np.array_equal(lifted.primal, np.kron(h.primal, h.primal))
+    assert np.array_equal(lifted.dual_slack, np.kron(m, m) - 1.0)
+
+
 def test_lifted_certificate_is_feasible():
     # x_hat^(kron 2) is a feasible primal of C7^2 and M^(kron 2) - J a PSD
     # slack with diagonal hi^2 - 1 and -1 on every edge
@@ -498,7 +514,7 @@ def test_a_capped_base_solve_falls_back_to_the_direct_solve(monkeypatch):
 
 
 def test_shuffled_power_is_solved_directly():
-    # M(C5)^2 with its vertices shuffled is not recognised (`_power_base`
+    # M(C5)^2 with its vertices shuffled is not recognised (`graphs._power_base`
     # reads the layout of `or_power`), so it is solved on all 121 vertices
     g = or_power(mycielskian(cycle_graph(5)), 2)
     perm = random.Random(13).sample(range(g.n), g.n)

@@ -72,7 +72,6 @@ from .certificates import (
 from .constructions import (
     CapacityReport,
     LiftedCliqueSet,
-    ReportOptions,
     capacity_report,
     chained_power_clique,
     extended_clique,

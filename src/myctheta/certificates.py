@@ -45,8 +45,8 @@ from . import eigen
 from .errors import CertificateError, DomainError, MycthetaError
 from .formula import _snap_boundary, cubic_residual, mycielski_theta_formula
 from .graphs import Graph, mycielskian
-from .theta import (VectorColoring, _edge_spectrum, _ratio, extract_vector_coloring,
-                    optimal_edge_matrix, theta_bar)
+from .theta import (EXTRACT_TOL, VectorColoring, _edge_spectrum, _ratio, check_tol,
+                    extract_vector_coloring, optimal_edge_matrix, theta_bar)
 from .theta import spectral_ratio  # noqa: F401  still importable from this module, as before
 
 _CONSISTENCY_TOL = 1e-6
@@ -387,7 +387,8 @@ def check_certificate_inequalities(t: float, m: float, gamma: float,
 # ---------------------------------------------------------------------------
 
 def certify(g: Graph, tol: float, verbose: bool = False) -> tuple[dict, bool]:
-    """Solve theta_bar(g) to tol once and check both directions on M(G).
+    """Solve theta_bar(g) once, at min(tol, EXTRACT_TOL) so that the vector
+    coloring can be extracted at any tol, and check both directions on M(G).
 
     Returns the document `myctheta certify` prints and its verdict, true
     when all four checks hold: the ratio of T_hat is within 1e-6 of m(t),
@@ -397,7 +398,8 @@ def certify(g: Graph, tol: float, verbose: bool = False) -> tuple[dict, bool]:
     decomposed once; a T whose ratio t falls more than 100 tol below theta
     raises MycthetaError, since the solution is then not optimal.
     """
-    sol = theta_bar(g, tol)
+    check_tol(tol)  # before min(), which would pass an infinite or too loose tol
+    sol = theta_bar(g, min(tol, EXTRACT_TOL))
     spectrum = _edge_spectrum(optimal_edge_matrix(g, sol), g)
     t = _ratio(spectrum[1])
     if t < sol.value - 100.0 * tol:

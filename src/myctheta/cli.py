@@ -13,8 +13,12 @@ back.  Family specs compose constructors right to left, e.g.
 A graph is searched the same whichever source it came from: the clique
 searches take their automorphisms from the graph alone.
 
-Floats print with 12 significant digits, rationals as "p/q".  Exit codes:
-0 success, 2 domain/usage errors, 1 internal failures.  A report whose
+This module alone turns results into text and flags into library
+arguments: the library returns plain data (`to_dict`), and every JSON
+document goes out through `_emit_json`, with a two-space indent and sorted
+keys.  Text floats print with 12 significant digits, rationals as "p/q"
+(the report's CSV prints an integer chi_f as "3").  Exit codes: 0
+success, 2 domain/usage errors, 1 internal failures.  A report whose
 `errors` is non-empty is still written in full, then exits 2 with one
 `error: report incomplete: <keys>` line on stderr.
 """
@@ -142,6 +146,11 @@ def _emit(args, text: str) -> None:
         fh.write(text)
 
 
+def _emit_json(args, doc: dict) -> None:
+    """Every JSON document the commands print: two-space indent, sorted keys."""
+    _emit(args, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
 def _cmd_gen(args) -> int:
     g = _load_graph(args)
     with _output(args) as fh:
@@ -180,7 +189,7 @@ def _cmd_invariant(args) -> int:
         b = invariants.capacity_lower_bound(g, args.power, args.budget)
         doc["lower_bound"] = {"k": b.k, "value": b.value, "exhausted": b.exhausted}
     if args.format == "json":
-        _emit(args, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        _emit_json(args, doc)
     else:
         lines = [f"{k} = {v}" for k, v in doc.items()]
         _emit(args, "\n".join(lines) + "\n")
@@ -193,7 +202,7 @@ def _cmd_theta(args) -> int:
         raise DomainError("theta is defined for undirected graphs")
     sol = theta_mod.theta_bar(g, args.tol)
     if args.format == "json":
-        _emit(args, sol.to_json(verbose=args.verbose) + "\n")
+        _emit_json(args, sol.to_dict(verbose=args.verbose))
     else:
         _emit(args, f"theta_bar = {_fmt(sol.value)}\n")
     return 0
@@ -208,7 +217,7 @@ def _cmd_myc_theta(args) -> int:
             "cubic_residual": res.cubic_residual,
             "discarded_branches": list(res.discarded),
         }
-        _emit(args, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        _emit_json(args, doc)
     else:
         lines = [
             f"m = {_fmt(res.m)}",
@@ -225,38 +234,44 @@ def _cmd_certify(args) -> int:
     if isinstance(g, graphs.Digraph):
         raise DomainError("certificates apply to undirected graphs")
     doc, ok = certs.certify(g, args.tol, args.verbose)
-    _emit(args, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _emit_json(args, doc)
     return 0 if ok else 1
 
 
 def _cmd_construct(args) -> int:
     if args.lifted_clique is not None:
-        result = (
-            cons.extended_clique(args.lifted_clique)
-            if args.extend
-            else cons.lifted_clique(args.lifted_clique)
-        )
-        _emit(args, result.to_json() + "\n")
-        return 0
-    if args.transitive_clique is not None:
-        _emit(args, cons.lifted_transitive_clique(args.transitive_clique).to_json() + "\n")
-        return 0
-    n, r, t = args.no_lift_check
-    ok = cons.no_lifted_clique_check(n, r, t, args.budget)
-    _emit(args, json.dumps({"n": n, "r": r, "t": t, "no_such_clique": ok}) + "\n")
+        build = cons.extended_clique if args.extend else cons.lifted_clique
+        _emit_json(args, build(args.lifted_clique).to_dict())
+    elif args.transitive_clique is not None:
+        _emit_json(args, cons.lifted_transitive_clique(args.transitive_clique).to_dict())
+    else:
+        n, r, t = args.no_lift_check
+        ok = cons.no_lifted_clique_check(n, r, t, args.budget)
+        _emit_json(args, {"n": n, "r": r, "t": t, "no_such_clique": ok})
     return 0
+
+
+def _report_csv(report: cons.CapacityReport) -> str:
+    """A header and one row.  chi_f prints as its Fraction, so an integer is `3`."""
+    clique = report.omega or report.omega_tr
+    best = report.best_lower_bound()
+    cells = [report.n, report.m, report.directed, clique and clique.size,
+             None if report.theta is None else _fmt(report.theta), report.chi_f,
+             report.chi and report.chi.hi, None if best is None else _fmt(best)]
+    return ("n,m,directed,omega,theta,chi_f,chi,best_lower_bound\n"
+            + ",".join("" if c is None else str(c) for c in cells) + "\n")
 
 
 def _cmd_report(args) -> int:
     g = _load_graph(args)
-    options = cons.ReportOptions(max_power=args.max_power, theta_tol=args.tol, clique_budget=args.budget)
-    report = cons.capacity_report(g, options)
+    report = cons.capacity_report(g, max_power=args.max_power, theta_tol=args.tol,
+                                  clique_budget=args.budget)
+    doc = report.to_dict()
     if args.format == "json":
-        _emit(args, report.to_json() + "\n")
+        _emit_json(args, doc)
     elif args.format == "csv":
-        _emit(args, report.to_csv())
+        _emit(args, _report_csv(report))
     else:
-        doc = report.to_dict()
         lines = [f"vertices = {doc['n']}", f"edges = {doc['m']}"]
         for key in ("omega", "omega_s", "omega_tr"):
             if doc[key]:

@@ -29,13 +29,15 @@ Each search is seeded with the lexicographic product of lower-power
 witnesses, which keeps a transitive order, and at power n with the attached
 construction, whose host is D itself; a seed that reaches the cap proves
 the optimum without a search.  Undirected reports search uncapped.
+
+Results are plain data, and `to_dict` gives each one's document; `cli`
+alone renders them as JSON, CSV or text.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -105,9 +107,6 @@ class LiftedCliqueSet:
             "labels": labels,
             "residue_classes": list(self.residue_classes),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
 
 
 def _lifted_members(n: int) -> list[tuple[tuple[int, ...], int]]:
@@ -307,13 +306,6 @@ def chained_power_clique(g: Graph, k: int = 1,
 CHROMATIC_BUDGET = 2_000_000  # node budget of the report's chromatic search
 
 
-@dataclass(frozen=True)
-class ReportOptions:
-    max_power: int = 1
-    theta_tol: float = 1e-6
-    clique_budget: Optional[int] = None
-
-
 @dataclass
 class CapacityReport:
     n: int
@@ -352,7 +344,7 @@ class CapacityReport:
                 "closed_by": c.closed_by,
             }
 
-        doc = {
+        return {
             "n": self.n,
             "m": self.m,
             "directed": self.directed,
@@ -380,25 +372,6 @@ class CapacityReport:
             "best_lower_bound": self.best_lower_bound(),
             "errors": self.errors,
         }
-        return doc
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    def to_csv(self) -> str:
-        d = self.to_dict()
-        omega = d["omega"]["size"] if d["omega"] else (
-            d["omega_tr"]["size"] if d["omega_tr"] else ""
-        )
-        chi = d["chi"]["hi"] if d["chi"] else ""
-        rows = [
-            "n,m,directed,omega,theta,chi_f,chi,best_lower_bound",
-            f"{self.n},{self.m},{self.directed},{omega},"
-            f"{'' if self.theta is None else format(self.theta, '.12g')},"
-            f"{'' if self.chi_f is None else str(self.chi_f)},"
-            f"{chi},{'' if self.best_lower_bound() is None else format(self.best_lower_bound(), '.12g')}",
-        ]
-        return "\n".join(rows) + "\n"
 
 
 def _theta_cap(hi: float, k: int) -> Optional[int]:
@@ -435,7 +408,8 @@ def _construction(g: GraphLike) -> Optional[LiftedCliqueSet]:
     return lifted_transitive_clique(n) if directed else extended_clique(n)
 
 
-def capacity_report(g: GraphLike, options: ReportOptions = ReportOptions()) -> CapacityReport:
+def capacity_report(g: GraphLike, *, max_power: int = 1, theta_tol: float = theta_mod.DEFAULT_TOL,
+                    clique_budget: Optional[int] = None) -> CapacityReport:
     """Bundle of invariants and bounds; per-field failures land in `errors`.
 
     Only expected failures (`MycthetaError`) are recorded there.  A bad
@@ -452,11 +426,11 @@ def capacity_report(g: GraphLike, options: ReportOptions = ReportOptions()) -> C
     recorded, since the report outputs no theta for a digraph.  The
     attached construction is `_construction(g)`.
     """
-    theta_mod.check_tol(options.theta_tol)
-    if options.clique_budget is not None and options.clique_budget < 1:
-        raise DomainError(f"clique budget must be at least 1, got {options.clique_budget}")
-    if options.max_power < 0:
-        raise DomainError(f"max power must be at least 0, got {options.max_power}")
+    theta_mod.check_tol(theta_tol)
+    if clique_budget is not None and clique_budget < 1:
+        raise DomainError(f"clique budget must be at least 1, got {clique_budget}")
+    if max_power < 0:
+        raise DomainError(f"max power must be at least 0, got {max_power}")
     directed = isinstance(g, Digraph)
     report = CapacityReport(n=g.n, m=g.m, directed=directed)
 
@@ -470,28 +444,28 @@ def capacity_report(g: GraphLike, options: ReportOptions = ReportOptions()) -> C
     report.construction = attempt("construction", lambda: _construction(g))
     if directed:
         report.omega_s = attempt(
-            "omega_s", lambda: symmetric_clique_number(g, options.clique_budget)
+            "omega_s", lambda: symmetric_clique_number(g, clique_budget)
         )
         report.omega_tr = omega = attempt(
-            "omega_tr", lambda: transitive_clique_number(g, options.clique_budget)
+            "omega_tr", lambda: transitive_clique_number(g, clique_budget)
         )
     else:
         report.omega = omega = attempt(
-            "omega", lambda: clique_number(g, options.clique_budget)
+            "omega", lambda: clique_number(g, clique_budget)
         )
     # the k = 1 bound is the clique number of G^1 = G, searched just above
     bounds = []
-    if options.max_power >= 1:
+    if max_power >= 1:
         if omega is None:
             report.errors["lower_bound_k1"] = report.errors["omega_tr" if directed else "omega"]
         else:
-            bounds.append(CapacityBound(float(omega.size), 1, omega, directed))
+            bounds.append(CapacityBound(1, omega))
 
     @functools.cache
     def theta_hi() -> Optional[float]:
         """Upper end of the certified bracket of theta_bar(underlying(g))."""
         try:
-            return theta_mod.theta_bar(g.underlying(), options.theta_tol).upper
+            return theta_mod.theta_bar(g.underlying(), theta_tol).upper
         except MycthetaError:  # an uncapped search is still exact
             return None
 
@@ -507,10 +481,10 @@ def capacity_report(g: GraphLike, options: ReportOptions = ReportOptions()) -> C
         hi = theta_hi()
         return {"cap": None if hi is None else _theta_cap(hi, k), "seed": seed}
 
-    for k in range(2, options.max_power + 1):
+    for k in range(2, max_power + 1):
         bound = attempt(
             f"lower_bound_k{k}",
-            lambda k=k: capacity_lower_bound(g, k, options.clique_budget, **search_args(k)),
+            lambda k=k: capacity_lower_bound(g, k, clique_budget, **search_args(k)),
         )
         if bound is not None:
             bounds.append(bound)
@@ -518,7 +492,7 @@ def capacity_report(g: GraphLike, options: ReportOptions = ReportOptions()) -> C
             break
     report.lower_bounds = tuple(bounds)
     if not directed:
-        sol = attempt("theta", lambda: theta_mod.theta_bar(g, options.theta_tol))
+        sol = attempt("theta", lambda: theta_mod.theta_bar(g, theta_tol))
         if sol is not None:
             report.theta = sol.value
             report.theta_tolerance = sol.tolerance_achieved

@@ -482,10 +482,12 @@ def _checked_coloring(g: Graph, coloring: tuple[int, ...], hi: int) -> tuple[int
 
 @dataclass(frozen=True)
 class CapacityBound:
-    value: float
     k: int
     clique: CliqueResult
-    directed: bool
+
+    @property
+    def value(self) -> float:
+        return self.clique.size ** (1.0 / self.k)
 
     @property
     def exhausted(self) -> bool:
@@ -513,4 +515,4 @@ def capacity_lower_bound(g: GraphLike, k: int, node_budget: Optional[int] = None
         res = transitive_clique_number(power, node_budget, cap, seed)
     else:
         res = clique_number(power, node_budget)
-    return CapacityBound(res.size ** (1.0 / k), k, res, directed)
+    return CapacityBound(k, res)

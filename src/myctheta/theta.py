@@ -76,7 +76,6 @@ m(theta_bar(G)) is the theorem the package checks), is solved directly.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -88,6 +87,7 @@ from .errors import ConvergenceError, DomainError, MycthetaError
 from .graphs import Graph, _kron_power, _power_base
 
 DEFAULT_TOL = 1e-6
+EXTRACT_TOL = 1e-6         # the widest half-width `extract_vector_coloring` accepts
 MIN_TOL = 1e-10            # the tightest tolerance `check_tol` accepts
 MAX_ITERATIONS = 200_000
 _RESIDUAL_SAFETY = 50.0    # residual target below tol so the value meets tol
@@ -121,7 +121,7 @@ class ThetaSolution:
     def n(self) -> int:
         return len(self.primal)
 
-    def to_json(self, verbose: bool = False) -> str:
+    def to_dict(self, verbose: bool = False) -> dict:
         doc = {
             "value": self.value,
             "tolerance_achieved": self.tolerance_achieved,
@@ -138,7 +138,7 @@ class ThetaSolution:
             np.fill_diagonal(edge_part, 0.0)
             doc["primal"] = self.primal.tolist()
             doc["dual_edge_matrix"] = edge_part.tolist()
-        return json.dumps(doc, indent=2, sort_keys=True)
+        return doc
 
 
 @dataclass(frozen=True)
@@ -442,11 +442,11 @@ def extract_vector_coloring(sol: ThetaSolution, g: Graph) -> VectorColoring:
     Factorizes the PSD Gram matrix of the coloring (clamping tiny negative
     eigenvalues at zero) and normalizes the rows to unit vectors.  Edgeless
     graphs need no edge constraint and return the all-identical coloring of
-    value 1.
+    value 1.  A bracket wider than EXTRACT_TOL is refused with DomainError.
     """
     if sol.n != g.n:
         raise DomainError("solution does not belong to this graph")
-    if sol.tolerance_achieved > 1e-6:
+    if sol.tolerance_achieved > EXTRACT_TOL:
         raise DomainError(
             f"solution tolerance {sol.tolerance_achieved} too loose for extraction"
         )

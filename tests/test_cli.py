@@ -526,6 +526,46 @@ def test_construct_no_lift_check_at_scale(n, r, t, capsys):
     assert json.loads(payload) == {"n": n, "r": r, "t": t, "no_such_clique": True}
 
 
+@pytest.mark.parametrize("argv, schema", [
+    (["theta", "--family", "cycle:5"], "theta"),
+    (["theta", "--family", "cycle:5", "--verbose"], "theta"),
+    (["invariant", "--family", "cycle:5"], "invariant"),
+    (["myc-theta", "--t", "3", "--format", "json"], "myc-theta"),
+    (["certify", "--family", "cycle:5"], "certify"),
+    (["construct", "--lifted-clique", "2"], "construction"),
+    (["construct", "--transitive-clique", "2"], "construction"),
+    (["construct", "--no-lift-check", "3", "3", "2"], "construction"),
+    (["report", "--family", "cycle:5", "--format", "json"], "report"),
+])
+def test_every_json_document_has_one_layout(argv, schema, capsys):
+    # one emitter: two-space indent, sorted keys, one trailing newline, and its schema holds
+    code, payload, _ = run_cli(argv, capsys)
+    assert code == 0
+    doc = json.loads(payload)
+    assert payload == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    make_validator(f"{schema}.schema.json").validate(doc)
+
+
+def test_report_csv_prints_an_integer_chi_f_whole(capsys):
+    # chi_f(K3) = 3 is the Fraction 3, printed "3"; the JSON document holds "3/1"
+    code, payload, _ = run_cli(["report", "--family", "complete:3", "--format", "csv"], capsys)
+    assert code == 0
+    header, row = payload.splitlines()
+    assert dict(zip(header.split(","), row.split(","))) == {
+        "n": "3", "m": "3", "directed": "False", "omega": "3", "theta": "3",
+        "chi_f": "3", "chi": "3", "best_lower_bound": "3"}
+
+
+@pytest.mark.parametrize("family", ["cycle:7", "mycielski:cycle:5", "power:cycle:5:t=2"])
+def test_certify_at_a_loose_tol_still_extracts(family, capsys):
+    # theta is solved at min(tol, EXTRACT_TOL), so the coloring can always be extracted;
+    # the solve at tol 1e-3 itself stopped above 1e-6 on these three graphs
+    code, payload, _ = run_cli(["certify", "--family", family, "--tol", "1e-3"], capsys)
+    assert code == 0
+    checks = json.loads(payload)["checks"]
+    assert all(checks[k] is True for k in ("ratio_matches_formula", "block_spectrum", "inequalities", "lift_ok"))
+
+
 @pytest.mark.parametrize("argv, message", [
     (["invariant", "--family", "cycle:5", "--which", "omega", "--budget", "1_0"],
      "argument --budget: invalid integer value: '1_0'"),

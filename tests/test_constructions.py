@@ -14,7 +14,6 @@ from myctheta import (
     DomainError,
     Graph,
     InconclusiveError,
-    ReportOptions,
     SizeLimitError,
     capacity_report,
     chained_power_clique,
@@ -31,7 +30,7 @@ from myctheta import (
     transitive_clique_number,
     transitive_tournament,
 )
-from myctheta import constructions, invariants
+from myctheta import cli, constructions, invariants
 from myctheta.constructions import _level_power, _power_adjacency, _verify_clique
 from myctheta.formula import mycielski_theta_formula
 from myctheta.graphs import power_index
@@ -123,10 +122,8 @@ def test_extended_bound_exceeds_n(n):
 def test_construction_labels():
     # coordinate c over M(K_2) is the vertex (c % 2, c // 2) at that level, or the apex c = 4
     rows = [["(0,1)", "(0,0)"], ["(0,0)", "(1,1)"], ["(1,0)", "(0,1)"], ["(1,1)", "(1,0)"]]
-    assert json.loads(extended_clique(2).to_json())["labels"] == rows + [["Apex", "Apex"]]
-    assert json.loads(lifted_transitive_clique(2).to_json())["labels"] == [["Apex", "Apex"]] + rows
-    for lc in (lifted_clique(2), extended_clique(3), lifted_transitive_clique(2)):
-        assert lc.to_json() == json.dumps(lc.to_dict(), indent=2)
+    assert extended_clique(2).to_dict()["labels"] == rows + [["Apex", "Apex"]]
+    assert lifted_transitive_clique(2).to_dict()["labels"] == [["Apex", "Apex"]] + rows
 
 
 def test_lifted_clique_rejects_small_n():
@@ -247,7 +244,7 @@ def test_chained_power_clique_k3():
 
 
 def test_capacity_report_c5():
-    report = capacity_report(cycle_graph(5), ReportOptions(max_power=2))
+    report = capacity_report(cycle_graph(5), max_power=2)
     assert report.omega.size == 2
     assert report.lower_bounds[1].value == pytest.approx(math.sqrt(5), abs=1e-12)
     assert report.theta == pytest.approx(math.sqrt(5), abs=1e-4)
@@ -259,14 +256,14 @@ def test_capacity_report_c5():
 
 
 def test_capacity_report_records_achieved_tolerance():
-    report = capacity_report(cycle_graph(5), ReportOptions(max_power=1))
+    report = capacity_report(cycle_graph(5), max_power=1)
     achieved = theta_bar(cycle_graph(5), tol=1e-6).tolerance_achieved
     assert report.theta_tolerance == achieved
     assert report.theta_tolerance != 1e-6
 
 
 def test_capacity_report_k1():
-    report = capacity_report(complete_graph(1), ReportOptions(max_power=1))
+    report = capacity_report(complete_graph(1), max_power=1)
     assert report.omega.size == 1
     assert report.theta == 1.0
     assert report.chi_f == 1
@@ -276,7 +273,7 @@ def test_capacity_report_k1():
 def test_capacity_report_mycielski_k3():
     report = capacity_report(
         mycielskian(complete_graph(3), 2),
-        ReportOptions(max_power=1),
+        max_power=1,
     )
     assert report.omega.size == 3
     assert report.construction is not None
@@ -287,7 +284,7 @@ def test_capacity_report_mycielski_k3():
 
 def test_capacity_report_records_oversized_construction():
     # the construction of M(K6) would have 6^6 + 1 vertices: the report skips it
-    report = capacity_report(mycielskian(complete_graph(6), 2), ReportOptions(max_power=1))
+    report = capacity_report(mycielskian(complete_graph(6), 2), max_power=1)
     assert report.construction is None
     assert report.errors == {}
     assert report.chi.value == 7
@@ -296,7 +293,7 @@ def test_capacity_report_records_oversized_construction():
 def test_capacity_report_digraph():
     report = capacity_report(
         mycielskian(transitive_tournament(2), 2),
-        ReportOptions(max_power=2),
+        max_power=2,
     )
     assert report.omega_s.size == 1
     assert report.omega_tr.size == 2
@@ -324,7 +321,7 @@ def test_verifier_rejects_reversed_transitive_order():
 
 @pytest.mark.parametrize("g", [cycle_graph(5), mycielskian(transitive_tournament(2), 2)])
 def test_capacity_report_reuses_omega_for_k1(g):
-    report = capacity_report(g, ReportOptions(max_power=2))
+    report = capacity_report(g, max_power=2)
     omega = report.omega_tr if report.directed else report.omega
     assert report.lower_bounds[0].k == 1
     assert report.lower_bounds[0].clique is omega
@@ -332,7 +329,7 @@ def test_capacity_report_reuses_omega_for_k1(g):
 
 
 def test_capacity_report_failed_omega_fills_both_keys():
-    report = capacity_report(Graph(0), ReportOptions(max_power=1))
+    report = capacity_report(Graph(0), max_power=1)
     message = "DomainError: clique number needs a nonempty vertex set"
     assert report.errors["omega"] == report.errors["lower_bound_k1"] == message
     assert report.lower_bounds == ()
@@ -341,7 +338,7 @@ def test_capacity_report_failed_omega_fills_both_keys():
 def test_capacity_report_raises_internal_errors(monkeypatch):
     monkeypatch.setattr(invariants, "verify_clique", lambda g, witness: False)
     with pytest.raises(MycthetaInternal, match="re-verification"):
-        capacity_report(cycle_graph(5), ReportOptions(max_power=1))
+        capacity_report(cycle_graph(5), max_power=1)
 
 
 def test_capacity_report_records_errors():
@@ -350,26 +347,24 @@ def test_capacity_report_records_errors():
     from myctheta import empty_graph
 
     big = empty_graph(145)  # edgeless; 145 = 5 * 29 is no power, so no base is solved instead
-    report = capacity_report(big, ReportOptions(max_power=1))
+    report = capacity_report(big, max_power=1)
     assert "chi_f" in report.errors
     assert report.theta == 1.0
     # an OR-power's limit applies to its base: E_12^2 has 144 vertices, E_12 twelve
-    assert capacity_report(or_power(empty_graph(12), 2), ReportOptions(max_power=1)).errors == {}
+    assert capacity_report(or_power(empty_graph(12), 2), max_power=1).errors == {}
 
 
-def test_report_csv_and_json_shapes():
-    report = capacity_report(cycle_graph(5), ReportOptions(max_power=1))
-    csv = report.to_csv()
-    assert csv.startswith("n,m,directed,omega")
-    import json
-
-    doc = json.loads(report.to_json())
-    assert doc["n"] == 5
+def test_report_csv_and_json_shapes(capsys):
+    # the CLI renders the report; the library returns its document
+    assert cli.main(["report", "--family", "cycle:5", "--max-power", "1", "--format", "csv"]) == 0
+    assert capsys.readouterr().out.startswith("n,m,directed,omega")
+    doc = capacity_report(cycle_graph(5), max_power=1).to_dict()
+    assert json.loads(json.dumps(doc)) == doc and doc["n"] == 5
 
 
 def test_report_closes_mt3_cube_by_theta():
     d = mycielskian(transitive_tournament(3), 2)
-    report = capacity_report(d, ReportOptions(max_power=3))
+    report = capacity_report(d, max_power=3)
     assert not report.errors and report.theta is None
     cube = report.lower_bounds[2].clique
     assert (cube.size, cube.nodes, cube.closed_by) == (28, 0, "theta")
@@ -383,7 +378,7 @@ def test_report_closes_mt3_cube_by_theta():
 def test_report_closes_mt3_square_by_theta():
     # cap floor(theta_bar(M(K3))^2) = 9 is met by the product of two T3 orders
     d = mycielskian(transitive_tournament(3), 2)
-    report = capacity_report(d, ReportOptions(max_power=2))
+    report = capacity_report(d, max_power=2)
     square = report.lower_bounds[1].clique
     assert (square.size, square.nodes, square.closed_by) == (9, 0, "theta")
     assert square.witness == tuple(7 * a + b for a in (0, 1, 2) for b in (0, 1, 2))
@@ -400,7 +395,7 @@ def test_undirected_report_searches_uncapped():
     # verifies on C5, lifted to C5^3: 1190 nodes.  The unpruned search takes
     # 149 498.
     c5, cube_graph = cycle_graph(5), or_power(cycle_graph(5), 3)
-    report = capacity_report(c5, ReportOptions(max_power=3))
+    report = capacity_report(c5, max_power=3)
     cube = report.lower_bounds[2].clique
     assert (cube.size, cube.nodes, cube.closed_by) == (10, 1190, "search")
     plain = clique_number(cube_graph)
@@ -412,7 +407,7 @@ def test_undirected_report_searches_uncapped():
 
 
 def test_report_truncated_search_is_not_closed():
-    report = capacity_report(or_power(cycle_graph(5), 2), ReportOptions(max_power=1, clique_budget=1))
+    report = capacity_report(or_power(cycle_graph(5), 2), max_power=1, clique_budget=1)
     assert report.omega.closed_by is None and not report.omega.exhausted
     assert report.to_dict()["lower_bounds"][0]["closed_by"] is None
 
@@ -423,7 +418,7 @@ def test_report_with_theta_too_low_raises(monkeypatch):
                         lambda g, tol: dataclasses.replace(real(g, tol), lower=1.5, upper=1.5))
     d = mycielskian(transitive_tournament(3), 2)
     with pytest.raises(MycthetaInternal, match="size 9 exceeds its certified cap 2"):
-        capacity_report(d, ReportOptions(max_power=2))
+        capacity_report(d, max_power=2)
 
 
 @pytest.mark.parametrize("tol", [1e-6, 1e-9])
@@ -432,12 +427,11 @@ def test_digraph_cap_reads_the_solved_upper_end(monkeypatch, tol):
     # not rebuilt from the value and the half-width; at tol 1e-9 the rebuilt
     # value + tolerance_achieved differs from that end in the last place
     d = mycielskian(transitive_tournament(3), 2)
-    options = ReportOptions(max_power=2, theta_tol=tol)
-    expect = theta_bar(d.underlying(), options.theta_tol).upper
+    expect = theta_bar(d.underlying(), tol).upper
     seen = []
     real = constructions._theta_cap
     monkeypatch.setattr(constructions, "_theta_cap", lambda hi, k: seen.append(hi) or real(hi, k))
-    capacity_report(d, options)
+    capacity_report(d, max_power=2, theta_tol=tol)
     assert seen == [expect]
 
 
@@ -447,7 +441,7 @@ def test_digraph_report_without_a_cap_searches(monkeypatch):
 
     monkeypatch.setattr(constructions.theta_mod, "theta_bar", fail)
     d = mycielskian(transitive_tournament(3), 2)
-    report = capacity_report(d, ReportOptions(max_power=2))
+    report = capacity_report(d, max_power=2)
     assert report.errors == {} and report.theta is None
     square = report.lower_bounds[1].clique
     assert (square.size, square.nodes, square.closed_by) == (9, 527, "search")
@@ -458,7 +452,7 @@ def test_digraph_report_solves_no_cap_beyond_the_vertex_bound(monkeypatch):
         raise AssertionError("theta_bar solved for a power that cannot be built")
 
     monkeypatch.setattr(constructions.theta_mod, "theta_bar", fail)
-    report = capacity_report(transitive_tournament(70), ReportOptions(max_power=2))
+    report = capacity_report(transitive_tournament(70), max_power=2)
     assert list(report.errors) == ["lower_bound_k2"]
     assert report.errors["lower_bound_k2"].startswith("SizeLimitError")
     assert report.omega_tr.size == 70
@@ -467,19 +461,19 @@ def test_digraph_report_solves_no_cap_beyond_the_vertex_bound(monkeypatch):
 def test_report_stops_at_the_first_power_beyond_the_bound(monkeypatch):
     # K2^6 fits 64 vertices; K2^7 is the first power beyond, and every later one is larger still
     monkeypatch.setenv("MYCTHETA_MAX_VERTICES", "64")
-    report = capacity_report(complete_graph(2), ReportOptions(max_power=10 ** 6))
+    report = capacity_report(complete_graph(2), max_power=10 ** 6)
     assert list(report.errors) == ["lower_bound_k7"]
     assert report.errors["lower_bound_k7"].startswith("SizeLimitError")
     assert [b.k for b in report.lower_bounds] == [1, 2, 3, 4, 5, 6]
 
 
 @pytest.mark.parametrize("options, message", [
-    (ReportOptions(clique_budget=0), "clique budget must be at least 1"),
-    (ReportOptions(max_power=-1), "max power must be at least 0"),
+    ({"clique_budget": 0}, "clique budget must be at least 1"),
+    ({"max_power": -1}, "max power must be at least 0"),
 ])
 def test_report_rejects_bad_counts(options, message):
     with pytest.raises(DomainError, match=message):
-        capacity_report(cycle_graph(5), options)
+        capacity_report(cycle_graph(5), **options)
 
 
 @st.composite

@@ -321,10 +321,11 @@ def test_solution_json():
     import json
 
     sol = theta_bar(cycle_graph(5), tol=1e-6)
-    doc = json.loads(sol.to_json())
+    doc = sol.to_dict()
     assert "value" in doc and "primal" not in doc
-    full = json.loads(sol.to_json(verbose=True))
+    full = sol.to_dict(verbose=True)
     assert "primal" in full and len(full["primal"]) == 5
+    assert json.loads(json.dumps(full)) == full  # plain data, ready for the CLI's emitter
 
 
 def test_mycielskian_theta_matches_formula():

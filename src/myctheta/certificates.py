@@ -268,7 +268,7 @@ def _assemble_certificate(g: Graph, spectrum: tuple[np.ndarray, np.ndarray, np.n
     col = (t - 1.0) * math.sqrt(eta) * v1
     t_hat[n:2 * n, 2 * n] = col
     t_hat[2 * n, n:2 * n] = col
-    hat_vals = eigen.eigh(t_hat)[0]
+    hat_vals = eigen.eigvalsh(t_hat)
     lam_max_hat = float(hat_vals[-1])
     lam_min_hat = float(hat_vals[0])
     expected_max = gamma * (t - 1.0)
@@ -308,9 +308,9 @@ class BlockSpectrumReport:
 def verify_block_spectrum(cert: SpectralCertificate) -> BlockSpectrumReport:
     """Sp(T_hat) equals the union of the block spectra within 1e-7, eigenvalue by eigenvalue.
 
-    The 2x2 blocks are decomposed in one call, as an (n-1, 2, 2) stack."""
+    The eigenvalues of the 2x2 blocks are taken in one call, as an (n-1, 2, 2) stack."""
     top, *pairs = certificate_blocks(cert)
-    collected = np.concatenate((eigen.eigh(top)[0], eigen.eigh(np.array(pairs))[0].ravel()))
+    collected = np.concatenate((eigen.eigvalsh(top), eigen.eigvalsh(np.array(pairs)).ravel()))
     collected.sort()
     hat_vals = cert.hat_eigenvalues
     gaps = np.abs(collected - hat_vals)

@@ -16,11 +16,12 @@ searches take their automorphisms from the graph alone.
 This module alone turns results into text and flags into library
 arguments: the library returns plain data (`to_dict`), and every JSON
 document goes out through `_emit_json`, with a two-space indent and sorted
-keys.  Text floats print with 12 significant digits, rationals as "p/q"
-(the report's CSV prints an integer chi_f as "3").  Exit codes: 0
-success, 2 domain/usage errors, 1 internal failures.  A report whose
-`errors` is non-empty is still written in full, then exits 2 with one
-`error: report incomplete: <keys>` line on stderr.
+keys.  `invariant` and `report` print the same text lines (`_text`).  Text
+floats print with 12 significant digits, rationals as "p/q" (the report's
+CSV prints an integer chi_f as "3").  Exit codes: 0 success, 2 domain/usage
+errors, 1 internal failures.  A report whose `errors` is non-empty is still
+written in full, then exits 2 with one `error: report incomplete: <keys>`
+line on stderr.
 """
 
 from __future__ import annotations
@@ -151,6 +152,30 @@ def _emit_json(args, doc: dict) -> None:
     _emit(args, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
+def _text(doc: dict, bounds: list[dict]) -> str:
+    """The text of an `invariant` or `report` document: one line per value
+    it holds, in one order; `bounds` are its capacity lower bounds."""
+    lines = [f"vertices = {doc['n']}", f"edges = {doc['m']}"]
+    for key in ("omega", "omega_s", "omega_tr"):
+        if doc.get(key):
+            lines.append(f"{key} = {doc[key]['size']}"
+                         + ("" if doc[key]["exhausted"] else " (budget truncated)"))
+    for b in bounds:
+        lines.append(f"capacity lower bound k={b['k']}: {_fmt(b['value'])}")
+    if doc.get("theta") is not None:
+        lines.append(f"theta_bar = {_fmt(doc['theta'])}")
+    if doc.get("chi_f") is not None:
+        lines.append(f"chi_f = {doc['chi_f']}")
+    if doc.get("chi") is not None:
+        lines.append(f"chi in [{doc['chi']['lo']}, {doc['chi']['hi']}]")
+    if doc.get("construction") is not None:
+        c = doc["construction"]
+        lines.append(f"construction clique size {c['size']}, bound {_fmt(c['bound'])}")
+    if doc.get("errors"):
+        lines.append(f"errors: {doc['errors']}")
+    return "\n".join(lines) + "\n"
+
+
 def _cmd_gen(args) -> int:
     g = _load_graph(args)
     with _output(args) as fh:
@@ -171,28 +196,23 @@ def _cmd_invariant(args) -> int:
     doc: dict = {"n": g.n, "m": g.m, "directed": directed}
     omega = None
     if which in ("omega", "all") and not directed:
-        r = omega = invariants.clique_number(g, args.budget)
-        doc["omega"] = {"size": r.size, "witness": list(r.witness), "exhausted": r.exhausted}
+        omega = invariants.clique_number(g, args.budget)
+        doc["omega"] = omega.to_dict()
     if which in ("omega-s", "all") and directed:
-        r = invariants.symmetric_clique_number(g, args.budget)
-        doc["omega_s"] = {"size": r.size, "witness": list(r.witness), "exhausted": r.exhausted}
+        doc["omega_s"] = invariants.symmetric_clique_number(g, args.budget).to_dict()
     if which in ("omega-tr", "all") and directed:
-        r = invariants.transitive_clique_number(g, args.budget)
-        doc["omega_tr"] = {"size": r.size, "witness": list(r.witness), "exhausted": r.exhausted}
+        doc["omega_tr"] = invariants.transitive_clique_number(g, args.budget).to_dict()
     if which in ("chi", "all") and not directed:
-        r = invariants.chromatic_number(g, args.budget, omega)
-        doc["chi"] = {"lo": r.lo, "hi": r.hi, "exhausted": r.exhausted}
+        doc["chi"] = invariants.chromatic_number(g, args.budget, omega).to_dict()
     if which in ("chi-f", "all") and not directed:
         r = fractional.fractional_chromatic(g)
         doc["chi_f"] = f"{r.value.numerator}/{r.value.denominator}"
     if which in ("power-bound",):
-        b = invariants.capacity_lower_bound(g, args.power, args.budget)
-        doc["lower_bound"] = {"k": b.k, "value": b.value, "exhausted": b.exhausted}
+        doc["lower_bound"] = invariants.capacity_lower_bound(g, args.power, args.budget).to_dict()
     if args.format == "json":
         _emit_json(args, doc)
     else:
-        lines = [f"{k} = {v}" for k, v in doc.items()]
-        _emit(args, "\n".join(lines) + "\n")
+        _emit(args, _text(doc, [doc["lower_bound"]] if "lower_bound" in doc else []))
     return 0
 
 
@@ -272,27 +292,7 @@ def _cmd_report(args) -> int:
     elif args.format == "csv":
         _emit(args, _report_csv(report))
     else:
-        lines = [f"vertices = {doc['n']}", f"edges = {doc['m']}"]
-        for key in ("omega", "omega_s", "omega_tr"):
-            if doc[key]:
-                lines.append(f"{key} = {doc[key]['size']}"
-                             + ("" if doc[key]["exhausted"] else " (budget truncated)"))
-        for b in doc["lower_bounds"]:
-            lines.append(f"capacity lower bound k={b['k']}: {_fmt(b['value'])}")
-        if doc["theta"] is not None:
-            lines.append(f"theta_bar = {_fmt(doc['theta'])}")
-        if doc["chi_f"] is not None:
-            lines.append(f"chi_f = {doc['chi_f']}")
-        if doc["chi"] is not None:
-            lines.append(f"chi in [{doc['chi']['lo']}, {doc['chi']['hi']}]")
-        if doc["construction"] is not None:
-            lines.append(
-                f"construction clique size {doc['construction']['size']}, "
-                f"bound {_fmt(doc['construction']['bound'])}"
-            )
-        if doc["errors"]:
-            lines.append(f"errors: {doc['errors']}")
-        _emit(args, "\n".join(lines) + "\n")
+        _emit(args, _text(doc, doc["lower_bounds"]))
     if report.errors:
         print(f"error: report incomplete: {', '.join(sorted(report.errors))}", file=sys.stderr)
         return 2
@@ -344,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("theta", help="complementary Lovasz theta via SDP")
     add_graph_source(p)
     p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--verbose", action="store_true", help="include matrices in JSON")
+    p.add_argument("--verbose", action="store_true", help="include the primal matrix in JSON")
     p.add_argument("--format", default="json", choices=["json", "text"])
     p.set_defaults(fn=_cmd_theta)
 

@@ -30,6 +30,10 @@ witnesses, which keeps a transitive order, and at power n with the attached
 construction, whose host is D itself; a seed that reaches the cap proves
 the optimum without a search.  Undirected reports search uncapped.
 
+Every search is bounded: given no budget, the report's clique searches and
+the nonexistence check stop at `invariants.DEFAULT_BUDGET` nodes, and the
+report's chromatic search at `CHROMATIC_BUDGET`.
+
 Results are plain data, and `to_dict` gives each one's document; `cli`
 alone renders them as JSON, CSV or text.
 """
@@ -230,14 +234,14 @@ def no_lifted_clique_check(n: int, r: int, t: int,
     no witness, so it prunes every branch whose coloring bound is below n^t.
     Returns True when it ends with nothing larger and False on a clique of
     size n^t, which is re-verified first; raises InconclusiveError if the
-    node budget (default 10^7) runs out first.
+    node budget (`invariants.DEFAULT_BUDGET` when None) runs out first.
     """
     if n < 3 or r < 3:
         raise DomainError("the nonexistence statement needs n >= 3 and r >= 3")
     if t < 1:
         raise DomainError("power exponent must be at least 1")
     h, _ = _level_power(n, r, t)
-    budget = _Budget(10 ** 7 if node_budget is None else node_budget)
+    budget = _Budget(node_budget)
     if _max_clique(h, budget, beat=n ** t - 1):
         return False
     if not budget.within_limit:
@@ -333,42 +337,22 @@ class CapacityReport:
         return max(values) if values else None
 
     def to_dict(self) -> dict:
-        def clique_doc(c: Optional[CliqueResult]):
-            if c is None:
-                return None
-            return {
-                "size": c.size,
-                "witness": list(c.witness),
-                "exhausted": c.exhausted,
-                "nodes": c.nodes,
-                "closed_by": c.closed_by,
-            }
+        def doc(result):
+            return None if result is None else result.to_dict()
 
         return {
             "n": self.n,
             "m": self.m,
             "directed": self.directed,
-            "omega": clique_doc(self.omega),
-            "omega_s": clique_doc(self.omega_s),
-            "omega_tr": clique_doc(self.omega_tr),
-            "lower_bounds": [
-                {
-                    "k": b.k,
-                    "value": b.value,
-                    "exhausted": b.exhausted,
-                    "clique_size": b.clique.size,
-                    "nodes": b.clique.nodes,
-                    "closed_by": b.clique.closed_by,
-                }
-                for b in self.lower_bounds
-            ],
+            "omega": doc(self.omega),
+            "omega_s": doc(self.omega_s),
+            "omega_tr": doc(self.omega_tr),
+            "lower_bounds": [b.to_dict() for b in self.lower_bounds],
             "theta": self.theta,
             "theta_tolerance": self.theta_tolerance,
             "chi_f": None if self.chi_f is None else f"{self.chi_f.numerator}/{self.chi_f.denominator}",
-            "chi": None
-            if self.chi is None
-            else {"lo": self.chi.lo, "hi": self.chi.hi, "exhausted": self.chi.exhausted},
-            "construction": None if self.construction is None else self.construction.to_dict(),
+            "chi": doc(self.chi),
+            "construction": doc(self.construction),
             "best_lower_bound": self.best_lower_bound(),
             "errors": self.errors,
         }

@@ -2,9 +2,11 @@
 finite-power capacity lower bounds.
 
 All searches are deterministic: vertices are ordered by degeneracy with ties
-broken by index, and budgets are node counts, not wall time.  A truncated
-search reports exhausted=False and the best witness found; it never claims a
-wrong optimum.
+broken by index, and budgets are node counts, not wall time.  Every search
+is bounded: a budget of None means `DEFAULT_BUDGET` nodes (10^7), read when
+the search starts.  A truncated search reports exhausted=False and the best
+witness found; it never claims a wrong optimum.  Each result's `to_dict` is
+its document, the same in `invariant` and in `report`.
 
 The clique search bounds each node by a bit-parallel coloring of its
 candidate bitset, one color class at a time (BBMC).  Its classes equal those
@@ -41,6 +43,8 @@ from . import symmetry
 from .errors import DomainError, MycthetaInternal
 from .graphs import Digraph, Graph, GraphLike, _row_bits, or_power
 
+DEFAULT_BUDGET = 10 ** 7  # the node budget of a search given none
+
 
 @dataclass(frozen=True)
 class CliqueResult:
@@ -57,22 +61,26 @@ class CliqueResult:
             return "theta"
         return "search" if self.exhausted else None
 
+    def to_dict(self) -> dict:
+        return {"size": self.size, "witness": list(self.witness), "exhausted": self.exhausted,
+                "nodes": self.nodes, "closed_by": self.closed_by}
+
 
 class _Budget:
     __slots__ = ("limit", "nodes")
 
-    def __init__(self, limit: Optional[int]):
-        self.limit = limit
+    def __init__(self, node_budget: Optional[int]):
+        self.limit = DEFAULT_BUDGET if node_budget is None else node_budget
         self.nodes = 0
 
     def tick(self) -> bool:
         """Count one search node; False once the budget is spent."""
         self.nodes += 1
-        return self.limit is None or self.nodes <= self.limit
+        return self.nodes <= self.limit
 
     @property
     def within_limit(self) -> bool:
-        return self.limit is None or self.nodes <= self.limit
+        return self.nodes <= self.limit
 
 
 def _ordered_bits(g: Graph) -> tuple[list[int], tuple[int, ...]]:
@@ -162,7 +170,7 @@ def _max_clique_bits(bits: tuple[int, ...], budget: _Budget,
         orbit: list[int] = []  # orbit bitmask of each vertex, once a second branch needs it
         done = -1  # the vertex branched on last, while its orbit is still a candidate
         for i in range(len(order) - 1, -1, -1):
-            if budget.limit is not None and budget.nodes > budget.limit:
+            if budget.nodes > budget.limit:
                 return
             v = order[i]
             if len(current) + bounds[i] <= best_size:
@@ -369,14 +377,18 @@ class ChromaticResult:
             )
         return self.lo
 
+    def to_dict(self) -> dict:
+        return {"lo": self.lo, "hi": self.hi, "exhausted": self.exhausted}
+
 
 def greedy_coloring(g: Graph) -> tuple[int, ...]:
     """DSATUR greedy coloring; deterministic tie-break by vertex index.
 
     This is the first descent of `_k_colorable` with k = n: the least free
-    color never exceeds the number of colors used, so it never backtracks.
+    color never exceeds the number of colors used, so it never backtracks
+    and takes n + 1 nodes.
     """
-    return _k_colorable(g, g.n, _Budget(None))
+    return _k_colorable(g, g.n, _Budget(g.n + 1))
 
 
 def _k_colorable(g: Graph, k: int, budget: _Budget) -> Optional[tuple[int, ...]]:
@@ -441,12 +453,11 @@ def chromatic_number(g: Graph, node_budget: Optional[int] = None,
         raise DomainError("chromatic number needs a nonempty vertex set")
     greedy = greedy_coloring(g)
     hi = max(greedy) + 1
-    clique_share = node_budget // 4 if node_budget else None
-    within_share = omega is not None and (clique_share is None or omega.nodes <= clique_share)
-    if not (within_share and omega.exhausted):
+    budget = _Budget(node_budget)
+    clique_share = budget.limit // 4
+    if not (omega is not None and omega.nodes <= clique_share and omega.exhausted):
         omega = clique_number(g, clique_share)
     lo = omega.size if omega.exhausted else 1
-    budget = _Budget(node_budget)
     budget.nodes = omega.nodes
     coloring = greedy
     k = lo
@@ -492,6 +503,11 @@ class CapacityBound:
     @property
     def exhausted(self) -> bool:
         return self.clique.exhausted
+
+    def to_dict(self) -> dict:
+        return {"k": self.k, "value": self.value, "exhausted": self.exhausted,
+                "clique_size": self.clique.size, "nodes": self.clique.nodes,
+                "closed_by": self.clique.closed_by}
 
 
 def capacity_lower_bound(g: GraphLike, k: int, node_budget: Optional[int] = None,

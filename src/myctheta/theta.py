@@ -132,12 +132,7 @@ class ThetaSolution:
         if self.lifted is not None:
             doc["lifted"] = {"base_n": self.lifted[0], "t": self.lifted[1]}
         if verbose:
-            # the primal with its diagonal zeroed; the solver's primal is exactly
-            # zero off the support, so this is supported on the edges
-            edge_part = self.primal.copy()
-            np.fill_diagonal(edge_part, 0.0)
             doc["primal"] = self.primal.tolist()
-            doc["dual_edge_matrix"] = edge_part.tolist()
         return doc
 
 
@@ -190,14 +185,14 @@ def _certified_bracket(x, u, nonedge, jmat):
     upper bound.
     """
     n = x.shape[0]
-    lam_min = float(eigen.eigh(x)[0][0])
+    lam_min = float(eigen.eigvalsh(x)[0])
     shift = max(0.0, -lam_min)
     x_hat = (x + shift * np.eye(n)) / (1.0 + n * shift)
     lower = float(jmat.ravel() @ x_hat.ravel())
     c = jmat.copy()
     minus_slack = 0.5 * (u + u.T)  # = -S, and C = -S on non-edges
     c[nonedge] = minus_slack[nonedge]
-    upper = float(eigen.eigh(c)[0][-1])
+    upper = float(eigen.eigvalsh(c)[-1])
     return lower, upper, x_hat
 
 

@@ -403,28 +403,31 @@ def test_certify_holds_on_lifted_powers(family):
 
 
 def test_certify_decomposes_t_and_t_hat_once(monkeypatch):
-    # after the solve, certify decomposes the one edge matrix T, the coloring
-    # Gram matrix and T_hat once each: three dense eigh calls on M(C5)^2,
-    # counted by shape, so the stacked (n-1, 2, 2) call of the block check is
-    # not one of them
+    # after the solve, certify decomposes each matrix it reads once: on M(C5)^2
+    # the edge matrix T and the coloring Gram matrix with their eigenvectors,
+    # T_hat and the stacked (n-1, 2, 2) blocks of the block check for their
+    # eigenvalues alone; calls are counted by function and shape
     from myctheta import certificates, or_power
 
     g = or_power(mycielskian(cycle_graph(5)), 2)
     sol = theta_bar(g, 1e-7)
     monkeypatch.setattr(certificates, "theta_bar", lambda graph, tol: sol)
-    shapes = []
-    real = eigen.eigh
+    calls = []
 
-    def counted(a):
-        shapes.append(np.shape(a))
-        return real(a)
+    def counted(name, real):
+        def call(a):
+            calls.append((name, np.shape(a)))
+            return real(a)
+        return call
 
-    monkeypatch.setattr(eigen, "eigh", counted)
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(eigen, name, counted(name, getattr(eigen, name)))
     doc, ok = certify(g, 1e-7)
     assert ok
-    dense = [s for s in shapes if len(s) == 2 and s[0] >= g.n]
-    assert sorted(dense) == [(g.n, g.n), (g.n, g.n), (2 * g.n + 1, 2 * g.n + 1)]
-    assert shapes.count((g.n - 1, 2, 2)) == 1
+    dense = [c for c in calls if len(c[1]) == 2 and c[1][0] >= g.n]
+    n, size = (g.n, g.n), (2 * g.n + 1, 2 * g.n + 1)
+    assert sorted(dense) == [("eigh", n), ("eigh", n), ("eigvalsh", size)]
+    assert [c for c in calls if c[1] == (g.n - 1, 2, 2)] == [("eigvalsh", (g.n - 1, 2, 2))]
 
 
 def test_certify_raises_when_t_misses_the_slack(monkeypatch, capsys):

@@ -763,3 +763,115 @@ def test_console_script_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("m = 2.2360679775")
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["invariant", "--family", "cycle:5"],
+     "vertices = 5\nedges = 5\nomega = 2\nchi_f = 5/2\nchi in [3, 3]\n"),
+    (["invariant", "--family", "tournament:3"], "vertices = 3\nedges = 3\nomega_s = 1\nomega_tr = 3\n"),
+    (["invariant", "--family", "cycle:5", "--which", "power-bound"],
+     "vertices = 5\nedges = 5\ncapacity lower bound k=2: 2.2360679775\n"),
+    (["invariant", "--family", "power:cycle:5:t=4", "--which", "omega", "--budget", "100"],
+     "vertices = 625\nedges = 170000\nomega = 19 (budget truncated)\n"),
+    (["report", "--family", "cycle:5"],
+     "vertices = 5\nedges = 5\nomega = 2\ncapacity lower bound k=1: 2\n"
+     "capacity lower bound k=2: 2.2360679775\ntheta_bar = 2.2360679775\nchi_f = 5/2\nchi in [3, 3]\n"),
+    (["report", "--family", "mycielski:tournament:3"],
+     "vertices = 7\nedges = 12\nomega_s = 1\nomega_tr = 3\ncapacity lower bound k=1: 3\n"
+     "capacity lower bound k=2: 3\nconstruction clique size 28, bound 3.03658897188\n"),
+])
+def test_invariant_and_report_text_print_values(argv, text, capsys):
+    # both commands print their documents through one renderer: values, not reprs
+    assert run_cli(argv + ["--format", "text"], capsys) == (0, text, "")
+
+
+def test_cli_fuzz_ends_in_an_exit_code_and_one_line(tmp_path):
+    # argv drawn from the real grammar: every subcommand, family specs, flag
+    # values and small edge lists, each value good seven times in eight and
+    # otherwise bad (a bad token, a value past its edge, a malformed file).
+    # Every example exits 0, 1 or 2 with at most one stderr line, and JSON on
+    # stdout validates. Sizes stay small (n <= 7, t <= 2, --max-power <= 2,
+    # and no power of a power) so that each example ends well under a second
+    import contextlib
+    import io
+
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    validators = {command: make_validator(f"{schema}.schema.json") for command, schema in (
+        ("invariant", "invariant"), ("theta", "theta"), ("myc-theta", "myc-theta"),
+        ("certify", "certify"), ("construct", "construction"), ("report", "report"))}
+
+    def pick(good, bad):
+        return st.sampled_from(good * 7 * len(bad) + bad * len(good))
+
+    params = {"": pick([""], [":junk"]), "mycielski:": pick(["", ":r=2", ":r=3"], [":r=0", ":r=x"]),
+              "power:": pick([":t=1", ":t=2"], ["", ":t=0", ":t=-1", ":t=1_0"])}
+    tol = pick(["1e-3", "1e-6", "1e-7", "1e-10"], ["1e-11", "1", "nan", "inf", "-1e-6", "x"])
+    budget = pick(["1", "2", "1000", "+20"], ["0", "-1", "1_0", "x", ""])
+    edge_path = tmp_path / "fuzz.edges"
+
+    @st.composite
+    def edge_file(draw):
+        n = draw(st.integers(1, 7))
+        rows = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=12))
+        rows = sorted({(u, v) for u, v in rows if u != v})
+        head = f"{n} {len(rows)}" + draw(pick(["", " directed"], [" x", "1"]))
+        data = (head + "\n" + "".join(f"{u} {v}\n" for u, v in rows)).encode()
+        bad = [data[:-3], data.replace(b"0", b"1_0"), data.replace(b" ", b"  9 ", 1), b"\xff\xfe\n"]
+        edge_path.write_bytes(draw(pick([data], bad)))
+        return str(edge_path)
+
+    @st.composite
+    def argvs(draw):
+        command = draw(pick(["gen", "invariant", "theta", "myc-theta", "certify", "construct", "report"],
+                            ["bogus"]))
+        wrap = draw(st.sampled_from(sorted(params)))
+        spec = (wrap + draw(pick(["complete", "empty", "cycle", "path", "tournament"], ["wheel"])) + ":"
+                + draw(pick(["1", "2", "3", "5", "7", "+3"], ["0", "-1", "x", "1_0"])) + draw(params[wrap]))
+        source = draw(pick([["--family", spec], ["--family", spec], ["--edges", draw(edge_file())]],
+                           [["--edges", str(tmp_path / "missing.edges")], []]))
+        power = pick(["0", "1"] if wrap == "power:" else ["0", "1", "2"], ["-1", "x"])
+
+        def flag(name, values):
+            return draw(st.sampled_from([[], [name, draw(values)]]))
+
+        if command == "myc-theta":
+            return [command, "--t", draw(pick(["2", "2.5", "3", "10"], ["1", "-1", "nan", "inf", "1e308", "x"])),
+                    *flag("--format", pick(["json", "text"], ["xml"]))]
+        if command == "construct":
+            n, t = pick(["3", "4"], ["2", "-1", "x"]), pick(["1", "2"], ["0", "-1"])
+            what = draw(st.sampled_from([["--lifted-clique", draw(pick(["2", "3", "4"], ["-1", "0", "1", "x"]))],
+                                         ["--transitive-clique", draw(pick(["2", "3"], ["-1", "0", "1", "x"]))],
+                                         ["--no-lift-check", draw(n), draw(n), draw(t)]]))
+            return [command, *what, *draw(st.sampled_from([[], ["--extend"]])), *flag("--budget", budget)]
+        argv = [command, *source]
+        if command == "invariant":
+            argv += flag("--which", pick(["omega", "omega-s", "omega-tr", "chi", "chi-f", "power-bound", "all"],
+                                         ["bogus"]))
+            argv += flag("--power", power) + flag("--budget", budget)
+            argv += flag("--format", pick(["json", "text"], ["xml"]))
+        elif command in ("theta", "certify"):
+            argv += flag("--tol", tol) + draw(st.sampled_from([[], ["--verbose"]]))
+            if command == "theta":
+                argv += flag("--format", pick(["json", "text"], ["xml"]))
+        elif command == "report":
+            argv += ["--max-power", draw(power)] + flag("--tol", tol) + flag("--budget", budget)
+            argv += flag("--format", pick(["json", "csv", "text"], ["xml"]))
+        return argv
+
+    @settings(max_examples=300, deadline=None)
+    @given(argvs())
+    def fuzz(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 1, 2), argv
+        assert err.count("\n") <= 1 and "Traceback" not in err, (argv, err)
+        default = "text" if argv[0] == "myc-theta" else "json"
+        if out and argv[0] in validators and (argv[argv.index("--format") + 1] if "--format" in argv
+                                              else default) == "json":
+            validators[argv[0]].validate(json.loads(out))
+
+    fuzz()

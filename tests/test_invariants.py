@@ -118,7 +118,7 @@ def first_fit_clique_number(g: Graph, node_budget=None) -> CliqueResult:
             return
         flat, bounds = first_fit_color_order(bits, mask)
         for i in range(len(flat) - 1, -1, -1):
-            if budget.limit is not None and budget.nodes > budget.limit:
+            if budget.nodes > budget.limit:
                 return
             v = flat[i]
             if len(current) + bounds[i] <= best[0]:
@@ -719,6 +719,25 @@ def test_clique_budget_truncation():
     assert full.size >= res.size
 
 
+def test_searches_given_no_budget_stop_at_the_default(monkeypatch):
+    # DEFAULT_BUDGET is read when a search starts: at 1000 nodes, every search
+    # below needs more and reports itself truncated, closed by nothing
+    from myctheta import capacity_report
+
+    monkeypatch.setattr(invariants, "DEFAULT_BUDGET", 1000)
+    omega = clique_number(or_power(cycle_graph(5), 4))
+    assert (omega.size, omega.nodes, omega.exhausted, omega.closed_by) == (19, 1001, False, None)
+    bounds = capacity_report(cycle_graph(5), max_power=4).to_dict()["lower_bounds"]
+    assert [(b["k"], b["exhausted"], b["closed_by"]) for b in bounds] == [
+        (1, True, "search"), (2, True, "search"), (3, False, None), (4, False, None)]
+    m_t3_cube = or_power(mycielskian(transitive_tournament(3)), 3)
+    omega_tr = transitive_clique_number(m_t3_cube)
+    assert omega_tr.nodes > 1000 and not omega_tr.exhausted and omega_tr.closed_by is None
+    assert verify_clique(m_t3_cube, omega_tr.witness)
+    chi = chromatic_number(or_power(cycle_graph(7), 2))  # 20 151 nodes at the real default
+    assert (chi.lo, chi.hi, chi.nodes, chi.exhausted) == (6, 9, 1001, False)
+
+
 def test_symmetric_clique():
     assert symmetric_clique_number(transitive_tournament(5)).size == 1
     bidir = Digraph(4, [(u, v) for u in range(4) for v in range(4) if u != v])
@@ -991,7 +1010,7 @@ def reference_k_colorable(g: Graph, k: int, budget: _Budget):
             for u in touched:
                 sat[u].discard(c)
             colors[v] = -1
-            if budget.limit is not None and budget.nodes > budget.limit:
+            if budget.nodes > budget.limit:
                 return False
         return False
 
@@ -1028,8 +1047,8 @@ def test_chromatic_reuses_an_exhaustive_omega(monkeypatch):
     for (g, b, omega), want in zip(cases, expected):
         searches.clear()
         assert chromatic_number(g, b, omega) == want
-        share = b // 4 if b else None
-        reused = omega.exhausted and (share is None or omega.nodes <= share)
+        share = (b or invariants.DEFAULT_BUDGET) // 4
+        reused = omega.exhausted and omega.nodes <= share
         assert len(searches) == (0 if reused else 1)
 
 

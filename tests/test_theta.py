@@ -324,7 +324,7 @@ def test_solution_json():
     doc = sol.to_dict()
     assert "value" in doc and "primal" not in doc
     full = sol.to_dict(verbose=True)
-    assert "primal" in full and len(full["primal"]) == 5
+    assert set(full) == set(doc) | {"primal"} and len(full["primal"]) == 5  # the primal once
     assert json.loads(json.dumps(full)) == full  # plain data, ready for the CLI's emitter
 
 

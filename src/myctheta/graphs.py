@@ -361,7 +361,12 @@ def mycielskian(g: GraphLike, r: int = 2) -> GraphLike:
 # ---------------------------------------------------------------------------
 
 def or_product(f: GraphLike, g: GraphLike) -> GraphLike:
-    """OR-product: a pair is adjacent iff it is adjacent in >= 1 coordinate."""
+    """OR-product: a pair is adjacent iff it is adjacent in >= 1 coordinate.
+
+    No package code calls it (`or_power` folds `_kron_power` instead); it
+    stays public API on purpose, exported from `myctheta` for products of two
+    different graphs.
+    """
     if isinstance(f, Graph) != isinstance(g, Graph):
         raise DomainError("cannot mix graphs and digraphs in a product")
     _check_size(f.n * g.n, "OR-product")

@@ -314,7 +314,7 @@ def _longest_transitive_order(bits: tuple[int, ...], full: int,
     of the order being built: [mask, untried vertices, best length, best
     order, vertex being tried, size of mask].  A mask's value is memoized
     once all of its vertices are tried or its best order uses all of them,
-    while the budget holds.
+    while the budget holds; once it is spent, no frame tries another vertex.
     """
     memo: dict[int, tuple[int, tuple[int, ...]]] = {}
     frames: list[list] = []
@@ -340,7 +340,8 @@ def _longest_transitive_order(bits: tuple[int, ...], full: int,
                 frame[2], frame[3] = 1 + r, (frame[4],) + tail
             value = None
         cand = frame[0]
-        m = frame[1] if frame[2] < frame[5] else 0  # an order using every candidate is unbeatable
+        # an order using every candidate is unbeatable
+        m = frame[1] if frame[2] < frame[5] and budget.within_limit else 0
         while m:
             v = (m & -m).bit_length() - 1
             m &= m - 1

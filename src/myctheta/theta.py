@@ -42,11 +42,14 @@ M of residuals, each 2n^2 doubles, so it costs 2 * M * 2n^2 * 8 bytes:
 187 MB at n = 625 (a direct solve of C5^4 peaks at 268 MB, against 152 MB
 at memory 5; `theta_bar` lifts C5^4 from C5 instead, see below).
 
-At convergence S = -rho * u is the dual slack matrix: S is PSD, its
-diagonal approaches theta - 1 and its edge entries -1, so S / (theta - 1)
-is the Gram matrix of an optimal strict vector coloring; and
-the diagonally normalized primal minus the identity is an edge-supported
-matrix attaining the spectral ratio formula 1 + lambda_max / |lambda_min|.
+A solution stores the certified pair of the graph it solved: x_hat and the
+dual point D = hi I - C + J, with hi the bracket's upper end and C its dual
+matrix, J with -S on the non-edges for S = -rho * u symmetrized.  So D is
+exactly symmetric, with hi on the diagonal, 0 on the edges and 1 + S off
+them, and the dual slack D - J is PSD with diagonal hi - 1 and -1 on every
+edge: (D - J) / (theta - 1) is the Gram matrix of an optimal strict vector
+coloring.  The diagonally normalized primal minus the identity is an
+edge-supported matrix attaining the spectral ratio 1 + lambda_max / |lambda_min|.
 
 An OR-power is not solved on its own.  When `graphs._power_base` finds g
 to be the t-th OR-power of its leading block H (the test the clique search
@@ -59,25 +62,26 @@ of the complement):
 * x_hat^(kron t) is PSD, has trace 1 and vanishes off the support of g^t,
   since every non-adjacent pair of g^t has a distinct, non-adjacent
   coordinate, so <J, x_hat^(kron t)> = lo^t is a lower bound;
-* with lambda = hi the bracket's upper end and C the bracket's dual matrix,
-  M = lambda I - C + J has diagonal lambda, zeros on E(H) and M - J PSD, so
-  M^(kron t) - J is PSD (Kronecker powers keep the Loewner order between PSD
-  matrices) with diagonal lambda^t and zeros on E(g^t): a feasible dual
-  point of value hi^t, and the lifted `dual_slack`.
+* H's D has diagonal hi, zeros on E(H) and D - J PSD, so D^(kron t) - J is
+  PSD (Kronecker powers keep the Loewner order between PSD matrices) with
+  diagonal hi^t and -1 on E(g^t): a feasible dual point of value hi^t, and
+  the lifted `dual_slack`.
 
 The bracket [lo^t, hi^t] is about t hi^(t-1) times as wide as H's, so H is
 solved at tol / (t n_H^(t-1)), as theta_bar(H) <= n_H, but never below the
 1e-10 floor of `check_tol`.  If the lifted bracket is still wider than tol,
-or H's solve reaches its cap, g is solved directly.  A lifted solution's
-`iterations` are those of H's solve, and `lifted` is (n_H, t).  A graph
-that is not a recognised power, a Mycielskian above all (theta_bar(M(G)) =
-m(theta_bar(G)) is the theorem the package checks), is solved directly.
+or H's solve reaches its cap, g is solved directly.  A lifted solution
+stores H's pair and t and forms the n x n `primal` and `dual_slack` only
+when they are read; its `iterations` are those of H's solve, and `lifted`
+is (n_H, t).  A graph that is not a recognised power, a Mycielskian above
+all (theta_bar(M(G)) = m(theta_bar(G)) is the theorem the package checks),
+is solved directly.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -99,15 +103,16 @@ _ROW_BLOCK = 512           # rows of inner products `max_violation` holds at onc
 
 @dataclass
 class ThetaSolution:
-    """Certified bracket [lower, upper] of theta_bar for one graph, and its SDP points."""
+    """Certified bracket [lower, upper] of theta_bar(H^power) and the certified
+    pair (x_hat, D) of the graph H solved; power is 1 for a direct solve."""
 
     lower: float
     upper: float
-    primal: np.ndarray
-    dual_slack: np.ndarray
+    x_hat: np.ndarray
+    dual_point: np.ndarray
     tol_requested: float
     iterations: int
-    lifted: Optional[tuple[int, int]] = None  # (n_H, t) when lifted from the base H
+    power: int = 1
 
     @property
     def value(self) -> float:
@@ -119,7 +124,22 @@ class ThetaSolution:
 
     @property
     def n(self) -> int:
-        return len(self.primal)
+        return len(self.x_hat) ** self.power
+
+    @property
+    def lifted(self) -> Optional[tuple[int, int]]:
+        """(n_H, t) when lifted from the base H, else None."""
+        return (len(self.x_hat), self.power) if self.power > 1 else None
+
+    @property
+    def primal(self) -> np.ndarray:
+        """The feasible primal x_hat^(kron power), formed on each read of a lifted solution."""
+        return _kron_power(self.x_hat, self.power)
+
+    @property
+    def dual_slack(self) -> np.ndarray:
+        """The certified slack D^(kron power) - J; a new n x n array on each read."""
+        return _kron_power(self.dual_point, self.power) - 1.0
 
     def to_dict(self, verbose: bool = False) -> dict:
         doc = {
@@ -176,13 +196,14 @@ def _nonedge_mask(g: Graph) -> np.ndarray:
 
 
 def _certified_bracket(x, u, nonedge, jmat):
-    """(lower, upper, feasible primal): rigorous bounds from the iterates.
+    """(lower, upper, x_hat, D): rigorous bounds from the iterates, and the
+    certified pair that proves them.
 
     x is affine-feasible by construction; shifting by its negative eigenvalue
     mass keeps it feasible and makes it PSD, so <J, x_hat> <= theta.  The
     negated dual variable completed to ones on the diagonal and the edges is
-    feasible for the min-lambda_max dual form, so its top eigenvalue is an
-    upper bound.
+    C, feasible for the min-lambda_max dual form, so its top eigenvalue hi is
+    an upper bound, and D = hi I - C + J.
     """
     n = x.shape[0]
     lam_min = float(eigen.eigvalsh(x)[0])
@@ -193,7 +214,9 @@ def _certified_bracket(x, u, nonedge, jmat):
     minus_slack = 0.5 * (u + u.T)  # = -S, and C = -S on non-edges
     c[nonedge] = minus_slack[nonedge]
     upper = float(eigen.eigvalsh(c)[-1])
-    return lower, upper, x_hat
+    dual = np.subtract(jmat, c, out=c)  # 0 on the edges, 1 + S off them
+    np.fill_diagonal(dual, upper)
+    return lower, upper, x_hat, dual
 
 
 class _AndersonHistory:
@@ -247,14 +270,7 @@ def theta_bar(g: Graph, tol: float = DEFAULT_TOL) -> ThetaSolution:
         raise DomainError("theta needs at least one vertex")
     check_tol(tol)
     if g.m == 0:
-        return ThetaSolution(
-            lower=1.0,
-            upper=1.0,
-            primal=np.eye(g.n) / g.n,
-            dual_slack=np.zeros((g.n, g.n)),
-            tol_requested=tol,
-            iterations=0,
-        )
+        return ThetaSolution(1.0, 1.0, np.eye(g.n) / g.n, np.ones((g.n, g.n)), tol, 0)
     power = _power_base(g)
     if power is not None:
         lifted = _lift(*power, tol)
@@ -266,31 +282,15 @@ def theta_bar(g: Graph, tol: float = DEFAULT_TOL) -> ThetaSolution:
 def _lift(h: Graph, t: int, tol: float) -> Optional[ThetaSolution]:
     """theta_bar(h^t) from one solve of h, or None when the lifted bracket is
     wider than tol or h's solve reaches the cap."""
-    b = h.n
     try:
-        base = _solve(h, max(MIN_TOL, tol / (t * b ** (t - 1))))
+        base = _solve(h, max(MIN_TOL, tol / (t * h.n ** (t - 1))))
     except ConvergenceError:
         return None
     # each float power is rounded outward by one step, so rounding cannot narrow the bracket
     lower_t, upper_t = math.nextafter(base.lower ** t, 0.0), math.nextafter(base.upper ** t, math.inf)
     if upper_t - lower_t > tol:
         return None
-    # M = hi I - C + J: hi on the diagonal, 0 on the edges, and 1 + S on the
-    # non-edges, where the bracket's C is exactly -S
-    m = base.dual_slack + 1.0
-    m[h.bool_matrix()] = 0.0
-    np.fill_diagonal(m, base.upper)
-    dual = _kron_power(m, t)
-    dual -= 1.0
-    return ThetaSolution(
-        lower=lower_t,
-        upper=upper_t,
-        primal=_kron_power(base.primal, t),
-        dual_slack=dual,
-        tol_requested=tol,
-        iterations=base.iterations,
-        lifted=(b, t),
-    )
+    return replace(base, lower=lower_t, upper=upper_t, tol_requested=tol, power=t)
 
 
 def _solve(g: Graph, tol: float) -> ThetaSolution:
@@ -337,7 +337,7 @@ def _solve(g: Graph, tol: float) -> ThetaSolution:
         u = t_c[1]
         residual = math.sqrt(max(u_sq, rho * rho * z_sq))  # primal and dual residuals
         if (residual < target and iteration > 5) or iteration % _CERTIFY_EVERY == 0:
-            lower, upper, x_hat = _certified_bracket(x, rho * u, nonedge, jmat)
+            lower, upper, x_hat, dual = _certified_bracket(x, rho * u, nonedge, jmat)
             width = upper - lower
             if width <= tol:
                 break  # every earlier bracket was wider, so this one is the best
@@ -352,16 +352,7 @@ def _solve(g: Graph, tol: float) -> ThetaSolution:
             residual=width,
             iterations=MAX_ITERATIONS,
         )
-    slack = -rho * u
-    slack = 0.5 * (slack + slack.T)
-    return ThetaSolution(
-        lower=lower,
-        upper=upper,
-        primal=x_hat,
-        dual_slack=slack,
-        tol_requested=tol,
-        iterations=iteration,
-    )
+    return ThetaSolution(lower, upper, x_hat, dual, tol, iteration)
 
 
 # ---------------------------------------------------------------------------
@@ -422,11 +413,12 @@ def optimal_edge_matrix(g: Graph, sol: ThetaSolution) -> np.ndarray:
         raise DomainError("edgeless graphs admit no edge-supported matrix")
     if sol.n != g.n:
         raise DomainError("solution does not belong to this graph")
-    d = np.diag(sol.primal)
+    x = sol.primal  # read once: each read of a lifted primal forms a Kronecker power
+    d = np.diag(x)
     used = d > 1e-12 * float(d.max())
     scale = np.zeros_like(d)
     scale[used] = 1.0 / np.sqrt(d[used])
-    normalized = sol.primal * np.outer(scale, scale)
+    normalized = x * np.outer(scale, scale)
     np.fill_diagonal(normalized, 0.0)
     return 0.5 * (normalized + normalized.T)
 
@@ -450,7 +442,6 @@ def extract_vector_coloring(sol: ThetaSolution, g: Graph) -> VectorColoring:
         return VectorColoring(1.0, np.ones((n, 1)))
     t = sol.value
     gram = sol.dual_slack / (t - 1.0)
-    gram = 0.5 * (gram + gram.T)
     vals, vecs = eigen.eigh(gram)
     lam_max = float(vals[-1])
     if lam_max <= 0:

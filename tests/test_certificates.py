@@ -440,7 +440,7 @@ def test_certify_raises_when_t_misses_the_slack(monkeypatch, capsys):
     sol = theta_bar(c5, 1e-7)
     primal = np.eye(5) / 5
     primal[0, 1] = primal[1, 0] = 0.05  # T has ratio 2 < sqrt(5) - 100 tol
-    bad = dataclasses.replace(sol, primal=primal)
+    bad = dataclasses.replace(sol, x_hat=primal)  # the stored primal factor
     monkeypatch.setattr(certificates, "theta_bar", lambda graph, tol: bad)
     with pytest.raises(MycthetaError, match="no edge matrix within slack") as exc:
         certify(c5, 1e-7)

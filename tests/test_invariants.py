@@ -731,9 +731,11 @@ def test_searches_given_no_budget_stop_at_the_default(monkeypatch):
     assert [(b["k"], b["exhausted"], b["closed_by"]) for b in bounds] == [
         (1, True, "search"), (2, True, "search"), (3, False, None), (4, False, None)]
     m_t3_cube = or_power(mycielskian(transitive_tournament(3)), 3)
-    omega_tr = transitive_clique_number(m_t3_cube)
-    assert omega_tr.nodes > 1000 and not omega_tr.exhausted and omega_tr.closed_by is None
-    assert verify_clique(m_t3_cube, omega_tr.witness)
+    # the transitive search stops at the node past its budget, as the others do
+    for budget, nodes in ((None, 1001), (5000, 5001)):
+        omega_tr = transitive_clique_number(m_t3_cube, budget)
+        assert (omega_tr.size, omega_tr.nodes, omega_tr.exhausted, omega_tr.closed_by) == (27, nodes, False, None)
+        assert verify_clique(m_t3_cube, omega_tr.witness)
     chi = chromatic_number(or_power(cycle_graph(7), 2))  # 20 151 nodes at the real default
     assert (chi.lo, chi.hi, chi.nodes, chi.exhausted) == (6, 9, 1001, False)
 
@@ -778,7 +780,7 @@ def test_transitive_search_tree_on_mt3_square():
 
 def reference_longest_transitive_order(bits, full, budget):
     """The transitive search as it was before frames stopped at full length:
-    every frame tries each of its candidates."""
+    every frame tries each of its candidates until the budget is spent."""
     memo = {}
 
     def best(cand):
@@ -790,7 +792,7 @@ def reference_longest_transitive_order(bits, full, budget):
             return 0, ()
         length, order = 0, ()
         m = cand
-        while m:
+        while m and budget.within_limit:
             v = (m & -m).bit_length() - 1
             m &= m - 1
             sub = cand & bits[v]

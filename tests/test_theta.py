@@ -375,7 +375,7 @@ def test_theta_c5_cubed():
 
 
 def test_extractions_at_scale():
-    # the dual slack -rho * u must stay a coloring Gram matrix and the primal
+    # the dual slack must stay a coloring Gram matrix and the primal
     # an optimal edge matrix at n = 121, from the splitting solver and from
     # the Kronecker powers of M(C5)'s certificate alike
     g = or_power(mycielskian(cycle_graph(5)), 2)
@@ -407,32 +407,61 @@ KRON_LOOP_POWERS = [("C5^2", cycle_graph(5)), ("C7^2", cycle_graph(7)), ("M(C5)^
 
 @pytest.mark.parametrize("name, base", KRON_LOOP_POWERS, ids=[p[0] for p in KRON_LOOP_POWERS])
 def test_lift_equals_the_explicit_kronecker_loop(name, base):
-    # `_lift` squares the base's primal and M by `graphs._kron_power`; the
-    # explicit np.kron of each with itself is the reference, bit for bit
+    # a lift stores the base solve's certified pair; its primal and dual slack
+    # are squared by `graphs._kron_power`, and the explicit np.kron of the
+    # stored x_hat and D with themselves is the reference, bit for bit
     lifted = theta_mod._lift(base, 2, 1e-6)
     h = theta_mod._solve(base, 1e-6 / (2 * base.n))  # the base solve `_lift` makes
-    m = h.dual_slack + 1.0
-    m[base.bool_matrix()] = 0.0
-    np.fill_diagonal(m, h.upper)
-    assert np.array_equal(lifted.primal, np.kron(h.primal, h.primal))
-    assert np.array_equal(lifted.dual_slack, np.kron(m, m) - 1.0)
+    assert lifted.power == 2 and h.power == 1
+    assert np.array_equal(lifted.x_hat, h.x_hat) and np.array_equal(lifted.dual_point, h.dual_point)
+    assert np.array_equal(lifted.primal, np.kron(h.x_hat, h.x_hat))
+    assert np.array_equal(lifted.dual_slack, np.kron(h.dual_point, h.dual_point) - 1.0)
 
 
-def test_lifted_certificate_is_feasible():
-    # x_hat^(kron 2) is a feasible primal of C7^2 and M^(kron 2) - J a PSD
-    # slack with diagonal hi^2 - 1 and -1 on every edge
-    g = or_power(cycle_graph(7), 2)
-    sol = theta_bar(g, tol=1e-6)
+def assert_certified_pair(g, sol):
+    """The primal is feasible with sum `lower`, and the dual slack D^(kron t) - J
+    is exactly symmetric and PSD, with -1 exactly on every edge and `upper` - 1
+    on its diagonal (up to the outward rounding of a lift's ends)."""
     x = sol.primal
     nonedge = ~g.bool_matrix()
     np.fill_diagonal(nonedge, False)
     assert abs(np.trace(x) - 1.0) < 1e-12 and not x[nonedge].any()
     assert np.linalg.eigvalsh(x)[0] >= -1e-12
-    assert abs(x.sum() - (sol.value - sol.tolerance_achieved)) <= 1e-12
+    assert abs(x.sum() - sol.lower) <= 1e-12
     s = sol.dual_slack
+    assert np.array_equal(s, s.T)
     assert np.array_equal(s[g.bool_matrix()], -np.ones(2 * g.m))
-    assert np.allclose(np.diag(s), sol.value + sol.tolerance_achieved - 1.0, atol=1e-12)
+    assert np.max(np.abs(np.diag(s) - (sol.upper - 1.0))) <= 1e-12
     assert np.linalg.eigvalsh(s)[0] >= -1e-12
+
+
+def test_lifted_certificate_is_feasible():
+    # x_hat^(kron 2) is a feasible primal of C7^2 and D^(kron 2) - J a PSD slack
+    g = or_power(cycle_graph(7), 2)
+    sol = theta_bar(g, tol=1e-6)
+    assert sol.lifted == (7, 2)
+    assert_certified_pair(g, sol)
+
+
+DIRECT_PAIRS = [(name, g, tol)
+                for name, g in (("C7", cycle_graph(7)), ("M(C5)", mycielskian(cycle_graph(5))),
+                                ("K3+K2", Graph(5, [(0, 1), (0, 2), (1, 2), (3, 4)])))
+                for tol in (1e-6, 1e-10)]
+
+
+@pytest.mark.parametrize("name, g, tol", DIRECT_PAIRS, ids=[f"{c[0]}-{c[2]:g}" for c in DIRECT_PAIRS])
+def test_direct_certificate_is_feasible(name, g, tol):
+    # a direct solve stores the same certified form as a lift, at t = 1
+    sol = theta_bar(g, tol=tol)
+    assert sol.lifted is None and sol.power == 1
+    assert_certified_pair(g, sol)
+
+
+def test_a_lift_is_stored_factored():
+    # theta_bar(C8^4) on 4096 vertices holds C8's 8 x 8 pair and the power
+    sol = theta_bar(or_power(cycle_graph(8), 4), tol=1e-6)
+    assert sol.power == 4 and sol.lifted == (8, 4) and sol.n == 4096
+    assert sol.x_hat.shape == sol.dual_point.shape == (8, 8)
 
 
 def test_theta_mc5_cubed_is_lifted_in_under_a_second():

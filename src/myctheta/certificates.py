@@ -47,7 +47,7 @@ from .formula import _snap_boundary, cubic_residual, mycielski_theta_formula
 from .graphs import Graph, mycielskian
 from .theta import (EXTRACT_TOL, VectorColoring, _edge_spectrum, _ratio, check_tol,
                     extract_vector_coloring, optimal_edge_matrix, theta_bar)
-from .theta import spectral_ratio  # noqa: F401  still importable from this module, as before
+from .theta import spectral_ratio  # noqa: F401  perfbench/test_perfbench.py reads it from here
 
 _CONSISTENCY_TOL = 1e-6
 
@@ -193,7 +193,6 @@ class SpectralCertificate:
     T: np.ndarray
     T_hat: np.ndarray
     eigenvalues: np.ndarray       # of T, descending
-    v1: np.ndarray                # unit eigenvector for lambda_1(T)
     expected_max: float           # gamma (t-1)
     expected_min: float           # -gamma (t-1)/(m-1)
     lambda_max: float
@@ -281,7 +280,7 @@ def _assemble_certificate(g: Graph, spectrum: tuple[np.ndarray, np.ndarray, np.n
         )
     return SpectralCertificate(
         n=n, t=t, m=m, gamma=gamma, delta=delta, eta=eta,
-        T=t_sym, T_hat=t_hat, eigenvalues=lam_desc, v1=v1,
+        T=t_sym, T_hat=t_hat, eigenvalues=lam_desc,
         expected_max=expected_max, expected_min=expected_min,
         lambda_max=lam_max_hat, lambda_min=lam_min_hat,
         degenerate_top=degenerate, hat_eigenvalues=hat_vals,

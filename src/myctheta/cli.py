@@ -14,14 +14,15 @@ A graph is searched the same whichever source it came from: the clique
 searches take their automorphisms from the graph alone.
 
 This module alone turns results into text and flags into library
-arguments: the library returns plain data (`to_dict`), and every JSON
-document goes out through `_emit_json`, with a two-space indent and sorted
-keys.  `invariant` and `report` print the same text lines (`_text`).  Text
-floats print with 12 significant digits, rationals as "p/q" (the report's
-CSV prints an integer chi_f as "3").  Exit codes: 0 success, 2 domain/usage
-errors, 1 internal failures.  A report whose `errors` is non-empty is still
-written in full, then exits 2 with one `error: report incomplete: <keys>`
-line on stderr.
+arguments; the rules about the graph, its family grammar and the kind each
+invariant takes, are the library's (`graphs`).  The library returns plain
+data (`to_dict`), and every JSON document goes out through `_emit_json`,
+with a two-space indent and sorted keys.  `invariant` and `report` print
+the same text lines (`_text`).  Text floats print with 12 significant
+digits, rationals as "p/q" (the report's CSV prints an integer chi_f as
+"3").  Exit codes: 0 success, 2 domain/usage errors, 1 internal failures.
+A report whose `errors` is non-empty is still written in full, then exits
+2 with one `error: report incomplete: <keys>` line on stderr.
 """
 
 from __future__ import annotations
@@ -43,56 +44,9 @@ from . import graphs
 from . import invariants
 from . import theta as theta_mod
 
-_WRAPPER_KEYS = {"mycielski": "r", "power": "t"}
-
 
 def _fmt(x: float) -> str:
     return format(float(x), ".12g")
-
-
-def parse_family(spec: str) -> graphs.GraphLike:
-    """Family grammar: wrapper* base ':' n (key=value tokens bind innermost);
-    n and the values are integers in the grammar of the edge-list format."""
-    tokens = [tok for tok in spec.split(":") if tok]
-    if not tokens:
-        raise DomainError("empty family spec")
-
-    def parse(tokens: list[str]) -> tuple[graphs.GraphLike, list[str]]:
-        if not tokens:
-            raise DomainError("family spec ends where a graph was expected")
-        head = tokens[0]
-        if head in graphs._FAMILIES:
-            if len(tokens) < 2:
-                raise DomainError(f"family {head!r} needs a size, e.g. {head}:5")
-            try:
-                n = graphs._int_token(tokens[1])
-            except ValueError:
-                raise DomainError(f"bad size {tokens[1]!r} for family {head!r}") from None
-            return graphs.generate(head, n), tokens[2:]
-        if head in _WRAPPER_KEYS:
-            inner, rest = parse(tokens[1:])
-            key = _WRAPPER_KEYS[head]
-            value: Optional[int] = None
-            remaining = []
-            for tok in rest:
-                if value is None and tok.startswith(f"{key}="):
-                    try:
-                        value = graphs._int_token(tok.split("=", 1)[1])
-                    except ValueError:
-                        raise DomainError(f"bad parameter token {tok!r}") from None
-                else:
-                    remaining.append(tok)
-            if head == "mycielski":
-                return graphs.mycielskian(inner, 2 if value is None else value), remaining
-            if value is None:
-                raise DomainError("power needs an exponent, e.g. power:cycle:5:t=2")
-            return graphs.or_power(inner, value), remaining
-        raise DomainError(f"unknown constructor {head!r} in family spec")
-
-    g, leftovers = parse(tokens)
-    if leftovers:
-        raise DomainError(f"unparsed family tokens: {leftovers}")
-    return g
 
 
 def integer(token: str) -> int:
@@ -103,7 +57,7 @@ def integer(token: str) -> int:
 
 def _load_graph(args) -> graphs.GraphLike:
     if args.family is not None:
-        return parse_family(args.family)
+        return graphs.parse_family(args.family)
     try:
         with open(args.edges, "r", encoding="utf-8") as fh:
             return graphs.parse_edgelist(fh)
@@ -186,28 +140,25 @@ def _cmd_gen(args) -> int:
 def _cmd_invariant(args) -> int:
     g = _load_graph(args)
     directed = isinstance(g, graphs.Digraph)
-    which = args.which
-    undirected_only = {"omega", "chi", "chi-f"}
-    directed_only = {"omega-s", "omega-tr"}
-    if directed and which in undirected_only:
-        raise DomainError(f"--which {which} needs an undirected graph")
-    if not directed and which in directed_only:
-        raise DomainError(f"--which {which} needs a digraph")
     doc: dict = {"n": g.n, "m": g.m, "directed": directed}
+    if args.which != "all":
+        which = {args.which}
+    else:
+        which = {"omega-s", "omega-tr"} if directed else {"omega", "chi", "chi-f"}
     omega = None
-    if which in ("omega", "all") and not directed:
+    if "omega" in which:
         omega = invariants.clique_number(g, args.budget)
         doc["omega"] = omega.to_dict()
-    if which in ("omega-s", "all") and directed:
+    if "omega-s" in which:
         doc["omega_s"] = invariants.symmetric_clique_number(g, args.budget).to_dict()
-    if which in ("omega-tr", "all") and directed:
+    if "omega-tr" in which:
         doc["omega_tr"] = invariants.transitive_clique_number(g, args.budget).to_dict()
-    if which in ("chi", "all") and not directed:
+    if "chi" in which:
         doc["chi"] = invariants.chromatic_number(g, args.budget, omega).to_dict()
-    if which in ("chi-f", "all") and not directed:
+    if "chi-f" in which:
         r = fractional.fractional_chromatic(g)
         doc["chi_f"] = f"{r.value.numerator}/{r.value.denominator}"
-    if which in ("power-bound",):
+    if "power-bound" in which:
         doc["lower_bound"] = invariants.capacity_lower_bound(g, args.power, args.budget).to_dict()
     if args.format == "json":
         _emit_json(args, doc)
@@ -217,10 +168,7 @@ def _cmd_invariant(args) -> int:
 
 
 def _cmd_theta(args) -> int:
-    g = _load_graph(args)
-    if isinstance(g, graphs.Digraph):
-        raise DomainError("theta is defined for undirected graphs")
-    sol = theta_mod.theta_bar(g, args.tol)
+    sol = theta_mod.theta_bar(_load_graph(args), args.tol)
     if args.format == "json":
         _emit_json(args, sol.to_dict(verbose=args.verbose))
     else:
@@ -250,10 +198,7 @@ def _cmd_myc_theta(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    g = _load_graph(args)
-    if isinstance(g, graphs.Digraph):
-        raise DomainError("certificates apply to undirected graphs")
-    doc, ok = certs.certify(g, args.tol, args.verbose)
+    doc, ok = certs.certify(_load_graph(args), args.tol, args.verbose)
     _emit_json(args, doc)
     return 0 if ok else 1
 
@@ -285,7 +230,7 @@ def _report_csv(report: cons.CapacityReport) -> str:
 def _cmd_report(args) -> int:
     g = _load_graph(args)
     report = cons.capacity_report(g, max_power=args.max_power, theta_tol=args.tol,
-                                  clique_budget=args.budget)
+                                  node_budget=args.budget)
     doc = report.to_dict()
     if args.format == "json":
         _emit_json(args, doc)

@@ -30,9 +30,9 @@ witnesses, which keeps a transitive order, and at power n with the attached
 construction, whose host is D itself; a seed that reaches the cap proves
 the optimum without a search.  Undirected reports search uncapped.
 
-Every search is bounded: given no budget, the report's clique searches and
-the nonexistence check stop at `invariants.DEFAULT_BUDGET` nodes, and the
-report's chromatic search at `CHROMATIC_BUDGET`.
+Every search is bounded: the report's one node budget bounds each of its
+clique searches and its chromatic search, and given none, they and the
+nonexistence check stop at `invariants.DEFAULT_BUDGET` nodes.
 
 Results are plain data, and `to_dict` gives each one's document; `cli`
 alone renders them as JSON, CSV or text.
@@ -307,9 +307,6 @@ def chained_power_clique(g: Graph, k: int = 1,
 # capacity report
 # ---------------------------------------------------------------------------
 
-CHROMATIC_BUDGET = 2_000_000  # node budget of the report's chromatic search
-
-
 @dataclass
 class CapacityReport:
     n: int
@@ -393,11 +390,12 @@ def _construction(g: GraphLike) -> Optional[LiftedCliqueSet]:
 
 
 def capacity_report(g: GraphLike, *, max_power: int = 1, theta_tol: float = theta_mod.DEFAULT_TOL,
-                    clique_budget: Optional[int] = None) -> CapacityReport:
+                    node_budget: Optional[int] = None) -> CapacityReport:
     """Bundle of invariants and bounds; per-field failures land in `errors`.
 
-    Only expected failures (`MycthetaError`) are recorded there.  A bad
-    `theta_tol`, `clique_budget` or `max_power` is bad input, not a per-field
+    `node_budget` bounds every search, the chromatic one included.  Only
+    expected failures (`MycthetaError`) are recorded there.  A bad
+    `theta_tol`, `node_budget` or `max_power` is bad input, not a per-field
     failure: it raises DomainError before any field is computed.  A failed
     re-verification or a clique above its theta cap (MycthetaInternal) or
     any other exception propagates.
@@ -411,8 +409,8 @@ def capacity_report(g: GraphLike, *, max_power: int = 1, theta_tol: float = thet
     attached construction is `_construction(g)`.
     """
     theta_mod.check_tol(theta_tol)
-    if clique_budget is not None and clique_budget < 1:
-        raise DomainError(f"clique budget must be at least 1, got {clique_budget}")
+    if node_budget is not None and node_budget < 1:
+        raise DomainError(f"node budget must be at least 1, got {node_budget}")
     if max_power < 0:
         raise DomainError(f"max power must be at least 0, got {max_power}")
     directed = isinstance(g, Digraph)
@@ -428,14 +426,14 @@ def capacity_report(g: GraphLike, *, max_power: int = 1, theta_tol: float = thet
     report.construction = attempt("construction", lambda: _construction(g))
     if directed:
         report.omega_s = attempt(
-            "omega_s", lambda: symmetric_clique_number(g, clique_budget)
+            "omega_s", lambda: symmetric_clique_number(g, node_budget)
         )
         report.omega_tr = omega = attempt(
-            "omega_tr", lambda: transitive_clique_number(g, clique_budget)
+            "omega_tr", lambda: transitive_clique_number(g, node_budget)
         )
     else:
         report.omega = omega = attempt(
-            "omega", lambda: clique_number(g, clique_budget)
+            "omega", lambda: clique_number(g, node_budget)
         )
     # the k = 1 bound is the clique number of G^1 = G, searched just above
     bounds = []
@@ -468,7 +466,7 @@ def capacity_report(g: GraphLike, *, max_power: int = 1, theta_tol: float = thet
     for k in range(2, max_power + 1):
         bound = attempt(
             f"lower_bound_k{k}",
-            lambda k=k: capacity_lower_bound(g, k, clique_budget, **search_args(k)),
+            lambda k=k: capacity_lower_bound(g, k, node_budget, **search_args(k)),
         )
         if bound is not None:
             bounds.append(bound)
@@ -483,5 +481,5 @@ def capacity_report(g: GraphLike, *, max_power: int = 1, theta_tol: float = thet
         chi_f = attempt("chi_f", lambda: fractional_chromatic(g))
         if chi_f is not None:
             report.chi_f = chi_f.value
-        report.chi = attempt("chi", lambda: chromatic_number(g, CHROMATIC_BUDGET, omega))
+        report.chi = attempt("chi", lambda: chromatic_number(g, node_budget, omega))
     return report

@@ -55,7 +55,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import DomainError, MycthetaInternal, SizeLimitError
-from .graphs import Graph, _kron_power, _power_base
+from .graphs import Graph, _kron_power, _power_base, _require_kind
 
 MAX_VERTICES_CHI_F = 128
 MAX_INDEPENDENT_SETS = 3 ** 10
@@ -261,6 +261,7 @@ def fractional_chromatic(g: Graph) -> FractionalChromaticResult:
     so the vertex limit applies to H; every other graph is solved by
     `_solve`.
     """
+    _require_kind(g, Graph, "fractional chromatic number")
     if g.n < 1:
         raise DomainError("fractional chromatic number needs a nonempty graph")
     power = _power_base(g)

@@ -22,6 +22,10 @@ non-adjacency matrix and lifts theta_bar's certificate, and `_power_base`
 recognises a graph that is, in its own labelling, an OR-power of its leading
 block, for the lifts of theta_bar, chi_f and the clique search's symmetry.
 
+`parse_family` reads a family spec (bases `_FAMILIES`, wrappers
+`_WRAPPER_KEYS`), and `_require_kind` is the one check that an invariant is
+given the kind of graph it is defined for.
+
 The edge-list text ("n m [directed]", then one "u v" line per edge) is made
 by one private generator that yields the header and then blocks of whole
 rows of about `_BLOCK_EDGES` edges.  `write_edgelist` writes the blocks to
@@ -237,6 +241,12 @@ class Digraph(_Bitsets):
 GraphLike = Union[Graph, Digraph]
 
 
+def _require_kind(g: GraphLike, kind: type, what: str) -> None:
+    """DomainError unless g is a `kind`, the one kind of graph `what` is defined for."""
+    if not isinstance(g, kind):
+        raise DomainError(f"{what} needs {'an undirected graph' if kind is Graph else 'a digraph'}")
+
+
 # ---------------------------------------------------------------------------
 # power coordinates
 # ---------------------------------------------------------------------------
@@ -299,6 +309,7 @@ _FAMILIES = {
     "path": path_graph,
     "tournament": transitive_tournament,
 }
+_WRAPPER_KEYS = {"mycielski": "r", "power": "t"}
 
 
 def generate(family: str, n: int) -> GraphLike:
@@ -310,6 +321,45 @@ def generate(family: str, n: int) -> GraphLike:
             f"unknown family {family!r}; choose from {sorted(_FAMILIES)}"
         ) from None
     return builder(n)
+
+
+def parse_family(spec: str) -> GraphLike:
+    """The graph of a family spec, wrapper* base ':' n and key=value tokens,
+    read in one loop: the base is built, then each wrapper, innermost first,
+    takes the first remaining token with its key (`r=`, default 2; `t=`).
+    Integers are in the grammar of the edge-list format."""
+    tokens = [tok for tok in spec.split(":") if tok]
+    if not tokens:
+        raise DomainError("empty family spec")
+    depth = next((i for i, tok in enumerate(tokens) if tok not in _WRAPPER_KEYS), len(tokens))
+    if depth == len(tokens):
+        raise DomainError("family spec ends where a graph was expected")
+    head, rest = tokens[depth], tokens[depth + 1:]
+    if head not in _FAMILIES:
+        raise DomainError(f"unknown constructor {head!r} in family spec")
+    if not rest:
+        raise DomainError(f"family {head!r} needs a size, e.g. {head}:5")
+    try:
+        n = _int_token(rest[0])
+    except ValueError:
+        raise DomainError(f"bad size {rest[0]!r} for family {head!r}") from None
+    g, rest = generate(head, n), rest[1:]
+    for wrapper in reversed(tokens[:depth]):
+        key = _WRAPPER_KEYS[wrapper] + "="
+        tok = next((tok for tok in rest if tok.startswith(key)), None)
+        value = None
+        if tok is not None:
+            rest.remove(tok)
+            try:
+                value = _int_token(tok[len(key):])
+            except ValueError:
+                raise DomainError(f"bad parameter token {tok!r}") from None
+        if wrapper == "power" and value is None:
+            raise DomainError("power needs an exponent, e.g. power:cycle:5:t=2")
+        g = or_power(g, value) if wrapper == "power" else mycielskian(g, 2 if value is None else value)
+    if rest:
+        raise DomainError(f"unparsed family tokens: {rest}")
+    return g
 
 
 def _require_positive(n: int) -> None:

@@ -6,7 +6,8 @@ broken by index, and budgets are node counts, not wall time.  Every search
 is bounded: a budget of None means `DEFAULT_BUDGET` nodes (10^7), read when
 the search starts.  A truncated search reports exhausted=False and the best
 witness found; it never claims a wrong optimum.  Each result's `to_dict` is
-its document, the same in `invariant` and in `report`.
+its document, the same in `invariant` and in `report`.  Each search takes
+one kind of graph (`graphs._require_kind`) and walks an explicit stack.
 
 The clique search bounds each node by a bit-parallel coloring of its
 candidate bitset, one color class at a time (BBMC).  Its classes equal those
@@ -41,7 +42,7 @@ import numpy as np
 
 from . import symmetry
 from .errors import DomainError, MycthetaInternal
-from .graphs import Digraph, Graph, GraphLike, _row_bits, or_power
+from .graphs import Digraph, Graph, GraphLike, _require_kind, _row_bits, or_power
 
 DEFAULT_BUDGET = 10 ** 7  # the node budget of a search given none
 
@@ -103,7 +104,9 @@ def _max_clique_bits(bits: tuple[int, ...], budget: _Budget,
                      initial_best: tuple[int, tuple[int, ...]],
                      orbits: Callable[[list[int]], list[int]]) -> tuple[int, tuple[int, ...]]:
     """Branch and bound over candidate bitsets with BBMC coloring bounds,
-    from every vertex of the graph.
+    from every vertex of the graph.  The depth-first search keeps one frame
+    per node on the path from the root on an explicit stack, as
+    `_longest_transitive_order` does, so no recursion limit caps the clique.
 
     Each node colors its candidates one class at a time, as in BBMC (San
     Segundo, Rodriguez-Losada & Jimenez 2011): class k repeatedly takes the
@@ -145,11 +148,13 @@ def _max_clique_bits(bits: tuple[int, ...], budget: _Budget,
     """
     best_size, best_witness = initial_best
     outside = [~(b | 1 << v) for v, b in enumerate(bits)]  # neither v nor a neighbor
+    current: list[int] = []  # the clique so far, one vertex per frame below the root
 
-    def expand(mask: int, current: list[int]) -> None:
-        nonlocal best_size, best_witness
-        if not budget.tick():
-            return
+    def node(mask: int) -> list:
+        """The frame of a new node with candidates `mask`: [candidates, the
+        vertices kept for branching, their colors, index of the next branch,
+        orbit bitmask of each vertex once a second branch needs it, the vertex
+        branched on last while its orbit is still a candidate]."""
         kmin = best_size - len(current)
         order: list[int] = []
         bounds: list[int] = []
@@ -166,15 +171,18 @@ def _max_clique_bits(bits: tuple[int, ...], budget: _Budget,
                 if k > kmin:
                     order.append(v)
                     bounds.append(k)
-        shallow = len(current) < 2  # prune by orbits
-        orbit: list[int] = []  # orbit bitmask of each vertex, once a second branch needs it
-        done = -1  # the vertex branched on last, while its orbit is still a candidate
-        for i in range(len(order) - 1, -1, -1):
-            if budget.nodes > budget.limit:
-                return
+        return [mask, order, bounds, len(order) - 1, [], -1]
+
+    frames = [node((1 << len(bits)) - 1)] if budget.tick() else []
+    while frames:
+        frame = frames[-1]
+        mask, order, bounds, i, orbit, done = frame
+        depth = len(current)
+        shallow = depth < 2  # prune by orbits
+        child = None
+        while i >= 0 and budget.nodes <= budget.limit and depth + bounds[i] > best_size:
             v = order[i]
-            if len(current) + bounds[i] <= best_size:
-                return
+            i -= 1
             if shallow:
                 if done >= 0:
                     if not orbit:
@@ -189,12 +197,18 @@ def _max_clique_bits(bits: tuple[int, ...], budget: _Budget,
                 best_size = len(current)
                 best_witness = tuple(sorted(current))
             sub = mask & bits[v]
-            if sub:
-                expand(sub, current)
-            current.pop()
             mask &= ~(1 << v)
-
-    expand((1 << len(bits)) - 1, [])
+            if sub and budget.tick():
+                child = node(sub)
+                break
+            current.pop()
+        if child is None:  # the node is done: back to its parent's next branch
+            frames.pop()
+            if frames:
+                current.pop()
+        else:
+            frame[0], frame[3], frame[4], frame[5] = mask, i, orbit, done
+            frames.append(child)
     return best_size, best_witness
 
 
@@ -227,6 +241,7 @@ def clique_number(g: Graph, node_budget: Optional[int] = None) -> CliqueResult:
     The search prunes its root and depth 1 by the orbits of the automorphisms
     `symmetry.generators` takes from g alone.
     """
+    _require_kind(g, Graph, "clique number")
     if g.n == 0:
         raise DomainError("clique number needs a nonempty vertex set")
     budget = _Budget(node_budget)
@@ -268,6 +283,7 @@ def _max_clique(g: Graph, budget: _Budget, beat: Optional[int] = None) -> tuple[
 
 def symmetric_clique_number(d: Digraph, node_budget: Optional[int] = None) -> CliqueResult:
     """Largest set of pairwise bidirected vertices."""
+    _require_kind(d, Digraph, "symmetric clique number")
     return clique_number(d.bidirected_graph(), node_budget)
 
 
@@ -286,6 +302,7 @@ def transitive_clique_number(d: Digraph, node_budget: Optional[int] = None,
     `cap` bounds the answer from above and `seed` is a known transitive
     order; a seed that reaches the cap is returned with no search at all.
     """
+    _require_kind(d, Digraph, "transitive clique number")
     if d.n == 0:
         raise DomainError("clique number needs a nonempty vertex set")
     if seed and not (all(0 <= v < d.n for v in seed) and verify_clique(d, seed)):
@@ -450,6 +467,7 @@ def chromatic_number(g: Graph, node_budget: Optional[int] = None,
     node, so it stands in and the result is the same.  The coloring returned
     is re-verified (`_checked_coloring`).
     """
+    _require_kind(g, Graph, "chromatic number")
     if g.n == 0:
         raise DomainError("chromatic number needs a nonempty vertex set")
     greedy = greedy_coloring(g)

@@ -88,7 +88,7 @@ import numpy as np
 
 from . import eigen
 from .errors import ConvergenceError, DomainError, MycthetaError
-from .graphs import Graph, _kron_power, _power_base
+from .graphs import Graph, _kron_power, _power_base, _require_kind
 
 DEFAULT_TOL = 1e-6
 EXTRACT_TOL = 1e-6         # the widest half-width `extract_vector_coloring` accepts
@@ -266,6 +266,7 @@ def theta_bar(g: Graph, tol: float = DEFAULT_TOL) -> ThetaSolution:
     other graph is solved by `_solve`.  Raises ConvergenceError, with the best
     certified value and bracket width, if `MAX_ITERATIONS` is reached first.
     """
+    _require_kind(g, Graph, "theta_bar")
     if g.n < 1:
         raise DomainError("theta needs at least one vertex")
     check_tol(tol)
@@ -420,7 +421,7 @@ def optimal_edge_matrix(g: Graph, sol: ThetaSolution) -> np.ndarray:
     scale[used] = 1.0 / np.sqrt(d[used])
     normalized = x * np.outer(scale, scale)
     np.fill_diagonal(normalized, 0.0)
-    return 0.5 * (normalized + normalized.T)
+    return normalized
 
 
 def extract_vector_coloring(sol: ThetaSolution, g: Graph) -> VectorColoring:

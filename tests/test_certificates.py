@@ -394,7 +394,7 @@ def test_upper_meets_lower_on_corpus():
                                     "power:mycielski:cycle:5:t=2"])
 def test_certify_holds_on_lifted_powers(family):
     # the Kronecker-power certificate of the lift passes all four checks
-    from myctheta.cli import parse_family
+    from myctheta.graphs import parse_family
 
     doc, ok = certify(parse_family(family), 1e-7)
     assert ok

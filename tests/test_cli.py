@@ -48,21 +48,21 @@ def run_cli(argv, capsys):
 
 
 def test_family_grammar():
-    g = cli.parse_family("cycle:5")
+    g = graphs.parse_family("cycle:5")
     assert g.n == 5 and g.m == 5
-    m = cli.parse_family("mycielski:complete:3:r=2")
+    m = graphs.parse_family("mycielski:complete:3:r=2")
     assert m.n == 7 and m.m == 12
-    p = cli.parse_family("power:cycle:5:t=2")
+    p = graphs.parse_family("power:cycle:5:t=2")
     assert p.n == 25
-    tower = cli.parse_family("mycielski:power:complete:2:t=2:r=3")
+    tower = graphs.parse_family("mycielski:power:complete:2:t=2:r=3")
     assert tower.n == 3 * 4 + 1
-    t = cli.parse_family("tournament:3")
+    t = graphs.parse_family("tournament:3")
     assert isinstance(t, graphs.Digraph)
     from myctheta import DomainError
 
     for bad in ("", "cycle", "unknown:3", "power:cycle:5", "cycle:5:r=2"):
         with pytest.raises(DomainError):
-            cli.parse_family(bad)
+            graphs.parse_family(bad)
 
 
 @pytest.mark.parametrize("spec, message", [
@@ -75,15 +75,22 @@ def test_family_grammar():
 def test_family_spec_takes_loadtxt_integers_only(spec, message):
     # the integer grammar of the edge-list format, where int() would take these
     with pytest.raises(DomainError) as info:
-        cli.parse_family(spec)
+        graphs.parse_family(spec)
     assert str(info.value) == message
-    assert cli.parse_family("power:cycle:+05:t=+2") == graphs.or_power(graphs.cycle_graph(5), 2)
+    assert graphs.parse_family("power:cycle:+05:t=+2") == graphs.or_power(graphs.cycle_graph(5), 2)
 
 
 @pytest.mark.parametrize("name", sorted(graphs._FAMILIES))
 def test_every_family_name_parses_to_its_generator(name):
     # the spec's base names are graphs._FAMILIES itself, so a family is added in one place
-    assert cli.parse_family(f"{name}:5") == graphs.generate(name, 5)
+    assert graphs.parse_family(f"{name}:5") == graphs.generate(name, 5)
+
+
+def test_deeply_nested_family_spec_stops_at_the_vertex_bound(capsys):
+    # wrappers are applied in a loop, so 1500 of them stop at the vertex bound
+    # with one line, not at the recursion limit with a traceback
+    code, out, err = run_cli(["gen", "--family", "mycielski:" * 1500 + "cycle:5"], capsys)
+    assert (code, out, err) == (2, "", "error: Mycielskian needs 6143 vertices, exceeding the bound 4096\n")
 
 
 def test_bad_integers_exit_2_with_their_message(tmp_path, capsys):
@@ -129,7 +136,7 @@ def test_family_grammar_never_leaks_raw_errors():
     @given(st.text(alphabet="abcxyz:=0123456789 power mycielski cycle", max_size=40))
     def fuzz(spec):
         try:
-            g = cli.parse_family(spec)
+            g = graphs.parse_family(spec)
         except DomainError:
             return
         assert isinstance(g, (graphs_mod.Graph, graphs_mod.Digraph))
@@ -232,6 +239,21 @@ def test_report_cycle5_json(capsys):
     assert doc["chi"]["hi"] == 3
     assert abs(doc["theta"] - math.sqrt(5)) < 1e-4
     assert abs(doc["lower_bounds"][1]["value"] - math.sqrt(5)) < 1e-9
+
+
+def test_report_clique_entries_are_the_invariant_schemas(capsys):
+    # report.schema.json refers to invariant.schema.json for its clique entry,
+    # so the one rendering of that entry is checked in full in either document
+    code, payload, _ = run_cli(["report", "--family", "cycle:5", "--max-power", "1"], capsys)
+    assert code == 0
+    validator = make_validator("report.schema.json")
+    validator.validate(json.loads(payload))
+    for entry in (lambda d: d["omega"], lambda d: d["lower_bounds"][0]):
+        for change in (lambda e: e.pop("nodes"), lambda e: e.update(extra=1)):
+            doc = json.loads(payload)
+            change(entry(doc))
+            with pytest.raises(jsonschema.ValidationError):
+                validator.validate(doc)
 
 
 def test_report_attaches_construction(capsys):
@@ -405,7 +427,8 @@ def test_invariant_json_schema(family, which, capsys):
     directed = family.startswith("tournament")
     code, payload, err = run_cli(["invariant", "--family", family, "--which", which], capsys)
     if which in (("omega", "chi", "chi-f") if directed else ("omega-s", "omega-tr")):
-        assert (code, payload) == (2, "") and err.startswith(f"error: --which {which} needs")
+        kind = "an undirected graph" if directed else "a digraph"
+        assert (code, payload) == (2, "") and err.startswith("error: ") and err.endswith(f" needs {kind}\n")
         return
     assert code == 0
     doc = json.loads(payload)

@@ -407,7 +407,7 @@ def test_undirected_report_searches_uncapped():
 
 
 def test_report_truncated_search_is_not_closed():
-    report = capacity_report(or_power(cycle_graph(5), 2), max_power=1, clique_budget=1)
+    report = capacity_report(or_power(cycle_graph(5), 2), max_power=1, node_budget=1)
     assert report.omega.closed_by is None and not report.omega.exhausted
     assert report.to_dict()["lower_bounds"][0]["closed_by"] is None
 
@@ -468,7 +468,7 @@ def test_report_stops_at_the_first_power_beyond_the_bound(monkeypatch):
 
 
 @pytest.mark.parametrize("options, message", [
-    ({"clique_budget": 0}, "clique budget must be at least 1"),
+    ({"node_budget": 0}, "node budget must be at least 1"),
     ({"max_power": -1}, "max power must be at least 0"),
 ])
 def test_report_rejects_bad_counts(options, message):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from typing import Optional
 
 import networkx
@@ -25,9 +26,9 @@ from myctheta import (
     transitive_clique_number,
     transitive_tournament,
 )
-from myctheta import cli, invariants, symmetry
+from myctheta import invariants, symmetry
 from myctheta.errors import MycthetaInternal
-from myctheta.graphs import _bits_matrix, _power_base, format_edgelist, parse_edgelist
+from myctheta.graphs import _bits_matrix, _power_base, format_edgelist, parse_edgelist, parse_family
 from myctheta.invariants import (
     CliqueResult,
     _Budget,
@@ -236,7 +237,7 @@ def generator_cases():
     automorphisms of the family powers' bases lifted to them."""
     cases = [(g, [_automorphisms(g.bool_matrix())]) for g in symmetric_and_random_graphs()]
     for spec in FAMILY_POWERS:
-        g = cli.parse_family(spec)
+        g = parse_family(spec)
         cases.append((g, [lifted_generators(g), _automorphisms(g.bool_matrix())]))
     return cases
 
@@ -264,7 +265,7 @@ def test_depth_one_pruning_keeps_the_unpruned_answers():
 def test_family_generators_prune_depth_one(spec, nodes):
     # the same counts from a family spec and from its edge list: the lift
     # is read off the graph alone
-    g = cli.parse_family(spec)
+    g = parse_family(spec)
     res, plain = clique_number(g), clique_with(g, None, ())
     assert res == CliqueResult(plain.size, plain.witness, True, nodes)
     assert clique_number(parse_edgelist(format_edgelist(g))) == res
@@ -279,7 +280,7 @@ def test_finder_generators_prune_depth_one_on_c5_cube():
 
 
 def test_c7_cube_with_family_generators():
-    res = clique_number(cli.parse_family("power:cycle:7:t=3"))
+    res = clique_number(parse_family("power:cycle:7:t=3"))
     assert (res.size, res.exhausted, res.nodes) == (8, True, 45_039)
 
 
@@ -288,7 +289,7 @@ def test_c7_cube_from_an_edge_list():
     g = parse_edgelist(format_edgelist(or_power(cycle_graph(7), 3)))
     res = clique_number(g)
     assert (res.size, res.exhausted, res.nodes) == (8, True, 45_039)
-    assert res == clique_number(cli.parse_family("power:cycle:7:t=3"))
+    assert res == clique_number(parse_family("power:cycle:7:t=3"))
 
 
 def test_power_bound_lifts_the_finders_automorphisms_of_the_base(monkeypatch):
@@ -323,7 +324,7 @@ def test_root_orbits_from_structural_generators(spec, count, monkeypatch):
     # the same counts from a family spec and from its edge list, with the
     # finder run on the base block alone; run on the search's bits of K3^4
     # it finds 69 orbits, and 18 on those of M(C5)^3
-    g = cli.parse_family(spec)
+    g = parse_family(spec)
     finder = symmetry._automorphisms
 
     def base_only(a):
@@ -395,7 +396,7 @@ def test_orbit_masks_of_a_point_stabilizer():
 
 @pytest.mark.parametrize("spec", ["power:cycle:5:t=3", "power:mycielski:cycle:5:t=2", "power:cycle:7:t=2"])
 def test_generators_of_a_family_graph_and_its_edge_list_agree(spec):
-    g = cli.parse_family(spec)
+    g = parse_family(spec)
     h = parse_edgelist(format_edgelist(g))
     assert np.array_equal(search_generators(g), search_generators(h))
 
@@ -453,7 +454,7 @@ def family_specs(draw):
 @given(family_specs())
 def test_structural_generators_are_automorphisms_and_keep_the_answers(spec):
     # a power spec's graph is always recognised, if perhaps over a smaller base
-    g = cli.parse_family(spec)
+    g = parse_family(spec)
     gens = lifted_generators(g)
     if spec.startswith("power:") and not spec.endswith(":t=1") and g.n > 1:
         assert gens is not None
@@ -1060,6 +1061,38 @@ def test_k_colorable_needs_no_recursion():
     res = chromatic_number(cycle_graph(2001))
     assert (res.value, res.exhausted) == (3, True)
     assert verify_coloring(cycle_graph(2001), res.coloring)
+
+
+def test_clique_search_needs_no_recursion():
+    # K_1100 beside the 600-part cocktail-party graph, whose core comes first in
+    # the degeneracy order: the greedy seed stops at 600, and the search then
+    # descends through all 1100 members of the larger clique
+    a = np.ones((2300, 2300), dtype=bool)
+    a[:1100, 1100:] = a[1100:, :1100] = False
+    pairs = np.arange(1100, 2300)
+    a[pairs, pairs ^ 1] = False
+    np.fill_diagonal(a, False)
+    res = clique_number(Graph(2300, a))
+    assert (res.size, res.exhausted, res.nodes) == (1100, True, 1100)
+    assert res.witness == tuple(range(1100))
+
+
+def test_each_invariant_rejects_the_other_kind_at_once():
+    # theta_bar, chi_f, chi and omega are defined for undirected graphs, the
+    # symmetric and transitive clique numbers for digraphs; the wrong kind is a
+    # DomainError before any work
+    from myctheta import certify, chained_power_clique, fractional_chromatic, theta_bar
+
+    mt3 = mycielskian(transitive_tournament(3), 2)
+    calls = [(clique_number, mt3), (chromatic_number, mt3), (fractional_chromatic, mt3),
+             (theta_bar, mt3), (lambda g: certify(g, 1e-7), mt3), (chained_power_clique, mt3),
+             (symmetric_clique_number, cycle_graph(5)), (transitive_clique_number, cycle_graph(5))]
+    for fn, g in calls:
+        kind = "a digraph" if isinstance(g, Graph) else "an undirected graph"
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match=f" needs {kind}$"):
+            fn(g)
+        assert time.perf_counter() - start < 0.1
 
 
 def test_chi_c5_square_at_most_8():

@@ -44,7 +44,7 @@ import numpy as np
 from . import eigen
 from .errors import CertificateError, DomainError, MycthetaError
 from .formula import _snap_boundary, cubic_residual, mycielski_theta_formula
-from .graphs import Graph, mycielskian
+from .graphs import Graph, _mycielski_order, mycielskian
 from .theta import (EXTRACT_TOL, VectorColoring, _edge_spectrum, _ratio, check_tol,
                     extract_vector_coloring, optimal_edge_matrix, theta_bar)
 from .theta import spectral_ratio  # noqa: F401  perfbench/test_perfbench.py reads it from here
@@ -116,18 +116,18 @@ def lift_coloring(g: Graph, coloring: VectorColoring, m: float) -> VectorColorin
     """Strict vector m-coloring of M(G) lifted from a t-coloring of G.
 
     Vertex order matches `mycielskian(g)`: level 0, level 1, apex.  The input
-    coloring must be valid for g within 1e-6.
+    coloring must be valid for g within 1e-6, checked last: it takes O(n^2 d).
     """
-    violation = coloring.max_violation(g)
-    if violation > 1e-6:
-        raise DomainError(
-            f"input coloring violates its constraints by {violation:.3e}"
-        )
     params = lift_parameters(coloring.value, m)
     if params.degenerate:
         raise DomainError(
             "m = t + 1 is the degenerate root; it does not produce a valid "
             "coloring of the two-level Mycielskian"
+        )
+    violation = coloring.max_violation(g)
+    if violation > 1e-6:
+        raise DomainError(
+            f"input coloring violates its constraints by {violation:.3e}"
         )
     n, d = coloring.vectors.shape
     lifted = np.zeros((2 * n + 1, d + 1))
@@ -398,6 +398,7 @@ def certify(g: Graph, tol: float, verbose: bool = False) -> tuple[dict, bool]:
     raises MycthetaError, since the solution is then not optimal.
     """
     check_tol(tol)  # before min(), which would pass an infinite or too loose tol
+    _mycielski_order(g.n, 2)  # the lift check builds M(G): it must fit the vertex bound
     sol = theta_bar(g, min(tol, EXTRACT_TOL))
     spectrum = _edge_spectrum(optimal_edge_matrix(g, sol), g)
     t = _ratio(spectrum[1])

@@ -14,13 +14,15 @@ A graph is searched the same whichever source it came from: the clique
 searches take their automorphisms from the graph alone.
 
 This module alone turns results into text and flags into library
-arguments; the rules about the graph, its family grammar and the kind each
-invariant takes, are the library's (`graphs`).  The library returns plain
-data (`to_dict`), and every JSON document goes out through `_emit_json`,
-with a two-space indent and sorted keys.  `invariant` and `report` print
-the same text lines (`_text`).  Text floats print with 12 significant
-digits, rationals as "p/q" (the report's CSV prints an integer chi_f as
-"3").  Exit codes: 0 success, 2 domain/usage errors, 1 internal failures.
+arguments, and it keeps no rule about a request.  The graph's rules, its
+family grammar and the nonempty kind each invariant takes, are `graphs`';
+the node budget's is `invariants`'; the report's maximum power is
+`constructions`'.  A flag that the chosen mode does not use is ignored.
+The library returns plain data (`to_dict`), and every JSON document goes
+out through `_emit_json`, with a two-space indent and sorted keys.
+`invariant` and `report` print the same text lines (`_text`).  Text floats
+print with 12 significant digits, rationals as "p/q" (the report's CSV
+prints an integer chi_f as "3").  Exit codes: 0 success, 2 domain/usage errors, 1 internal failures.
 A report whose `errors` is non-empty is still written in full, then exits
 2 with one `error: report incomplete: <keys>` line on stderr.
 """
@@ -326,15 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_counts(args) -> None:
-    """A node budget below 1 or a maximum power below 0 is a usage error."""
-    for name, least in (("budget", 1), ("max_power", 0)):
-        value = getattr(args, name, None)
-        if value is not None and value < least:
-            flag = "--" + name.replace("_", "-")
-            raise DomainError(f"{flag} must be at least {least}, got {value}")
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
@@ -342,7 +335,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        _check_counts(args)
         return args.fn(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)

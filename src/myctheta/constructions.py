@@ -236,12 +236,12 @@ def no_lifted_clique_check(n: int, r: int, t: int,
     size n^t, which is re-verified first; raises InconclusiveError if the
     node budget (`invariants.DEFAULT_BUDGET` when None) runs out first.
     """
+    budget = _Budget(node_budget)
     if n < 3 or r < 3:
         raise DomainError("the nonexistence statement needs n >= 3 and r >= 3")
     if t < 1:
         raise DomainError("power exponent must be at least 1")
     h, _ = _level_power(n, r, t)
-    budget = _Budget(node_budget)
     if _max_clique(h, budget, beat=n ** t - 1):
         return False
     if not budget.within_limit:
@@ -273,8 +273,10 @@ def chained_power_clique(g: Graph, k: int = 1,
     M(G) labels (q_1, level) ... (q_k, level), apex to k apexes.  Pairwise
     adjacency over M(G) is re-verified coordinate-wise.
     """
+    _Budget(node_budget)  # a bad budget fails here, before any work
     if k < 1:
         raise DomainError("chaining needs k >= 1")
+    host = mycielskian(g, 2)
     power = or_power(g, k)
     witness = clique_number(power, node_budget)
     if not witness.exhausted:
@@ -283,7 +285,6 @@ def chained_power_clique(g: Graph, k: int = 1,
     if cap < 2:
         raise DomainError("chaining needs omega(G^k) >= 2")
     ext = extended_clique(cap)
-    host = mycielskian(g, 2)
     n = g.n
     # M(K_N) label -> k-tuple of M(G) labels
     def expand(label: int) -> tuple[int, ...]:
@@ -408,11 +409,10 @@ def capacity_report(g: GraphLike, *, max_power: int = 1, theta_tol: float = thet
     recorded, since the report outputs no theta for a digraph.  The
     attached construction is `_construction(g)`.
     """
-    theta_mod.check_tol(theta_tol)
-    if node_budget is not None and node_budget < 1:
-        raise DomainError(f"node budget must be at least 1, got {node_budget}")
+    _Budget(node_budget)  # a bad budget fails here, before any field
     if max_power < 0:
         raise DomainError(f"max power must be at least 0, got {max_power}")
+    theta_mod.check_tol(theta_tol)
     directed = isinstance(g, Digraph)
     report = CapacityReport(n=g.n, m=g.m, directed=directed)
 

@@ -54,7 +54,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import DomainError, MycthetaInternal, SizeLimitError
+from .errors import MycthetaInternal, SizeLimitError
 from .graphs import Graph, _kron_power, _power_base, _require_kind
 
 MAX_VERTICES_CHI_F = 128
@@ -262,8 +262,6 @@ def fractional_chromatic(g: Graph) -> FractionalChromaticResult:
     `_solve`.
     """
     _require_kind(g, Graph, "fractional chromatic number")
-    if g.n < 1:
-        raise DomainError("fractional chromatic number needs a nonempty graph")
     power = _power_base(g)
     if power is None:
         return _solve(g)

@@ -23,8 +23,9 @@ recognises a graph that is, in its own labelling, an OR-power of its leading
 block, for the lifts of theta_bar, chi_f and the clique search's symmetry.
 
 `parse_family` reads a family spec (bases `_FAMILIES`, wrappers
-`_WRAPPER_KEYS`), and `_require_kind` is the one check that an invariant is
-given the kind of graph it is defined for.
+`_WRAPPER_KEYS`), and checks every wrapper's order before it builds one.
+`_require_kind` is the one check that an invariant is given the kind of
+graph it is defined for, and a nonempty one.
 
 The edge-list text ("n m [directed]", then one "u v" line per edge) is made
 by one private generator that yields the header and then blocks of whole
@@ -36,6 +37,7 @@ joins them into one string.  `parse_edgelist` reads the text back.
 from __future__ import annotations
 
 import io
+import itertools
 import math
 import os
 import re
@@ -242,9 +244,11 @@ GraphLike = Union[Graph, Digraph]
 
 
 def _require_kind(g: GraphLike, kind: type, what: str) -> None:
-    """DomainError unless g is a `kind`, the one kind of graph `what` is defined for."""
+    """DomainError unless g is a nonempty `kind`, the kind of graph `what` is defined for."""
     if not isinstance(g, kind):
         raise DomainError(f"{what} needs {'an undirected graph' if kind is Graph else 'a digraph'}")
+    if g.n == 0:
+        raise DomainError(f"{what} needs a nonempty graph")
 
 
 # ---------------------------------------------------------------------------
@@ -324,10 +328,15 @@ def generate(family: str, n: int) -> GraphLike:
 
 
 def parse_family(spec: str) -> GraphLike:
-    """The graph of a family spec, wrapper* base ':' n and key=value tokens,
-    read in one loop: the base is built, then each wrapper, innermost first,
-    takes the first remaining token with its key (`r=`, default 2; `t=`).
-    Integers are in the grammar of the edge-list format."""
+    """The graph of a family spec, wrapper* base ':' n and key=value tokens.
+
+    The base is built, then each wrapper, innermost first, takes the first
+    remaining token with its key (`r=`, default 2; `t=`).  Every wrapper's
+    parameter and order is checked before any wrapper is built, so a spec
+    beyond the vertex bound fails at once.  Each run of consecutive
+    `mycielski:` wrappers is then built in one matrix of the run's final
+    order (`_mycielski_tower`).  Integers are in the grammar of the
+    edge-list format."""
     tokens = [tok for tok in spec.split(":") if tok]
     if not tokens:
         raise DomainError("empty family spec")
@@ -344,6 +353,7 @@ def parse_family(spec: str) -> GraphLike:
     except ValueError:
         raise DomainError(f"bad size {rest[0]!r} for family {head!r}") from None
     g, rest = generate(head, n), rest[1:]
+    steps, size = [], g.n  # (wrapper, parameter, order it builds), innermost first
     for wrapper in reversed(tokens[:depth]):
         key = _WRAPPER_KEYS[wrapper] + "="
         tok = next((tok for tok in rest if tok.startswith(key)), None)
@@ -354,11 +364,23 @@ def parse_family(spec: str) -> GraphLike:
                 value = _int_token(tok[len(key):])
             except ValueError:
                 raise DomainError(f"bad parameter token {tok!r}") from None
-        if wrapper == "power" and value is None:
-            raise DomainError("power needs an exponent, e.g. power:cycle:5:t=2")
-        g = or_power(g, value) if wrapper == "power" else mycielskian(g, 2 if value is None else value)
+        if wrapper == "power":
+            if value is None:
+                raise DomainError("power needs an exponent, e.g. power:cycle:5:t=2")
+            size = _power_order(size, value)
+        else:
+            value = 2 if value is None else value
+            size = _mycielski_order(size, value)
+        steps.append((wrapper, value, size))
     if rest:
         raise DomainError(f"unparsed family tokens: {rest}")
+    for wrapper, run in itertools.groupby(steps, key=lambda step: step[0]):
+        run = list(run)
+        if wrapper == "power":
+            for _, t, _ in run:
+                g = or_power(g, t)
+        else:
+            g = _mycielski_tower(g, [r for _, r, _ in run], run[-1][2])
     return g
 
 
@@ -372,24 +394,39 @@ def _require_positive(n: int) -> None:
 # Mycielski constructions
 # ---------------------------------------------------------------------------
 
-def _mycielski_matrix(a: np.ndarray, r: int) -> np.ndarray:
-    """Adjacency of M_r over the n x n matrix a, vertex (v, level) at level * n + v.
-
-    Level 0 is a copy of a, consecutive levels are joined by a in both
-    directions, and the apex (last row) points at every vertex of level r-1.
-    """
+def _mycielski_order(n: int, r: int) -> int:
+    """r n + 1, the order of M_r over n vertices, once r >= 1 and it fits the bound."""
     if r < 1:
         raise DomainError("Mycielskian needs r >= 1")
-    n = len(a)
     _check_size(r * n + 1, "Mycielskian")
-    out = np.zeros((r * n + 1, r * n + 1), dtype=bool)
-    out[:n, :n] = a
-    for lvl in range(r - 1):
-        lo, mid, hi = lvl * n, (lvl + 1) * n, (lvl + 2) * n
-        out[lo:mid, mid:hi] = a
-        out[mid:hi, lo:mid] = a
-    out[r * n, (r - 1) * n:r * n] = True
-    return out
+    return r * n + 1
+
+
+def _mycielski_tower(g: GraphLike, rs: Sequence[int], size: int) -> GraphLike:
+    """M_{r_k}(... M_{r_1}(g)) for rs = r_1..r_k, of g's type, built in one
+    matrix of the final order `size` and packed once.
+
+    Each level writes M_r over the leading n x n block into the leading
+    r n + 1 square, still zero outside that block: vertex (v, level) is
+    level * n + v, level 0 is the block itself, consecutive levels are joined
+    by it in both directions, and the apex (row r n) points at every vertex
+    of level r-1.  Only the apex's row is written, so a digraph's apex arcs
+    point outward.  A graph is symmetrised once, by `Graph`, at the end: the
+    block a level copies has each earlier apex's row but not its column, and
+    each copy and its mirror image together symmetrise to the full block.
+    """
+    out = np.zeros((size, size), dtype=bool)
+    n = g.n
+    out[:n, :n] = g.bool_matrix()
+    for r in rs:
+        a = out[:n, :n]
+        for lvl in range(r - 1):
+            lo, mid, hi = lvl * n, (lvl + 1) * n, (lvl + 2) * n
+            out[lo:mid, mid:hi] = a
+            out[mid:hi, lo:mid] = a
+        out[r * n, (r - 1) * n:r * n] = True
+        n = r * n + 1
+    return type(g)(size, out)
 
 
 def mycielskian(g: GraphLike, r: int = 2) -> GraphLike:
@@ -402,8 +439,7 @@ def mycielskian(g: GraphLike, r: int = 2) -> GraphLike:
     (Orienting them the other way is an equally valid convention and
     reverses no other structure.)
     """
-    a = _mycielski_matrix(g.bool_matrix(), r)
-    return type(g)(len(a), a)
+    return _mycielski_tower(g, [r], _mycielski_order(g.n, r))
 
 
 # ---------------------------------------------------------------------------
@@ -437,13 +473,19 @@ def _kron_power(a: np.ndarray, t: int) -> np.ndarray:
 
 def or_power(g: GraphLike, t: int) -> GraphLike:
     """g^t, the complement of the Kronecker power of g's closed non-adjacency."""
-    if t < 1:
-        raise DomainError("OR-power needs t >= 1")
-    _check_size(g.n, "OR-power", t)
+    _power_order(g.n, t)
     if g.n <= 1:  # on one vertex or none, g^t is g
         return g
     adj = ~_kron_power(~g.bool_matrix(), t)
     return type(g)(len(adj), adj)
+
+
+def _power_order(n: int, t: int) -> int:
+    """n^t, the order of an OR-power, once t >= 1 and it fits the bound."""
+    if t < 1:
+        raise DomainError("OR-power needs t >= 1")
+    _check_size(n, "OR-power", t)
+    return n ** t
 
 
 def _power_base(g: GraphLike) -> Optional[tuple[GraphLike, int]]:

@@ -5,9 +5,10 @@ All searches are deterministic: vertices are ordered by degeneracy with ties
 broken by index, and budgets are node counts, not wall time.  Every search
 is bounded: a budget of None means `DEFAULT_BUDGET` nodes (10^7), read when
 the search starts.  A truncated search reports exhausted=False and the best
-witness found; it never claims a wrong optimum.  Each result's `to_dict` is
-its document, the same in `invariant` and in `report`.  Each search takes
-one kind of graph (`graphs._require_kind`) and walks an explicit stack.
+witness found; it never claims a wrong optimum.  `_Budget` owns the rule
+that a caller's budget is at least 1.  Each result's `to_dict` is its
+document, the same in `invariant` and in `report`.  Each search takes one
+kind of graph (`graphs._require_kind`) and walks an explicit stack.
 
 The clique search bounds each node by a bit-parallel coloring of its
 candidate bitset, one color class at a time (BBMC).  Its classes equal those
@@ -70,8 +71,11 @@ class CliqueResult:
 class _Budget:
     __slots__ = ("limit", "nodes")
 
-    def __init__(self, node_budget: Optional[int]):
-        self.limit = DEFAULT_BUDGET if node_budget is None else node_budget
+    def __init__(self, node_budget: Optional[int], share: int = 1):
+        """1/share of a caller's budget, checked here alone; a share may round to 0 nodes."""
+        if node_budget is not None and node_budget < 1:
+            raise DomainError(f"node budget must be at least 1, got {node_budget}")
+        self.limit = (DEFAULT_BUDGET if node_budget is None else node_budget) // share
         self.nodes = 0
 
     def tick(self) -> bool:
@@ -241,10 +245,8 @@ def clique_number(g: Graph, node_budget: Optional[int] = None) -> CliqueResult:
     The search prunes its root and depth 1 by the orbits of the automorphisms
     `symmetry.generators` takes from g alone.
     """
-    _require_kind(g, Graph, "clique number")
-    if g.n == 0:
-        raise DomainError("clique number needs a nonempty vertex set")
     budget = _Budget(node_budget)
+    _require_kind(g, Graph, "clique number")
     witness = _max_clique(g, budget)
     return CliqueResult(len(witness), witness, budget.within_limit, budget.nodes)
 
@@ -283,6 +285,7 @@ def _max_clique(g: Graph, budget: _Budget, beat: Optional[int] = None) -> tuple[
 
 def symmetric_clique_number(d: Digraph, node_budget: Optional[int] = None) -> CliqueResult:
     """Largest set of pairwise bidirected vertices."""
+    _Budget(node_budget)  # a bad budget fails before the kind, as in every search
     _require_kind(d, Digraph, "symmetric clique number")
     return clique_number(d.bidirected_graph(), node_budget)
 
@@ -302,12 +305,10 @@ def transitive_clique_number(d: Digraph, node_budget: Optional[int] = None,
     `cap` bounds the answer from above and `seed` is a known transitive
     order; a seed that reaches the cap is returned with no search at all.
     """
+    budget = _Budget(node_budget)
     _require_kind(d, Digraph, "transitive clique number")
-    if d.n == 0:
-        raise DomainError("clique number needs a nonempty vertex set")
     if seed and not (all(0 <= v < d.n for v in seed) and verify_clique(d, seed)):
         raise DomainError("seed is not a transitive order of the digraph")
-    budget = _Budget(node_budget)
     if cap is not None and len(seed) >= cap:
         size, witness, capped = len(seed), tuple(seed), True
     else:
@@ -467,15 +468,14 @@ def chromatic_number(g: Graph, node_budget: Optional[int] = None,
     node, so it stands in and the result is the same.  The coloring returned
     is re-verified (`_checked_coloring`).
     """
+    budget = _Budget(node_budget)
     _require_kind(g, Graph, "chromatic number")
-    if g.n == 0:
-        raise DomainError("chromatic number needs a nonempty vertex set")
     greedy = greedy_coloring(g)
     hi = max(greedy) + 1
-    budget = _Budget(node_budget)
-    clique_share = budget.limit // 4
-    if not (omega is not None and omega.nodes <= clique_share and omega.exhausted):
-        omega = clique_number(g, clique_share)
+    clique_share = _Budget(node_budget, 4)
+    if not (omega is not None and omega.nodes <= clique_share.limit and omega.exhausted):
+        witness = _max_clique(g, clique_share)
+        omega = CliqueResult(len(witness), witness, clique_share.within_limit, clique_share.nodes)
     lo = omega.size if omega.exhausted else 1
     budget.nodes = omega.nodes
     coloring = greedy
@@ -540,6 +540,7 @@ def capacity_lower_bound(g: GraphLike, k: int, node_budget: Optional[int] = None
     transitive search over a digraph's power, in its vertex numbering; the
     undirected search takes neither.
     """
+    _Budget(node_budget)  # a bad budget fails here, before the power is built
     if k < 1:
         raise DomainError("capacity lower bound needs k >= 1")
     directed = isinstance(g, Digraph)

@@ -267,8 +267,6 @@ def theta_bar(g: Graph, tol: float = DEFAULT_TOL) -> ThetaSolution:
     certified value and bracket width, if `MAX_ITERATIONS` is reached first.
     """
     _require_kind(g, Graph, "theta_bar")
-    if g.n < 1:
-        raise DomainError("theta needs at least one vertex")
     check_tol(tol)
     if g.m == 0:
         return ThetaSolution(1.0, 1.0, np.eye(g.n) / g.n, np.ones((g.n, g.n)), tol, 0)

@@ -11,6 +11,7 @@ from myctheta import (
     CertificateError,
     DomainError,
     MycthetaError,
+    SizeLimitError,
     VectorColoring,
     build_spectral_certificate,
     certify,
@@ -23,11 +24,12 @@ from myctheta import (
     mycielski_theta_formula,
     mycielskian,
     optimal_edge_matrix,
+    or_power,
     spectral_ratio,
     theta_bar,
     verify_block_spectrum,
 )
-from myctheta import eigen
+from myctheta import certificates, eigen
 from myctheta.certificates import (
     certificate_blocks,
     certificate_parameters,
@@ -122,6 +124,24 @@ def test_lift_rejects_bad_inputs():
         lift_coloring(k2, skewed, SQRT5)
     with pytest.raises(DomainError):
         lift_coloring(k2, exact_coloring_k2(), 3.0)  # degenerate root
+
+
+def fail(*args, **kwargs):
+    raise AssertionError("work done before the request was checked")
+
+
+def test_lift_checks_its_parameters_before_the_coloring(monkeypatch):
+    monkeypatch.setattr(VectorColoring, "max_violation", fail)
+    with pytest.raises(DomainError, match="degenerate root"):
+        lift_coloring(complete_graph(2), exact_coloring_k2(), 3.0)
+
+
+def test_certify_checks_the_mycielskian_against_the_bound_before_solving(monkeypatch):
+    g = or_power(cycle_graph(5), 2)
+    monkeypatch.setenv("MYCTHETA_MAX_VERTICES", "30")
+    monkeypatch.setattr(certificates, "theta_bar", fail)
+    with pytest.raises(SizeLimitError, match="^Mycielskian needs 51 vertices, exceeding the bound 30$"):
+        certify(g, 1e-7)
 
 
 def test_lift_value_upper_bounds_sdp():

@@ -93,6 +93,14 @@ def test_deeply_nested_family_spec_stops_at_the_vertex_bound(capsys):
     assert (code, out, err) == (2, "", "error: Mycielskian needs 6143 vertices, exceeding the bound 4096\n")
 
 
+def test_certify_beyond_the_bound_exits_2_before_solving(capsys):
+    # M(C8^4) needs 8193 vertices: refused before the theta solve, not after it
+    start = time.perf_counter()
+    code, out, err = run_cli(["certify", "--family", "power:cycle:8:t=4"], capsys)
+    assert (code, out, err) == (2, "", "error: Mycielskian needs 8193 vertices, exceeding the bound 4096\n")
+    assert time.perf_counter() - start < 2
+
+
 def test_bad_integers_exit_2_with_their_message(tmp_path, capsys):
     path = tmp_path / "bad_header.edges"
     path.write_text("1_0 1\n0 1\n", encoding="utf-8")
@@ -683,17 +691,29 @@ def test_report_closed_by_in_json(capsys):
 
 @pytest.mark.parametrize("argv, message", [
     (["invariant", "--which", "omega", "--family", "cycle:5", "--budget", "-1"],
-     "--budget must be at least 1, got -1"),
-    (["report", "--family", "cycle:5", "--budget", "0"], "--budget must be at least 1, got 0"),
+     "node budget must be at least 1, got -1"),
+    (["report", "--family", "cycle:5", "--budget", "0"], "node budget must be at least 1, got 0"),
     (["construct", "--no-lift-check", "3", "3", "1", "--budget", "0"],
-     "--budget must be at least 1, got 0"),
+     "node budget must be at least 1, got 0"),
     (["report", "--family", "cycle:5", "--max-power", "-1"],
-     "--max-power must be at least 0, got -1"),
+     "max power must be at least 0, got -1"),
 ])
 def test_bad_counts_exit_2(argv, message, capsys):
+    # the library owns each rule, so the message is the library's
     code, out, err = run_cli(argv, capsys)
     assert code == 2 and out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["invariant", "--which", "chi-f", "--family", "cycle:5", "--budget", "0"],
+    ["construct", "--lifted-clique", "2", "--budget", "0"],
+    ["construct", "--transitive-clique", "2", "--budget", "-1"],
+    ["invariant", "--which", "omega", "--family", "cycle:5", "--power", "-5"],
+])
+def test_a_flag_the_mode_does_not_use_is_ignored(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert (code, err) == (0, "") and json.loads(out)
 
 
 def test_omega_tr_beyond_recursion_limit(capsys):

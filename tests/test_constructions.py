@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+import time
 
 import networkx
 import numpy as np
@@ -15,8 +16,10 @@ from myctheta import (
     Graph,
     InconclusiveError,
     SizeLimitError,
+    capacity_lower_bound,
     capacity_report,
     chained_power_clique,
+    chromatic_number,
     clique_number,
     complete_graph,
     cycle_graph,
@@ -26,6 +29,7 @@ from myctheta import (
     mycielskian,
     no_lifted_clique_check,
     or_power,
+    symmetric_clique_number,
     theta_bar,
     transitive_clique_number,
     transitive_tournament,
@@ -330,7 +334,7 @@ def test_capacity_report_reuses_omega_for_k1(g):
 
 def test_capacity_report_failed_omega_fills_both_keys():
     report = capacity_report(Graph(0), max_power=1)
-    message = "DomainError: clique number needs a nonempty vertex set"
+    message = "DomainError: clique number needs a nonempty graph"
     assert report.errors["omega"] == report.errors["lower_bound_k1"] == message
     assert report.lower_bounds == ()
 
@@ -474,6 +478,38 @@ def test_report_stops_at_the_first_power_beyond_the_bound(monkeypatch):
 def test_report_rejects_bad_counts(options, message):
     with pytest.raises(DomainError, match=message):
         capacity_report(cycle_graph(5), **options)
+
+
+def fail(*args, **kwargs):
+    raise AssertionError("work done before the request was checked")
+
+
+def test_every_entry_point_checks_its_budget_before_any_work(monkeypatch):
+    # invariants._Budget owns the rule: no entry point builds, colours or searches first
+    for module, name in ((invariants, "or_power"), (invariants, "greedy_coloring"),
+                         (invariants, "_max_clique"), (invariants, "_longest_transitive_order"),
+                         (constructions, "_level_power"), (constructions, "mycielskian"),
+                         (constructions, "or_power"), (constructions, "_construction")):
+        monkeypatch.setattr(module, name, fail)
+    c5, t3 = cycle_graph(5), transitive_tournament(3)
+    calls = [lambda b: clique_number(c5, b), lambda b: symmetric_clique_number(t3, b),
+             lambda b: transitive_clique_number(t3, b), lambda b: chromatic_number(c5, b),
+             lambda b: capacity_lower_bound(c5, 2, b), lambda b: no_lifted_clique_check(5, 3, 3, b),
+             lambda b: chained_power_clique(c5, 1, b), lambda b: capacity_report(c5, node_budget=b)]
+    for budget in (0, -1):
+        for call in calls:
+            start = time.perf_counter()
+            with pytest.raises(DomainError, match=f"^node budget must be at least 1, got {budget}$"):
+                call(budget)
+            assert time.perf_counter() - start < 0.1
+
+
+def test_chained_power_clique_builds_its_host_before_its_clique_search(monkeypatch):
+    g = or_power(cycle_graph(5), 2)
+    monkeypatch.setenv("MYCTHETA_MAX_VERTICES", "30")
+    monkeypatch.setattr(constructions, "clique_number", fail)
+    with pytest.raises(SizeLimitError, match="^Mycielskian needs 51 vertices, exceeding the bound 30$"):
+        chained_power_clique(g, 1)
 
 
 @st.composite

@@ -2,6 +2,7 @@ import io
 import itertools
 import os
 import random
+import time
 import tracemalloc
 
 import numpy as np
@@ -705,3 +706,29 @@ def test_isomorphism_negative():
     a = Graph(4, [(0, 1), (1, 2), (2, 3)])
     b = Graph(4, [(0, 1), (0, 2), (0, 3)])  # same degree sum, different shape
     assert not isomorphic(a, b)
+
+
+def test_mycielski_tower_is_bounded_first_and_built_in_one_matrix():
+    # 4095 r=1 wrappers over K1 give K4096, the vertex bound; one more is
+    # refused before any wrapper is built
+    start = time.perf_counter()
+    g = graphs_mod.parse_family("mycielski:" * 4095 + "complete:1" + ":r=1" * 4095)
+    assert time.perf_counter() - start < 2
+    assert g == complete_graph(4096)
+    start = time.perf_counter()
+    with pytest.raises(SizeLimitError, match="^Mycielskian needs 4097 vertices, exceeding the bound 4096$"):
+        graphs_mod.parse_family("mycielski:" * 4096 + "complete:1" + ":r=1" * 4096)
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("spec, build", [
+    ("mycielski:mycielski:complete:1:r=1:r=1", lambda: complete_graph(3)),
+    # the apexes' arcs point outward at every level
+    ("mycielski:mycielski:tournament:1:r=1:r=1", lambda: Digraph(3, [(1, 0), (2, 0), (2, 1)])),
+    ("mycielski:mycielski:mycielski:cycle:5:r=3:r=1",
+     lambda: mycielskian(mycielskian(mycielskian(cycle_graph(5), 3), 1), 2)),
+    ("mycielski:mycielski:power:mycielski:tournament:2:r=3:t=2:r=1:r=2",
+     lambda: mycielskian(mycielskian(or_power(mycielskian(transitive_tournament(2), 3), 2), 1), 2)),
+])
+def test_a_run_of_mycielski_wrappers_equals_the_nested_constructions(spec, build):
+    assert graphs_mod.parse_family(spec) == build()

@@ -1045,8 +1045,8 @@ def test_chromatic_reuses_an_exhaustive_omega(monkeypatch):
              for omega_budget in (None, 3, 100)]
     expected = [chromatic_number(g, b) for g, b, _ in cases]
     searches = []
-    search = invariants.clique_number
-    monkeypatch.setattr(invariants, "clique_number", lambda *args: searches.append(1) or search(*args))
+    search = invariants._max_clique  # the clique search, given chromatic_number's own share
+    monkeypatch.setattr(invariants, "_max_clique", lambda *args: searches.append(1) or search(*args))
     for (g, b, omega), want in zip(cases, expected):
         searches.clear()
         assert chromatic_number(g, b, omega) == want
@@ -1093,6 +1093,28 @@ def test_each_invariant_rejects_the_other_kind_at_once():
         with pytest.raises(DomainError, match=f" needs {kind}$"):
             fn(g)
         assert time.perf_counter() - start < 0.1
+
+
+def test_each_invariant_rejects_an_empty_graph_in_one_wording():
+    # graphs._require_kind owns the nonempty rule beside the kind rule
+    from myctheta import certify, fractional_chromatic, theta_bar
+
+    calls = [("clique number", clique_number, Graph(0)), ("chromatic number", chromatic_number, Graph(0)),
+             ("fractional chromatic number", fractional_chromatic, Graph(0)),
+             ("theta_bar", theta_bar, Graph(0)), ("theta_bar", lambda g: certify(g, 1e-7), Graph(0)),
+             ("symmetric clique number", symmetric_clique_number, Digraph(0)),
+             ("transitive clique number", transitive_clique_number, Digraph(0))]
+    for what, fn, g in calls:
+        with pytest.raises(DomainError, match=f"^{what} needs a nonempty graph$"):
+            fn(g)
+
+
+@pytest.mark.parametrize("budget, lo, nodes", [(1, 1, 2), (2, 1, 3), (3, 2, 4)])
+def test_chromatic_budget_below_four_leaves_its_clique_search_no_nodes(budget, lo, nodes):
+    # the clique search's share, budget // 4, is 0 here; chromatic_number's own
+    # share is not checked as a caller's budget is
+    res = chromatic_number(cycle_graph(5), budget)
+    assert (res.lo, res.hi, res.exhausted, res.nodes) == (lo, 3, False, nodes)
 
 
 def test_chi_c5_square_at_most_8():

@@ -147,16 +147,14 @@ def _cmd_invariant(args) -> int:
         which = {args.which}
     else:
         which = {"omega-s", "omega-tr"} if directed else {"omega", "chi", "chi-f"}
-    omega = None
     if "omega" in which:
-        omega = invariants.clique_number(g, args.budget)
-        doc["omega"] = omega.to_dict()
+        doc["omega"] = invariants.clique_number(g, args.budget).to_dict()
     if "omega-s" in which:
         doc["omega_s"] = invariants.symmetric_clique_number(g, args.budget).to_dict()
     if "omega-tr" in which:
         doc["omega_tr"] = invariants.transitive_clique_number(g, args.budget).to_dict()
     if "chi" in which:
-        doc["chi"] = invariants.chromatic_number(g, args.budget, omega).to_dict()
+        doc["chi"] = invariants.chromatic_number(g, args.budget).to_dict()
     if "chi-f" in which:
         r = fractional.fractional_chromatic(g)
         doc["chi_f"] = f"{r.value.numerator}/{r.value.denominator}"

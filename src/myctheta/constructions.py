@@ -394,7 +394,8 @@ def capacity_report(g: GraphLike, *, max_power: int = 1, theta_tol: float = thet
                     node_budget: Optional[int] = None) -> CapacityReport:
     """Bundle of invariants and bounds; per-field failures land in `errors`.
 
-    `node_budget` bounds every search, the chromatic one included.  Only
+    `node_budget` bounds every search, the chromatic one included, which
+    takes the whole of it and runs no clique search of its own.  Only
     expected failures (`MycthetaError`) are recorded there.  A bad
     `theta_tol`, `node_budget` or `max_power` is bad input, not a per-field
     failure: it raises DomainError before any field is computed.  A failed
@@ -402,7 +403,8 @@ def capacity_report(g: GraphLike, *, max_power: int = 1, theta_tol: float = thet
     any other exception propagates.
 
     The powers k = 2..max_power stop at the first one beyond the vertex
-    bound, whose SizeLimitError is recorded.  For a digraph, the transitive
+    bound, whose SizeLimitError is recorded; a graph on at most one vertex
+    is its own power, so its bounds end at k = 1.  For a digraph, the transitive
     search over each power k >= 2 that fits the bound is capped and seeded
     (see the module docstring).  The cap's theta_bar solve runs once, when
     first needed; if it fails, the searches run uncapped and nothing is
@@ -463,7 +465,8 @@ def capacity_report(g: GraphLike, *, max_power: int = 1, theta_tol: float = thet
         hi = theta_hi()
         return {"cap": None if hi is None else _theta_cap(hi, k), "seed": seed}
 
-    for k in range(2, max_power + 1):
+    # a graph on at most one vertex is its own power, so its k = 1 bound is every bound
+    for k in range(2, max_power + 1 if g.n > 1 else 2):
         bound = attempt(
             f"lower_bound_k{k}",
             lambda k=k: capacity_lower_bound(g, k, node_budget, **search_args(k)),
@@ -481,5 +484,5 @@ def capacity_report(g: GraphLike, *, max_power: int = 1, theta_tol: float = thet
         chi_f = attempt("chi_f", lambda: fractional_chromatic(g))
         if chi_f is not None:
             report.chi_f = chi_f.value
-        report.chi = attempt("chi", lambda: chromatic_number(g, node_budget, omega))
+        report.chi = attempt("chi", lambda: chromatic_number(g, node_budget))
     return report

@@ -71,11 +71,11 @@ class CliqueResult:
 class _Budget:
     __slots__ = ("limit", "nodes")
 
-    def __init__(self, node_budget: Optional[int], share: int = 1):
-        """1/share of a caller's budget, checked here alone; a share may round to 0 nodes."""
+    def __init__(self, node_budget: Optional[int]):
+        """A caller's budget, checked here alone."""
         if node_budget is not None and node_budget < 1:
             raise DomainError(f"node budget must be at least 1, got {node_budget}")
-        self.limit = (DEFAULT_BUDGET if node_budget is None else node_budget) // share
+        self.limit = DEFAULT_BUDGET if node_budget is None else node_budget
         self.nodes = 0
 
     def tick(self) -> bool:
@@ -457,29 +457,21 @@ def _k_colorable(g: Graph, k: int, budget: _Budget) -> Optional[tuple[int, ...]]
     return None
 
 
-def chromatic_number(g: Graph, node_budget: Optional[int] = None,
-                     omega: Optional[CliqueResult] = None) -> ChromaticResult:
+def chromatic_number(g: Graph, node_budget: Optional[int] = None) -> ChromaticResult:
     """Exact chromatic number by iterative deepening between a clique lower
     bound and a DSATUR upper bound; reports a bracket when the budget runs out.
 
-    The clique search gets a quarter of the budget, and its nodes count
-    against the whole.  `omega` is a clique search of g already run: when it
-    is exhaustive within that quarter, the search would repeat it node for
-    node, so it stands in and the result is the same.  The coloring returned
-    is re-verified (`_checked_coloring`).
+    The lower end starts at the greedy clique of the degeneracy order, the
+    clique search's own seed, and rises with each k the DSATUR search refutes;
+    those refutations spend the whole budget.  The coloring returned is
+    re-verified (`_checked_coloring`).
     """
     budget = _Budget(node_budget)
     _require_kind(g, Graph, "chromatic number")
     greedy = greedy_coloring(g)
     hi = max(greedy) + 1
-    clique_share = _Budget(node_budget, 4)
-    if not (omega is not None and omega.nodes <= clique_share.limit and omega.exhausted):
-        witness = _max_clique(g, clique_share)
-        omega = CliqueResult(len(witness), witness, clique_share.within_limit, clique_share.nodes)
-    lo = omega.size if omega.exhausted else 1
-    budget.nodes = omega.nodes
     coloring = greedy
-    k = lo
+    k = len(_greedy_clique(g, _ordered_bits(g)[0]))
     while k < hi:
         attempt = _k_colorable(g, k, budget)
         if attempt is not None:

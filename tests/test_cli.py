@@ -11,7 +11,7 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from myctheta import DomainError, certificates, cli, graphs, invariants
+from myctheta import DomainError, certificates, cli, graphs, invariants, symmetry
 from myctheta import theta as theta_mod
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "schemas"
@@ -786,10 +786,17 @@ def test_size_checks_never_build_the_power(argv, capsys):
 
 
 def test_report_powers_of_one_vertex(capsys):
-    # K1^k is K1 for every k; lifting generators to 65 coordinates once raised a ValueError
-    code, out, err = run_cli(["report", "--family", "complete:1", "--max-power", "100"], capsys)
+    # K1^k is K1 for every k, so the report's bounds end at k = 1 however high the power
+    start = time.monotonic()
+    code, out, err = run_cli(["report", "--family", "complete:1", "--max-power", "1000000000"], capsys)
+    assert time.monotonic() - start < 2
     assert code == 0 and err == ""
-    assert [b["clique_size"] for b in json.loads(out)["lower_bounds"]] == [1] * 100
+    assert [(b["k"], b["clique_size"]) for b in json.loads(out)["lower_bounds"]] == [(1, 1)]
+    # lifting generators to 65 coordinates once raised a ValueError
+    k1 = graphs.parse_family("complete:1")
+    bound = invariants.capacity_lower_bound(k1, 100)
+    assert (bound.k, bound.clique.size, bound.exhausted) == (100, 1, True)
+    assert len(symmetry.generators(graphs.or_power(k1, 100), [0])) == 0
 
 
 def test_report_deterministic(capsys):

@@ -737,7 +737,7 @@ def test_searches_given_no_budget_stop_at_the_default(monkeypatch):
         omega_tr = transitive_clique_number(m_t3_cube, budget)
         assert (omega_tr.size, omega_tr.nodes, omega_tr.exhausted, omega_tr.closed_by) == (27, nodes, False, None)
         assert verify_clique(m_t3_cube, omega_tr.witness)
-    chi = chromatic_number(or_power(cycle_graph(7), 2))  # 20 151 nodes at the real default
+    chi = chromatic_number(or_power(cycle_graph(7), 2))  # 20 145 nodes at the real default
     assert (chi.lo, chi.hi, chi.nodes, chi.exhausted) == (6, 9, 1001, False)
 
 
@@ -924,13 +924,48 @@ def test_chromatic_coloring_is_proper():
         assert max(greedy_coloring(g)) + 1 >= res.value
 
 
+def assert_sound_bracket(g: Graph, res, chi: int):
+    # the lower end starts at the greedy clique and never passes chi, and the
+    # coloring behind the upper end re-verifies
+    assert len(_greedy_clique(g, _ordered_bits(g)[0])) <= res.lo <= chi <= res.hi
+    assert verify_coloring(g, res.coloring) and max(res.coloring) < res.hi
+    assert res.exhausted == (res.lo == res.hi)
+
+
 def test_chromatic_budget_bracket():
+    # C5^2 needs 979 nodes: every budget below that leaves a bracket
     g = or_power(cycle_graph(5), 2)
-    res = chromatic_number(g, node_budget=40)
-    assert res.lo <= res.hi
-    if not res.exhausted:
-        assert res.lo < res.hi or res.lo == res.hi
-    assert verify_coloring(g, res.coloring)
+    for budget in range(1, 2001, 25):
+        res = chromatic_number(g, budget)
+        assert res.exhausted == (budget >= 979)
+        assert_sound_bracket(g, res, 8)
+
+
+def test_chromatic_bracket_under_every_budget():
+    # one G(n, p) draw per budget
+    rng = random.Random(43)
+    for budget in range(1, 2001):
+        g = random_graph(rng, rng.randint(1, 30), rng.choice([0.3, 0.5, 0.7]))
+        assert_sound_bracket(g, chromatic_number(g, budget), chromatic_number(g).value)
+
+
+def test_chromatic_number_runs_no_clique_search(monkeypatch):
+    # the lower end is the greedy clique and the refutations above it: neither
+    # the clique search nor the automorphism finder it starts is called
+    rng = random.Random(47)
+    cases = [(or_power(cycle_graph(5), 2), 8), (mycielskian(mycielskian(cycle_graph(5), 2), 2), 5)]
+    g = random_graph(rng, 20, 0.5)
+    cases.append((g, chromatic_number(g).value))
+
+    def fail(*args):
+        raise AssertionError("clique search started")
+
+    monkeypatch.setattr(invariants, "_max_clique", fail)
+    monkeypatch.setattr(symmetry, "generators", fail)
+    for g, chi in cases:
+        res = chromatic_number(g)
+        assert (res.lo, res.hi, res.exhausted) == (chi, chi, True)
+        assert verify_coloring(g, res.coloring)
 
 
 def test_bitset_coloring_check_matches_the_edge_reference():
@@ -1035,26 +1070,6 @@ def test_dsatur_matches_reference(monkeypatch):
         assert results == [chromatic_number(g, b) for b in budgets]
 
 
-def test_chromatic_reuses_an_exhaustive_omega(monkeypatch):
-    rng = random.Random(41)
-    graphs = [petersen_graph(), or_power(cycle_graph(5), 2),
-              mycielskian(mycielskian(cycle_graph(5), 2), 2)]
-    graphs += [random_graph(rng, rng.randint(1, 25), rng.random()) for _ in range(30)]
-    budgets = (None, 4, 40, 400, 4000)
-    cases = [(g, b, clique_number(g, omega_budget)) for g in graphs for b in budgets
-             for omega_budget in (None, 3, 100)]
-    expected = [chromatic_number(g, b) for g, b, _ in cases]
-    searches = []
-    search = invariants._max_clique  # the clique search, given chromatic_number's own share
-    monkeypatch.setattr(invariants, "_max_clique", lambda *args: searches.append(1) or search(*args))
-    for (g, b, omega), want in zip(cases, expected):
-        searches.clear()
-        assert chromatic_number(g, b, omega) == want
-        share = (b or invariants.DEFAULT_BUDGET) // 4
-        reused = omega.exhausted and omega.nodes <= share
-        assert len(searches) == (0 if reused else 1)
-
-
 def test_k_colorable_needs_no_recursion():
     # an odd cycle longer than the recursion limit: the 2-coloring search
     # descends through every vertex before it fails
@@ -1109,12 +1124,12 @@ def test_each_invariant_rejects_an_empty_graph_in_one_wording():
             fn(g)
 
 
-@pytest.mark.parametrize("budget, lo, nodes", [(1, 1, 2), (2, 1, 3), (3, 2, 4)])
-def test_chromatic_budget_below_four_leaves_its_clique_search_no_nodes(budget, lo, nodes):
-    # the clique search's share, budget // 4, is 0 here; chromatic_number's own
-    # share is not checked as a caller's budget is
+@pytest.mark.parametrize("budget, lo, exhausted, nodes", [(1, 2, False, 2), (2, 2, False, 3),
+                                                       (3, 2, False, 4), (5, 3, True, 5)])
+def test_chromatic_brackets_of_c5_under_small_budgets(budget, lo, exhausted, nodes):
+    # the greedy clique gives lo = 2 before any node; refuting k = 2 takes 5 nodes
     res = chromatic_number(cycle_graph(5), budget)
-    assert (res.lo, res.hi, res.exhausted, res.nodes) == (lo, 3, False, nodes)
+    assert (res.lo, res.hi, res.exhausted, res.nodes) == (lo, 3, exhausted, nodes)
 
 
 def test_chi_c5_square_at_most_8():

@@ -14,15 +14,17 @@ programming problems*):
    with the constraint matrix; each pivot is one rank-1 update of the basis
    inverse, which LAPACK recomputes every 50 pivots to shed rounding drift.
 2. Exact certificate.  The final basis B is solved exactly, B x_B = 1 and
-   B^T y = c_B, by fraction-free integer (Bareiss) elimination, so x and y
-   are integer vectors over one positive denominator d.  Integer sums over
-   the nonzeros then check x_B >= 0, a cover weight >= 1 at every vertex,
-   y >= 0, y(S) <= 1 on every maximal independent set S, and 1.y = 1.x.
-   Together these prove both optimal.
+   B^T y = c_B, each by fraction-free integer (Bareiss) forward elimination
+   and integer back-substitution, with no inverse formed, so x and y are
+   integer vectors over one positive denominator d = |det B|.  Integer sums
+   over the nonzeros then check x_B >= 0, a cover weight >= 1 at every
+   vertex, y >= 0, y(S) <= 1 on every maximal independent set S, and
+   1.y = 1.x.  Together these prove both optimal.
 3. Exact fallback.  If the certificate fails, the basis is singular, or
    the float loop stalls or hits its pivot cap, the same loop runs on
    Fraction arrays with tolerance 0: from the float basis when it is
-   exactly dual feasible, else from the surplus basis.  Its basis must pass
+   exactly dual feasible, else from the surplus basis, with that basis's
+   exact inverse from the same elimination.  Its basis must pass
    the same certificate; a failure there is a bug and raises
    MycthetaInternal.
 
@@ -157,16 +159,19 @@ def _dual_simplex(a: np.ndarray, c: np.ndarray, basis: list[int], binv: np.ndarr
     return None
 
 
-def _inverse(b: np.ndarray) -> Optional[tuple[int, np.ndarray]]:
-    """(d, adj) with b^-1 = adj / d and integer d > 0, for an integer matrix b;
-    None when b is singular.
+def _solve_exact(b: np.ndarray, rhs: np.ndarray) -> Optional[tuple[int, np.ndarray]]:
+    """(d, z) with b z = d rhs, d = |det(b)| > 0 and z integer, for an integer
+    matrix b and integer columns rhs; None when b is singular.  With rhs = I,
+    z = d b^-1 is the adjugate up to sign.
 
-    Fraction-free Gauss-Jordan elimination (Bareiss) of [b | I] over Python
-    ints: every division by the previous pivot is exact, and the last pivot
-    is d = +-det(b), left as d I beside d b^-1.
+    Fraction-free forward elimination (Bareiss) of [b | rhs] over Python ints
+    divides exactly by each previous pivot and leaves an upper triangular
+    system with the same solution, whose last pivot is +-det(b).
+    Back-substitution then stays in integers: d b^-1 rhs is integer (Cramer's
+    rule), so every division by a diagonal entry is exact.
     """
     m = len(b)
-    t = np.hstack([b, np.eye(m, dtype=np.int64)]).astype(object)
+    t = np.hstack([b, rhs]).astype(object)
     prev = 1
     for k in range(m):
         nz = np.flatnonzero(t[k:, k])
@@ -176,28 +181,35 @@ def _inverse(b: np.ndarray) -> Optional[tuple[int, np.ndarray]]:
         if p != k:
             t[[k, p]] = t[[p, k]]
         piv = t[k, k]
-        rest = np.arange(m) != k
-        t[rest] = (piv * t[rest] - np.outer(t[rest, k], t[k])) // prev
+        t[k + 1:, k + 1:] = (piv * t[k + 1:, k + 1:] - np.outer(t[k + 1:, k], t[k, k + 1:])) // prev
         prev = piv
-    adj = t[:, m:]
-    return (prev, adj) if prev > 0 else (-prev, -adj)
+    d = abs(prev)
+    z = d * t[:, m:]
+    for i in range(m - 1, -1, -1):
+        z[i] = (z[i] - t[i, i + 1:m] @ z[i + 1:]) // t[i, i]
+    return d, z
 
 
 class _BasisSolution(NamedTuple):
     """x_B = x / d and y = y / d, in integer numerators over d > 0."""
     d: int
-    adj: np.ndarray  # d times the basis inverse
     x: list[int]
     y: list[int]
 
 
 def _solve_basis(a: np.ndarray, c: np.ndarray, basis: list[int]) -> Optional[_BasisSolution]:
-    """Exact solutions of B x_B = 1 and B^T y = c_B; None when B is singular."""
-    inv = _inverse(a[:, basis])
-    if inv is None:
+    """Exact solutions of B x_B = 1 and B^T y = c_B; None when B is singular.
+
+    Each is one `_solve_exact` of a single column, about m^3 / 3 big-int
+    products, where the whole inverse would take about 4 m^3 / 3.
+    """
+    b = a[:, basis]
+    xs = _solve_exact(b, np.ones((len(basis), 1), dtype=np.int64))
+    if xs is None:
         return None
-    d, adj = inv
-    return _BasisSolution(d, adj, adj.sum(axis=1).tolist(), (c[basis] @ adj).tolist())
+    d, x = xs
+    _, y = _solve_exact(b.T, c[basis][:, None])
+    return _BasisSolution(d, x[:, 0].tolist(), y[:, 0].tolist())
 
 
 def _dual_feasible(sol: _BasisSolution, col_rows: list[tuple[int, ...]]) -> bool:
@@ -242,8 +254,9 @@ def _dual_simplex_cover(m: int, col_rows: list[tuple[int, ...]]
     if sol is None or not _certified(sol, basis, col_rows):
         a, c = a.astype(object), c.astype(object)
         if sol is None or not _dual_feasible(sol, col_rows):
-            basis, sol = surplus, _solve_basis(a, c, surplus)
-        basis = _dual_simplex(a, c, basis, sol.adj * Fraction(1, sol.d), 0)
+            basis = surplus
+        d, adj = _solve_exact(a[:, basis], np.eye(m, dtype=np.int64))
+        basis = _dual_simplex(a, c, basis, adj * Fraction(1, d), 0)
         if basis is None:
             raise MycthetaInternal("exact dual simplex found no entering column or hit its pivot cap")
         sol = _solve_basis(a, c, basis)

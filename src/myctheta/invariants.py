@@ -88,19 +88,26 @@ class _Budget:
         return self.nodes <= self.limit
 
 
-def _ordered_bits(g: Graph) -> tuple[list[int], tuple[int, ...]]:
-    """Smallest-last (degeneracy) order, ties broken by vertex index, and the
-    bitsets of g relabeled so that vertex i is order[i]."""
-    a = g.bool_matrix()
+def _degeneracy_order(a: np.ndarray) -> list[int]:
+    """Smallest-last (degeneracy) order of the graph with boolean adjacency
+    matrix a, ties broken by vertex index."""
     deg = a.sum(axis=1)
-    removed = 2 * g.n  # stays above every live degree through later decrements
+    removed = 2 * len(a)  # stays above every live degree through later decrements
     order = []
-    for _ in range(g.n):
+    for _ in range(len(a)):
         v = int(np.argmin(deg))  # the first minimum: ties go to the lower index
         order.append(v)
         deg[a[v]] -= 1
         deg[v] = removed
     order.reverse()  # largest core first
+    return order
+
+
+def _ordered_bits(g: Graph) -> tuple[list[int], tuple[int, ...]]:
+    """The degeneracy order, and the bitsets of g relabeled so that vertex i
+    is order[i]."""
+    a = g.bool_matrix()
+    order = _degeneracy_order(a)
     return order, _row_bits(a[np.ix_(order, order)])
 
 
@@ -397,7 +404,7 @@ class ChromaticResult:
         return self.lo
 
     def to_dict(self) -> dict:
-        return {"lo": self.lo, "hi": self.hi, "exhausted": self.exhausted}
+        return {"lo": self.lo, "hi": self.hi, "exhausted": self.exhausted, "nodes": self.nodes}
 
 
 def greedy_coloring(g: Graph) -> tuple[int, ...]:
@@ -417,43 +424,52 @@ def _k_colorable(g: Graph, k: int, budget: _Budget) -> Optional[tuple[int, ...]]
     The depth-first search keeps one frame per colored vertex on an explicit
     stack, so no recursion limit caps n.  A vertex tries its free colors in
     ascending order, up to the first unused one, which is canonical.
+
+    The next vertex has the most distinct colors among its neighbors, then
+    the highest degree, then the lowest index.  Each vertex's saturation is
+    a bitmask of those colors, and its whole key is packed into one int,
+    saturation * n^2 + degree * n + (n - 1 - index), kept in a list that
+    each coloring and its undo update; a colored vertex holds -1.  So the
+    next vertex is the first maximum of that list, one scan in C.
     """
     n = g.n
     a = g.bool_matrix()
     adjacent = [np.flatnonzero(row).tolist() for row in a]
-    degree = a.sum(axis=1).tolist()
+    step = n * n  # one more saturating color outweighs any degree and index
+    score = [d * n + n - 1 - u for u, d in enumerate(a.sum(axis=1).tolist())]
+    sat = [0] * n  # bitmask of the colors among each vertex's colored neighbors
     colors = [-1] * n
-    sat: list[set[int]] = [set() for _ in range(n)]
-    # (vertex, untried colors largest first, colors used before it, vertices it saturated)
-    frames: list[tuple[int, list[int], int, list[int]]] = []
+    # (vertex, untried colors largest first, colors used before it,
+    #  vertices it saturated, its score while uncolored)
+    frames: list[tuple[int, list[int], int, list[int], int]] = []
     used = 0
     while budget.tick():
         if len(frames) == n:
             return tuple(colors)
-        v = max(
-            (u for u in range(n) if colors[u] < 0),
-            key=lambda u: (len(sat[u]), degree[u], -u),
-        )
-        options = [c for c in range(min(k, used + 1) - 1, -1, -1) if c not in sat[v]]
-        frames.append((v, options, used, []))
-        while frames:
-            v, options, used, touched = frames[-1]
-            if colors[v] >= 0:
-                for u in touched:
-                    sat[u].discard(colors[v])
-                touched.clear()
-                colors[v] = -1
-            if options:
-                c = options.pop()
-                colors[v] = c
-                touched.extend(u for u in adjacent[v] if colors[u] < 0 and c not in sat[u])
-                for u in touched:
-                    sat[u].add(c)
-                used = max(used, c + 1)
-                break
-            frames.pop()
-        else:
-            return None
+        v = score.index(max(score))
+        taken = sat[v]
+        options = [c for c in range(min(k, used + 1) - 1, -1, -1) if not taken >> c & 1]
+        key = score[v]
+        while not options:  # back up to the nearest vertex with an untried color
+            if not frames:
+                return None
+            v, options, used, touched, key = frames.pop()
+            bit = 1 << colors[v]
+            for u in touched:
+                sat[u] ^= bit
+                score[u] -= step
+            colors[v] = -1
+            score[v] = key
+        c = options.pop()
+        colors[v] = c
+        score[v] = -1
+        bit = 1 << c
+        touched = [u for u in adjacent[v] if score[u] >= 0 and not sat[u] & bit]
+        for u in touched:
+            sat[u] |= bit
+            score[u] += step
+        frames.append((v, options, used, touched, key))
+        used = max(used, c + 1)
     return None
 
 
@@ -471,7 +487,7 @@ def chromatic_number(g: Graph, node_budget: Optional[int] = None) -> ChromaticRe
     greedy = greedy_coloring(g)
     hi = max(greedy) + 1
     coloring = greedy
-    k = len(_greedy_clique(g, _ordered_bits(g)[0]))
+    k = len(_greedy_clique(g, _degeneracy_order(g.bool_matrix())))
     while k < hi:
         attempt = _k_colorable(g, k, budget)
         if attempt is not None:

@@ -244,19 +244,19 @@ def test_report_cycle5_json(capsys):
     make_validator("report.schema.json").validate(doc)
     assert doc["omega"]["size"] == 2
     assert doc["chi_f"] == "5/2"
-    assert doc["chi"]["hi"] == 3
+    assert doc["chi"] == {"lo": 3, "hi": 3, "exhausted": True, "nodes": 5}  # refuting k = 2
     assert abs(doc["theta"] - math.sqrt(5)) < 1e-4
     assert abs(doc["lower_bounds"][1]["value"] - math.sqrt(5)) < 1e-9
 
 
 def test_report_clique_entries_are_the_invariant_schemas(capsys):
-    # report.schema.json refers to invariant.schema.json for its clique entry,
-    # so the one rendering of that entry is checked in full in either document
+    # report.schema.json refers to invariant.schema.json for its clique and chi
+    # entries, so the one rendering of each is checked in full in either document
     code, payload, _ = run_cli(["report", "--family", "cycle:5", "--max-power", "1"], capsys)
     assert code == 0
     validator = make_validator("report.schema.json")
     validator.validate(json.loads(payload))
-    for entry in (lambda d: d["omega"], lambda d: d["lower_bounds"][0]):
+    for entry in (lambda d: d["omega"], lambda d: d["lower_bounds"][0], lambda d: d["chi"]):
         for change in (lambda e: e.pop("nodes"), lambda e: e.update(extra=1)):
             doc = json.loads(payload)
             change(entry(doc))

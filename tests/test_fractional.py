@@ -280,18 +280,66 @@ def test_corrupted_dual_raises_internal(monkeypatch, corrupt):
         fractional_chromatic(cycle_graph(5))
 
 
-@given(st.integers(1, 9).flatmap(
-    lambda m: st.lists(st.lists(st.integers(-2, 2), min_size=m, max_size=m), min_size=m, max_size=m)))
+def reference_inverse(b: np.ndarray):
+    """(d, d b^-1) with d = |det(b)| > 0 by fraction-free Gauss-Jordan
+    elimination of [b | I], the whole inverse at once (oracle); None when b
+    is singular."""
+    m = len(b)
+    t = np.hstack([b, np.eye(m, dtype=np.int64)]).astype(object)
+    prev = 1
+    for k in range(m):
+        nz = np.flatnonzero(t[k:, k])
+        if not nz.size:
+            return None
+        p = k + int(nz[0])
+        t[[k, p]] = t[[p, k]]
+        piv = t[k, k]
+        rest = np.arange(m) != k
+        t[rest] = (piv * t[rest] - np.outer(t[rest, k], t[k])) // prev
+        prev = piv
+    adj = t[:, m:]
+    return (prev, adj) if prev > 0 else (-prev, -adj)
+
+
+def _matrices(max_m: int):
+    return st.integers(1, max_m).flatmap(
+        lambda m: st.lists(st.lists(st.integers(-2, 2), min_size=m, max_size=m), min_size=m, max_size=m))
+
+
+@given(_matrices(9))
 def test_exact_inverse(rows):
+    # forward elimination and back-substitution on [b | I] give the adjugate
+    # of the Gauss-Jordan oracle, over d = |det b|
     b = np.array(rows, dtype=np.int64)
-    inv = fractional._inverse(b)
-    exact = b.astype(object)
-    if inv is None:
-        assert abs(np.linalg.det(b.astype(float))) < 1e-6
+    inv = fractional._solve_exact(b, np.eye(len(b), dtype=np.int64))
+    det = round(np.linalg.det(b.astype(float)))  # |det| <= 6^9 here, so float64 rounds to it
+    ref = reference_inverse(b)
+    if ref is None:
+        assert inv is None and det == 0
         return
     d, adj = inv
-    assert d > 0
-    assert (exact @ adj == d * np.eye(len(b), dtype=np.int64)).all()
+    assert d == ref[0] == abs(det) > 0
+    assert (adj == ref[1]).all()
+    assert (b.astype(object) @ adj == d * np.eye(len(b), dtype=np.int64)).all()
+
+
+@given(_matrices(8).flatmap(lambda rows: st.tuples(
+    st.just(rows), st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)),
+    st.permutations(range(len(rows))))))
+def test_solve_basis_matches_the_inverse(case):
+    # (d, x, y) from two one-column solves equal those read off the oracle's
+    # d B^-1, and None exactly when B is singular
+    rows, c, basis = case
+    a, c = np.array(rows, dtype=np.int64), np.array(c, dtype=np.int64)
+    sol = fractional._solve_basis(a, c, basis)
+    ref = reference_inverse(a[:, basis])
+    if ref is None:
+        assert sol is None
+        return
+    d, adj = ref
+    assert tuple(sol) == (d, adj.sum(axis=1).tolist(), (c[basis] @ adj).tolist())
+    b = a[:, basis].astype(object)
+    assert (b @ sol.x == d).all() and (b.T @ sol.y == d * c[basis]).all()
 
 
 def test_chi_f_sandwiched():

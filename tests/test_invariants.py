@@ -32,7 +32,9 @@ from myctheta.graphs import _bits_matrix, _power_base, format_edgelist, parse_ed
 from myctheta.invariants import (
     CliqueResult,
     _Budget,
+    _degeneracy_order,
     _greedy_clique,
+    _k_colorable,
     _max_clique,
     _ordered_bits,
     greedy_coloring,
@@ -927,7 +929,7 @@ def test_chromatic_coloring_is_proper():
 def assert_sound_bracket(g: Graph, res, chi: int):
     # the lower end starts at the greedy clique and never passes chi, and the
     # coloring behind the upper end re-verifies
-    assert len(_greedy_clique(g, _ordered_bits(g)[0])) <= res.lo <= chi <= res.hi
+    assert len(_greedy_clique(g, _degeneracy_order(g.bool_matrix()))) <= res.lo <= chi <= res.hi
     assert verify_coloring(g, res.coloring) and max(res.coloring) < res.hi
     assert res.exhausted == (res.lo == res.hi)
 
@@ -966,6 +968,15 @@ def test_chromatic_number_runs_no_clique_search(monkeypatch):
         res = chromatic_number(g)
         assert (res.lo, res.hi, res.exhausted) == (chi, chi, True)
         assert verify_coloring(g, res.coloring)
+
+
+def test_chromatic_number_of_the_third_mycielskian_of_c5():
+    # chi(M(M(M(C5)))) = 6 by the Mycielski law, settled by the refutations of
+    # k = 2 to 5 from the greedy clique (CI also bounds its time)
+    g = mycielskian(mycielskian(mycielskian(cycle_graph(5), 2), 2), 2)
+    res = chromatic_number(g)
+    assert (res.lo, res.hi, res.exhausted, res.nodes) == (6, 6, True, 449_295)
+    assert verify_coloring(g, res.coloring)
 
 
 def test_bitset_coloring_check_matches_the_edge_reference():
@@ -1068,6 +1079,19 @@ def test_dsatur_matches_reference(monkeypatch):
         assert greedy == reference_greedy_coloring(g)
         # equal (lo, hi, exhausted, coloring, nodes)
         assert results == [chromatic_number(g, b) for b in budgets]
+
+
+def test_k_colorable_matches_reference_at_every_k():
+    # the bitmask search against the set-based recursive one, call by call:
+    # equal colorings (or None) and equal node counts, also where a budget cuts it
+    rng = random.Random(38)
+    for _ in range(100):
+        g = random_graph(rng, rng.randint(1, 24), rng.random())
+        for k in range(1, g.n + 1):
+            for node_budget in (None, 5, 50):
+                fast, slow = _Budget(node_budget), _Budget(node_budget)
+                assert _k_colorable(g, k, fast) == reference_k_colorable(g, k, slow)
+                assert fast.nodes == slow.nodes
 
 
 def test_k_colorable_needs_no_recursion():

@@ -72,12 +72,18 @@ def maximal_independent_sets(g: Graph) -> list[int]:
     Maximal independent sets of g are the maximal cliques of its complement;
     enumeration is Bron-Kerbosch with greedy pivoting.  Raises when more than
     `MAX_INDEPENDENT_SETS` (read at call time) sets would be produced.
+
+    The search keeps one frame per set member on an explicit stack, so no
+    recursion limit caps a set.  Each frame branches on its vertices in
+    ascending order, which fixes the sets' order, the LP's column order.
     """
     n = g.n
     comp_bits = [((1 << n) - 1) & ~g.bits[v] & ~(1 << v) for v in range(n)]
     out: list[int] = []
+    frames: list[list[int]] = []  # [r, p, x, the vertices left to branch on]
 
-    def bk(r: int, p: int, x: int) -> None:
+    def enter(r: int, p: int, x: int) -> None:
+        """Output r if it is maximal; else push its frame."""
         if p == 0 and x == 0:
             out.append(r)
             if len(out) > MAX_INDEPENDENT_SETS:
@@ -92,16 +98,20 @@ def maximal_independent_sets(g: Graph) -> list[int]:
             cover = (p & comp_bits[u]).bit_count()
             if cover > best:
                 pivot, best = u, cover
-        ext = p & ~comp_bits[pivot]
-        while ext:
-            v = (ext & -ext).bit_length() - 1
-            ext &= ext - 1
-            bk(r | (1 << v), p & comp_bits[v], x & comp_bits[v])
-            p &= ~(1 << v)
-            x |= 1 << v
+        frames.append([r, p, x, p & ~comp_bits[pivot]])
 
     if n:
-        bk(0, (1 << n) - 1, 0)
+        enter(0, (1 << n) - 1, 0)
+    while frames:
+        frame = frames[-1]
+        r, p, x, ext = frame
+        if not ext:
+            frames.pop()
+            continue
+        low = ext & -ext
+        v = low.bit_length() - 1
+        frame[1], frame[2], frame[3] = p & ~low, x | low, ext ^ low
+        enter(r | low, p & comp_bits[v], x & comp_bits[v])
     return out
 
 

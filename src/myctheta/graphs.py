@@ -16,11 +16,13 @@ matrix and handed to the constructor whole.
 Product graphs use row-major vertex pairing, (f, g) -> f * |V(G)| + g, and
 power graphs extend this to mixed-radix coordinates (leftmost coordinate most
 significant).  `power_index` / `power_coords` convert between the flat index
-and the coordinates.  This module is the one owner of that layout:
+and the coordinates.  This module owns that layout (`fractional` and
+`constructions` compose only row-major pairs x * m + y in it themselves):
 `_kron_power` is the Kronecker power in it, which builds `or_power` from the
-non-adjacency matrix and lifts theta_bar's certificate, and `_power_base`
+non-adjacency matrix and lifts theta_bar's certificate, `_power_base`
 recognises a graph that is, in its own labelling, an OR-power of its leading
-block, for the lifts of theta_bar, chi_f and the clique search's symmetry.
+block, for the lifts of theta_bar, chi_f and the clique search's symmetry,
+and `_power_generators` lays a base's automorphisms out on the power.
 
 `parse_family` reads a family spec (bases `_FAMILIES`, wrappers
 `_WRAPPER_KEYS`), and checks every wrapper's order before it builds one.
@@ -510,6 +512,17 @@ def _power_base(g: GraphLike) -> Optional[tuple[GraphLike, int]]:
             if np.array_equal(_kron_power(non[:b, :b], t), non):
                 return type(g)(b, ~non[:b, :b]), t
     return None
+
+
+def _power_generators(gens: Sequence[np.ndarray], n: int, t: int) -> tuple[np.ndarray, ...]:
+    """Automorphism generators of the t-th OR-power of a graph on n vertices
+    with generators gens, in the layout of `or_power`: each one applied on
+    one coordinate, and the swaps of adjacent coordinates."""
+    grid = np.arange(n ** t).reshape((n,) * t)
+    out = [np.take(grid, p, axis=i).ravel() for i in range(t) for p in gens]
+    if n > 1:
+        out += [np.swapaxes(grid, i, i + 1).ravel() for i in range(t - 1)]
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

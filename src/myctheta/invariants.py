@@ -14,7 +14,8 @@ The clique search bounds each node by a bit-parallel coloring of its
 candidate bitset, one color class at a time (BBMC).  Its classes equal those
 of first-fit coloring in index order, and it drops only vertices whose color
 the bound would prune.  At the root and at depth 1 it also drops whole
-automorphism orbits, which `myctheta.symmetry` supplies and justifies.
+automorphism orbits, which `myctheta.symmetry` supplies (in g's labels,
+relabelled into the search's order once) and justifies.
 
 Size and exhausted are those of the unpruned search, and so is the witness
 whenever the optimum turns up before an orbit first prunes (see
@@ -280,7 +281,8 @@ def _max_clique(g: Graph, budget: _Budget, beat: Optional[int] = None) -> tuple[
     def orbits(current: list[int]) -> list[int]:
         nonlocal gens
         if gens is None:
-            gens = symmetry.generators(g, order)
+            relabel = np.argsort(order).astype(np.int32)  # graph vertex -> search vertex
+            gens = relabel[symmetry.generators(g)[:, order]]
         return symmetry.orbit_masks(gens, current)
 
     _, witness = _max_clique_bits(bits, budget, best, orbits)

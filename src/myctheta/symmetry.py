@@ -15,15 +15,15 @@ w of [v] is done, [v] drops w's orbit under a subgroup of that stabilizer,
 whose generators come from Schreier's lemma; the same image argument, with
 the image fixing v, shows nothing larger is lost.
 
-Two entry points serve it.  `generators(g, order)` spans H with generators
-taken from the graph alone: the automorphisms `_automorphisms` finds on its
-base, lifted, when it is an OR-power of its leading block (`graphs._power_base`;
-every power the package builds is), and otherwise those it finds on g.
-`orbit_masks(gens, fixed)` gives the orbits of the pointwise stabilizer of
-`fixed`.  The finder merges two vertices only through a permutation it has
-checked to be an automorphism, and each lifted generator is checked against
-the power before any is used.  Every orbit used may be too fine but never
-too coarse.
+Two entry points serve it.  `generators(g)` spans H with generators taken
+from the graph alone, in its labels: the automorphisms `_automorphisms`
+finds on its base, lifted, when it is an OR-power of its leading block
+(`graphs._power_base`; every power the package builds is), and otherwise
+those it finds on g.  `orbit_masks(gens, fixed)` gives the orbits of the
+pointwise stabilizer of `fixed`.  The finder merges two vertices only
+through a permutation it has checked to be an automorphism, and each lifted
+generator is checked against the power before any is used.  Every orbit
+used may be too fine but never too coarse.
 
 A generator is an int array p with p[v] the image of vertex v.
 """
@@ -36,7 +36,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import MycthetaInternal
-from .graphs import Graph, _power_base
+from .graphs import Graph, _power_base, _power_generators
 
 # Refinement work one orbit search may spend, counted in row blocks of the
 # adjacency matrix of at most _BLOCK entries each (a round refines every
@@ -46,33 +46,27 @@ _ORBIT_BLOCKS = 2000
 _BLOCK = 1 << 16
 
 
-def generators(g: Graph, order: Sequence[int]) -> np.ndarray:
-    """Checked automorphisms of g as the rows of an array, in the search's
-    labelling, where vertex i is g's vertex order[i].
+def generators(g: Graph) -> np.ndarray:
+    """Checked automorphisms of g as the rows of an array, in g's labels.
 
     When g is an OR-power of its leading block (`graphs._power_base`), the
     finder's automorphisms of the block are lifted by `_power_generators`,
     and each is checked to be a permutation and an automorphism; one that
-    fails raises MycthetaInternal.  Otherwise the finder runs on g in the
-    search's labelling, on which its result depends once its budget is cut.
+    fails raises MycthetaInternal.  Otherwise the finder runs on g, on whose
+    labelling its result depends once its budget is cut.
     """
     n = g.n
-    order = np.asarray(order, dtype=np.intp)
-    a = g.bool_matrix()[np.ix_(order, order)]
+    a = g.bool_matrix()
     power = _power_base(g)
     if power is None:
         return _stack(_automorphisms(a), n)
     base, t = power
-    relabel = np.empty(n, dtype=np.intp)  # graph vertex -> search vertex
-    relabel[order] = np.arange(n)
-    rows = []
-    for p in _power_generators(_automorphisms(base.bool_matrix()), base.n, t):
+    rows = _power_generators(_automorphisms(base.bool_matrix()), base.n, t)
+    for p in rows:
         if p.shape != (n,) or p.dtype.kind not in "iu" or not np.array_equal(np.sort(p), np.arange(n)):
             raise MycthetaInternal("automorphism generator is not a permutation of the vertices")
-        q = relabel[p[order]]
-        if not _is_automorphism(a, q):
+        if not _is_automorphism(a, p):
             raise MycthetaInternal("automorphism generator failed its check against the graph")
-        rows.append(q)
     return _stack(rows, n)
 
 
@@ -309,15 +303,3 @@ def _stabilizer(gens: np.ndarray, v: int) -> np.ndarray:
     inverse = np.empty_like(trans)
     inverse[np.arange(len(points))[:, None], trans] = np.arange(n, dtype=np.int32)
     return inverse[zs[:, None], gens[js[:, None], trans[ys]]]
-
-
-def _power_generators(gens: Sequence[np.ndarray], n: int, t: int) -> tuple[np.ndarray, ...]:
-    """Automorphism generators of the t-th OR-power of a graph on n vertices
-    with generators gens: each one applied on one coordinate, and the swaps
-    of adjacent coordinates (the layout of `or_power`)."""
-    grid = np.arange(n ** t).reshape((n,) * t)
-    out = [np.take(grid, p, axis=i).ravel() for i in range(t) for p in gens]
-    if n > 1:
-        out += [np.swapaxes(grid, i, i + 1).ravel() for i in range(t - 1)]
-    return tuple(out)
-

@@ -44,12 +44,14 @@ at memory 5; `theta_bar` lifts C5^4 from C5 instead, see below).
 
 A solution stores the certified pair of the graph it solved: x_hat and the
 dual point D = hi I - C + J, with hi the bracket's upper end and C its dual
-matrix, J with -S on the non-edges for S = -rho * u symmetrized.  So D is
-exactly symmetric, with hi on the diagonal, 0 on the edges and 1 + S off
-them, and the dual slack D - J is PSD with diagonal hi - 1 and -1 on every
-edge: (D - J) / (theta - 1) is the Gram matrix of an optimal strict vector
-coloring.  The diagonally normalized primal minus the identity is an
-edge-supported matrix attaining the spectral ratio 1 + lambda_max / |lambda_min|.
+matrix, J with -S on the non-edges for S = -rho * u.  Every iterate is
+exactly symmetric (the Anderson step symmetrizes its candidate, and the map
+is symmetric entry by entry), so u is, and so is D, with hi on the diagonal,
+0 on the edges and 1 + S off them; the dual slack D - J is PSD with
+diagonal hi - 1 and -1 on every edge: (D - J) / (theta - 1) is the Gram
+matrix of an optimal strict vector coloring.  The diagonally normalized
+primal minus the identity is an edge-supported matrix attaining the spectral
+ratio 1 + lambda_max / |lambda_min|.
 
 An OR-power is not solved on its own.  When `graphs._power_base` finds g
 to be the t-th OR-power of its leading block H (the test the clique search
@@ -211,8 +213,7 @@ def _certified_bracket(x, u, nonedge, jmat):
     x_hat = (x + shift * np.eye(n)) / (1.0 + n * shift)
     lower = float(jmat.ravel() @ x_hat.ravel())
     c = jmat.copy()
-    minus_slack = 0.5 * (u + u.T)  # = -S, and C = -S on non-edges
-    c[nonedge] = minus_slack[nonedge]
+    c[nonedge] = u[nonedge]  # u = -S, and C = -S on non-edges
     upper = float(eigen.eigvalsh(c)[-1])
     dual = np.subtract(jmat, c, out=c)  # 0 on the edges, 1 + S off them
     np.fill_diagonal(dual, upper)

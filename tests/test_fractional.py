@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -74,6 +75,68 @@ def test_mis_cap(monkeypatch):
     monkeypatch.setattr(fractional, "MAX_INDEPENDENT_SETS", 0)
     with pytest.raises(SizeLimitError):
         maximal_independent_sets(empty_graph(3).complement().complement())
+
+
+def recursive_mis(g: Graph, cap: int) -> Optional[list[int]]:
+    """The maximal independent sets in the order of the one-frame-per-member
+    recursive Bron-Kerbosch the enumeration replaced (the reference); None
+    where it would raise past `cap` sets."""
+    n = g.n
+    comp_bits = [((1 << n) - 1) & ~g.bits[v] & ~(1 << v) for v in range(n)]
+    out: list[int] = []
+
+    def bk(r: int, p: int, x: int) -> None:
+        if p == 0 and x == 0:
+            out.append(r)
+            if len(out) > cap:
+                raise SizeLimitError("cap")
+            return
+        pivot, best = -1, -1
+        m = p | x
+        while m:
+            u = (m & -m).bit_length() - 1
+            m &= m - 1
+            cover = (p & comp_bits[u]).bit_count()
+            if cover > best:
+                pivot, best = u, cover
+        ext = p & ~comp_bits[pivot]
+        while ext:
+            v = (ext & -ext).bit_length() - 1
+            ext &= ext - 1
+            bk(r | (1 << v), p & comp_bits[v], x & comp_bits[v])
+            p &= ~(1 << v)
+            x |= 1 << v
+
+    try:
+        if n:
+            bk(0, (1 << n) - 1, 0)
+    except SizeLimitError:
+        return None
+    return out
+
+
+@given(st.integers(0, 20).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.booleans(), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2),
+    st.one_of(st.none(), st.integers(0, 40)))))
+def test_mis_order_matches_the_recursive_enumeration(case):
+    # the order is the LP's column order, which fixes the basis and the printed cover
+    n, keep, cap = case
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    g = Graph(n, [p for p, k in zip(pairs, keep) if k])
+    with pytest.MonkeyPatch.context() as patch:
+        if cap is not None:
+            patch.setattr(fractional, "MAX_INDEPENDENT_SETS", cap)
+        expect = recursive_mis(g, fractional.MAX_INDEPENDENT_SETS)
+        if expect is None:
+            with pytest.raises(SizeLimitError):
+                maximal_independent_sets(g)
+        else:
+            assert maximal_independent_sets(g) == expect
+
+
+def test_mis_of_a_large_edgeless_graph():
+    # one set of 2000 members; a recursion of one frame per member raised RecursionError past 1000
+    assert maximal_independent_sets(empty_graph(2000)) == [(1 << 2000) - 1]
 
 
 def test_chi_f_families():

@@ -28,7 +28,14 @@ from myctheta import (
 )
 from myctheta import invariants, symmetry
 from myctheta.errors import MycthetaInternal
-from myctheta.graphs import _bits_matrix, _power_base, format_edgelist, parse_edgelist, parse_family
+from myctheta.graphs import (
+    _bits_matrix,
+    _power_base,
+    _power_generators,
+    format_edgelist,
+    parse_edgelist,
+    parse_family,
+)
 from myctheta.invariants import (
     CliqueResult,
     _Budget,
@@ -36,6 +43,7 @@ from myctheta.invariants import (
     _greedy_clique,
     _k_colorable,
     _max_clique,
+    _max_clique_bits,
     _ordered_bits,
     greedy_coloring,
     verify_clique,
@@ -45,7 +53,6 @@ from myctheta.symmetry import (
     _automorphisms,
     _is_automorphism,
     _orbit_labels,
-    _power_generators,
     _stabilizer,
     _stack,
     orbit_masks,
@@ -143,13 +150,10 @@ def first_fit_clique_number(g: Graph, node_budget=None) -> CliqueResult:
 def clique_with(g: Graph, budget, rows) -> CliqueResult:
     """clique_number(g, budget) pruned by the group the rows span instead of
     the one `symmetry.generators` takes from g, each row p (p[v] the image of
-    v) relabelled into the search's order; () gives the unpruned tree."""
-    order = np.asarray(_ordered_bits(g)[0])
-    relabel = np.empty(g.n, dtype=np.intp)
-    relabel[order] = np.arange(g.n)
-    gens = _stack([relabel[np.asarray(p)[order]] for p in rows], g.n)
+    v) in g's labels; () gives the unpruned tree."""
+    gens = _stack(rows, g.n)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(symmetry, "generators", lambda h, search_order: gens)
+        patch.setattr(symmetry, "generators", lambda h: gens)
         return clique_number(g, budget)
 
 
@@ -224,8 +228,10 @@ def lifted_generators(g: Graph):
 
 
 def search_generators(g: Graph) -> np.ndarray:
-    """The generators `clique_number(g)` prunes by, in its search's labelling."""
-    return symmetry.generators(g, _ordered_bits(g)[0])
+    """The generators `clique_number(g)` prunes by, relabelled into its
+    search's order as `_max_clique` relabels them."""
+    order = _ordered_bits(g)[0]
+    return np.argsort(order).astype(np.int32)[symmetry.generators(g)[:, order]]
 
 
 def root_orbit_count(g: Graph) -> int:
@@ -339,12 +345,16 @@ def test_root_orbits_from_structural_generators(spec, count, monkeypatch):
         clique_number(h, 2000)  # prunes by the lifted generators; M(C5)^3 is cut
 
 
-def test_near_power_falls_back_to_the_finder(monkeypatch):
-    # C5^2 with one edge of its last vertex toggled: row 0 is still that of
-    # C5^2, so only the full comparison tells it is no power
+def near_power() -> Graph:
+    """C5^2 with one edge of its last vertex toggled: row 0 is still that of
+    C5^2, so only the full comparison tells it is no power."""
     a = or_power(cycle_graph(5), 2).bool_matrix()
     a[24, 12] = a[12, 24] = True
-    g = Graph(25, a)
+    return Graph(25, a)
+
+
+def test_near_power_falls_back_to_the_finder(monkeypatch):
+    g = near_power()
     assert _power_base(g) is None
     sizes = []
     finder = symmetry._automorphisms
@@ -403,6 +413,57 @@ def test_generators_of_a_family_graph_and_its_edge_list_agree(spec):
     assert np.array_equal(search_generators(g), search_generators(h))
 
 
+def test_generators_are_automorphisms_in_the_graphs_own_labels():
+    graphs = [parse_family(spec) for spec in FAMILY_POWERS]
+    graphs += [parse_edgelist(format_edgelist(g)) for g in graphs]
+    graphs += [petersen_graph(), mycielskian(cycle_graph(7), 3), near_power()]
+    for g in graphs:
+        gens = symmetry.generators(g)
+        a = g.bool_matrix()
+        assert gens.shape[1] == g.n and gens.dtype.kind == "i" and len(gens)
+        for p in gens:
+            assert sorted(p.tolist()) == list(range(g.n))
+            assert (a[np.ix_(p, p)] == a).all()
+
+
+def relabelled_clique_number(g: Graph, node_budget=None) -> CliqueResult:
+    """clique_number as it was when `symmetry` took the search's order (the
+    reference): the finder run on g relabelled into the degeneracy order, or
+    a power's lifted generators relabelled into it, with no conjugation in
+    the search."""
+    order, bits = _ordered_bits(g)
+    pos = {v: i for i, v in enumerate(order)}
+    seed = tuple(sorted(pos[v] for v in _greedy_clique(g, order)))
+    budget = _Budget(node_budget)
+    gens = []
+
+    def orbits(current: list[int]) -> list[int]:
+        if not gens:
+            at = np.asarray(order)
+            power = _power_base(g)
+            if power is None:
+                gens.append(_stack(_automorphisms(g.bool_matrix()[np.ix_(at, at)]), g.n))
+            else:
+                relabel = np.empty(g.n, dtype=np.intp)
+                relabel[at] = np.arange(g.n)
+                base, t = power
+                lifted = _power_generators(_automorphisms(base.bool_matrix()), base.n, t)
+                gens.append(_stack([relabel[p[at]] for p in lifted], g.n))
+        return orbit_masks(gens[0], current)
+
+    size, witness = _max_clique_bits(bits, budget, (len(seed), seed), orbits)
+    return CliqueResult(size, tuple(sorted(order[i] for i in witness)), budget.within_limit, budget.nodes)
+
+
+def test_conjugated_generators_keep_the_relabelled_search():
+    # 200 disjoint C5 cut the finder's budget, so its answer depends on the
+    # labelling it runs on
+    c5s = Graph(1000, [(5 * i + j, 5 * i + (j + 1) % 5) for i in range(200) for j in range(5)])
+    for g in symmetric_and_random_graphs() + [c5s, or_power(cycle_graph(5), 3)]:
+        for budget in (None, 50, 1000):
+            assert clique_number(g, budget) == relabelled_clique_number(g, budget)
+
+
 @pytest.mark.parametrize("bad", [
     [np.array([1, 0] + list(range(2, 25)))],      # a transposition of C5^2 that is no automorphism
     [np.arange(24)],                               # not a permutation of 25 vertices
@@ -429,7 +490,7 @@ def test_lifted_generators_are_checked(monkeypatch):
 def test_generators_are_checked_only_when_a_second_branch_starts(g, monkeypatch):
     # each of these searches ends in its first branch at depth 0 and 1, so
     # neither the power test nor the finder runs
-    def fail(h, order):
+    def fail(h):
         raise AssertionError("generators taken")
 
     monkeypatch.setattr(symmetry, "generators", fail)

@@ -22,6 +22,7 @@ from myctheta import (
     theta_bar,
 )
 from myctheta import theta as theta_mod
+from myctheta.certificates import certify
 from myctheta.formula import mycielski_theta_formula
 from myctheta.graphs import Graph
 
@@ -90,6 +91,30 @@ def gnp_draw(index: int) -> Graph:
     """Draw `index` of G(40, 1/2) from random.Random(2027)."""
     rng = random.Random(2027)
     return [random_graph(rng, 40, 0.5) for _ in range(index + 1)][index]
+
+
+def test_the_bracket_gets_an_exactly_symmetric_dual(monkeypatch):
+    # _certified_bracket reads the dual variable u without symmetrizing it:
+    # every iterate is exactly symmetric.  The sdp benchmark's graphs (its
+    # seeded G(n, 1/2) corpus unrelabelled), the certify jobs, M(C5^2) and a
+    # G(40, 1/2) draw
+    calls = []
+    bracket = theta_mod._certified_bracket
+
+    def spy(x, u, nonedge, jmat):
+        calls.append(np.array_equal(u, u.T))
+        return bracket(x, u, nonedge, jmat)
+
+    monkeypatch.setattr(theta_mod, "_certified_bracket", spy)
+    c5, c7 = cycle_graph(5), cycle_graph(7)
+    graphs = [c5, c7, mycielskian(c5), mycielskian(complete_graph(4)), mycielskian(mycielskian(c5)),
+              or_power(c5, 2), or_power(c7, 2), mycielskian(or_power(c5, 2)), gnp_draw(1)]
+    graphs += [random_graph(random.Random(f"sdp-corpus-{n}"), n, 0.5) for n in (8, 10, 12)]
+    for g in graphs:
+        theta_bar(g)
+    for g in graphs[:4]:
+        certify(g, 1e-6)
+    assert len(calls) > len(graphs) and all(calls)
 
 
 def test_theta_nonconvergence_reports_best_bracket(monkeypatch):

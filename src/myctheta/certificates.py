@@ -43,7 +43,7 @@ import numpy as np
 
 from . import eigen
 from .errors import CertificateError, DomainError, MycthetaError
-from .formula import _snap_boundary, cubic_residual, mycielski_theta_formula
+from .formula import cubic_residual, mycielski_theta_formula
 from .graphs import Graph, _mycielski_order, mycielskian
 from .theta import (EXTRACT_TOL, VectorColoring, _edge_spectrum, _ratio, check_tol,
                     extract_vector_coloring, optimal_edge_matrix, theta_bar)
@@ -89,9 +89,9 @@ class LiftParameters:
 
 
 def lift_parameters(t: float, m: float) -> LiftParameters:
-    """Solve the lift system for t >= 2 and m in (t, t+1], a root of the
-    Mycielskian cubic or m = t+1, the degenerate coloring."""
-    t = _snap_boundary(t)
+    """Solve the lift system for t >= 2, taken exactly (no theta value is below
+    2), and m in (t, t+1], a root of the Mycielskian cubic or m = t+1, the
+    degenerate coloring."""
     if not t >= 2.0:
         raise DomainError(f"certificates need t >= 2, got {t}")
     if not (t < m <= t + 1.0 + 1e-12):
@@ -231,7 +231,8 @@ def build_spectral_certificate(g: Graph, t_matrix: np.ndarray, t: float) -> Spec
 
     t is supplied explicitly (synthetic exact values are allowed) but must
     agree with the spectral ratio of T within 1e-4; m is the formula value
-    m(t).
+    m(t), so t >= 2.  Public API with no caller in the package, which
+    assembles from the decomposition it already holds.
     """
     return _assemble_certificate(g, _edge_spectrum(t_matrix, g), t)
 
@@ -246,7 +247,6 @@ def _assemble_certificate(g: Graph, spectrum: tuple[np.ndarray, np.ndarray, np.n
         raise DomainError(
             f"supplied t = {t} but T attains ratio {ratio_t}; difference too large"
         )
-    t = _snap_boundary(t)
     m = mycielski_theta_formula(t).m
     gamma, delta, eta = certificate_parameters(t, m)
     n = g.n
@@ -395,7 +395,9 @@ def certify(g: Graph, tol: float, verbose: bool = False) -> tuple[dict, bool]:
     misses its conditions by at most max(1e-8, 20 tol).  `verbose` adds
     the matrices T and T_hat to the document.  T is `optimal_edge_matrix`,
     decomposed once; a T whose ratio t falls more than 100 tol below theta
-    raises MycthetaError, since the solution is then not optimal.
+    raises MycthetaError, since the solution is then not optimal.  g has an
+    edge (`optimal_edge_matrix` refuses none), so the certificate takes
+    max(t, 2) by omega >= 2, and `t_spectral` is the raw ratio.
     """
     check_tol(tol)  # before min(), which would pass an infinite or too loose tol
     _mycielski_order(g.n, 2)  # the lift check builds M(G): it must fit the vertex bound
@@ -405,7 +407,7 @@ def certify(g: Graph, tol: float, verbose: bool = False) -> tuple[dict, bool]:
     if t < sol.value - 100.0 * tol:
         raise MycthetaError(f"no edge matrix within slack of the theta value: T has ratio {t}, more "
                             f"than 100 tol below theta {sol.value}, so the theta solution is not optimal")
-    cert = _assemble_certificate(g, spectrum, t)
+    cert = _assemble_certificate(g, spectrum, max(t, 2.0))
     block = verify_block_spectrum(cert)
     ineq = check_certificate_inequalities(cert.t, cert.m, cert.gamma, cert.delta, cert.eta)
     lift_violation = verify_lift(g, lift_coloring(g, extract_vector_coloring(sol, g), cert.m))

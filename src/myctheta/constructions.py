@@ -22,9 +22,9 @@ package's clique search decide whether omega(H) reaches n^t.
 For a digraph D, the capacity report caps the transitive clique search over
 every power D^k by the sandwich theorem: a transitive clique of D^k is a
 clique of U^k, where U is the underlying graph of D (underlying(D^k) =
-underlying(D)^k), and omega(U^k) <= theta_bar(U^k) = theta_bar(U)^k.  With
-hi the upper end of the certified bracket of theta_bar(U), the cap is
-floor(hi^k (1 + 1e-9)); U has n vertices, so no SDP is solved on a power.
+underlying(D)^k), and omega(U^k) <= theta_bar(U^k) = theta_bar(U)^k.  The cap is
+`ThetaSolution.cap(k)` of U's solve, floor(hi^k (1 + 1e-9)) with hi the upper
+end of its certified bracket; U has n vertices, so no SDP is solved on a power.
 Each search is seeded with the lexicographic product of lower-power
 witnesses, which keeps a transitive order, and at power n with the attached
 construction, whose host is D itself; a seed that reaches the cap proves
@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -356,16 +355,6 @@ class CapacityReport:
         }
 
 
-def _theta_cap(hi: float, k: int) -> Optional[int]:
-    """floor(hi^k), with a relative margin for rounding: a certified bound
-    on omega(G^k) when hi >= theta_bar(G).  None when hi^k overflows a float;
-    no power that fits the vertex bound is that large."""
-    try:
-        return math.floor(hi ** k * (1 + 1e-9))
-    except OverflowError:
-        return None
-
-
 def _product_seed(witnesses: dict[int, tuple[int, ...]], k: int, n: int) -> tuple[int, ...]:
     """The largest lexicographic product of a G^i and a G^(k-i) witness, as
     vertices of G^k; the product of two transitive orders is one."""
@@ -446,10 +435,10 @@ def capacity_report(g: GraphLike, *, max_power: int = 1, theta_tol: float = thet
             bounds.append(CapacityBound(1, omega))
 
     @functools.cache
-    def theta_hi() -> Optional[float]:
-        """Upper end of the certified bracket of theta_bar(underlying(g))."""
+    def theta_solution() -> Optional[theta_mod.ThetaSolution]:
+        """The certified theta_bar(underlying(g)), whose `cap` bounds each power."""
         try:
-            return theta_mod.theta_bar(g.underlying(), theta_tol).upper
+            return theta_mod.theta_bar(g.underlying(), theta_tol)
         except MycthetaError:  # an uncapped search is still exact
             return None
 
@@ -462,8 +451,8 @@ def capacity_report(g: GraphLike, *, max_power: int = 1, theta_tol: float = thet
         construction = report.construction  # it lives in g^n, n = construction.n
         if construction is not None and construction.n == k and len(construction.vertices) > len(seed):
             seed = tuple(power_index(v, g.n) for v in construction.vertices)
-        hi = theta_hi()
-        return {"cap": None if hi is None else _theta_cap(hi, k), "seed": seed}
+        sol = theta_solution()
+        return {"cap": None if sol is None else sol.cap(k), "seed": seed}
 
     # a graph on at most one vertex is its own power, so its k = 1 bound is every bound
     for k in range(2, max_power + 1 if g.n > 1 else 2):

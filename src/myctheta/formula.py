@@ -11,7 +11,8 @@ obtained in trigonometric form as
 The other two branches of the cubic never exceed 1 and are discarded;
 `verify_root_selection` checks that numerically.  `lpu_formula` is the
 analogous (exact, rational) map for the fractional chromatic number,
-x -> x + 1/x.
+x -> x + 1/x.  t >= 2 is taken exactly: a graph with an edge has theta_bar >=
+omega >= 2, and `theta` floors its bracket at 2 where it makes it.
 """
 
 from __future__ import annotations
@@ -45,13 +46,6 @@ def star_branch(t: float, k: int) -> float:
     )
 
 
-def _snap_boundary(t: float) -> float:
-    """t = 2 for solver noise just below the t >= 2 boundary (within 1e-6)."""
-    if 2.0 - 1e-6 <= t < 2.0:
-        return 2.0
-    return t
-
-
 @dataclass(frozen=True)
 class FormulaResult:
     t: float
@@ -64,15 +58,13 @@ def mycielski_theta_formula(t: float) -> FormulaResult:
     """theta_bar of the Mycielskian as a function of t = theta_bar(G) >= 2.
 
     Returns the k = 0 branch; t < m <= t + 1 always holds.  Values t < 2 are
-    rejected: t = 1 (edgeless G) is the caller's special case with value 2,
-    and no graph attains values strictly between 1 and 2.  Solver noise just
-    below the boundary (within 1e-6) is snapped to t = 2 rather than refused.
-    So are values whose t^3 overflows a float (above about 5.6e102).
+    refused, and so are values whose t^3 overflows a float (above about
+    5.6e102).  From t of about 1.45e5 up the trigonometric form cancels down
+    to m <= t, so m is at least the next float above t, within an ulp of the root.
     """
-    t = _snap_boundary(t)
     if not (math.isfinite(t) and t >= 2.0):
         raise DomainError(f"formula needs a finite t >= 2, got {t}")
-    m = star_branch(t, 0)
+    m = max(star_branch(t, 0), math.nextafter(t, math.inf))
     try:
         residual = cubic_residual(t, m)
     except OverflowError:  # from t ** 3
@@ -81,7 +73,8 @@ def mycielski_theta_formula(t: float) -> FormulaResult:
 
 
 def verify_root_selection(t: float) -> bool:
-    """Both discarded branches of the cubic stay <= 1 + 1e-12 (hence below t)."""
+    """Both discarded branches of the cubic stay <= 1 + 1e-12 (hence below t).
+    Public API with no caller in the package: the paper's root choice, checked."""
     if not t >= 2.0:
         raise DomainError(f"root selection check needs t >= 2, got {t}")
     return star_branch(t, 1) <= 1.0 + 1e-12 and star_branch(t, 2) <= 1.0 + 1e-12
@@ -91,7 +84,8 @@ Number = Union[Fraction, float, int]
 
 
 def lpu_formula(x: Number) -> Number:
-    """x + 1/x; exact when given a Fraction (or int), float otherwise."""
+    """x + 1/x; exact when given a Fraction (or int), float otherwise.
+    Public API with no caller in the package: the paper's chi_f law."""
     if x <= 0:
         raise DomainError("lpu formula needs a positive argument")
     if isinstance(x, Fraction):

@@ -19,7 +19,9 @@ The reported value is certified, not merely converged: shifting the affine
 iterate X by its negative eigenvalue mass gives a strictly feasible primal
 (a lower bound on theta), and completing the dual rho * u to a matrix with
 ones on the diagonal and the edges gives a feasible point of the
-min-lambda_max dual (an upper bound).  The solver stops once this bracket is
+min-lambda_max dual (an upper bound).  Both ends then meet [2, inf), as a
+graph with an edge has theta_bar >= omega >= 2, so a bipartite graph's lower
+end is not a float a few ulps below 2.  The solver stops once this bracket is
 narrower than tol - which also rescues degenerate instances whose residuals
 decay sublinearly - and stores it; the value and tolerance achieved are its
 midpoint and half-width.  Any iterate gives valid bounds, so the iteration
@@ -128,6 +130,14 @@ class ThetaSolution:
     def n(self) -> int:
         return len(self.x_hat) ** self.power
 
+    def cap(self, k: int) -> Optional[int]:
+        """floor(upper^k (1 + 1e-9)) >= omega of the k-th OR-power, the margin
+        covering upper's rounding; None when upper^k overflows a float."""
+        try:
+            return math.floor(self.upper ** k * (1 + 1e-9))
+        except OverflowError:
+            return None
+
     @property
     def lifted(self) -> Optional[tuple[int, int]]:
         """(n_H, t) when lifted from the base H, else None."""
@@ -205,16 +215,17 @@ def _certified_bracket(x, u, nonedge, jmat):
     mass keeps it feasible and makes it PSD, so <J, x_hat> <= theta.  The
     negated dual variable completed to ones on the diagonal and the edges is
     C, feasible for the min-lambda_max dual form, so its top eigenvalue hi is
-    an upper bound, and D = hi I - C + J.
+    an upper bound, and D = hi I - C + J.  The graph has an edge, so both ends
+    are raised to omega >= 2; D takes the raised hi, and D - J stays PSD.
     """
     n = x.shape[0]
     lam_min = float(eigen.eigvalsh(x)[0])
     shift = max(0.0, -lam_min)
     x_hat = (x + shift * np.eye(n)) / (1.0 + n * shift)
-    lower = float(jmat.ravel() @ x_hat.ravel())
+    lower = max(float(jmat.ravel() @ x_hat.ravel()), 2.0)
     c = jmat.copy()
     c[nonedge] = u[nonedge]  # u = -S, and C = -S on non-edges
-    upper = float(eigen.eigvalsh(c)[-1])
+    upper = max(float(eigen.eigvalsh(c)[-1]), 2.0)
     dual = np.subtract(jmat, c, out=c)  # 0 on the edges, 1 + S off them
     np.fill_diagonal(dual, upper)
     return lower, upper, x_hat, dual

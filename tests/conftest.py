@@ -51,6 +51,26 @@ def random_graph_with_edge(rng: random.Random, n: int, p: float) -> Graph:
             return g
 
 
+def bipartite_graphs() -> list[tuple[str, Graph]]:
+    """P4, P9, C6, C8, K_{2,5}, K_{3,3} and six seeded random bipartite
+    graphs with an edge: theta_bar is exactly 2 on each, the boundary of
+    m(t)'s domain."""
+    from myctheta import cycle_graph, path_graph
+
+    def bipartite(a: int, b: int, keep) -> Graph:
+        return Graph(a + b, [(u, a + v) for u in range(a) for v in range(b) if keep()])
+
+    out = [("P4", path_graph(4)), ("P9", path_graph(9)), ("C6", cycle_graph(6)), ("C8", cycle_graph(8)),
+           ("K2,5", bipartite(2, 5, lambda: True)), ("K3,3", bipartite(3, 3, lambda: True))]
+    rng = random.Random(1979)
+    while len(out) < 12:
+        a, b, p = rng.randint(1, 6), rng.randint(1, 6), rng.choice([0.3, 0.5, 0.7])
+        g = bipartite(a, b, lambda: rng.random() < p)
+        if g.m:
+            out.append((f"B{len(out) - 6}", g))
+    return out
+
+
 def random_digraph(rng: random.Random, n: int, p: float) -> Digraph:
     arcs = [
         (u, v) for u in range(n) for v in range(n) if u != v and rng.random() < p

@@ -38,7 +38,10 @@ from myctheta.certificates import (
     verify_lift,
 )
 
+from conftest import bipartite_graphs
+
 SQRT5 = math.sqrt(5)
+BIPARTITE = bipartite_graphs()
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +233,8 @@ def test_certificate_rejects_mismatched_t():
 
 
 def test_certificate_below_two_is_refused_by_the_formula():
-    # 1.99995 is within 1e-4 of K2's ratio 2 but not snapped to 2, so m(t)
-    # refuses it before any certificate parameter is formed
+    # 1.99995 is within 1e-4 of K2's ratio 2 but below 2, so m(t) refuses it
+    # before any certificate parameter is formed
     k2 = complete_graph(2)
     with pytest.raises(DomainError, match=re.escape("formula needs a finite t >= 2")):
         build_spectral_certificate(k2, k2.adjacency_matrix(), 1.99995)
@@ -319,8 +322,8 @@ def test_inequalities_negative_control():
 
 
 def test_bipartite_round_trip_snaps_boundary():
-    # theta of a bipartite graph is exactly 2; solver noise may land an ulp
-    # below, which must not derail either certificate direction
+    # theta of a bipartite graph is exactly 2; the bracket and the certificate's
+    # t meet [2, inf) where they are made, so neither direction sees a t below 2
     from myctheta import path_graph
 
     for g in (path_graph(4), cycle_graph(6)):
@@ -328,6 +331,32 @@ def test_bipartite_round_trip_snaps_boundary():
         assert doc["certificate"]["ratio"] == pytest.approx(SQRT5, abs=1e-6)
         assert doc["checks"]["block_spectrum"] is True
         assert doc["checks"]["lift_violation"] <= 1e-5
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-7])
+@pytest.mark.parametrize("name, g", BIPARTITE, ids=[name for name, _ in BIPARTITE])
+def test_certify_at_the_boundary(name, g, tol):
+    # all four checks hold with the certificate at max(t, 2): 2.0 exactly
+    # wherever T's ratio lands below 2, while t_spectral is the ratio as
+    # computed (B1 and B3 land a few ulps above 2, which stays)
+    doc, ok = certify(g, tol)
+    t = spectral_ratio(optimal_edge_matrix(g, theta_bar(g, min(tol, 1e-6))), g)
+    assert ok and all(doc["checks"][k] is True
+                      for k in ("ratio_matches_formula", "block_spectrum", "inequalities", "lift_ok"))
+    assert doc["certificate"]["t"] == max(t, 2.0) and doc["t_spectral"] == t
+    assert doc["theta"] >= 2.0
+
+
+@pytest.mark.parametrize("t", [math.nextafter(2.0, 0.0), 2.0 - 5e-7])
+def test_just_below_two_is_refused(t):
+    # no tolerance below the boundary: each entry point refuses t < 2 itself
+    k2 = complete_graph(2)
+    with pytest.raises(DomainError, match=re.escape("formula needs a finite t >= 2")):
+        mycielski_theta_formula(t)
+    with pytest.raises(DomainError, match=re.escape("certificates need t >= 2")):
+        lift_parameters(t, SQRT5)
+    with pytest.raises(DomainError, match=re.escape("formula needs a finite t >= 2")):
+        build_spectral_certificate(k2, k2.adjacency_matrix(), t)
 
 
 def test_pipeline_on_random_graphs():

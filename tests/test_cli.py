@@ -307,6 +307,14 @@ def test_myc_theta_domain_error(capsys):
     assert code == 2 and "t >= 2" in err
 
 
+@pytest.mark.parametrize("t", [repr(math.nextafter(2.0, 0.0)), "1.9999995"])
+def test_myc_theta_refuses_just_below_two(t, capsys):
+    # no t below 2 is rounded up to it, however close
+    code, out, err = run_cli(["myc-theta", "--t", t], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "t >= 2" in err and len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("t", ["inf", "nan", "1e110", "1e308"])
 def test_myc_theta_rejects_non_finite(t, capsys):
     # above about 5.6e102 the cubic residual's t^3 overflows a float

@@ -39,6 +39,7 @@ from myctheta.constructions import _level_power, _power_adjacency, _verify_cliqu
 from myctheta.formula import mycielski_theta_formula
 from myctheta.graphs import power_index
 from myctheta.invariants import _Budget, _max_clique
+from myctheta.theta import ThetaSolution
 from myctheta.errors import ConvergenceError, MycthetaInternal
 
 from conftest import random_digraph
@@ -433,8 +434,8 @@ def test_digraph_cap_reads_the_solved_upper_end(monkeypatch, tol):
     d = mycielskian(transitive_tournament(3), 2)
     expect = theta_bar(d.underlying(), tol).upper
     seen = []
-    real = constructions._theta_cap
-    monkeypatch.setattr(constructions, "_theta_cap", lambda hi, k: seen.append(hi) or real(hi, k))
+    real = ThetaSolution.cap
+    monkeypatch.setattr(ThetaSolution, "cap", lambda sol, k: seen.append(sol.upper) or real(sol, k))
     capacity_report(d, max_power=2, theta_tol=tol)
     assert seen == [expect]
 
@@ -531,9 +532,8 @@ def networkx_omega(g: Graph) -> int:
 @given(small_graphs())
 def test_theta_cap_is_never_below_omega(g):
     sol = theta_bar(g)
-    hi = sol.value + sol.tolerance_achieved
     for k in (1, 2):
-        assert constructions._theta_cap(hi, k) >= networkx_omega(or_power(g, k))
+        assert sol.cap(k) >= networkx_omega(or_power(g, k))
 
 
 @settings(max_examples=40)
@@ -541,6 +541,5 @@ def test_theta_cap_is_never_below_omega(g):
 def test_theta_cap_is_never_below_transitive_omega(n, p, seed):
     d = random_digraph(random.Random(seed), n, p)
     sol = theta_bar(d.underlying())
-    hi = sol.value + sol.tolerance_achieved
     for k in (1, 2):
-        assert constructions._theta_cap(hi, k) >= transitive_clique_number(or_power(d, k)).size
+        assert sol.cap(k) >= transitive_clique_number(or_power(d, k)).size

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from myctheta import (
@@ -73,6 +73,28 @@ def test_formula_cubic_consistency(t):
     assert abs(cubic_residual(t, res.m)) < 1e-8
     assert t < res.m < t + 1.0
     assert verify_root_selection(t)
+
+
+def exact_cubic(t: float, x: Fraction) -> Fraction:
+    """The Mycielskian cubic at x, with t's float value taken exactly."""
+    t = Fraction(t)
+    return x ** 3 + (t - 3) * x ** 2 + (3 - 2 * t - t * t) * x + (-t ** 3 + 5 * t * t - 3 * t - 1)
+
+
+@settings(max_examples=1000)
+@example(1e5)
+@example(1e7)
+@example(1e10)
+@given(st.floats(2.0, 1e15))
+def test_formula_keeps_m_above_t_within_four_ulps_of_the_root(t):
+    # the other two roots are at most 1, so for x > 1 the cubic is negative
+    # below m and positive above it: decided in Fractions, m lies within 4
+    # ulps of the root, and above t even where the trigonometric form cancels
+    # down to m <= t (from about 1.45e5)
+    m = mycielski_theta_formula(t).m
+    four_ulps = 4 * Fraction(math.ulp(m))
+    assert t < m
+    assert exact_cubic(t, Fraction(m) - four_ulps) < 0 < exact_cubic(t, Fraction(m) + four_ulps)
 
 
 def test_residual_at_m_equals_t():

@@ -26,7 +26,7 @@ from myctheta.certificates import certify
 from myctheta.formula import mycielski_theta_formula
 from myctheta.graphs import Graph
 
-from conftest import complete_join, random_graph
+from conftest import bipartite_graphs, complete_join, random_graph, random_graph_with_edge
 
 
 def theta_odd_cycle(n: int) -> float:
@@ -58,6 +58,76 @@ def test_theta_edgeless_exact():
 
 def test_theta_bipartite_is_two():
     assert theta_bar(path_graph(4), tol=1e-6).value == pytest.approx(2.0, abs=1e-6)
+
+
+BIPARTITE = bipartite_graphs()
+
+
+def raw_lower(sol) -> float:
+    """<J, x_hat> as `_certified_bracket` sums it, raised to the power as `_lift` rounds it."""
+    n = len(sol.x_hat)
+    raw = float(np.ones((n, n)).ravel() @ sol.x_hat.ravel())
+    return raw if sol.power == 1 else math.nextafter(raw ** sol.power, 0.0)
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-7, 1e-9])
+@pytest.mark.parametrize("name, g", BIPARTITE, ids=[name for name, _ in BIPARTITE])
+def test_a_bipartite_bracket_starts_at_two(name, g, tol):
+    # theta_bar >= omega = 2, so the lower end is max(<J, x_hat>, 2): 2.0
+    # exactly wherever the float sum lands below 2, never a float a few ulps
+    # below it.  Where the sum itself lands a few ulps above 2 (B4 at 1e-7)
+    # the bracket misses theta_bar = 2 by that rounding; the floor leaves it
+    sol = theta_bar(g, tol)
+    assert sol.lower == max(raw_lower(sol), 2.0)
+    assert 2.0 <= sol.upper <= sol.lower + tol
+
+
+def test_an_upper_end_rounded_below_two_is_raised(monkeypatch):
+    # lambda_max(C) >= theta_bar >= 2 in exact arithmetic, but a float one may
+    # land below 2: the bracket raises it, and D carries the raised end
+    real = theta_mod.eigen.eigvalsh
+    monkeypatch.setattr(theta_mod.eigen, "eigvalsh", lambda a: np.minimum(real(a), 2.0 - 1e-12))
+    sol = theta_bar(path_graph(4), 1e-6)
+    assert (sol.lower, sol.upper) == (2.0, 2.0)
+    assert np.array_equal(np.diag(sol.dual_point), np.full(4, 2.0))
+
+
+def test_a_power_of_a_bipartite_graph_holds_its_value():
+    # C4^2 is lifted from C4, whose bracket starts at 2: [lo^2, hi^2] holds 4
+    sol = theta_bar(or_power(cycle_graph(4), 2), 1e-6)
+    assert sol.lifted == (4, 2) and sol.lower <= 4.0 <= sol.upper
+
+
+def test_the_formula_takes_every_theta_value():
+    # m(t) refuses t < 2 with no tolerance, and no theta_bar of a graph with an edge is below 2
+    rng = random.Random(24)
+    for _ in range(40):
+        g = random_graph_with_edge(rng, rng.randint(2, 9), rng.choice([0.2, 0.4, 0.6]))
+        assert mycielski_theta_formula(theta_bar(g).value).m > 2.0
+
+
+def test_the_floor_at_two_never_engages_above_two():
+    # on the sdp benchmark's theta graphs and seeded G(n, 1/2) draws the lower
+    # end is <J, x_hat> itself, to the bit
+    c5, c7 = cycle_graph(5), cycle_graph(7)
+    graphs = [c5, c7, mycielskian(c5), mycielskian(complete_graph(4)), mycielskian(mycielskian(c5)),
+              or_power(c5, 2), or_power(c7, 2)]
+    graphs += [random_graph(random.Random(f"sdp-corpus-{n}"), n, 0.5) for n in (8, 10, 12)]
+    rng = random.Random(1979)
+    graphs += [random_graph(rng, rng.randint(6, 12), 0.5) for _ in range(10)]
+    for g in graphs:
+        sol = theta_bar(g)
+        assert sol.lower == raw_lower(sol) > 2.0
+
+
+def test_theta_cap_floors_the_upper_end_with_a_margin():
+    # cap(k) = floor(upper^k (1 + 1e-9)): an upper end an ulp below 3 still
+    # caps K3 at 3, one 1e-6 below caps it at 2, and an overflow gives None
+    sol = theta_bar(complete_graph(3))
+    assert [dataclasses.replace(sol, upper=math.nextafter(3.0, 0.0)).cap(k) for k in (1, 2, 3)] == [3, 9, 27]
+    assert dataclasses.replace(sol, upper=3.0 - 1e-6).cap(1) == 2
+    assert dataclasses.replace(sol, upper=1e200).cap(2) is None
+    assert theta_bar(empty_graph(3)).cap(5) == 1
 
 
 def test_theta_tol_domain():

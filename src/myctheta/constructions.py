@@ -12,7 +12,11 @@ directed variant over M(T_n) orders the same vertex set by digit sum, then
 lexicographically on the base coordinates away from the lifted position, and
 every forward pair is an arc.  Constructions verify all their pairs at once
 on the members' adjacency in the OR-power (`_power_adjacency`) before
-returning: they are proofs, not hopes.
+returning: they are proofs, not hopes.  The paper's chain composes induced
+embeddings the package already has, K_N in G^k (`capacity_lower_bound`) and
+M(G^k) in [M(G)]^k (`graphs._mycielski_power_coords`): the extended clique
+of [M(K_N)]^N lifts along them into [M(G)]^(kN), verified once there.
+`graphs._check_size` makes every refusal of a size.
 
 For n, r >= 3 no clique of size n^t in [M_r(K_n) minus apex]^t has a
 level-(r-1) coordinate in every member.  The check builds H, the induced
@@ -48,18 +52,19 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, InconclusiveError, MycthetaError, SizeLimitError
+from .errors import DomainError, InconclusiveError, MycthetaError
 from .fractional import fractional_chromatic
 from .graphs import (
     Digraph,
     Graph,
     GraphLike,
-    _power_exceeds,
+    _check_size,
+    _exceeds_bound,
+    _mycielski_power_coords,
+    _require_kind,
     complete_graph,
-    max_vertices,
     mycielskian,
     or_power,
-    power_coords,
     power_index,
     transitive_tournament,
 )
@@ -151,8 +156,8 @@ def _lifted_set(n: int, directed: bool, apex: bool) -> LiftedCliqueSet:
     last otherwise); every pair is verified at once."""
     if n < 2:
         raise DomainError("lifted clique needs n >= 2")
-    if _power_exceeds(n, n, max_vertices() - 1):  # n^n + 1 > bound
-        raise SizeLimitError(f"lifted clique of size {n}^{n} + 1 exceeds the vertex bound")
+    what = "transitive construction" if directed else "extended construction" if apex else "construction"
+    _check_size(n, what, n, plus=int(apex))
     members = _lifted_members(n)
     if directed:  # ascending digit sum, ties lexicographic off the lifted position
         members.sort(key=lambda m: (sum(m[0]), m[0][:m[1]] + m[0][m[1] + 1:]))
@@ -163,8 +168,7 @@ def _lifted_set(n: int, directed: bool, apex: bool) -> LiftedCliqueSet:
         vertices.insert(at, (2 * n,) * n)
         classes.insert(at, None)
     host = mycielskian(transitive_tournament(n) if directed else complete_graph(n), 2)
-    _verify_clique(host, vertices, "transitive construction" if directed else
-                   "extended construction" if apex else "construction")
+    _verify_clique(host, vertices, what)
     return LiftedCliqueSet(
         n=n,
         directed=directed,
@@ -210,10 +214,8 @@ def _level_power(n: int, r: int, t: int) -> tuple[Graph, list[tuple[int, ...]]]:
     Raises SizeLimitError before building anything when |H| = (rn)^t -
     ((r-1)n)^t exceeds the vertex bound; |H| >= n^t, which is checked first.
     """
-    bound = max_vertices()
-    if _power_exceeds(n, t, bound) or (r * n) ** t - ((r - 1) * n) ** t > bound:
-        raise SizeLimitError(f"the nonexistence check needs (rn)^t - ((r-1)n)^t vertices for "
-                             f"(n, r, t) = ({n}, {r}, {t}), exceeding the bound {bound}")
+    _check_size(n, "the nonexistence check", t, at_least=True)
+    _check_size((r * n) ** t - ((r - 1) * n) ** t, "the nonexistence check")
     low, top, every = range((r - 1) * n), range((r - 1) * n, r * n), range(r * n)
     # split by the first level-(r-1) coordinate, then merge into ascending order
     tuples = sorted(x for i in range(t) for x in itertools.product(*[low] * i, top, *[every] * (t - i - 1)))
@@ -267,40 +269,30 @@ def chained_power_clique(g: Graph, k: int = 1,
                          node_budget: Optional[int] = None) -> ChainedClique:
     """Explicit (N^N + 1)-clique in [M(G)]^(k N), where N = omega(G^k).
 
-    Chains a clique witness K_N inside G^k with the extended lifted clique in
-    [M(K_N)]^N: each M(K_N) coordinate (q, level) expands to the k-tuple of
-    M(G) labels (q_1, level) ... (q_k, level), apex to k apexes.  Pairwise
-    adjacency over M(G) is re-verified coordinate-wise.
+    The paper's chain, composed from the package's own maps: a verified
+    clique K_N of G^k (`capacity_lower_bound`) embeds M(K_N) in M(G^k), which
+    `graphs._mycielski_power_coords` embeds in [M(G)]^k.  The members of
+    `extended_clique(N)` are carried along both, coordinate by coordinate,
+    and verified once over M(G); every link is induced, so that check implies
+    the one over [M(K_N)]^N.  A truncated search raises InconclusiveError.
     """
     _Budget(node_budget)  # a bad budget fails here, before any work
-    if k < 1:
-        raise DomainError("chaining needs k >= 1")
+    _require_kind(g, Graph, "chaining")
     host = mycielskian(g, 2)
-    power = or_power(g, k)
-    witness = clique_number(power, node_budget)
-    if not witness.exhausted:
+    clique = capacity_lower_bound(g, k, node_budget).clique
+    if not clique.exhausted:
         raise InconclusiveError("clique search for omega(G^k) ran out of budget")
-    cap = witness.size
-    if cap < 2:
+    N, n = clique.size, g.n
+    if N < 2:
         raise DomainError("chaining needs omega(G^k) >= 2")
-    ext = extended_clique(cap)
-    n = g.n
-    # M(K_N) label -> k-tuple of M(G) labels
-    def expand(label: int) -> tuple[int, ...]:
-        if label == 2 * cap:
-            return (2 * n,) * k
-        level, q = divmod(label, cap)
-        return tuple(level * n + v for v in power_coords(witness.witness[q], n, k))
-
-    vertices = tuple(
-        tuple(c for lbl in seq for c in expand(lbl)) for seq in ext.vertices
-    )
+    _check_size(N, "chained construction", N, plus=1)
+    # M(K_N) label level * N + q, or the apex 2N, as a vertex of M(G^k), then as its k coordinates
+    image = [level * n ** k + v for level in range(2) for v in clique.witness] + [2 * n ** k]
+    coords = [_mycielski_power_coords(v, n, k) for v in image]
+    members = [v for v, _ in _lifted_members(N)] + [(2 * N,) * N]
+    vertices = tuple(tuple(c for label in seq for c in coords[label]) for seq in members)
     _verify_clique(host, vertices, "chained construction")
-    return ChainedClique(
-        k=k, N=cap, vertices=vertices,
-        bound=(cap ** cap + 1) ** (1.0 / (k * cap)),
-        verified=True,
-    )
+    return ChainedClique(k=k, N=N, vertices=vertices, bound=(N ** N + 1) ** (1.0 / (k * N)), verified=True)
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +363,7 @@ def _construction(g: GraphLike) -> Optional[LiftedCliqueSet]:
     for g = M(K_n), `lifted_transitive_clique(n)` for g = M(T_n), where
     n = (g.n - 1) / 2 >= 2 and n^n + 1 fits the vertex bound; else None."""
     n = (g.n - 1) // 2
-    if n < 2 or _power_exceeds(n, n, max_vertices() - 1):
+    if n < 2 or _exceeds_bound(n, n, plus=1):
         return None
     directed = isinstance(g, Digraph)
     if g != mycielskian(transitive_tournament(n) if directed else complete_graph(n), 2):
@@ -445,7 +437,7 @@ def capacity_report(g: GraphLike, *, max_power: int = 1, theta_tol: float = thet
     def search_args(k: int) -> dict:
         """Cap and seed of the transitive search over g^k; none for an
         undirected g or a power beyond the vertex bound, which fails first."""
-        if not directed or _power_exceeds(g.n, k, max_vertices()):
+        if not directed or _exceeds_bound(g.n, k):
             return {}
         seed = _product_seed({b.k: b.clique.witness for b in bounds}, k, g.n)
         construction = report.construction  # it lives in g^n, n = construction.n
@@ -462,7 +454,7 @@ def capacity_report(g: GraphLike, *, max_power: int = 1, theta_tol: float = thet
         )
         if bound is not None:
             bounds.append(bound)
-        elif _power_exceeds(g.n, k, max_vertices()):
+        elif _exceeds_bound(g.n, k):
             break
     report.lower_bounds = tuple(bounds)
     if not directed:

@@ -13,6 +13,10 @@ class SizeLimitError(DomainError):
     """A construction would exceed the configured vertex / enumeration bound."""
 
 
+class InconclusiveError(DomainError):
+    """An exhaustive search ran out of its node budget before settling the question."""
+
+
 class ConvergenceError(MycthetaError):
     """An iterative solver hit its iteration cap before reaching tolerance.
 
@@ -28,10 +32,6 @@ class ConvergenceError(MycthetaError):
 
 class CertificateError(MycthetaError):
     """A certificate construction produced inconsistent parameters."""
-
-
-class InconclusiveError(MycthetaError):
-    """An exhaustive search ran out of budget before settling the question."""
 
 
 class MycthetaInternal(AssertionError):

@@ -23,6 +23,10 @@ non-adjacency matrix and lifts theta_bar's certificate, `_power_base`
 recognises a graph that is, in its own labelling, an OR-power of its leading
 block, for the lifts of theta_bar, chi_f and the clique search's symmetry,
 and `_power_generators` lays a base's automorphisms out on the power.
+`_mycielski_power_coords` places M(G^t) in [M(G)]^t, for `embed_mycielski_power`
+and the paper's chain in `constructions`.  `_check_size` is the one check of the
+vertex bound, `_exceeds_bound` its non-raising twin: every refusal reads
+`<what> needs N vertices, exceeding the bound B`.
 
 `parse_family` reads a family spec (bases `_FAMILIES`, wrappers
 `_WRAPPER_KEYS`), and checks every wrapper's order before it builds one.
@@ -69,18 +73,22 @@ def max_vertices() -> int:
     return value
 
 
-def _power_exceeds(n: int, t: int, bound: int) -> bool:
-    """Whether n ** t > bound, for t >= 1, without building n ** t when it is
-    far larger: for n >= 2 and t > bound.bit_length(), n ** t >= 2 ** t > bound."""
+def _exceeds_bound(n: int, t: int = 1, plus: int = 0) -> bool:
+    """Whether n ** t + plus vertices exceed the bound, for t >= 1, without
+    building n ** t when it is far larger: for n >= 2 and t > bound.bit_length(),
+    n ** t >= 2 ** t > bound.  The test `_check_size` raises on."""
+    bound = max_vertices() - plus
     return n >= 2 and t > bound.bit_length() or n ** t > bound
 
 
-def _check_size(n: int, what: str = "graph", t: int = 1) -> None:
-    """Raise SizeLimitError when n ** t vertices exceed the bound."""
-    bound = max_vertices()
-    if _power_exceeds(n, t, bound):
-        size = n ** t if t <= bound.bit_length() else f"{n}^{t}"
-        raise SizeLimitError(f"{what} needs {size} vertices, exceeding the bound {bound}")
+def _check_size(n: int, what: str = "graph", t: int = 1, plus: int = 0, at_least: bool = False) -> None:
+    """Raise SizeLimitError when `what` needs n ** t + plus vertices (at least
+    that many, with `at_least`) and they exceed the bound.  A power past the
+    bound's bit length is named, not formed."""
+    if _exceeds_bound(n, t, plus):
+        bound = max_vertices()
+        size = n ** t + plus if t <= bound.bit_length() else f"{n}^{t}" + f" + {plus}" * bool(plus)
+        raise SizeLimitError(f"{what} needs {'at least ' * at_least}{size} vertices, exceeding the bound {bound}")
 
 
 def _pair_matrix(n: int, pairs, what: str) -> np.ndarray:
@@ -529,13 +537,20 @@ def _power_generators(gens: Sequence[np.ndarray], n: int, t: int) -> tuple[np.nd
 # the Mycielskian-of-a-power embedding
 # ---------------------------------------------------------------------------
 
+def _mycielski_power_coords(index: int, n: int, t: int) -> tuple[int, ...]:
+    """Coordinates in [M(G)]^t of vertex `index` of M(G^t), for G on n vertices:
+    (v1...vt, h) is sent to the sequence (v1,h)...(vt,h) and the apex of M(G^t)
+    to the all-apex sequence, in the Mycielskian and power layouts above."""
+    power = n ** t
+    if index == 2 * power:
+        return (2 * n,) * t
+    h, flat = divmod(index, power)
+    return tuple(h * n + v for v in power_coords(flat, n, t))
+
+
 @dataclass(frozen=True)
 class PowerEmbedding:
-    """Injective map of M(G^t) into [M(G)]^t.
-
-    (v1...vt, h) is sent to the sequence (v1,h)...(vt,h) and the apex of
-    M(G^t) to the all-apex sequence.  `mapping[i]` is the image of vertex i.
-    """
+    """Injective map of M(G^t) into [M(G)]^t (`_mycielski_power_coords`); `mapping[i]` is vertex i's image."""
 
     mapping: tuple[int, ...]
     domain: GraphLike      # M(G^t)
@@ -553,21 +568,11 @@ class PowerEmbedding:
 def embed_mycielski_power(g: GraphLike, t: int) -> PowerEmbedding:
     if t < 1:
         raise DomainError("power embedding needs t >= 1")
-    n = g.n
-    _check_size(2 * n + 1, "power of the Mycielskian", t)
+    _check_size(2 * g.n + 1, "power of the Mycielskian", t)
     domain = mycielskian(or_power(g, t), 2)
     codomain = or_power(mycielskian(g, 2), t)
-    np_ = n ** t
-    big = 2 * n + 1
-    mapping = []
-    for idx in range(domain.n):
-        if idx == 2 * np_:  # apex of M(G^t) -> all-apex sequence
-            coords = (2 * n,) * t
-        else:
-            h, flat = divmod(idx, np_)
-            coords = tuple(h * n + v for v in power_coords(flat, n, t))
-        mapping.append(power_index(coords, big))
-    return PowerEmbedding(tuple(mapping), domain, codomain)
+    mapping = tuple(power_index(_mycielski_power_coords(i, g.n, t), 2 * g.n + 1) for i in range(domain.n))
+    return PowerEmbedding(mapping, domain, codomain)
 
 
 # ---------------------------------------------------------------------------

@@ -25,10 +25,10 @@ first branch there, and commands that never search, pay nothing for them.
 
 The transitive clique search also takes an optional certified upper bound
 `cap` on the order's length and an optional `seed`, a known transitive
-order.  The capacity report passes floor(theta_bar(U)^k) for the search over
-D^k, where U is the underlying graph of D: every transitive clique of D^k is
-a clique of U^k, omega <= theta_bar (the sandwich theorem) and theta_bar is
-multiplicative over OR-powers.  A seed that reaches the cap closes the
+order.  The capacity report passes `ThetaSolution.cap(k)` of theta_bar(U),
+floor(upper^k (1 + 1e-9)), for the search over D^k, where U is the underlying
+graph of D: every transitive clique of D^k is a clique of U^k, omega <=
+theta_bar (the sandwich theorem) and theta_bar is multiplicative over OR-powers.  A seed that reaches the cap closes the
 question with no search, and `closed_by` is "theta".  A seed below the cap
 leaves the search tree as it is: it is only returned if a truncated search
 ends below it.  A verified order longer than its cap contradicts the bound

@@ -215,6 +215,17 @@ def test_certificate_c5():
     assert "T_hat" in cert.to_dict(verbose=True) and "T_hat" not in cert.to_dict()
 
 
+def test_block_spectrum_names_a_shifted_eigenvalue():
+    # T_hat's stored eigenvalues shifted by up to 1e-3, still ascending: the largest moves most
+    c5 = cycle_graph(5)
+    cert = build_spectral_certificate(c5, c5.adjacency_matrix(), SQRT5)
+    shifted = cert.hat_eigenvalues + np.linspace(0.0, 1e-3, len(cert.hat_eigenvalues))
+    report = verify_block_spectrum(dataclasses.replace(cert, hat_eigenvalues=shifted))
+    assert not report.ok and report.worst_gap == pytest.approx(1e-3, abs=1e-7)
+    assert report.offending[0] == shifted[-1]
+    assert report.offending[1] == pytest.approx(cert.hat_eigenvalues[-1], abs=1e-7)
+
+
 def test_certificate_support_is_mycielskian():
     g = complete_graph(3)
     cert = build_spectral_certificate(g, g.adjacency_matrix(), 3.0)

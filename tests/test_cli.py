@@ -1,4 +1,6 @@
 import dataclasses
+import errno
+import io
 import json
 import math
 import os
@@ -791,6 +793,43 @@ def test_size_checks_never_build_the_power(argv, capsys):
     if argv[0] == "report":
         assert err == "error: report incomplete: lower_bound_k13\n"
         assert [b["k"] for b in json.loads(out)["lower_bounds"]] == list(range(1, 13))
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--lifted-clique", "6"], "construction needs 46656 vertices, exceeding the bound 4096"),
+    (["--lifted-clique", "6", "--extend"], "extended construction needs 46657 vertices, exceeding the bound 4096"),
+    (["--transitive-clique", "6"], "transitive construction needs 46657 vertices, exceeding the bound 4096"),
+    (["--no-lift-check", "9", "3", "3"], "the nonexistence check needs 13851 vertices, exceeding the bound 4096"),
+    # a nonexistence search out of budget is refused as any other over-budget request is
+    (["--no-lift-check", "3", "3", "3", "--budget", "1"], "nonexistence search for (n=3, r=3, t=3) exceeded 1 nodes"),
+])
+def test_construct_refusals_are_one_error_line(argv, message, capsys):
+    assert run_cli(["construct", *argv], capsys) == (2, "", f"error: {message}\n")
+
+
+def test_text_report_prints_its_errors(monkeypatch, capsys):
+    monkeypatch.setenv("MYCTHETA_MAX_VERTICES", "10")
+    code, out, err = run_cli(["report", "--family", "cycle:5", "--max-power", "2", "--format", "text"], capsys)
+    assert (code, err) == (2, "error: report incomplete: lower_bound_k2\n")
+    assert out.splitlines()[-1] == ("errors: {'lower_bound_k2': "
+                                    "'SizeLimitError: OR-power needs 25 vertices, exceeding the bound 10'}")
+
+
+def test_a_failed_stdout_flush_exits_2_in_one_line(monkeypatch, capsys):
+    # a pipe whose reader has gone: the write is buffered, and the flush meets the closed end
+    class ClosedPipe:
+        def write(self, text):
+            return len(text)
+
+        def flush(self):
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+        def fileno(self):
+            raise io.UnsupportedOperation("no file descriptor")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    code, _, err = run_cli(["gen", "--family", "cycle:5"], capsys)
+    assert (code, err) == (2, "error: cannot write standard output: Broken pipe\n")
 
 
 def test_report_powers_of_one_vertex(capsys):

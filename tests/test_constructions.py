@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+import re
 import time
 
 import networkx
@@ -206,6 +207,33 @@ def test_no_lifted_clique_check_sizes_h_before_building_it(n, r, t):
         no_lifted_clique_check(n, r, t)
 
 
+@pytest.mark.parametrize("n, r, t, message", [
+    # before it forms |H|, the check knows only that |H| >= n^t
+    (10 ** 6, 3, 2, "the nonexistence check needs at least 1000000000000 vertices, exceeding the bound 4096"),
+    (3, 3, 10 ** 8, "the nonexistence check needs at least 3^100000000 vertices, exceeding the bound 4096"),
+])
+def test_no_lifted_clique_check_names_the_vertices_it_needs(n, r, t, message):
+    with pytest.raises(SizeLimitError, match=f"^{re.escape(message)}$"):
+        no_lifted_clique_check(n, r, t)
+
+
+def test_no_lifted_clique_check_reports_a_found_clique(monkeypatch):
+    # an H that holds an n^t-clique: the search's witness is re-verified, then the check says False
+    monkeypatch.setattr(constructions, "_level_power", lambda n, r, t: (complete_graph(n ** t), []))
+    assert no_lifted_clique_check(3, 3, 2) is False
+    monkeypatch.setattr(invariants, "verify_clique", lambda g, witness: False)
+    with pytest.raises(MycthetaInternal, match="re-verification"):
+        no_lifted_clique_check(3, 3, 2)
+
+
+def test_lifted_clique_fits_a_bound_of_n_to_the_n(monkeypatch):
+    monkeypatch.setenv("MYCTHETA_MAX_VERTICES", "27")
+    assert len(lifted_clique(3).vertices) == 27
+    for build in (extended_clique, lifted_transitive_clique):
+        with pytest.raises(SizeLimitError, match="construction needs 28 vertices, exceeding the bound 27$"):
+            build(3)
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_decision_search_finds_the_lifted_clique_at_level_two(n):
     # with r = 2 the check's graph H holds the paper's n^n clique, so the
@@ -246,6 +274,45 @@ def test_chained_power_clique_k3():
     ch = chained_power_clique(complete_graph(3), 1)
     assert ch.N == 3 and len(ch.vertices) == 28
     assert ch.bound == pytest.approx(28 ** (1 / 3), abs=1e-12)
+
+
+def test_chained_power_clique_verifies_its_clique_once(monkeypatch):
+    # the chain is composed from capacity_lower_bound and graphs' map of M(G^k) into [M(G)]^k,
+    # and only its own clique over M(G) is checked, once
+    for name in ("or_power", "clique_number", "extended_clique"):
+        monkeypatch.setattr(constructions, name, fail)
+    checked = []
+    real = constructions._verify_clique
+    monkeypatch.setattr(constructions, "_verify_clique",
+                        lambda host, members, what: checked.append((host.n, len(members), what)) or real(host, members, what))
+    ch = chained_power_clique(complete_graph(2), 2)  # omega(K2^2) = 4: 4^4 + 1 members of [M(K2)]^8
+    assert (ch.N, len(ch.vertices), {len(v) for v in ch.vertices}) == (4, 257, {8})
+    assert checked == [(5, 257, "chained construction")]
+    assert ch.bound == pytest.approx(257 ** (1 / 8), abs=1e-12)
+
+
+def test_chained_power_clique_refuses_a_digraph_before_any_work(monkeypatch):
+    d = mycielskian(transitive_tournament(3), 2)
+    for name in ("mycielskian", "capacity_lower_bound"):
+        monkeypatch.setattr(constructions, name, fail)
+    with pytest.raises(DomainError, match="^chaining needs an undirected graph$"):
+        chained_power_clique(d)
+
+
+@pytest.mark.parametrize("g, k, error, message", [
+    (complete_graph(3), 2, SizeLimitError, "chained construction needs 387420490 vertices, exceeding the bound 4096"),
+    (complete_graph(3), 0, DomainError, "capacity lower bound needs k >= 1"),
+    (complete_graph(1), 1, DomainError, "chaining needs omega(G^k) >= 2"),
+    (Graph(0), 1, DomainError, "chaining needs a nonempty graph"),
+])
+def test_chained_power_clique_refusals(g, k, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        chained_power_clique(g, k)
+
+
+def test_chained_power_clique_refuses_a_truncated_search():
+    with pytest.raises(InconclusiveError, match="^clique search for omega\\(G\\^k\\) ran out of budget$"):
+        chained_power_clique(cycle_graph(5), 2, node_budget=1)
 
 
 def test_capacity_report_c5():

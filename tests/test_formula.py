@@ -75,6 +75,11 @@ def test_formula_cubic_consistency(t):
     assert verify_root_selection(t)
 
 
+def test_root_selection_refuses_t_below_2():
+    with pytest.raises(DomainError, match="^root selection check needs t >= 2, got 1.5$"):
+        verify_root_selection(1.5)
+
+
 def exact_cubic(t: float, x: Fraction) -> Fraction:
     """The Mycielskian cubic at x, with t's float value taken exactly."""
     t = Fraction(t)

@@ -256,6 +256,35 @@ def test_embed_mycielski_power_digraph():
     assert emb.is_induced_isomorphism()
 
 
+def test_embed_mycielski_power_refuses_t0():
+    with pytest.raises(DomainError, match="^power embedding needs t >= 1$"):
+        embed_mycielski_power(cycle_graph(5), 0)
+
+
+def test_is_induced_isomorphism_rejects_a_bad_mapping():
+    # M(E2) has the edges 2-4 and 3-4 alone; vertices 0 and 1 are isolated, so sending
+    # both to 0 keeps every edge and non-edge, and only the injectivity test refuses it
+    emb = embed_mycielski_power(empty_graph(2), 1)
+    assert emb.mapping == (0, 1, 2, 3, 4) and emb.domain.edges() == ((2, 4), (3, 4))
+    assert not graphs_mod.PowerEmbedding((0, 0, 2, 3, 4), emb.domain, emb.codomain).is_induced_isomorphism()
+    # vertices 0 and 2 swapped: injective, but the edge 2-4 goes to the non-edge 0-4
+    assert not graphs_mod.PowerEmbedding((2, 1, 0, 3, 4), emb.domain, emb.codomain).is_induced_isomorphism()
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Graph(-1), "^vertex count must be non-negative$"),
+    (lambda: Graph(3, [(0, 1, 2)]), "^each edge must be a pair of vertices$"),
+    (lambda: cycle_graph(5).subgraph([0, 0]), "^duplicate vertices in subgraph selection$"),
+    (lambda: cycle_graph(5).subgraph([7]), "^subgraph vertex out of range for n=5$"),
+    (lambda: power_index((5,), 5), "^coordinate 5 out of range for base size 5$"),
+    (lambda: power_coords(25, 5, 2), "^index out of range for this power$"),
+    (lambda: or_product(cycle_graph(5), transitive_tournament(2)), "^cannot mix graphs and digraphs in a product$"),
+])
+def test_graph_helpers_refuse_bad_arguments(build, message):
+    with pytest.raises(DomainError, match=message):
+        build()
+
+
 def test_edgelist_roundtrip():
     rng = random.Random(7)
     for _ in range(10):

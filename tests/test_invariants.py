@@ -1004,6 +1004,14 @@ def test_chromatic_budget_bracket():
         assert_sound_bracket(g, res, 8)
 
 
+def test_a_truncated_chromatic_search_has_no_value():
+    # M(M(M(C5))) at budget 10 stops at the bracket [3, 6]; settling chi = 6 takes 449 295 nodes
+    res = chromatic_number(mycielskian(mycielskian(mycielskian(cycle_graph(5)))), 10)
+    assert (res.lo, res.hi, res.exhausted) == (3, 6, False)
+    with pytest.raises(DomainError, match=r"^chromatic number not settled; bracket is \[3, 6\]$"):
+        res.value
+
+
 def test_chromatic_bracket_under_every_budget():
     # one G(n, p) draw per budget
     rng = random.Random(43)

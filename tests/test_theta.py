@@ -296,6 +296,11 @@ def test_spectral_ratio_validation():
         spectral_ratio(asym, c5)
 
 
+def test_spectral_ratio_refuses_a_matrix_of_another_order():
+    with pytest.raises(DomainError, match=r"^matrix shape \(3, 3\) does not match graph on 5 vertices$"):
+        spectral_ratio(np.zeros((3, 3)), cycle_graph(5))
+
+
 def test_spectral_ratio_never_beats_theta():
     rng = random.Random(53)
     for _ in range(15):
@@ -394,6 +399,22 @@ def test_extract_requires_tight_solution():
     if sol.tolerance_achieved > 1e-6:
         with pytest.raises(DomainError):
             extract_vector_coloring(sol, c5)
+
+
+def test_extract_refuses_a_loose_bracket():
+    # C7 at tol 1e-3 stops at a half-width of about 1.6e-6, above EXTRACT_TOL
+    c7 = cycle_graph(7)
+    sol = theta_bar(c7, tol=1e-3)
+    assert sol.tolerance_achieved > theta_mod.EXTRACT_TOL
+    with pytest.raises(DomainError, match="too loose for extraction$"):
+        extract_vector_coloring(sol, c7)
+
+
+def test_a_solution_of_another_graph_is_refused():
+    sol, c5 = theta_bar(cycle_graph(7)), cycle_graph(5)
+    for call in (lambda: optimal_edge_matrix(c5, sol), lambda: extract_vector_coloring(sol, c5)):
+        with pytest.raises(DomainError, match="^solution does not belong to this graph$"):
+            call()
 
 
 def test_solution_primal_feasibility():
